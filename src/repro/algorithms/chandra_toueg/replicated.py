@@ -1,10 +1,11 @@
-"""Replicated-log Chandra-Toueg: the ballot mixer under a live Ω detector.
+"""Replicated-log Chandra-Toueg: ballot elections under a live Ω detector.
 
 The one-shot :mod:`repro.algorithms.chandra_toueg.node` follows the 1996
 paper round by round; this module is its replicated-log service form for
 the live engine seam, built exactly as the source paper prescribes —
-take the shared :class:`~repro.algorithms.replica.BallotReplicaNode`
-mixer and swap in a different *detector object*: an embedded
+take the shared replicated-log core under
+:class:`~repro.algorithms.replica.BallotReplicaNode`'s ballot election
+and swap in a different *detector object*: an embedded
 :class:`~repro.live.detector.OmegaDetector` instead of randomized
 timeouts.
 
@@ -22,7 +23,7 @@ it composes directly with a leader-based mixer):
   dropped) retries after a few ticks, since Ω still names us.
 
 Safety never depends on the detector (ballots and majorities do all the
-work in the shared mixer); the detector buys liveness — the classic CT
+work in the shared core); the detector buys liveness — the classic CT
 split, now measurable: benchmark E17 runs the same load and faults over
 this engine, Multi-Paxos, and Raft.
 
@@ -33,11 +34,20 @@ heartbeat frame queued behind a large delta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 
-from repro.algorithms.raft.log import Entry
-from repro.algorithms.replica import LEADER, PREPARING, BallotReplicaNode
+from repro.algorithms.raft.replication import LEADER
+from repro.algorithms.replica import (
+    PREPARING,
+    BallotChain,
+    BallotChainAck,
+    BallotPrepare,
+    BallotPrepareNack,
+    BallotPromise,
+    BallotReplicaNode,
+    BallotSnapshot,
+    BallotSnapshotAck,
+)
 from repro.live.detector import FD_TICK, FdHeartbeat, OmegaDetector
 from repro.sim.messages import Pid
 from repro.sim.ops import Send, SetTimer, TimerFired
@@ -51,84 +61,38 @@ CAMPAIGN_STUCK_TICKS = 4
 
 
 # ----------------------------------------------------------------------
-# Wire messages (the ``Ct*`` family — self-describing per engine)
+# Wire messages (the ``Ct*`` family — self-describing per engine; the
+# shapes are repro.algorithms.replica's)
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CtPrepare:
-    """Phase-1a: campaign for ``ballot``; report suffix from ``from_index``."""
-
-    ballot: int
-    from_index: int
-    sender: Pid
+class CtPrepare(BallotPrepare):
+    """Chandra-Toueg phase-1a."""
 
 
-@dataclass(frozen=True)
-class CtPromise:
-    """Phase-1b grant: the voter's accepted suffix (plus snapshot if its
-    log was compacted at or past ``from_index``)."""
-
-    ballot: int
-    voter: Pid
-    snapshot_index: int
-    snapshot_ballot: int
-    machine_state: Any
-    from_index: int
-    entries: Tuple[Entry, ...]
+class CtPromise(BallotPromise):
+    """Chandra-Toueg phase-1b grant."""
 
 
-@dataclass(frozen=True)
-class CtPrepareNack:
-    """Phase-1b refusal: the voter already promised ``promised``."""
-
-    ballot: int
-    promised: int
-    voter: Pid
+class CtPrepareNack(BallotPrepareNack):
+    """Chandra-Toueg phase-1b refusal."""
 
 
-@dataclass(frozen=True)
-class CtChain:
-    """Phase-2a stream: log delta after ``prev_index`` plus commit index
-    (empty ``entries`` is the coordinator heartbeat)."""
-
-    ballot: int
-    sender: Pid
-    prev_index: int
-    prev_ballot: int
-    entries: Tuple[Entry, ...]
-    commit_index: int
+class CtChain(BallotChain):
+    """Chandra-Toueg phase-2a stream (empty ``entries`` is the
+    coordinator heartbeat)."""
 
 
-@dataclass(frozen=True)
-class CtChainAck:
-    """Phase-2b: accept (``success`` with ``match_index``) or refuse
-    (carrying the higher promised ballot)."""
-
-    ballot: int
-    success: bool
-    voter: Pid
-    match_index: int = 0
+class CtChainAck(BallotChainAck):
+    """Chandra-Toueg phase-2b."""
 
 
-@dataclass(frozen=True)
-class CtSnapshot:
-    """Snapshot repair for a replica whose needed suffix was compacted."""
-
-    ballot: int
-    sender: Pid
-    last_included_index: int
-    last_included_ballot: int
-    machine_state: Any
+class CtSnapshot(BallotSnapshot):
+    """Chandra-Toueg snapshot repair."""
 
 
-@dataclass(frozen=True)
-class CtSnapshotAck:
-    """Replica acknowledges a snapshot installation."""
-
-    ballot: int
-    voter: Pid
-    last_included_index: int
+class CtSnapshotAck(BallotSnapshotAck):
+    """Chandra-Toueg snapshot acknowledgement."""
 
 
 # ----------------------------------------------------------------------
@@ -152,10 +116,10 @@ class CtReplicatedNode(BallotReplicaNode):
     PREPARE_CLS = CtPrepare
     PROMISE_CLS = CtPromise
     PREPARE_NACK_CLS = CtPrepareNack
-    CHAIN_CLS = CtChain
-    CHAIN_ACK_CLS = CtChainAck
+    APPEND_CLS = CtChain
+    APPEND_REPLY_CLS = CtChainAck
     SNAPSHOT_CLS = CtSnapshot
-    SNAPSHOT_ACK_CLS = CtSnapshotAck
+    SNAPSHOT_REPLY_CLS = CtSnapshotAck
 
     def __init__(
         self,
@@ -209,9 +173,6 @@ class CtReplicatedNode(BallotReplicaNode):
     def _on_timer(self, api: ProcessAPI, fired: TimerFired) -> ProtocolGenerator:
         if fired.name == FD_TICK:
             yield from self._on_fd_tick(api)
-        elif fired.name == "heartbeat" and self.state is LEADER:
-            yield from self._heartbeat_chains(api)
-            yield SetTimer(self.heartbeat_interval, "heartbeat")
 
     def _on_fd_tick(self, api: ProcessAPI) -> ProtocolGenerator:
         fd = self.detector
@@ -240,14 +201,11 @@ class CtReplicatedNode(BallotReplicaNode):
             self._omega_streak = 0
         yield SetTimer(self.detector_interval, FD_TICK)
 
-    def _on_other(self, api: ProcessAPI, payload: Any, src: Pid) -> ProtocolGenerator:
+    def _on_other(self, api: ProcessAPI, payload: Any) -> ProtocolGenerator:
         if isinstance(payload, FdHeartbeat):
             self.detector.note_heartbeat(payload.sender, api.now)
         return
         yield  # pragma: no cover
-
-    def _on_leadership(self, api: ProcessAPI) -> ProtocolGenerator:
-        yield SetTimer(self.heartbeat_interval, "heartbeat")
 
     def _on_leader_contact(self, api: ProcessAPI, leader: Pid) -> ProtocolGenerator:
         # Chain/snapshot traffic is liveness evidence too.
@@ -257,7 +215,7 @@ class CtReplicatedNode(BallotReplicaNode):
         return
         yield  # pragma: no cover
 
-    def _on_campaign_failed(self, api: ProcessAPI) -> ProtocolGenerator:
+    def _on_demoted(self, api: ProcessAPI) -> ProtocolGenerator:
         # A higher ballot exists; Ω will re-trigger us if we should lead.
         self._omega_streak = 0
         self._campaign_ticks = 0

@@ -1,94 +1,49 @@
 """Multi-Paxos wire messages (the ``Pax*`` family).
 
-Field order is part of the wire format (the binary codec packs
-positionally) — pinned by the codec round-trip suites.  Ballots are the
-encoded ints from :mod:`repro.algorithms.replica`.  The family is
-deliberately distinct from both Raft's and Chandra-Toueg's message
-classes so a frame identifies its engine on sight: a mixed-engine
+The seven shapes — fields, and therefore the positional wire layout — are
+:mod:`repro.algorithms.replica`'s; ballots are its encoded ints.  The
+family is deliberately distinct from both Raft's and Chandra-Toueg's
+message classes so a frame identifies its engine on sight: a mixed-engine
 cluster produces recognizably foreign frames instead of accidental
 cross-protocol interop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Tuple
-
-from repro.algorithms.raft.log import Entry
-from repro.sim.messages import Pid
-
-
-@dataclass(frozen=True)
-class PaxPrepare:
-    """Phase-1a: campaign for ``ballot``; report suffix from ``from_index``."""
-
-    ballot: int
-    from_index: int
-    sender: Pid
+from repro.algorithms.replica import (
+    BallotChain,
+    BallotChainAck,
+    BallotPrepare,
+    BallotPrepareNack,
+    BallotPromise,
+    BallotSnapshot,
+    BallotSnapshotAck,
+)
 
 
-@dataclass(frozen=True)
-class PaxPromise:
-    """Phase-1b grant: the voter's accepted suffix (and snapshot if its
-    log was compacted at or past ``from_index``)."""
-
-    ballot: int
-    voter: Pid
-    snapshot_index: int
-    snapshot_ballot: int
-    machine_state: Any
-    from_index: int
-    entries: Tuple[Entry, ...]
+class PaxPrepare(BallotPrepare):
+    """Multi-Paxos phase-1a."""
 
 
-@dataclass(frozen=True)
-class PaxPrepareNack:
-    """Phase-1b refusal: the voter already promised ``promised``."""
-
-    ballot: int
-    promised: int
-    voter: Pid
+class PaxPromise(BallotPromise):
+    """Multi-Paxos phase-1b grant."""
 
 
-@dataclass(frozen=True)
-class PaxChain:
-    """Phase-2a stream: log delta after ``prev_index`` plus commit index
-    (empty ``entries`` is the leader heartbeat)."""
-
-    ballot: int
-    sender: Pid
-    prev_index: int
-    prev_ballot: int
-    entries: Tuple[Entry, ...]
-    commit_index: int
+class PaxPrepareNack(BallotPrepareNack):
+    """Multi-Paxos phase-1b refusal."""
 
 
-@dataclass(frozen=True)
-class PaxChainAck:
-    """Phase-2b: accept (``success`` with ``match_index``) or refuse
-    (carrying the higher promised ballot)."""
-
-    ballot: int
-    success: bool
-    voter: Pid
-    match_index: int = 0
+class PaxChain(BallotChain):
+    """Multi-Paxos phase-2a stream."""
 
 
-@dataclass(frozen=True)
-class PaxSnapshot:
-    """Snapshot repair for a follower whose needed suffix was compacted."""
-
-    ballot: int
-    sender: Pid
-    last_included_index: int
-    last_included_ballot: int
-    machine_state: Any
+class PaxChainAck(BallotChainAck):
+    """Multi-Paxos phase-2b."""
 
 
-@dataclass(frozen=True)
-class PaxSnapshotAck:
-    """Follower acknowledges a snapshot installation."""
+class PaxSnapshot(BallotSnapshot):
+    """Multi-Paxos snapshot repair."""
 
-    ballot: int
-    voter: Pid
-    last_included_index: int
+
+class PaxSnapshotAck(BallotSnapshotAck):
+    """Multi-Paxos snapshot acknowledgement."""

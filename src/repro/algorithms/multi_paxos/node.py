@@ -1,11 +1,11 @@
-"""Multi-Paxos node: the ballot mixer under a randomized-timeout detector.
+"""Multi-Paxos node: ballot elections under a randomized-timeout detector.
 
-In the paper's decomposition this backend pairs the shared
-:class:`~repro.algorithms.replica.BallotReplicaNode` mixer with the same
-*reconciliator* Raft uses — a randomized retry timer, re-armed on every
-sign of a live leader — but runs the classic Multi-Paxos phase structure
-over it: leadership is won by prepare/promise with suffix merge rather
-than by a vote on log freshness.  Functionally this is the difference
+In the paper's decomposition this backend runs the shared replicated-log
+core under :class:`~repro.algorithms.replica.BallotReplicaNode`'s
+prepare/promise election, triggered by the same *reconciliator* Raft
+uses — a randomized retry timer, re-armed on every sign of a live
+leader.  Leadership is won by prepare/promise with suffix merge rather
+than by a vote on log freshness: functionally this is the difference
 Howard & Mortier highlight between the two protocol families; benchmark
 E17 measures it under identical load.
 """
@@ -23,7 +23,8 @@ from repro.algorithms.multi_paxos.messages import (
     PaxSnapshot,
     PaxSnapshotAck,
 )
-from repro.algorithms.replica import LEADER, BallotReplicaNode
+from repro.algorithms.raft.replication import LEADER
+from repro.algorithms.replica import BallotReplicaNode
 from repro.sim.messages import Pid
 from repro.sim.ops import SetTimer, TimerFired
 from repro.sim.process import ProcessAPI, ProtocolGenerator
@@ -44,10 +45,10 @@ class MultiPaxosNode(BallotReplicaNode):
     PREPARE_CLS = PaxPrepare
     PROMISE_CLS = PaxPromise
     PREPARE_NACK_CLS = PaxPrepareNack
-    CHAIN_CLS = PaxChain
-    CHAIN_ACK_CLS = PaxChainAck
+    APPEND_CLS = PaxChain
+    APPEND_REPLY_CLS = PaxChainAck
     SNAPSHOT_CLS = PaxSnapshot
-    SNAPSHOT_ACK_CLS = PaxSnapshotAck
+    SNAPSHOT_REPLY_CLS = PaxSnapshotAck
 
     def __init__(
         self,
@@ -81,12 +82,6 @@ class MultiPaxosNode(BallotReplicaNode):
             if epoch == self._retry_epoch and self.state is not LEADER:
                 yield self._arm_retry_timer(api)
                 yield from self._start_campaign(api)
-        elif fired.name == "heartbeat" and self.state is LEADER:
-            yield from self._heartbeat_chains(api)
-            yield SetTimer(self.heartbeat_interval, "heartbeat")
-
-    def _on_leadership(self, api: ProcessAPI) -> ProtocolGenerator:
-        yield SetTimer(self.heartbeat_interval, "heartbeat")
 
     def _on_leader_contact(self, api: ProcessAPI, leader: Pid) -> ProtocolGenerator:
         yield self._arm_retry_timer(api)
@@ -95,5 +90,5 @@ class MultiPaxosNode(BallotReplicaNode):
         # Granting a promise means a fresher campaign is in flight: defer.
         yield self._arm_retry_timer(api)
 
-    def _on_campaign_failed(self, api: ProcessAPI) -> ProtocolGenerator:
+    def _on_demoted(self, api: ProcessAPI) -> ProtocolGenerator:
         yield self._arm_retry_timer(api)

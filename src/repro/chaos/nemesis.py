@@ -26,8 +26,9 @@ Fault kinds
                       that breaks naive failure detectors
 ``drop``              probabilistic loss on every link of one random node
 ``delay``             extra one-way latency on every link of one node
-``timeout-skew``      scale one node's election-timeout range (a slow or
-                      hasty clock), restored on ``heal``
+``timeout-skew``      scale one node's election-timeout ranges (a slow or
+                      hasty clock), restored on ``heal``; skipped on an
+                      engine without an election timer (``ct``)
 ``clock-skew``        slow a node's *drift clock* by ``factor`` — the
                       clock the read path's leader lease is measured on
                       — preferring the current leader (the dangerous
@@ -301,7 +302,8 @@ class Nemesis:
         self.plan = plan
         self.rng = random.Random(plan.seed if seed is None else seed)
         self.log: List[NemesisAction] = []
-        self._skewed: Dict[int, Tuple[float, float]] = {}
+        #: Per victim, each shard's election-timeout range before the skew.
+        self._skewed: Dict[int, Dict[int, Tuple[float, float]]] = {}
         self._clock_skewed: set = set()
         self._epoch: Optional[float] = None
 
@@ -610,11 +612,21 @@ class Nemesis:
             return
         factor = float(event.arg("factor", 3.0))
         victim = self._pick(alive, event)
-        server = self.cluster.servers[victim]
-        if victim not in self._skewed:
-            self._skewed[victim] = server.shards[0].node.election_timeout
-        lo, hi = self._skewed[victim]
-        for shard in server.shards:
+        timed = [
+            shard
+            for shard in self.cluster.servers[victim].shards
+            if hasattr(shard.node, "election_timeout")
+        ]
+        if not timed:
+            self._note("timeout-skew", "skipped: engine has no election timer")
+            return
+        # Ranges are per shard (staggered so leadership spreads): save,
+        # scale and restore each shard's own.
+        base = self._skewed.setdefault(
+            victim, {shard.shard_id: shard.node.election_timeout for shard in timed}
+        )
+        for shard in timed:
+            lo, hi = base[shard.shard_id]
             shard.node.election_timeout = (lo * factor, hi * factor)
         self._note(
             "timeout-skew", f"node {victim} election timeout x{factor:g}"
@@ -654,7 +666,8 @@ class Nemesis:
             server = self.cluster.servers[pid]
             if server is not None:
                 for shard in server.shards:
-                    shard.node.election_timeout = base
+                    if shard.shard_id in base:
+                        shard.node.election_timeout = base[shard.shard_id]
             del self._skewed[pid]
         for pid in list(self._clock_skewed):
             server = self.cluster.servers[pid]

@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import tempfile
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.checker import check_history
 from repro.chaos.history import History
@@ -53,6 +53,7 @@ from repro.dst.scenario import (
     ScenarioOutcome,
     ViolationRecord,
 )
+from repro.live.engine import ENGINES
 from repro.live.harness import LiveKVCluster
 
 #: Campaign timings (same as ``python -m repro chaos``): elections
@@ -387,19 +388,22 @@ def generate_live_scenarios(
     base: Optional[LiveScenario] = None,
     kinds: Tuple[str, ...] = LIVE_EXPLORE_KINDS,
     fault_period: float = 1.5,
+    engines: Sequence[str] = tuple(ENGINES),
 ) -> List[LiveScenario]:
     """``count`` seeded scenarios derived deterministically from ``meta_seed``.
 
     Each draws a fresh run seed and a fresh random fault campaign over
     ``kinds``; everything else comes from ``base`` (cluster size, tier,
-    injected bug, workload shape).
+    injected bug, workload shape) — except the engine, which rotates
+    through ``engines`` (default: every registered engine, in registry
+    order, so schedule 0 runs raft), so one sweep covers them all.
     """
     import random as _random
 
     rng = _random.Random(meta_seed)
     template = base if base is not None else LiveScenario()
     scenarios = []
-    for _ in range(count):
+    for index in range(count):
         seed = rng.randrange(2**31)
         plan = FaultPlan.random_campaign(
             seed,
@@ -407,7 +411,14 @@ def generate_live_scenarios(
             period=fault_period,
             kinds=kinds,
         )
-        scenarios.append(replace(template, seed=seed, faults=plan.events))
+        scenarios.append(
+            replace(
+                template,
+                seed=seed,
+                faults=plan.events,
+                engine=engines[index % len(engines)],
+            )
+        )
     return scenarios
 
 

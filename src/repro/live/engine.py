@@ -38,12 +38,12 @@ Node contract (duck-typed, pinned by tests/live/test_engine_conformance.py):
 Engines available (``--engine`` on serve/client/loadgen/chaos):
 
 =========  ==========================================================
-``raft``   The existing full Raft node — fused detector + mixer
-           (randomized election timeout / vote on log freshness).
-``paxos``  Multi-Paxos: the shared ballot mixer under the same
-           randomized-timeout detector (prepare/promise + suffix
-           merge instead of vote-and-truncate).
-``ct``     Chandra-Toueg: the same ballot mixer under a live Ω/◇S
+``raft``   Raft's election rule (randomized election timeout / vote
+           on log freshness) over the shared replicated-log core.
+``paxos``  Multi-Paxos: the same core and the same randomized-timeout
+           detector, leadership won by prepare/promise + suffix merge
+           instead of vote-and-truncate.
+``ct``     Chandra-Toueg: the ballot election under a live Ω/◇S
            heartbeat failure detector (:mod:`repro.live.detector`).
 =========  ==========================================================
 
@@ -94,37 +94,42 @@ from repro.algorithms.readpath import READ_WIRE_CLASSES, ReadConfig
 from repro.live.detector import FdHeartbeat
 from repro.live.sharding import preferred_leader, staggered_election_timeout
 from repro.sim.process import Process
-from repro.storage.engine import (
-    DurableBallotMixin,
-    DurableRaftNode,
-    RaftStorage,
-)
+from repro.storage.engine import DurableNode, RaftStorage
 
 
 class EngineError(ValueError):
     """Unknown engine name or malformed engine spec."""
 
 
-class DurableMultiPaxosNode(DurableBallotMixin, MultiPaxosNode):
+class DurableRaftNode(DurableNode, RaftNode):
+    """Raft persisting term, vote and log to a WAL directory."""
+
+
+class DurableMultiPaxosNode(DurableNode, MultiPaxosNode):
     """Multi-Paxos persisting promised ballot + log to a WAL directory."""
 
 
-class DurableCtReplicatedNode(DurableBallotMixin, CtReplicatedNode):
+class DurableCtReplicatedNode(DurableNode, CtReplicatedNode):
     """Chandra-Toueg persisting promised ballot + log to a WAL directory."""
 
 
 class ConsensusEngine:
-    """One pluggable backend: node factory + wire family + tuning map.
+    """One pluggable backend: node classes + wire family + tuning map.
 
-    Subclasses set :attr:`name` and :attr:`wire_classes` and implement
-    :meth:`build_node`.  Engines are stateless — one shared instance per
-    backend lives in :data:`ENGINES`.
+    Subclasses set :attr:`name`, :attr:`wire_classes`, :attr:`node_cls`
+    and :attr:`durable_cls`, and override :meth:`election_kwargs` when
+    their election rule is not tuned by an election timeout.  Engines
+    are stateless — one shared instance per backend lives in
+    :data:`ENGINES`.
     """
 
     #: CLI / spec name.
     name: str = ""
     #: The message classes this engine's nodes exchange over the wire.
     wire_classes: FrozenSet[Type[Any]] = frozenset()
+    #: The protocol node, and the same node under the durability binding.
+    node_cls: Type[Process]
+    durable_cls: Type[Process]
 
     def build_node(
         self,
@@ -143,13 +148,53 @@ class ConsensusEngine:
         """Build this shard's protocol node (durable iff ``storage``).
 
         ``election_timeout``/``heartbeat_interval`` are the service-level
-        knobs; each engine maps them onto its own parameters (the ct
-        engine derives its detector cadence from the heartbeat interval,
-        for example) so one CLI surface tunes every backend.  ``read``
-        configures the fast read path (lease duration + drift bound);
-        ``None`` keeps it inert.
+        knobs; each engine maps them onto its own parameters in
+        :meth:`election_kwargs` (the ct engine derives its detector
+        cadence from the heartbeat interval, for example) so one CLI
+        surface tunes every backend.  ``read`` configures the fast read
+        path (lease duration + drift bound); ``None`` keeps it inert.
         """
-        raise NotImplementedError
+        args = dict(
+            heartbeat_interval=heartbeat_interval,
+            state_machine_factory=state_machine_factory,
+            propose_on_leadership=False,
+            snapshot_threshold=snapshot_threshold,
+            cluster_size=n,
+            read_config=read,
+            **self.election_kwargs(
+                shard_id=shard_id,
+                shard_count=shard_count,
+                pid=pid,
+                n=n,
+                election_timeout=election_timeout,
+                heartbeat_interval=heartbeat_interval,
+            ),
+        )
+        if storage is not None:
+            return self.durable_cls(storage=storage, **args)
+        return self.node_cls(**args)
+
+    def election_kwargs(
+        self,
+        *,
+        shard_id: int,
+        shard_count: int,
+        pid: int,
+        n: int,
+        election_timeout: Tuple[float, float],
+        heartbeat_interval: float,
+    ) -> Dict[str, Any]:
+        """The node arguments that tune this engine's election rule.
+
+        Default: a randomized election timeout, staggered so shard i's
+        first leadership starts on node i mod n and load spreads across
+        the cluster.
+        """
+        if shard_count > 1:
+            election_timeout = staggered_election_timeout(
+                election_timeout, shard_id, pid, n
+            )
+        return {"election_timeout": election_timeout}
 
     def accepts(self, payload: Any) -> bool:
         """Wire filter: is ``payload`` part of this engine's protocol?
@@ -164,7 +209,7 @@ class ConsensusEngine:
 
 
 class RaftEngine(ConsensusEngine):
-    """The existing fused Raft backend, unchanged behind the seam."""
+    """Raft: vote on log freshness, randomized election timeout."""
 
     name = "raft"
     wire_classes = frozenset(
@@ -177,43 +222,12 @@ class RaftEngine(ConsensusEngine):
             InstallSnapshotReply,
         }
     )
-
-    def build_node(
-        self,
-        *,
-        shard_id: int,
-        shard_count: int,
-        pid: int,
-        n: int,
-        election_timeout: Tuple[float, float],
-        heartbeat_interval: float,
-        state_machine_factory: Callable[[], Any],
-        snapshot_threshold: Optional[int],
-        storage: Optional[RaftStorage],
-        read: Optional[ReadConfig] = None,
-    ) -> Process:
-        if shard_count > 1:
-            # Stagger first elections so shard i's leadership starts on
-            # node i mod n and load spreads across the cluster.
-            election_timeout = staggered_election_timeout(
-                election_timeout, shard_id, pid, n
-            )
-        args = dict(
-            election_timeout=election_timeout,
-            heartbeat_interval=heartbeat_interval,
-            state_machine_factory=state_machine_factory,
-            propose_on_leadership=False,
-            snapshot_threshold=snapshot_threshold,
-            cluster_size=n,
-            read_config=read,
-        )
-        if storage is not None:
-            return DurableRaftNode(storage=storage, **args)
-        return RaftNode(**args)
+    node_cls = RaftNode
+    durable_cls = DurableRaftNode
 
 
 class MultiPaxosEngine(ConsensusEngine):
-    """Multi-Paxos: ballot mixer + randomized-timeout detector."""
+    """Multi-Paxos: ballot election, randomized retry timeout."""
 
     name = "paxos"
     wire_classes = frozenset(
@@ -227,41 +241,12 @@ class MultiPaxosEngine(ConsensusEngine):
             PaxSnapshotAck,
         }
     )
-
-    def build_node(
-        self,
-        *,
-        shard_id: int,
-        shard_count: int,
-        pid: int,
-        n: int,
-        election_timeout: Tuple[float, float],
-        heartbeat_interval: float,
-        state_machine_factory: Callable[[], Any],
-        snapshot_threshold: Optional[int],
-        storage: Optional[RaftStorage],
-        read: Optional[ReadConfig] = None,
-    ) -> Process:
-        if shard_count > 1:
-            election_timeout = staggered_election_timeout(
-                election_timeout, shard_id, pid, n
-            )
-        args = dict(
-            election_timeout=election_timeout,
-            heartbeat_interval=heartbeat_interval,
-            state_machine_factory=state_machine_factory,
-            propose_on_leadership=False,
-            snapshot_threshold=snapshot_threshold,
-            cluster_size=n,
-            read_config=read,
-        )
-        if storage is not None:
-            return DurableMultiPaxosNode(storage=storage, **args)
-        return MultiPaxosNode(**args)
+    node_cls = MultiPaxosNode
+    durable_cls = DurableMultiPaxosNode
 
 
 class ChandraTouegEngine(ConsensusEngine):
-    """Chandra-Toueg: ballot mixer + live Ω/◇S heartbeat detector.
+    """Chandra-Toueg: ballot election, live Ω/◇S heartbeat detector.
 
     The detector ticks at the service heartbeat interval (its beacons
     *are* this engine's liveness signal), and per-shard leader
@@ -283,8 +268,10 @@ class ChandraTouegEngine(ConsensusEngine):
             FdHeartbeat,
         }
     )
+    node_cls = CtReplicatedNode
+    durable_cls = DurableCtReplicatedNode
 
-    def build_node(
+    def election_kwargs(
         self,
         *,
         shard_id: int,
@@ -293,24 +280,11 @@ class ChandraTouegEngine(ConsensusEngine):
         n: int,
         election_timeout: Tuple[float, float],
         heartbeat_interval: float,
-        state_machine_factory: Callable[[], Any],
-        snapshot_threshold: Optional[int],
-        storage: Optional[RaftStorage],
-        read: Optional[ReadConfig] = None,
-    ) -> Process:
-        args = dict(
-            detector_interval=heartbeat_interval,
-            preferred=preferred_leader(shard_id, n),
-            heartbeat_interval=heartbeat_interval,
-            state_machine_factory=state_machine_factory,
-            propose_on_leadership=False,
-            snapshot_threshold=snapshot_threshold,
-            cluster_size=n,
-            read_config=read,
-        )
-        if storage is not None:
-            return DurableCtReplicatedNode(storage=storage, **args)
-        return CtReplicatedNode(**args)
+    ) -> Dict[str, Any]:
+        return {
+            "detector_interval": heartbeat_interval,
+            "preferred": preferred_leader(shard_id, n),
+        }
 
 
 #: The engine registry: one shared stateless instance per backend.

@@ -888,16 +888,16 @@ class KVServer:
     async def _renew_leases(self) -> None:
         """Fallback lease renewal with empty probe rounds.
 
-        The primary renewal path costs zero extra frames: a Raft leader
-        extends its lease from the AppendEntries acks its heartbeats
-        already collect (see ``ReadLedger.note_ack_time``).  This loop
-        only fires a probe round when that piggyback is not keeping the
-        lease healthy — a ballot engine without the hook, a shard whose
-        acks are being coalesced away — or on the ``follower`` tier,
-        where probe rounds additionally broadcast the freshness proofs
-        that keep bounded-stale follower reads serveable.  Probes run at
-        the heartbeat cadence at most, and only while this node leads a
-        shard with a lease configured.
+        The primary renewal path costs zero extra frames: a leader, on
+        any engine, extends its lease from the append acks its
+        replication traffic already collects (see
+        ``ReadLedger.note_ack_time``).  This loop only fires a probe
+        round when that piggyback is not keeping the lease healthy — a
+        shard whose acks are being coalesced away — or on the
+        ``follower`` tier, where probe rounds additionally broadcast the
+        freshness proofs that keep bounded-stale follower reads
+        serveable.  Probes run at the heartbeat cadence at most, and
+        only while this node leads a shard with a lease configured.
         """
         threshold = self.lease_duration * 0.5
         while True:

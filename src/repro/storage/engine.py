@@ -1,11 +1,11 @@
-"""Durable Raft state on top of the WAL: storage engine + node bindings.
+"""Durable node state on top of the WAL: storage engine + node binding.
 
-:class:`RaftStorage` owns one Raft group's directory — WAL segments plus
-snapshot files — and exposes the journalling API the durable node
-subclasses call.  Recovery happens in the constructor: a cold start
+:class:`RaftStorage` owns one consensus group's directory — WAL segments
+plus snapshot files — and exposes the journalling API the durable node
+binding calls.  Recovery happens in the constructor: a cold start
 replays the newest checkpointed segment (:func:`repro.storage.wal.recover_wal`)
 and the storage comes up already holding the pre-crash durable state,
-which :class:`DurableRaftNode` then adopts.
+which :class:`DurableNode` then adopts.
 
 The binding layer is deliberately thin:
 
@@ -13,10 +13,10 @@ The binding layer is deliberately thin:
   :class:`~repro.algorithms.raft.log.RaftLog` fires on every mutation,
   journalling appends as :class:`~repro.storage.wal.WalEntry` records
   and compactions as a snapshot file plus a fresh checkpointed segment;
-* :class:`DurableRaftNode` intercepts ``current_term``/``voted_for``
+* :class:`DurableNode` intercepts ``current_term``/``voted_for``
   assignment with properties, journalling :class:`~repro.storage.wal.WalTerm`
-  records — the protocol code in :mod:`repro.algorithms.raft.node` is
-  completely unchanged.
+  records — the protocol code in :mod:`repro.algorithms` is completely
+  unchanged, whichever engine it is.
 
 Journalled records buffer in the WAL until a **sync barrier**.  The live
 runtime provides the barrier: before any externally-visible message
@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
 
 from repro.algorithms.raft.log import Entry, RaftLog
-from repro.algorithms.raft.node import RaftNode
 from repro.storage.wal import (
     DEFAULT_SEGMENT_BYTES,
     DEFAULT_SNAPSHOT_CHAIN,
@@ -653,18 +652,28 @@ class DurableRaftLog(RaftLog):
             )
 
 
-class DurableRaftNode(RaftNode):
-    """A :class:`RaftNode` persisting its Figure-2 state to storage.
+class DurableNode:
+    """The durability binding: a node's durable fields persisted to storage.
 
-    Adopts the storage's recovered ``current_term``/``voted_for``/log/
-    machine snapshot at construction, then journals every subsequent
-    change: term and vote via the property setters below, the log via
-    :class:`DurableRaftLog`.  The protocol implementation is inherited
-    untouched — persistence is pure interception.
+    Mixed in *before* an engine's node class
+    (:mod:`repro.live.engine` does, once per engine)::
+
+        class DurableRaftNode(DurableNode, RaftNode): ...
+
+    The core (:class:`~repro.algorithms.raft.replication.ReplicatedLogNode`)
+    keeps its durable state in four plain attributes.  This class adopts
+    the storage's recovered values for them at construction, then
+    journals every subsequent change: ``current_term`` and ``voted_for``
+    via the property setters below (a :class:`WalTerm` record each — the
+    ballot engines never vote, so theirs carry ``None``), the log via
+    :class:`DurableRaftLog`, ``machine_snapshot`` when the log compacts.
+    The protocol implementation is inherited untouched — persistence is
+    pure interception — and :class:`RaftStorage` is engine-neutral, so a
+    data directory is one format whichever engine wrote it.
     """
 
     def __init__(self, *, storage: RaftStorage, **kwargs: Any):
-        # The base __init__ assigns current_term/voted_for through our
+        # The node's __init__ assigns current_term/voted_for through our
         # property setters; keep storage detached until recovery state
         # is adopted so those initial writes are not journalled.
         self._storage: Optional[RaftStorage] = None
@@ -696,54 +705,6 @@ class DurableRaftNode(RaftNode):
         self._voted_for = value
         if self._storage is not None:
             self._storage.record_term(self._current_term, value)
-
-    @property
-    def storage(self) -> Optional[RaftStorage]:
-        return self._storage
-
-
-class DurableBallotMixin:
-    """Durability binding for :class:`~repro.algorithms.replica.BallotReplicaNode`
-    subclasses (the Multi-Paxos and Chandra-Toueg engines).
-
-    :class:`RaftStorage` is engine-neutral — its slots are (term, vote,
-    entries, snapshot), and a ballot engine's durable state maps onto
-    them directly: the promised ballot journals as a :class:`WalTerm`
-    with no vote (promising *is* the vote in ballot protocols), and the
-    ballot-tagged log reuses :class:`DurableRaftLog` unchanged.  So a
-    data directory is recovered by whichever binding matches the engine
-    that wrote it, and the WAL format stays one format.
-
-    Mix in *before* the node class::
-
-        class DurableMultiPaxosNode(DurableBallotMixin, MultiPaxosNode): ...
-
-    The base node assigns ``promised`` as a plain attribute; the property
-    below intercepts every assignment and journals it, exactly like
-    :class:`DurableRaftNode` does for ``current_term``/``voted_for``.
-    """
-
-    def __init__(self, *, storage: RaftStorage, **kwargs: Any):
-        # Base __init__ assigns ``promised`` through our setter; keep
-        # storage detached until recovery state is adopted so the
-        # initial zero write is not journalled.
-        self._storage: Optional[RaftStorage] = None
-        self._promised = 0
-        super().__init__(**kwargs)
-        self._promised = storage.term
-        self.machine_snapshot = storage.machine_snapshot
-        self.log = DurableRaftLog(storage, lambda: self.machine_snapshot)
-        self._storage = storage
-
-    @property
-    def promised(self) -> int:
-        return self._promised
-
-    @promised.setter
-    def promised(self, value: int) -> None:
-        self._promised = value
-        if self._storage is not None:
-            self._storage.record_term(value, None)
 
     @property
     def storage(self) -> Optional[RaftStorage]:

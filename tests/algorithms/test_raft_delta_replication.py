@@ -1,4 +1,4 @@
-"""Delta replication: per-follower cursors keep AppendEntries linear.
+"""Delta replication: per-follower cursors keep appends linear.
 
 The leader tracks two cursors per follower: ``next_index`` (the confirmed
 repair floor, as in the Raft paper) and ``sent_index`` (the optimistic
@@ -10,12 +10,15 @@ O(K^2) a full-suffix resend per proposal would; a rejection rewinds
 takes over unchanged.
 """
 
+import random
+
 import pytest
 
-from repro.algorithms.raft import ClientPropose, LEADER, Put, RaftNode
+from repro.algorithms.raft import LEADER, Put
 from repro.algorithms.raft.log import Entry
-from repro.algorithms.raft.messages import AppendEntries, AppendEntriesReply
+from repro.algorithms.raft.messages import AppendEntries
 from repro.algorithms.raft.state_machine import KeyValueStateMachine
+from repro.live.engine import ENGINES
 from repro.sim import trace as tr
 from repro.sim.failures import CrashPlan
 from repro.sim.messages import Envelope
@@ -24,25 +27,44 @@ from repro.sim.ops import Send
 
 from tests.algorithms.test_raft_replication import run_replication
 
+#: An epoch every engine accepts: a Raft term that is also pid 0's first
+#: ballot.
+TERM = 4096
+
 
 class FakeAPI:
     def __init__(self, pid=0, n=3):
         self.pid = pid
         self.n = n
+        self.now = 0.0
+        self.rng = random.Random(0)
 
 
-def leader_node(log_len=0, n=3):
-    """A RaftNode hand-placed into LEADER state with ``log_len`` entries."""
-    node = RaftNode(
-        state_machine_factory=KeyValueStateMachine,
-        propose_on_leadership=False,
-        cluster_size=n,
+@pytest.fixture(params=list(ENGINES))
+def build(request):
+    """Builds one engine's node through the engine seam.  The cursor, ack
+    and coalescing logic is the shared core's
+    (repro.algorithms.raft.replication): every engine must behave alike."""
+    return lambda n=3: ENGINES[request.param].build_node(
+        shard_id=0,
+        shard_count=1,
+        pid=0,
+        n=n,
         election_timeout=(1000.0, 2000.0),
+        heartbeat_interval=2.0,
+        state_machine_factory=KeyValueStateMachine,
+        snapshot_threshold=None,
+        storage=None,
     )
-    node.current_term = 1
+
+
+def leader_node(build, log_len=0, n=3):
+    """A node hand-placed into LEADER state with ``log_len`` entries."""
+    node = build(n)
+    node.current_term = TERM
     node.state = LEADER
     for i in range(1, log_len + 1):
-        node.log.append_new(Entry(1, Put(f"k{i}", i)))
+        node.log.append_new(Entry(TERM, Put(f"k{i}", i)))
     followers = range(1, n)
     node.next_index = {pid: 1 for pid in followers}
     node.match_index = {pid: 0 for pid in followers}
@@ -59,61 +81,64 @@ def sent_appends(ops, dst=None):
 
 
 class TestCursorMechanics:
-    def test_first_send_carries_whole_suffix(self):
-        node = leader_node(log_len=3)
+    def test_first_send_carries_whole_suffix(self, build):
+        node = leader_node(build, log_len=3)
         (msg,) = sent_appends(node._send_append_entries(FakeAPI(), 1))
+        assert type(msg) is node.APPEND_CLS
         assert msg.prev_log_index == 0
         assert [e.command.key for e in msg.entries] == ["k1", "k2", "k3"]
         assert node.sent_index[1] == 3
 
-    def test_pipelined_send_carries_only_the_delta(self):
+    def test_pipelined_send_carries_only_the_delta(self, build):
         # No ack has arrived (next_index still 1), yet the second send must
         # start past sent_index — this is the quadratic-resend fix.
-        node = leader_node(log_len=3)
+        node = leader_node(build, log_len=3)
         list(node._send_append_entries(FakeAPI(), 1))
-        node.log.append_new(Entry(1, Put("k4", 4)))
+        node.log.append_new(Entry(TERM, Put("k4", 4)))
         (msg,) = sent_appends(node._send_append_entries(FakeAPI(), 1))
         assert msg.prev_log_index == 3
         assert [e.command.key for e in msg.entries] == ["k4"]
         assert node.sent_index[1] == 4
 
-    def test_nothing_new_sends_empty_heartbeat(self):
-        node = leader_node(log_len=2)
+    def test_nothing_new_sends_empty_heartbeat(self, build):
+        node = leader_node(build, log_len=2)
         list(node._send_append_entries(FakeAPI(), 1))
         (msg,) = sent_appends(node._send_append_entries(FakeAPI(), 1))
         assert msg.entries == ()
         assert msg.prev_log_index == 2
 
-    def test_rejection_rewinds_pipeline_cursor_to_floor(self):
-        node = leader_node(log_len=3)
+    def test_rejection_rewinds_pipeline_cursor_to_floor(self, build):
+        node = leader_node(build, log_len=3)
         node.next_index[1] = 4  # stale optimism from a previous incarnation
         node.sent_index[1] = 3
-        reply = AppendEntriesReply(1, False, 1)
+        reply = node.APPEND_REPLY_CLS(TERM, False, 1)
         (msg,) = sent_appends(node._on_append_entries_reply(FakeAPI(), reply))
         assert node.next_index[1] == 3
         assert node.sent_index[1] >= 3  # resend advanced it again
         assert msg.prev_log_index == 2  # probing one entry earlier
 
-    def test_repair_walks_back_to_follower_prefix(self):
+    def test_repair_walks_back_to_follower_prefix(self, build):
         # Repeated rejections walk next_index down to 1; each probe resends
         # from the floor because the rejection rewound sent_index.
-        node = leader_node(log_len=3)
+        node = leader_node(build, log_len=3)
         node.next_index[1] = 4
         node.sent_index[1] = 3
         api = FakeAPI()
         for expected_floor in (3, 2, 1):
             (msg,) = sent_appends(
-                node._on_append_entries_reply(api, AppendEntriesReply(1, False, 1))
+                node._on_append_entries_reply(
+                    api, node.APPEND_REPLY_CLS(TERM, False, 1)
+                )
             )
             assert node.next_index[1] == expected_floor
             assert msg.prev_log_index == expected_floor - 1
         # The final probe from index 1 carries the full log: repair done.
         assert len(msg.entries) == 3
 
-    def test_success_ack_advances_both_cursors(self):
-        node = leader_node(log_len=3)
+    def test_success_ack_advances_both_cursors(self, build):
+        node = leader_node(build, log_len=3)
         list(node._send_append_entries(FakeAPI(), 1))
-        reply = AppendEntriesReply(1, True, 1, match_index=3)
+        reply = node.APPEND_REPLY_CLS(TERM, True, 1, match_index=3)
         ops = list(node._on_append_entries_reply(FakeAPI(), reply))
         assert node.match_index[1] == 3
         assert node.next_index[1] == 4
@@ -124,25 +149,25 @@ class TestCursorMechanics:
         assert node.commit_index == 3
         assert all(msg.entries == () for msg in sent_appends(ops, dst=1))
 
-    def test_stale_ack_does_not_rewind_cursors(self):
-        node = leader_node(log_len=3)
+    def test_stale_ack_does_not_rewind_cursors(self, build):
+        node = leader_node(build, log_len=3)
         list(node._send_append_entries(FakeAPI(), 1))
         list(node._on_append_entries_reply(
-            FakeAPI(), AppendEntriesReply(1, True, 1, match_index=3)
+            FakeAPI(), node.APPEND_REPLY_CLS(TERM, True, 1, match_index=3)
         ))
         # A reordered older ack arrives late.
         list(node._on_append_entries_reply(
-            FakeAPI(), AppendEntriesReply(1, True, 1, match_index=1)
+            FakeAPI(), node.APPEND_REPLY_CLS(TERM, True, 1, match_index=1)
         ))
         assert node.match_index[1] == 3
         assert node.next_index[1] == 4
         assert node.sent_index[1] == 3
 
-    def test_ack_for_older_entries_triggers_delta_resend(self):
-        node = leader_node(log_len=2)
+    def test_ack_for_older_entries_triggers_delta_resend(self, build):
+        node = leader_node(build, log_len=2)
         list(node._send_append_entries(FakeAPI(), 1))
-        node.log.append_new(Entry(1, Put("k3", 3)))
-        reply = AppendEntriesReply(1, True, 1, match_index=2)
+        node.log.append_new(Entry(TERM, Put("k3", 3)))
+        reply = node.APPEND_REPLY_CLS(TERM, True, 1, match_index=2)
         with_entries = [
             msg
             for msg in sent_appends(
@@ -153,6 +178,73 @@ class TestCursorMechanics:
         (msg,) = with_entries
         assert msg.prev_log_index == 2
         assert [e.command.key for e in msg.entries] == ["k3"]
+
+    def test_higher_epoch_ack_deposes_the_leader_and_clears_its_hint(self, build):
+        # The one step-down: a deposed leader that kept naming itself
+        # would redirect clients to itself (and wedge an Ω-driven
+        # election rule, which never campaigns against "its own" lease).
+        node = leader_node(build, log_len=1)
+        node.leader_hint = 0
+        reply = node.APPEND_REPLY_CLS(2 * TERM + 1, False, 1)
+        assert sent_appends(node._on_append_entries_reply(FakeAPI(), reply)) == []
+        assert node.state is not LEADER
+        assert node.current_term == 2 * TERM + 1
+        assert node.leader_hint is None
+
+
+class TestAckCoalescing:
+    def heartbeat(self, node, commit=0):
+        return node.APPEND_CLS(
+            term=TERM,
+            leader_id=0,
+            prev_log_index=0,
+            prev_log_term=0,
+            entries=(),
+            leader_commit=commit,
+        )
+
+    def acks(self, node, msg):
+        return sent_appends(node._on_append_entries(FakeAPI(pid=1), msg), dst=0)
+
+    def test_redundant_heartbeat_acks_are_suppressed_with_a_backstop(self, build):
+        node = build()
+        beat = self.heartbeat(node)
+        (first,) = self.acks(node, beat)
+        assert first.success and first.match_index == 0
+        # The same state again carries no information: skipped, but only
+        # ACK_REACK_EVERY times in a row, so a lost ack is retransmitted.
+        for _ in range(node.ACK_REACK_EVERY):
+            assert self.acks(node, beat) == []
+        (again,) = self.acks(node, beat)
+        assert again == first
+        assert self.acks(node, beat) == []
+
+    def test_new_information_is_never_suppressed(self, build):
+        node = build()
+        self.acks(node, self.heartbeat(node))
+        with_entry = node.APPEND_CLS(
+            term=TERM,
+            leader_id=0,
+            prev_log_index=0,
+            prev_log_term=0,
+            entries=(Entry(TERM, Put("k", 1)),),
+            leader_commit=0,
+        )
+        (ack,) = self.acks(node, with_entry)
+        assert ack.match_index == 1
+        # An empty heartbeat that moves the commit index changes the ack
+        # state too, so it is answered.
+        beat = node.APPEND_CLS(
+            term=TERM,
+            leader_id=0,
+            prev_log_index=1,
+            prev_log_term=TERM,
+            entries=(),
+            leader_commit=1,
+        )
+        (ack,) = self.acks(node, beat)
+        assert ack.success and node.commit_index == 1
+        assert self.acks(node, beat) == []
 
 
 def entries_shipped_per_follower(result):

@@ -1,9 +1,12 @@
 """Fault-plan generation: validation, determinism, and structure."""
 
+import asyncio
+
 import pytest
 
 from repro.chaos import FaultEvent, FaultPlan
-from repro.chaos.nemesis import DEFAULT_KINDS, FAULT_KINDS
+from repro.chaos.nemesis import DEFAULT_KINDS, FAULT_KINDS, Nemesis
+from repro.live import LiveKVCluster
 
 
 class TestFaultPlanValidation:
@@ -89,3 +92,62 @@ class TestSeededGeneration:
 
     def test_default_kinds_are_valid(self):
         assert set(DEFAULT_KINDS) <= set(FAULT_KINDS)
+
+
+def _apply(cluster, *events):
+    """Apply ``events`` to an unstarted cluster; returns the nemesis log."""
+    nemesis = Nemesis(cluster, FaultPlan(()))
+
+    async def scenario():
+        for event in events:
+            await nemesis.apply(event)
+
+    asyncio.run(scenario())
+    return [(action.kind, action.detail) for action in nemesis.log]
+
+
+def _election_timeouts(cluster):
+    return [
+        [shard.node.election_timeout for shard in server.shards]
+        for server in cluster.servers
+    ]
+
+
+class TestTimeoutSkew:
+    SKEW = FaultEvent(0.0, "timeout-skew", (("factor", 3.0), ("roll", 0.0)))
+
+    @pytest.mark.parametrize("engine", ["raft", "paxos"])
+    def test_skew_and_heal_keep_each_shards_own_range(self, engine):
+        # Node 0 is shard 0's preferred leader and not shard 1's, so its
+        # two staggered ranges differ: a skew scales each, a heal puts
+        # each back.
+        cluster = LiveKVCluster(3, shards=2, engine=engine)
+        before = _election_timeouts(cluster)
+        assert before[0][0] != before[0][1]
+        # (Twice: a repeated skew scales the saved ranges, not the
+        # already skewed ones.)
+        log = _apply(cluster, self.SKEW, self.SKEW)
+        assert log == [("timeout-skew", "node 0 election timeout x3")] * 2
+        skewed = _election_timeouts(cluster)
+        assert skewed[0] == [(lo * 3.0, hi * 3.0) for lo, hi in before[0]]
+        assert skewed[1:] == before[1:]
+        cluster = LiveKVCluster(3, shards=2, engine=engine)
+        _apply(cluster, self.SKEW, FaultEvent(0.0, "heal"))
+        assert _election_timeouts(cluster) == before
+
+    def test_skew_is_skipped_on_an_engine_without_an_election_timer(self):
+        cluster = LiveKVCluster(3, shards=2, engine="ct")
+        log = _apply(cluster, self.SKEW, FaultEvent(0.0, "heal"))
+        assert log[0] == (
+            "timeout-skew", "skipped: engine has no election timer"
+        )
+        assert log[1][0] == "heal"
+
+    def test_mixed_engines_skew_only_the_timed_shards(self):
+        cluster = LiveKVCluster(3, shards=2, engine="ct,raft")
+        (lo, hi) = cluster.servers[0].shards[1].node.election_timeout
+        log = _apply(cluster, self.SKEW)
+        assert log == [("timeout-skew", "node 0 election timeout x3")]
+        assert cluster.servers[0].shards[1].node.election_timeout == (
+            lo * 3.0, hi * 3.0
+        )

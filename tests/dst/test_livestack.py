@@ -88,6 +88,39 @@ class TestByteIdentity:
         assert sweeps[0].schedules == 2
 
 
+class TestEngineRotation:
+    def test_sweep_rotates_through_every_engine(self):
+        from repro.live.engine import ENGINES
+
+        engines = [s.engine for s in generate_live_scenarios(6, meta_seed=5)]
+        assert engines == list(ENGINES) * 2  # schedule 0 stays raft
+        only_ct = generate_live_scenarios(3, meta_seed=5, engines=("ct",))
+        assert [s.engine for s in only_ct] == ["ct"] * 3
+
+    def test_deposed_ct_leader_does_not_wedge_the_shard(self):
+        """A ct leader deposed through an ack kept ``leader_hint``
+        pointing at itself, so Ω naming it again never made it campaign
+        and the healed cluster stayed leaderless (``no leader for shard 0
+        within 30.0s``).  The core's one step-down clears the hint."""
+        scenario = LiveScenario(
+            n=3,
+            shards=2,
+            seed=1006443827,
+            engine="ct",
+            duration=4.0,
+            faults=(
+                FaultEvent(1.5, "partition", (("roll", 0.8090961772408721),)),
+                FaultEvent(2.4, "heal"),
+                FaultEvent(2.4, "restart"),
+                FaultEvent(3.0, "kill-leader", (("roll", 0.9410857179826054),)),
+                FaultEvent(3.9, "heal"),
+                FaultEvent(3.9, "restart"),
+            ),
+        )
+        result = run_live(scenario)
+        assert result.outcome.status == "ok", result.outcome
+
+
 class TestScenarioSerialization:
     def test_round_trip_through_json(self):
         data = json.loads(json.dumps(SCENARIO.to_dict()))

@@ -301,6 +301,47 @@ class TestReadTierConformance:
 
         run(scenario())
 
+    def test_lease_renews_from_replication_acks_under_writes(self, engine):
+        """The lease piggyback is the shared core's: under steady writes
+        every engine's leader extends its lease from the append acks it
+        collects anyway, and the fallback probe loop opens no round."""
+
+        async def scenario():
+            # A long lease (the election-timeout floor) keeps the
+            # fallback threshold far from scheduling noise.
+            cluster = LiveKVCluster(
+                3, seed=44, engine=engine, read_tier="lease",
+                election_timeout=(0.6, 1.2), heartbeat_interval=0.05,
+            )
+            await cluster.start()
+            try:
+                leader = await cluster.wait_for_leader(timeout=20.0)
+                client = AsyncKVClient(cluster.cluster)
+                await client.put("piggy", 0)
+                server = cluster.servers[leader]
+                shard = server.shards[0]
+                rounds = shard._ri_counter
+                loop = asyncio.get_event_loop()
+                deadline = loop.time() + server.lease_duration
+                writes = 0
+                while loop.time() < deadline:
+                    writes += 1
+                    await client.put("piggy", writes)
+                await client.close()
+                assert shard.is_leader
+                assert shard._ri_counter == rounds, "a ReadProbe round ran"
+                assert shard.lease_remaining() > server.lease_duration * 0.5
+                response = await server._serve(
+                    {"type": "get", "key": "piggy", "lin": True,
+                     "id": "p1", "tier": "lease"}
+                )
+                assert response["value"] == writes
+                assert response.get("read") == "lease"
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
     def test_follower_reads_respect_staleness_bound(self, engine):
         async def scenario():
             cluster = LiveKVCluster(

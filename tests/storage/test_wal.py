@@ -11,9 +11,9 @@ import os
 import pytest
 
 from repro.algorithms.raft.log import Entry
+from repro.live.engine import DurableRaftNode
 from repro.sim.serialize import binary_dumps
 from repro.storage import (
-    DurableRaftNode,
     RaftStorage,
     StorageQuarantineError,
     Wal,
