@@ -17,24 +17,13 @@ on campaign size; mid-fault availability and latencies are recorded but
 not gated (they swing with scheduler noise on shared runners).
 """
 
-import asyncio
 import json
 import os
 
 from benchmarks.conftest import emit
 from repro.analysis.experiments import format_table
-from repro.chaos import (
-    FaultPlan,
-    History,
-    Nemesis,
-    check_history,
-    close_clients,
-    make_clients,
-    run_workload,
-)
-from repro.chaos.cli import CAMPAIGN_TIMINGS
-from repro.chaos.nemesis import FaultEvent
-from repro.live import LiveKVCluster
+from repro.chaos import FaultPlan, campaign, check_history
+from repro.core.runtime import AsyncioRuntime
 
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_live.json")
 
@@ -45,10 +34,6 @@ SEED = 15
 FAULT_WINDOW = 8.0
 GRACE = 2.0
 KINDS = ("kill-leader", "partition")
-
-
-def run(coro, timeout=300.0):
-    return asyncio.run(asyncio.wait_for(coro, timeout))
 
 
 def _percentile(values, q):
@@ -64,48 +49,25 @@ def _availability(stats):
     return (stats["ok"] / total) if total else 0.0
 
 
-async def _campaign():
-    plan = FaultPlan.random_campaign(
-        SEED, duration=FAULT_WINDOW, period=2.5, kinds=KINDS
-    )
-    cluster = LiveKVCluster(
-        NODES, seed=SEED, shards=SHARDS, **CAMPAIGN_TIMINGS
-    )
-    history = History()
-    recorders = make_clients(cluster.cluster, history, CLIENTS, shards=SHARDS)
-    try:
-        await cluster.start()
-        await cluster.wait_for_all_leaders(20.0)
-        nemesis = Nemesis(cluster, plan)
-        workload = asyncio.ensure_future(
-            run_workload(
-                recorders, duration=FAULT_WINDOW, seed=SEED, pause=0.005
-            )
-        )
-        await nemesis.run()
-        during = await workload
-        fault_op_count = len(history)
-        await nemesis.apply(FaultEvent(0.0, "heal"))
-        await nemesis.apply(FaultEvent(0.0, "restart"))
-        await cluster.wait_for_all_leaders(20.0)
-        for hc in recorders:  # post-heal phase starts with fresh counters
-            hc.stats = {"ok": 0, "ambiguous": 0, "failed": 0}
-        post = await run_workload(
-            recorders,
-            duration=GRACE,
-            seed=SEED + 1,
-            read_fraction=1.0,
-            readonly_clients=CLIENTS,
-            pause=0.005,
-        )
-    finally:
-        await close_clients(recorders)
-        await cluster.stop()
-    return history, fault_op_count, during, post
-
-
 def test_e15_chaos_availability():
-    history, fault_op_count, during, post = run(_campaign())
+    rt = AsyncioRuntime()
+    result = rt.run(
+        campaign.run(
+            rt,
+            FaultPlan.random_campaign(
+                SEED, duration=FAULT_WINDOW, period=2.5, kinds=KINDS
+            ),
+            nodes=NODES,
+            shards=SHARDS,
+            seed=SEED,
+            duration=FAULT_WINDOW,
+            grace=GRACE,
+            clients=CLIENTS,
+        ),
+        timeout=300.0,
+    )
+    history, fault_op_count = result.history, result.fault_ops
+    during, post = result.fault_stats, result.post_heal_stats
 
     fault_latencies = [
         op.ret - op.inv

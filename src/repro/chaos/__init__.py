@@ -13,8 +13,10 @@ Three pieces compose into a campaign:
   that accepts or rejects the history against the KV register model,
   with a minimal witness on rejection.
 
-``python -m repro chaos`` runs all three end to end; ``docs/chaos.md``
-is the guide.
+:mod:`repro.chaos.campaign` is the one coroutine that runs them together
+(boot → nemesis ‖ workload → heal → grace reads); ``python -m repro
+chaos`` drives it on real sockets, ``python -m repro explore --stack
+live`` in virtual time.  ``docs/chaos.md`` is the guide.
 """
 
 from repro.chaos.checker import CheckReport, KeyResult, check_history

@@ -44,29 +44,21 @@ from __future__ import annotations
 import argparse
 import asyncio
 import sys
-import tempfile
 from typing import List, Optional
 
+from repro.chaos import campaign
 from repro.chaos.checker import check_history
-from repro.chaos.history import History
 from repro.chaos.nemesis import (
     DEFAULT_KINDS,
-    DURABILITY_KINDS,
     FAULT_KINDS,
-    FaultEvent,
+    LEASE_ATTACK_KINDS,
     FaultPlan,
-    Nemesis,
 )
 from repro.chaos.timeline import render_html, render_text
-from repro.chaos.workload import close_clients, make_clients, run_workload
+from repro.core.runtime import current_runtime
 from repro.live.engine import DEFAULT_ENGINE, ENGINES, EngineError, parse_engine_spec
-from repro.live.harness import LiveKVCluster
 from repro.live.kv import READ_TIERS
 from repro.storage.engine import SYNC_MODES
-
-#: Fast-failover timings for campaigns: elections resolve in ~a second,
-#: so a 20-second campaign sees many leadership changes.
-CAMPAIGN_TIMINGS = dict(election_timeout=(0.3, 0.6), heartbeat_interval=0.06)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--inject-bug",
-        choices=("stale-reads", "lost-ack", "unbounded-lease"),
+        choices=campaign.INJECTABLE_BUGS,
         default=None,
         help="deliberately break the cluster (stale-reads: nodes that "
         "believe they lead serve lin reads from local state; lost-ack: "
@@ -190,104 +182,60 @@ def build_parser() -> argparse.ArgumentParser:
 async def run_campaign(args: argparse.Namespace) -> int:
     try:
         parse_engine_spec(args.engine, args.shards)
-    except EngineError as exc:
+        kinds = campaign.parse_kinds(args.kinds)
+        if args.campaign == "lease-attack":
+            kinds = LEASE_ATTACK_KINDS
+            plan = FaultPlan.lease_attack_campaign(
+                args.seed,
+                duration=args.duration,
+                period=args.fault_period,
+            )
+        else:
+            plan = FaultPlan.random_campaign(
+                args.seed,
+                duration=args.duration,
+                period=args.fault_period,
+                kinds=kinds,
+            )
+    except (EngineError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-    if args.campaign == "lease-attack":
-        kinds = ("clock-skew", "timeout-skew", "partition-leader")
-        plan = FaultPlan.lease_attack_campaign(
-            args.seed,
-            duration=args.duration,
-            period=args.fault_period,
-        )
-    else:
-        plan = FaultPlan.random_campaign(
-            args.seed,
-            duration=args.duration,
-            period=args.fault_period,
-            kinds=kinds,
-        )
-    data_dir = args.data_dir
-    tmp_dir = None
-    if data_dir is None and (
-        args.inject_bug == "lost-ack"
-        or any(kind in DURABILITY_KINDS for kind in kinds)
-    ):
-        tmp_dir = tempfile.TemporaryDirectory(prefix="repro-chaos-")
-        data_dir = tmp_dir.name
-    read_tier = args.read_tier
-    if args.inject_bug == "unbounded-lease" and read_tier == "safe":
-        read_tier = "lease"  # the bug needs a lease to mis-bound
-    cluster = LiveKVCluster(
-        args.nodes,
-        seed=args.seed,
-        shards=args.shards,
-        engine=args.engine,
-        unsafe_lin_reads=(args.inject_bug == "stale-reads"),
-        data_dir=data_dir,
-        sync_mode=args.sync_mode,
-        lost_ack_bug=(args.inject_bug == "lost-ack"),
-        read_tier=read_tier,
-        lease_duration=args.lease_duration,
-        drift_bound=(
-            0.0 if args.inject_bug == "unbounded-lease" else args.drift_bound
-        ),
-        **CAMPAIGN_TIMINGS,
-    )
-    history = History()
-    clients = make_clients(
-        cluster.cluster, history, args.clients, shards=args.shards
+    options, needs_disk = campaign.cluster_options(
+        args.inject_bug, args.read_tier, args.drift_bound, kinds
     )
     say = (lambda *_a, **_k: None) if args.quiet else print
     say(
         f"campaign: {args.nodes} nodes / {args.shards} shards "
-        f"({args.engine}, reads={read_tier}), seed {args.seed}, "
+        f"({args.engine}, reads={options['read_tier']}), seed {args.seed}, "
         f"{len(plan.events)} fault events over {args.duration:.0f}s"
     )
-    try:
-        await cluster.start()
-        await cluster.wait_for_all_leaders(15.0)
-        nemesis = Nemesis(cluster, plan)
-        workload = asyncio.ensure_future(
-            run_workload(
-                clients,
-                duration=args.duration,
-                seed=args.seed,
-                key_space=args.key_space,
-                read_fraction=args.read_fraction,
-                readonly_clients=args.readonly_clients,
-                pause=args.op_pause,
-            )
-        )
-        await nemesis.run()
-        stats = await workload
-        # Heal everything, revive everyone, and give the cluster a grace
-        # period so the final reads land on a converged system.
-        await nemesis.apply(FaultEvent(0.0, "heal"))
-        await nemesis.apply(FaultEvent(0.0, "restart"))
-        await cluster.wait_for_all_leaders(15.0)
-        if args.grace > 0:
-            await run_workload(
-                clients,
-                duration=args.grace,
-                seed=args.seed + 1,
-                key_space=args.key_space,
-                read_fraction=1.0,
-                readonly_clients=len(clients),
-                pause=args.op_pause,
-            )
-        for action in nemesis.log:
-            say(f"  t={action.at:6.2f}s  {action.kind:<15} {action.detail}")
-        say(
-            f"workload: {stats['ok']} ok, {stats['ambiguous']} ambiguous, "
-            f"{stats['failed']} failed; history of {len(history)} ops"
-        )
-    finally:
-        await close_clients(clients)
-        await cluster.stop()
-        if tmp_dir is not None:
-            tmp_dir.cleanup()
+    result = await campaign.run(
+        current_runtime(),
+        plan,
+        nodes=args.nodes,
+        shards=args.shards,
+        seed=args.seed,
+        duration=args.duration,
+        grace=args.grace,
+        clients=args.clients,
+        key_space=args.key_space,
+        read_fraction=args.read_fraction,
+        readonly_clients=args.readonly_clients,
+        op_pause=args.op_pause,
+        data_dir=args.data_dir,
+        needs_disk=needs_disk,
+        engine=args.engine,
+        sync_mode=args.sync_mode,
+        lease_duration=args.lease_duration,
+        **options,
+    )
+    history, stats = result.history, result.fault_stats
+    for action in result.nemesis_log:
+        say(f"  t={action.at:6.2f}s  {action.kind:<15} {action.detail}")
+    say(
+        f"workload: {stats['ok']} ok, {stats['ambiguous']} ambiguous, "
+        f"{stats['failed']} failed; history of {len(history)} ops"
+    )
 
     report = check_history(history, time_budget=args.time_budget)
     print(report.summary())
@@ -303,7 +251,7 @@ async def run_campaign(args: argparse.Namespace) -> int:
                     history.ops,
                     title=f"chaos seed {args.seed}"
                     + (" — NOT linearizable" if report.ok is False else ""),
-                    faults=[(a.at, a.kind) for a in nemesis.log],
+                    faults=[(a.at, a.kind) for a in result.nemesis_log],
                     highlight=witness,
                 )
             )

@@ -19,13 +19,13 @@ The workflow (see ``docs/testing.md``):
 3. **corpus** — :mod:`repro.dst.corpus` stores minimized cases as JSON
    under ``tests/regressions/corpus/`` and replays them as pytest cases.
 
-The same workflow also runs against the **production stack**
-(:mod:`repro.dst.livestack`): ``--stack live`` boots real
-:class:`~repro.live.kv.KVServer` clusters — sharding, TCP framing,
-clients, nemesis and all — under a virtual-time
+The same pipeline — the same ``explore``, ``shrink`` and corpus code,
+generic over :class:`repro.dst.scenario.DstScenario` — runs against the
+**production stack** (:mod:`repro.dst.livestack`): ``--stack live``
+boots real :class:`~repro.live.kv.KVServer` clusters — sharding, TCP
+framing, clients, nemesis and all — under a virtual-time
 :class:`~repro.core.runtime.SimRuntime`, with the linearizability
-checker as the oracle.  Same explore → shrink → corpus loop, same
-replayable JSON cases.
+checker as the oracle.
 
 CLI: ``python -m repro explore <algorithm> ...``,
 ``python -m repro explore --stack live ...`` and
@@ -49,14 +49,10 @@ from repro.dst.explorer import (
     random_scenario,
 )
 from repro.dst.livestack import (
-    LiveExplorationReport,
     LiveRunResult,
     LiveScenario,
-    explore_live,
     generate_live_scenarios,
     run_live,
-    run_live_scenario,
-    shrink_live,
 )
 from repro.dst.oracle import OnlineInvariantChecker, OnlineViolation
 from repro.dst.registry import (
@@ -69,12 +65,15 @@ from repro.dst.registry import (
 from repro.dst.scenario import (
     CrashSpec,
     DelaySpec,
+    DstScenario,
     NetworkSpec,
     PartitionSpec,
+    RunResult,
     Scenario,
     ScenarioOutcome,
     ViolationRecord,
     run_scenario,
+    scenario_from_dict,
 )
 from repro.dst.shrinker import ShrinkResult, shrink
 
@@ -84,14 +83,15 @@ __all__ = [
     "CorpusCase",
     "CrashSpec",
     "DelaySpec",
+    "DstScenario",
     "ExplorationReport",
-    "LiveExplorationReport",
     "LiveRunResult",
     "LiveScenario",
     "NetworkSpec",
     "OnlineInvariantChecker",
     "OnlineViolation",
     "PartitionSpec",
+    "RunResult",
     "Scenario",
     "ScenarioOutcome",
     "ShrinkResult",
@@ -100,7 +100,6 @@ __all__ = [
     "assert_still_fails",
     "case_name",
     "explore",
-    "explore_live",
     "generate_live_scenarios",
     "generate_scenarios",
     "get_algorithm",
@@ -111,9 +110,8 @@ __all__ = [
     "register",
     "replay",
     "run_live",
-    "run_live_scenario",
     "run_scenario",
     "save_case",
+    "scenario_from_dict",
     "shrink",
-    "shrink_live",
 ]

@@ -25,20 +25,26 @@ reproduces::
 
     python -m repro replay tests/regressions/corpus/<case>.json
 
-Exit codes: ``explore`` returns 1 when a non-``expect_broken`` algorithm
-violates (so CI sweeps fail loudly); ``replay`` returns 1 when a case no
-longer reproduces its recorded violation.
+``--stack`` only chooses the scenario generator; everything after it is
+one code path.  Exit codes: ``explore`` returns 1 when a sweep that
+should be clean violates (a non-``expect_broken`` algorithm, a live
+cluster without ``--inject-bug``); otherwise 2 when any schedule ended
+in a harness ``error`` — it verified nothing, canary sweeps included —
+or on a usage error; ``replay`` returns 1 when a case no longer
+reproduces its recorded violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import List, Optional
 
 from repro.analysis.report import exploration_summary
+from repro.chaos.campaign import INJECTABLE_BUGS, parse_kinds
 from repro.dst.corpus import (
     DEFAULT_CORPUS_DIR,
     CorpusCase,
@@ -46,17 +52,14 @@ from repro.dst.corpus import (
     replay as replay_case,
     save_case,
 )
-from repro.dst.explorer import explore
+from repro.dst.explorer import explore, generate_scenarios
 from repro.dst.livestack import (
-    LIVE_BUGS,
     LIVE_EXPLORE_KINDS,
     LiveScenario,
-    explore_live,
-    run_live_scenario,
-    shrink_live,
+    generate_live_scenarios,
 )
 from repro.dst.registry import algorithm_names, get_algorithm
-from repro.dst.scenario import VIOLATION, Scenario, run_scenario
+from repro.dst.scenario import VIOLATION, scenario_from_dict
 from repro.dst.shrinker import shrink
 
 COMMANDS = ("explore", "replay")
@@ -124,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="stop after K violating scenarios (in-process mode only)",
+        help="stop after K violating scenarios",
     )
     ex.add_argument(
         "--shrink",
@@ -161,17 +164,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     live.add_argument(
         "--inject-bug",
-        choices=[bug for bug in LIVE_BUGS if bug],
+        choices=INJECTABLE_BUGS,
         default="",
         help="run a known-buggy cluster (canary sweeps should violate)",
     )
     live.add_argument(
         "--kinds",
         type=str,
-        default=None,
+        default=",".join(LIVE_EXPLORE_KINDS),
         metavar="K1,K2,...",
-        help="comma-separated fault kinds "
-        f"(default: {','.join(LIVE_EXPLORE_KINDS)})",
+        help="comma-separated fault kinds (default: %(default)s)",
     )
     live.add_argument(
         "--fault-period",
@@ -195,114 +197,75 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _explore_live(args: argparse.Namespace) -> int:
-    kinds = LIVE_EXPLORE_KINDS
-    if args.kinds:
-        kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-    base = LiveScenario(
-        n=args.nodes,
-        shards=args.shards,
-        duration=args.duration,
-        clients=args.clients,
-        inject_bug=args.inject_bug,
-        op_pause=0.005,
-    )
-    trace_file = open(args.trace_out, "w") if args.trace_out else None
-
-    def trace_sink(index, scenario, result):
-        if trace_file is not None:
-            trace_file.write(
-                f"=== schedule {index} seed {scenario.seed} "
-                f"fingerprint {result.fingerprint} ===\n"
-            )
-            trace_file.write(result.trace_text)
-            trace_file.write("\n")
-
-    started = time.perf_counter()
-    try:
-        report = explore_live(
+def _sweep(args: argparse.Namespace):
+    """What ``--stack`` decides: ``(label, scenarios, whether violations
+    are the point)``."""
+    if args.stack == "live":
+        base = LiveScenario(
+            n=args.nodes,
+            shards=args.shards,
+            duration=args.duration,
+            clients=args.clients,
+            inject_bug=args.inject_bug,
+            op_pause=0.005,
+        )
+        scenarios = generate_live_scenarios(
             args.schedules,
             args.meta_seed,
             base=base,
-            kinds=kinds,
+            kinds=parse_kinds(args.kinds),
             fault_period=args.fault_period,
-            stop_after=args.stop_after,
-            trace_sink=trace_sink,
         )
-    finally:
-        if trace_file is not None:
-            trace_file.close()
-    elapsed = time.perf_counter() - started
-    print(report.summary())
-    print(f"sweep digest: {report.digest()}")
-    if not args.quiet:
-        print(f"elapsed: {elapsed:.1f}s")
-    for scenario, violation in report.failures:
-        print(f"\n[{violation.kind}] {violation.message}")
-        if args.shrink:
-            scenario, violation = shrink_live(scenario, violation)
-            print(
-                f"shrunk to {len(scenario.faults)} fault event(s), "
-                f"{scenario.clients} client(s):"
-            )
-            print(f"  {json.dumps(scenario.to_dict())}")
-        if args.save_corpus:
-            case = CorpusCase(
-                name=case_name(scenario, violation),
-                scenario=scenario,
-                violation=violation,
-                notes=(
-                    f"found by `python -m repro explore --stack live "
-                    f"--schedules {args.schedules} --seed {args.meta_seed}"
-                    + (
-                        f" --inject-bug {args.inject_bug}"
-                        if args.inject_bug else ""
-                    )
-                    + "`"
-                    + (", shrunk" if args.shrink else "")
-                ),
-            )
-            path = save_case(case, args.save_corpus)
-            print(f"saved corpus case: {path}")
-    # A live violation on a *correct* cluster is always a real failure;
-    # canary sweeps (--inject-bug) are expected to violate.
-    if report.violations and not args.inject_bug:
-        return 1
-    return 0
-
-
-def _explore(args: argparse.Namespace) -> int:
-    if args.stack == "live":
-        return _explore_live(args)
+        return "live", scenarios, bool(args.inject_bug)
     if args.algorithm is None:
-        print(
-            "error: an algorithm is required unless --stack live",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError("an algorithm is required unless --stack live")
     try:
         lo, hi = (int(part) for part in args.n_range.split(":"))
     except ValueError:
-        print(f"error: bad --n-range {args.n_range!r}: use LO:HI", file=sys.stderr)
-        return 2
-    spec = get_algorithm(args.algorithm)
-    started = time.perf_counter()
-    report = explore(
+        raise ValueError(f"bad --n-range {args.n_range!r}: use LO:HI") from None
+    scenarios = generate_scenarios(
         args.algorithm,
-        schedules=args.schedules,
+        args.schedules,
         meta_seed=args.meta_seed,
         mutation_rate=args.mutation_rate,
         n_range=(lo, hi),
         max_rounds=args.max_rounds,
-        workers=args.workers,
-        stop_after_violations=args.stop_after,
     )
+    expect_broken = get_algorithm(args.algorithm).expect_broken
+    return args.algorithm, scenarios, expect_broken
+
+
+def _explore(args: argparse.Namespace, argv: List[str]) -> int:
+    try:
+        label, scenarios, expect_violations = _sweep(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    started = time.perf_counter()
+    with open(args.trace_out or os.devnull, "w") as trace_file:
+
+        def trace_sink(index, scenario, result):
+            trace_file.write(
+                f"=== schedule {index} seed {scenario.seed} "
+                f"fingerprint {result.fingerprint} ===\n"
+                f"{result.trace_text}\n"
+            )
+
+        report = explore(
+            label,
+            scenarios=scenarios,
+            workers=args.workers,
+            stop_after_violations=args.stop_after,
+            trace_sink=trace_sink,
+        )
     elapsed = time.perf_counter() - started
     if args.quiet:
         print(f"{report.algorithm}: {report.outcomes} ({elapsed:.1f}s)")
     else:
         print(exploration_summary(report))
         print(f"\nelapsed: {elapsed:.1f}s")
+    if report.fingerprints:
+        print(f"sweep digest: {report.digest()}")
     for scenario, violation in report.violations:
         if args.shrink:
             result = shrink(scenario, violation)
@@ -312,23 +275,23 @@ def _explore(args: argparse.Namespace) -> int:
                 f"({result.accepted} reductions in {result.attempts} attempts):"
             )
             print(f"  [{violation.kind}] {violation.message}")
-            print(f"  {scenario.to_json()}")
+            print(f"  {json.dumps(scenario.to_dict(), sort_keys=True)}")
         if args.save_corpus:
             case = CorpusCase(
                 name=case_name(scenario, violation),
                 scenario=scenario,
                 violation=violation,
                 notes=(
-                    f"found by `python -m repro explore {args.algorithm} "
-                    f"--schedules {args.schedules} --meta-seed {args.meta_seed}`"
+                    f"found by `python -m repro {' '.join(argv)}`"
                     + (", shrunk" if args.shrink else "")
                 ),
             )
             path = save_case(case, args.save_corpus)
             print(f"saved corpus case: {path}")
-    if report.violation_count and not spec.expect_broken:
+    if report.violation_count and not expect_violations:
         return 1
-    return 0
+    # An errored schedule verified nothing: never report it as a pass.
+    return 2 if report.errors else 0
 
 
 def _replay(args: argparse.Namespace) -> int:
@@ -362,10 +325,7 @@ def _replay(args: argparse.Namespace) -> int:
         )
         return 1
     # A bare scenario JSON: just run it and report.
-    if data.get("stack") == "live":
-        outcome = run_live_scenario(LiveScenario.from_dict(data))
-    else:
-        outcome = run_scenario(Scenario.from_dict(data))
+    outcome = scenario_from_dict(data).run().outcome
     print(f"status={outcome.status} ({outcome.events} events)")
     if outcome.violation is not None:
         print(f"  [{outcome.violation.kind}] {outcome.violation.message}")
@@ -374,7 +334,9 @@ def _replay(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """DST CLI entry point; returns the process exit code."""
+    if argv is None:
+        argv = sys.argv[1:]
     args = build_parser().parse_args(argv)
     if args.command == "explore":
-        return _explore(args)
+        return _explore(args, argv)
     return _replay(args)

@@ -19,21 +19,15 @@ import json
 import os
 import re
 from dataclasses import dataclass
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List
 
-from repro.dst.livestack import LiveScenario, run_live_scenario
 from repro.dst.scenario import (
     VIOLATION,
-    Scenario,
+    DstScenario,
     ScenarioOutcome,
     ViolationRecord,
-    run_scenario,
+    scenario_from_dict,
 )
-
-#: Either kind of replayable schedule: a simulator :class:`Scenario` or a
-#: full-production-stack :class:`LiveScenario` (discriminated in JSON by
-#: ``scenario.stack == "live"``).
-AnyScenario = Union[Scenario, LiveScenario]
 
 #: Default corpus location, relative to the repository root.
 DEFAULT_CORPUS_DIR = os.path.join("tests", "regressions", "corpus")
@@ -47,13 +41,13 @@ class CorpusCase:
 
     Attributes:
         name: file stem, unique within the corpus directory.
-        scenario: the minimized scenario.
+        scenario: the minimized scenario — simulator or live-stack.
         violation: the violation it reproduces.
         notes: free-form provenance (how it was found, what it witnesses).
     """
 
     name: str
-    scenario: AnyScenario
+    scenario: DstScenario
     violation: ViolationRecord
     notes: str = ""
 
@@ -73,15 +67,9 @@ class CorpusCase:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CorpusCase":
         violation = data["violation"]
-        scenario_data = data["scenario"]
-        scenario: AnyScenario
-        if scenario_data.get("stack") == "live":
-            scenario = LiveScenario.from_dict(scenario_data)
-        else:
-            scenario = Scenario.from_dict(scenario_data)
         return cls(
             name=data["name"],
-            scenario=scenario,
+            scenario=scenario_from_dict(data["scenario"]),
             violation=ViolationRecord(
                 kind=violation["kind"],
                 message=violation.get("message", ""),
@@ -91,15 +79,9 @@ class CorpusCase:
         )
 
 
-def case_name(scenario: AnyScenario, violation: ViolationRecord) -> str:
+def case_name(scenario: DstScenario, violation: ViolationRecord) -> str:
     """A stable, filesystem-safe name for a minimized case."""
-    if isinstance(scenario, LiveScenario):
-        bug = scenario.inject_bug or "correct"
-        slug = re.sub(r"[^a-z0-9]+", "-", f"live-{bug}".lower()).strip("-")
-    else:
-        slug = re.sub(
-            r"[^a-z0-9]+", "-", scenario.algorithm.lower()
-        ).strip("-")
+    slug = re.sub(r"[^a-z0-9]+", "-", scenario.slug().lower()).strip("-")
     return f"{slug}-{violation.kind}-n{scenario.n}-seed{scenario.seed}"
 
 
@@ -132,9 +114,7 @@ def load_corpus(directory: str = DEFAULT_CORPUS_DIR) -> List[CorpusCase]:
 
 def replay(case: CorpusCase) -> ScenarioOutcome:
     """Re-run a stored case deterministically and return its outcome."""
-    if isinstance(case.scenario, LiveScenario):
-        return run_live_scenario(case.scenario)
-    return run_scenario(case.scenario)
+    return case.scenario.run().outcome
 
 
 def assert_still_fails(case: CorpusCase) -> ScenarioOutcome:

@@ -28,27 +28,34 @@ Scenario generation is decoupled from execution, so sweeps can be fanned
 out across processes with ``workers > 0`` (``multiprocessing``); results
 are collected in generation order, keeping reports deterministic
 regardless of worker count.
+
+:func:`explore` is generic over :class:`repro.dst.scenario.DstScenario`:
+given ``scenarios``, the same loop, pool and report serve the live stack.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dst.registry import BYZANTINE_STRATEGIES, get_algorithm
 from repro.dst.scenario import (
     ASYNC,
+    ERROR,
     VIOLATION,
     CrashSpec,
     DelaySpec,
+    DstScenario,
     NetworkSpec,
     PartitionSpec,
+    RunResult,
     Scenario,
-    ScenarioOutcome,
     ViolationRecord,
     mutate_scenario,
-    run_scenario,
+    scenario_from_dict,
 )
 
 #: Input profiles the generator draws from.
@@ -73,23 +80,28 @@ class ExplorationReport:
     """Aggregate result of one sweep.
 
     Attributes:
-        algorithm: the swept registry name.
+        algorithm: what was swept — a registry name, or ``"live"``.
         schedules: number of scenarios executed.
-        outcomes: status -> count (``ok`` / ``violation`` / ``undecided``).
+        outcomes: status -> count (``ok`` / ``violation`` / ``undecided``
+            / ``error``).
         violations: every ``(scenario, violation)`` pair found, in
             generation order.
         stop_reasons: runtime stop reason -> count.
         coverage: generation-space coverage counters (delay kinds, crash
-            plan shapes, partition/fifo usage, Byzantine strategies...).
+            plan shapes, partition/fifo usage, Byzantine strategies,
+            engines, fault kinds...).
         events_total: total trace events processed across the sweep.
         events_max: largest single-run trace.
         rounds_max: most template rounds verified in a single run.
+        fingerprints: one per schedule, in run order, for stacks that
+            compute them.  Two sweeps with the same parameters must
+            produce the identical list.
     """
 
     algorithm: str
     schedules: int = 0
     outcomes: Dict[str, int] = field(default_factory=dict)
-    violations: List[Tuple[Scenario, ViolationRecord]] = field(
+    violations: List[Tuple[DstScenario, ViolationRecord]] = field(
         default_factory=list
     )
     stop_reasons: Dict[str, int] = field(default_factory=dict)
@@ -97,9 +109,11 @@ class ExplorationReport:
     events_total: int = 0
     events_max: int = 0
     rounds_max: int = 0
+    fingerprints: List[str] = field(default_factory=list)
 
-    def observe(self, scenario: Scenario, outcome: ScenarioOutcome) -> None:
-        """Fold one scenario's outcome into the aggregates."""
+    def observe(self, scenario: DstScenario, result: RunResult) -> None:
+        """Fold one scenario's result into the aggregates."""
+        outcome = result.outcome
         self.schedules += 1
         self.outcomes[outcome.status] = self.outcomes.get(outcome.status, 0) + 1
         if outcome.stop_reason:
@@ -111,8 +125,10 @@ class ExplorationReport:
         self.events_total += outcome.events
         self.events_max = max(self.events_max, outcome.events)
         self.rounds_max = max(self.rounds_max, outcome.rounds)
-        for key in _coverage_keys(scenario):
+        for key in scenario.coverage_keys():
             self.coverage[key] = self.coverage.get(key, 0) + 1
+        if result.fingerprint:
+            self.fingerprints.append(result.fingerprint)
 
     @property
     def ok(self) -> int:
@@ -122,26 +138,17 @@ class ExplorationReport:
     def violation_count(self) -> int:
         return self.outcomes.get("violation", 0)
 
+    @property
+    def errors(self) -> int:
+        """Runs where the harness itself failed: they verified nothing."""
+        return self.outcomes.get(ERROR, 0)
 
-def _coverage_keys(scenario: Scenario) -> List[str]:
-    keys = [
-        f"n:{scenario.n}",
-        f"delay:{scenario.network.delay.kind}",
-        f"crashes:{len(scenario.crashes)}",
-    ]
-    if scenario.network.partitions:
-        keys.append("partitioned")
-    if scenario.network.fifo:
-        keys.append("fifo")
-    if any(c.after_sends is not None for c in scenario.crashes):
-        keys.append("mid-broadcast-crash")
-    if any(c.restart_at is not None for c in scenario.crashes):
-        keys.append("restart")
-    for _pid, name in scenario.byzantine:
-        keys.append(f"byzantine:{name}")
-    if scenario.crash_rounds:
-        keys.append("crash-stop")
-    return keys
+    def digest(self) -> str:
+        """One hash over the whole sweep (histories, traces, verdicts)."""
+        h = hashlib.sha256()
+        for fingerprint in self.fingerprints:
+            h.update(fingerprint.encode())
+        return h.hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -402,9 +409,9 @@ def generate_scenarios(
 # ----------------------------------------------------------------------
 
 
-def _run_scenario_dict(data: Dict[str, Any]) -> ScenarioOutcome:
+def _run_scenario_dict(data: Dict[str, Any]) -> RunResult:
     """Top-level worker entry point (must be picklable)."""
-    return run_scenario(Scenario.from_dict(data))
+    return scenario_from_dict(data).run()
 
 
 def explore(
@@ -417,12 +424,15 @@ def explore(
     max_rounds: int = 60,
     workers: int = 0,
     stop_after_violations: Optional[int] = None,
-    scenarios: Optional[Sequence[Scenario]] = None,
+    scenarios: Optional[Sequence[DstScenario]] = None,
+    progress: Optional[Callable[..., None]] = None,
+    trace_sink: Optional[Callable[..., None]] = None,
 ) -> ExplorationReport:
     """Sweep ``schedules`` scenarios of ``algorithm`` under the oracle.
 
     Args:
-        algorithm: registry name to sweep.
+        algorithm: registry name to sweep (with ``scenarios``, just the
+            report's label).
         schedules: number of scenarios to run.
         meta_seed: seed of the generator walk — the whole sweep is a pure
             function of ``(algorithm, meta_seed, schedules, ...)``.
@@ -431,15 +441,20 @@ def explore(
         n_range: inclusive range of system sizes.
         max_rounds: template-round cap per run.
         workers: ``> 0`` fans execution out over a ``multiprocessing``
-            pool of that size; ``0`` runs in-process.  Reports are
-            identical either way.
+            pool of that size (scenarios cross it as dicts); ``0`` runs
+            in-process.  Reports are identical either way.
         stop_after_violations: stop the sweep early once this many
-            violating scenarios have been found (in-process mode only;
-            pool mode always runs the full batch).
-        scenarios: explicit scenario list overriding generation.
+            violating scenarios have been found.
+        scenarios: explicit scenario list overriding generation — any
+            :class:`~repro.dst.scenario.DstScenario` type.
+        progress: called after each run with ``(index, scenario,
+            outcome)``, in generation order.
+        trace_sink: called after each run with ``(index, scenario,
+            result)`` — the full :class:`~repro.dst.scenario.RunResult`,
+            for callers that want the trace/history artifacts.
     """
     if scenarios is None:
-        batch = generate_scenarios(
+        batch: Sequence[DstScenario] = generate_scenarios(
             algorithm,
             schedules,
             meta_seed=meta_seed,
@@ -450,23 +465,27 @@ def explore(
     else:
         batch = list(scenarios)
     report = ExplorationReport(algorithm=algorithm)
-    if workers > 0:
-        import multiprocessing
+    with contextlib.ExitStack() as stack:
+        if workers > 0:
+            import multiprocessing
 
-        with multiprocessing.Pool(workers) as pool:
-            outcomes = pool.map(
+            pool = stack.enter_context(multiprocessing.Pool(workers))
+            results = pool.imap(
                 _run_scenario_dict,
                 [s.to_dict() for s in batch],
-                chunksize=max(1, len(batch) // (workers * 4) or 1),
+                chunksize=max(1, len(batch) // (workers * 4)),
             )
-        for scenario, outcome in zip(batch, outcomes):
-            report.observe(scenario, outcome)
-        return report
-    for scenario in batch:
-        report.observe(scenario, run_scenario(scenario))
-        if (
-            stop_after_violations is not None
-            and report.violation_count >= stop_after_violations
-        ):
-            break
+        else:
+            results = (scenario.run() for scenario in batch)
+        for index, (scenario, result) in enumerate(zip(batch, results)):
+            report.observe(scenario, result)
+            if trace_sink is not None:
+                trace_sink(index, scenario, result)
+            if progress is not None:
+                progress(index, scenario, result.outcome)
+            if (
+                stop_after_violations is not None
+                and report.violation_count >= stop_after_violations
+            ):
+                break
     return report

@@ -21,7 +21,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
 from repro.dst.oracle import OnlineInvariantChecker, OnlineViolation
 from repro.sim.async_runtime import (
@@ -160,6 +171,9 @@ class Scenario:
     max_time: float = 5_000.0
     max_events: int = 500_000
 
+    #: Default cap on shrink attempts (runs take milliseconds).
+    shrink_budget: ClassVar[int] = 400
+
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
@@ -223,6 +237,41 @@ class Scenario:
         faulty = set(self.faulty_pids())
         return tuple(p for p in range(self.n) if p not in faulty)
 
+    # ------------------------------------------------------------------
+    # The pipeline protocol (DstScenario)
+    # ------------------------------------------------------------------
+
+    def run(self) -> "RunResult":
+        return RunResult(run_scenario(self))
+
+    def shrink_passes(self) -> Sequence["ShrinkPass"]:
+        from repro.dst.shrinker import SIM_PASSES
+
+        return SIM_PASSES
+
+    def slug(self) -> str:
+        return self.algorithm
+
+    def coverage_keys(self) -> List[str]:
+        keys = [
+            f"n:{self.n}",
+            f"delay:{self.network.delay.kind}",
+            f"crashes:{len(self.crashes)}",
+        ]
+        if self.network.partitions:
+            keys.append("partitioned")
+        if self.network.fifo:
+            keys.append("fifo")
+        if any(c.after_sends is not None for c in self.crashes):
+            keys.append("mid-broadcast-crash")
+        if any(c.restart_at is not None for c in self.crashes):
+            keys.append("restart")
+        for _pid, name in self.byzantine:
+            keys.append(f"byzantine:{name}")
+        if self.crash_rounds:
+            keys.append("crash-stop")
+        return keys
+
 
 @dataclass(frozen=True)
 class ViolationRecord:
@@ -268,6 +317,55 @@ class ScenarioOutcome:
     rounds: int = 0
     decisions: Dict[int, Any] = field(default_factory=dict)
     stop_reason: str = ""
+
+
+@dataclass
+class RunResult:
+    """One run's verdict plus the artifacts its stack produces (both may
+    be empty): a ``fingerprint`` over everything observable, a canonical
+    ``trace_text``.  Crosses ``multiprocessing`` pools: keep picklable."""
+
+    outcome: ScenarioOutcome
+    fingerprint: str = ""
+    trace_text: str = ""
+
+
+#: One shrink pass: scenario in, strictly smaller candidates out.
+ShrinkPass = Callable[[Any], Iterable[Any]]
+
+
+class DstScenario(Protocol):
+    """What explore → shrink → corpus needs from a schedule type.
+
+    :class:`Scenario` (an algorithm on the simulator) and
+    :class:`repro.dst.livestack.LiveScenario` (the production stack in
+    virtual time) both satisfy it; nothing downstream of generation
+    knows which it holds.  ``run`` is deterministic; ``shrink_passes``
+    are tried in order by the shrink loop, ``shrink_budget`` times at
+    most by default; ``slug`` names corpus files; ``coverage_keys`` are
+    the generation-space features a sweep counts; ``to_dict`` feeds
+    :func:`scenario_from_dict` (pool workers, corpus files).
+    """
+
+    n: int
+    seed: int
+    shrink_budget: ClassVar[int]
+
+    def run(self) -> RunResult: ...
+    def shrink_passes(self) -> Sequence[ShrinkPass]: ...
+    def slug(self) -> str: ...
+    def coverage_keys(self) -> List[str]: ...
+    def to_dict(self) -> Dict[str, Any]: ...
+
+
+def scenario_from_dict(data: Dict[str, Any]) -> DstScenario:
+    """Rebuild either scenario type from its ``to_dict`` form — the only
+    place that knows the ``"stack": "live"`` discriminator."""
+    if data.get("stack") == "live":
+        from repro.dst.livestack import LiveScenario
+
+        return LiveScenario.from_dict(data)
+    return Scenario.from_dict(data)
 
 
 def run_scenario(scenario: Scenario) -> ScenarioOutcome:

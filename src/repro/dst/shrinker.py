@@ -7,7 +7,9 @@ differ in detail between system sizes).  Because every run is a pure
 function of the scenario, each candidate is simply re-run; accepted
 reductions are kept and the passes iterate to a fixed point.
 
-Reduction passes, in order:
+The loop is generic (:class:`repro.dst.scenario.DstScenario`): the
+scenario type supplies its passes and default budget.  The live stack's
+sit beside ``LiveScenario``; the simulator's are here, in order:
 
 1. drop failure clauses (crash plans, partitions, Byzantine pids,
    crash-stops) one at a time;
@@ -27,18 +29,19 @@ reproduces the identical violation, which is what the regression corpus
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.dst.registry import get_algorithm
 from repro.dst.scenario import (
     VIOLATION,
     CrashSpec,
     DelaySpec,
+    DstScenario,
     NetworkSpec,
     Scenario,
+    ShrinkPass,
     ViolationRecord,
     mutate_scenario,
-    run_scenario,
 )
 
 
@@ -53,14 +56,14 @@ class ShrinkResult:
         accepted: how many reductions were kept.
     """
 
-    scenario: Scenario
+    scenario: DstScenario
     violation: ViolationRecord
     attempts: int = 0
     accepted: int = 0
 
 
-def _still_fails(scenario: Scenario, kind: str) -> Optional[ViolationRecord]:
-    outcome = run_scenario(scenario)
+def _still_fails(scenario: DstScenario, kind: str) -> Optional[ViolationRecord]:
+    outcome = scenario.run().outcome
     if outcome.status == VIOLATION and outcome.violation is not None:
         if outcome.violation.kind == kind:
             return outcome.violation
@@ -242,7 +245,8 @@ def _simplify_network(scenario: Scenario) -> List[Scenario]:
     return candidates
 
 
-_PASSES: Tuple[Callable[[Scenario], List[Scenario]], ...] = (
+#: The simulator's reduction passes (``Scenario.shrink_passes()``).
+SIM_PASSES: Tuple[ShrinkPass, ...] = (
     _drop_failures,
     _drop_process,
     _shrink_numbers,
@@ -251,10 +255,10 @@ _PASSES: Tuple[Callable[[Scenario], List[Scenario]], ...] = (
 
 
 def shrink(
-    scenario: Scenario,
+    scenario: DstScenario,
     violation: Optional[ViolationRecord] = None,
     *,
-    max_attempts: int = 400,
+    max_attempts: Optional[int] = None,
 ) -> ShrinkResult:
     """Minimize ``scenario`` while preserving its violation kind.
 
@@ -262,22 +266,25 @@ def shrink(
         scenario: a scenario known (or believed) to violate.
         violation: the violation to preserve; re-derived by running the
             scenario when omitted.
-        max_attempts: hard cap on candidate executions.
+        max_attempts: hard cap on candidate executions (default: the
+            scenario type's ``shrink_budget``).
 
     Raises:
         ValueError: if the input scenario does not actually violate.
     """
     if violation is None:
-        outcome = run_scenario(scenario)
+        outcome = scenario.run().outcome
         if outcome.status != VIOLATION or outcome.violation is None:
             raise ValueError("scenario does not reproduce a violation")
         violation = outcome.violation
+    if max_attempts is None:
+        max_attempts = scenario.shrink_budget
     kind = violation.kind
     result = ShrinkResult(scenario=scenario, violation=violation)
     improved = True
     while improved and result.attempts < max_attempts:
         improved = False
-        for make_candidates in _PASSES:
+        for make_candidates in result.scenario.shrink_passes():
             for candidate in make_candidates(result.scenario):
                 if result.attempts >= max_attempts:
                     break

@@ -4,39 +4,29 @@ A seeded campaign (leader kills + partitions against a 5-node, 2-shard
 cluster) must produce a history the checker verifies linearizable; the
 same campaign with a known consistency bug injected (lin reads served
 from a deposed leader's local state) must FAIL the check with a minimal
-witness.  Marked ``chaos``: opt in with ``pytest -m chaos``.
+witness.  The campaigns are marked ``chaos`` (opt in with ``pytest -m
+chaos``); the knob tests above them are tier-1.
 """
-
-import asyncio
 
 import pytest
 
-from repro.chaos import FaultPlan, History, Nemesis, check_history
-from repro.chaos.cli import CAMPAIGN_TIMINGS
-from repro.chaos.nemesis import FaultEvent
-from repro.chaos.workload import close_clients, make_clients, run_workload
-from repro.live import LiveKVCluster
-
-pytestmark = pytest.mark.chaos
+from repro.chaos import FaultPlan, campaign, check_history
+from repro.chaos.cli import main as chaos_main
+from repro.core.runtime import AsyncioRuntime
 
 
-def run(coro, timeout=300.0):
-    return asyncio.run(asyncio.wait_for(coro, timeout))
-
-
-async def _campaign(
+def _campaign(
     *,
     seed,
     duration=10.0,
     kinds=("kill-leader", "partition", "partition-leader"),
-    unsafe_lin_reads=False,
     nodes=5,
     shards=2,
     clients=4,
     lease_attack=False,
-    **server_options,
+    **cluster_kwargs,
 ):
-    """Boot → fault+load → heal → grace reads → check.  Returns report."""
+    """Run the shared campaign on real sockets; returns the check report."""
     if lease_attack:
         plan = FaultPlan.lease_attack_campaign(
             seed, duration=duration, period=3.0
@@ -45,60 +35,100 @@ async def _campaign(
         plan = FaultPlan.random_campaign(
             seed, duration=duration, period=3.0, kinds=kinds
         )
-    cluster = LiveKVCluster(
-        nodes,
-        seed=seed,
-        shards=shards,
-        unsafe_lin_reads=unsafe_lin_reads,
-        **server_options,
-        **CAMPAIGN_TIMINGS,
+    rt = AsyncioRuntime()
+    result = rt.run(
+        campaign.run(
+            rt,
+            plan,
+            nodes=nodes,
+            shards=shards,
+            seed=seed,
+            duration=duration,
+            grace=2.0,  # post-heal reads: every key must read consistently
+            clients=clients,
+            **cluster_kwargs,
+        ),
+        timeout=300.0,
     )
-    history = History()
-    recorders = make_clients(cluster.cluster, history, clients, shards=shards)
-    try:
-        await cluster.start()
-        await cluster.wait_for_all_leaders(20.0)
-        nemesis = Nemesis(cluster, plan)
-        workload = asyncio.ensure_future(
-            run_workload(
-                recorders, duration=duration, seed=seed, pause=0.005
-            )
-        )
-        await nemesis.run()
-        await workload
-        await nemesis.apply(FaultEvent(0.0, "heal"))
-        await nemesis.apply(FaultEvent(0.0, "restart"))
-        await cluster.wait_for_all_leaders(20.0)
-        # Post-heal reads: every key must still read consistently.
-        await run_workload(
-            recorders,
-            duration=2.0,
-            seed=seed + 1,
-            read_fraction=1.0,
-            readonly_clients=clients,
-            pause=0.005,
-        )
-    finally:
-        await close_clients(recorders)
-        await cluster.stop()
-    assert len(history) > 100, "campaign produced too little history"
-    return check_history(history, time_budget=60.0)
+    assert len(result.history) > 100, "campaign produced too little history"
+    return check_history(result.history, time_budget=60.0)
 
 
+class TestCampaignKnobs:
+    """The pure halves of a campaign: bug -> cluster keywords, --kinds."""
+
+    def test_correct_cluster_passes_tier_and_bound_through(self):
+        options, needs_disk = campaign.cluster_options(
+            None, "readindex", 0.25, ("kill-leader", "partition")
+        )
+        assert options == dict(
+            unsafe_lin_reads=False,
+            lost_ack_bug=False,
+            read_tier="readindex",
+            drift_bound=0.25,
+        )
+        assert needs_disk is False
+
+    def test_unbounded_lease_forces_lease_tier_and_zero_bound(self):
+        options, _ = campaign.cluster_options(
+            "unbounded-lease", "safe", 0.25, ()
+        )
+        assert options["read_tier"] == "lease"
+        assert options["drift_bound"] == 0.0
+        # A faster tier the caller chose is kept; only the bound goes.
+        options, _ = campaign.cluster_options(
+            "unbounded-lease", "follower", 0.25, ()
+        )
+        assert options["read_tier"] == "follower"
+        assert options["drift_bound"] == 0.0
+
+    def test_stale_reads_sets_unsafe_lin_reads(self):
+        options, needs_disk = campaign.cluster_options(
+            "stale-reads", "safe", 0.03, ("partition-leader",)
+        )
+        assert options["unsafe_lin_reads"] is True
+        assert options["lost_ack_bug"] is False
+        assert needs_disk is False
+
+    @pytest.mark.parametrize(
+        "bug, kinds",
+        [
+            ("lost-ack", ("kill-leader",)),
+            (None, ("partition", "torn-tail")),
+            ("", ("power-fail-all",)),
+        ],
+    )
+    def test_lost_ack_or_any_durability_kind_needs_a_data_dir(self, bug, kinds):
+        options, needs_disk = campaign.cluster_options(bug, "safe", 0.03, kinds)
+        assert needs_disk is True
+        assert options["lost_ack_bug"] is (bug == "lost-ack")
+
+    def test_parse_kinds(self):
+        assert campaign.parse_kinds(" drop, delay ,") == ("drop", "delay")
+        with pytest.raises(ValueError, match="unknown fault kind 'bogus'"):
+            campaign.parse_kinds("drop,bogus")
+
+    def test_cli_rejects_bad_kinds(self, capsys):
+        assert chaos_main(["--kinds", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert "error: unknown fault kind 'bogus' (choose from" in err
+        assert chaos_main(["--kinds", ","]) == 2
+        assert "at least one fault kind" in capsys.readouterr().err
+
+
+@pytest.mark.chaos
 class TestCampaigns:
     def test_seeded_campaign_is_linearizable(self):
         """A correct cluster survives leader kills and partitions."""
-        report = run(_campaign(seed=7))
+        report = _campaign(seed=7)
         assert report.ok is True, report.summary()
 
     def test_stale_read_bug_is_caught_with_witness(self):
         """The injected deposed-leader bug must fail the check."""
-        report = run(
-            _campaign(
-                seed=7,
-                kinds=("partition-leader",),
-                unsafe_lin_reads=True,
-            )
+        report = _campaign(
+            seed=7,
+            kinds=("partition-leader",),
+            unsafe_lin_reads=True,
         )
         assert report.ok is False, report.summary()
         violation = report.violations[0]
@@ -116,30 +146,26 @@ class TestCampaigns:
     def test_lease_attack_with_drift_bound_is_linearizable(self):
         """Clock-skewed, isolated leaseholders with a correct drift
         bound stop serving before a rival can commit past them."""
-        report = run(
-            _campaign(
-                seed=11,
-                nodes=3,
-                shards=1,
-                lease_attack=True,
-                read_tier="lease",
-                drift_bound=0.25,
-            )
+        report = _campaign(
+            seed=11,
+            nodes=3,
+            shards=1,
+            lease_attack=True,
+            read_tier="lease",
+            drift_bound=0.25,
         )
         assert report.ok is True, report.summary()
 
     def test_unbounded_lease_is_caught_with_witness(self):
         """A lease that ignores clock drift serves stale reads after
         deposition; the checker must reject the history."""
-        report = run(
-            _campaign(
-                seed=11,
-                nodes=3,
-                shards=1,
-                lease_attack=True,
-                read_tier="lease",
-                drift_bound=0.0,
-            )
+        report = _campaign(
+            seed=11,
+            nodes=3,
+            shards=1,
+            lease_attack=True,
+            read_tier="lease",
+            drift_bound=0.0,
         )
         assert report.ok is False, report.summary()
         violation = report.violations[0]

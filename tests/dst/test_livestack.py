@@ -10,16 +10,17 @@ Everything else (shrinking, the corpus, CLI sweeps) stands on that.
 """
 
 import json
+import os
 
 import pytest
 
 from repro.chaos.nemesis import FaultEvent
+from repro.dst import explore, load_case, shrink
+from repro.dst.cli import main as dst_main
 from repro.dst.livestack import (
     LiveScenario,
-    explore_live,
     generate_live_scenarios,
     run_live,
-    run_live_scenario,
 )
 
 #: Short but not trivial: two fault-heal cycles, a couple hundred ops.
@@ -80,12 +81,32 @@ class TestByteIdentity:
 
     def test_explore_sweep_digest_is_deterministic(self):
         base = LiveScenario(duration=2.0, clients=2, grace=0.8)
-        sweeps = [
-            explore_live(2, 9, base=base, fault_period=1.0) for _ in range(2)
-        ]
+        scenarios = generate_live_scenarios(2, 9, base=base, fault_period=1.0)
+        sweeps = [explore("live", scenarios=scenarios) for _ in range(2)]
         assert sweeps[0].digest() == sweeps[1].digest()
         assert sweeps[0].fingerprints == sweeps[1].fingerprints
         assert sweeps[0].schedules == 2
+
+    def test_pool_sweep_matches_in_process(self):
+        """``--workers`` means the same thing on both stacks: scenarios
+        cross the pool as dicts, results come back in generation order,
+        and the sink still sees every one."""
+        base = LiveScenario(duration=1.5, clients=2, grace=0.5)
+        scenarios = generate_live_scenarios(4, 3, base=base, fault_period=0.7)
+        seen = []
+        pooled = explore(
+            "live",
+            scenarios=scenarios,
+            workers=2,
+            trace_sink=lambda i, s, r: seen.append((i, s.seed, r.fingerprint)),
+        )
+        local = explore("live", scenarios=scenarios)
+        assert pooled.digest() == local.digest()
+        assert pooled.outcomes == local.outcomes == {"ok": 4}
+        assert seen == [
+            (i, s.seed, f)
+            for i, (s, f) in enumerate(zip(scenarios, local.fingerprints))
+        ]
 
 
 class TestEngineRotation:
@@ -161,7 +182,61 @@ class TestInjectedBugCanary:
                 FaultEvent(3.0, "restart"),
             ),
         )
-        outcome = run_live_scenario(scenario)
+        outcome = scenario.run().outcome
         assert outcome.status == "violation", outcome
         assert outcome.violation.kind == "linearizability"
         assert outcome.violation.event_index >= 0
+
+
+class TestSharedPipeline:
+    """The live stack rides the ordinary shrink / CLI / replay code."""
+
+    CASE = os.path.join(
+        os.path.dirname(__file__), "..", "regressions", "corpus",
+        "live-unbounded-lease-linearizability-n3-seed11.json",
+    )
+
+    def test_shrink_keeps_the_kind_and_never_grows(self):
+        case = load_case(self.CASE)
+        result = shrink(case.scenario, case.violation, max_attempts=4)
+        assert result.attempts <= 4
+        assert result.violation.kind == case.violation.kind
+        small, big = result.scenario, case.scenario
+        assert len(small.faults) <= len(big.faults)
+        assert small.duration <= big.duration
+        assert small.clients <= big.clients
+
+    def test_cli_sweep_prints_a_digest(self, capsys):
+        argv = ["explore", "--stack", "live", "--schedules", "2",
+                "--duration", "2", "--quiet"]
+        assert dst_main(argv) == 0
+        out = capsys.readouterr().out
+        assert "live: {'ok': 2}" in out
+        assert "sweep digest: " in out
+
+    def test_cli_replays_a_live_corpus_file(self, capsys):
+        assert dst_main(["replay", self.CASE]) == 0
+        assert "recorded violation reproduces" in capsys.readouterr().out
+
+    def test_cli_fails_closed_on_harness_errors(self, capsys, monkeypatch):
+        """An errored schedule verified nothing: the sweep must not exit
+        0, and two all-error sweeps must not match on the hash of no
+        fingerprints at all."""
+
+        def boom(*_args, **_kwargs):
+            raise TimeoutError("no leader for shard 0 within 30.0s")
+
+        monkeypatch.setattr("repro.chaos.campaign.LiveKVCluster", boom)
+        argv = ["explore", "--stack", "live", "--schedules", "3", "--quiet"]
+        assert dst_main(argv) == 2
+        out = capsys.readouterr().out
+        assert "live: {'error': 3}" in out
+        empty = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        assert "sweep digest: " in out and empty not in out
+        # Canary sweeps are no exception.
+        assert dst_main(argv + ["--inject-bug", "stale-reads"]) == 2
+
+    def test_cli_rejects_an_unknown_fault_kind(self, capsys):
+        argv = ["explore", "--stack", "live", "--kinds", "bogus"]
+        assert dst_main(argv) == 2
+        assert "unknown fault kind 'bogus'" in capsys.readouterr().err

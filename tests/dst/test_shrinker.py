@@ -5,10 +5,21 @@ acceptance path the corpus workflow exercises: explore → shrink → the
 minimized scenario replays to the *identical* violation.
 """
 
+from dataclasses import dataclass, replace
+from typing import ClassVar, List
+
 import pytest
 
 from repro.dst import ShrinkResult, explore, run_scenario, shrink
-from repro.dst.scenario import VIOLATION, Scenario, mutate_scenario
+from repro.dst.scenario import (
+    OK,
+    VIOLATION,
+    RunResult,
+    Scenario,
+    ScenarioOutcome,
+    ViolationRecord,
+    mutate_scenario,
+)
 
 
 @pytest.fixture(scope="module")
@@ -73,3 +84,62 @@ def test_shrink_respects_the_attempt_cap(found):
         bloated = scenario
     result = shrink(bloated, max_attempts=5)
     assert result.attempts <= 5
+
+
+# ----------------------------------------------------------------------
+# The loop itself, over a fake scenario type
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FakeScenario:
+    """Violates with kind ``big`` while ``size >= 3`` and ``junk`` is
+    even, with kind ``other`` when ``junk`` is odd; records every run."""
+
+    size: int
+    junk: int
+    log: List[tuple]
+    shrink_budget: ClassVar[int] = 50
+
+    def run(self) -> RunResult:
+        self.log.append((self.size, self.junk))
+        if self.junk % 2:
+            kind = "other"
+        elif self.size >= 3:
+            kind = "big"
+        else:
+            return RunResult(ScenarioOutcome(status=OK))
+        return RunResult(
+            ScenarioOutcome(
+                status=VIOLATION, violation=ViolationRecord(kind, "fake")
+            )
+        )
+
+    def shrink_passes(self):
+        return (
+            lambda s: [replace(s, size=s.size - 1)] if s.size else [],
+            lambda s: [replace(s, junk=s.junk - 1)] if s.junk else [],
+        )
+
+
+def test_loop_restarts_the_passes_after_each_accept():
+    log: List[tuple] = []
+    result = shrink(FakeScenario(5, 2, log), ViolationRecord("big", "fake"))
+    # size shrinks 5 -> 3 through pass one; (2, 2) is rejected, so pass
+    # two gets a turn; (3, 1) violates with the wrong kind and is
+    # rejected too — fixpoint.
+    assert (result.scenario.size, result.scenario.junk) == (3, 2)
+    assert log == [(4, 2), (3, 2), (2, 2), (3, 1)]
+    assert (result.attempts, result.accepted) == (4, 2)
+    assert result.violation.kind == "big"
+
+
+def test_loop_honours_the_budget_and_the_type_default():
+    log: List[tuple] = []
+    start = FakeScenario(40, 0, log)
+    capped = shrink(start, ViolationRecord("big", "fake"), max_attempts=3)
+    assert capped.attempts == 3 and capped.scenario.size == 37
+    del log[:]
+    # No cap given: the scenario type's own budget applies.
+    assert shrink(start, ViolationRecord("big", "fake")).attempts == 38
+    assert shrink(replace(start, size=90)).attempts == FakeScenario.shrink_budget
