@@ -40,7 +40,6 @@ TUNING = dict(
     heartbeat_interval=0.08,
     max_batch=4,
     max_inflight=1,
-    batch_window=0.002,
     transport_options={"link_delay": LINK_DELAY},
 )
 OPS = 800

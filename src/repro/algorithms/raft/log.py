@@ -11,7 +11,7 @@ logs identical up through any index where they share an entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,11 @@ class RaftLog:
         self._entries: List[Entry] = list(entries or [])
         self.snapshot_index = 0
         self.snapshot_term = 0
+        #: Retained command -> how many retained entries carry it, kept in
+        #: step with every mutation so :meth:`contains_command` is O(1).
+        #: Unhashable commands are left out (they fall back to the scan).
+        self._commands: Dict[Any, int] = {}
+        self._tally(self._entries, 1)
 
     # ------------------------------------------------------------------
     # Inspection
@@ -94,8 +99,26 @@ class RaftLog:
         Used by the leader's duplicate-proposal check; compacted entries
         are not consulted (they are committed, so a retried proposal for
         one is at worst a harmless re-append of an applied command).
+        O(1) through the command index; an unhashable command (a client
+        may put a list value) is answered by scanning the retained log.
         """
-        return any(entry.command == command for entry in self._entries)
+        try:
+            return command in self._commands
+        except TypeError:
+            return any(entry.command == command for entry in self._entries)
+
+    def _tally(self, entries: Sequence[Entry], delta: int) -> None:
+        """Add ``delta`` to the command index for each of ``entries``."""
+        counts = self._commands
+        for entry in entries:
+            try:
+                left = counts.get(entry.command, 0) + delta
+            except TypeError:
+                continue  # unhashable: contains_command scans for it
+            if left:
+                counts[entry.command] = left
+            else:
+                del counts[entry.command]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -138,7 +161,9 @@ class RaftLog:
         if index > self.last_index:
             raise IndexError(f"cannot compact beyond last index {self.last_index}")
         term = self.term_at(index)
-        del self._entries[: index - self.snapshot_index]
+        cut = index - self.snapshot_index
+        self._tally(self._entries[:cut], -1)
+        del self._entries[:cut]
         self.snapshot_index = index
         self.snapshot_term = term
         self._record_compact(index, term)
@@ -161,6 +186,8 @@ class RaftLog:
             except CompactedError:  # pragma: no cover - defensive
                 keep = []
         self._entries = keep
+        self._commands = {}
+        self._tally(keep, 1)
         self.snapshot_index = index
         self.snapshot_term = term
         self._record_compact(index, term)
@@ -172,6 +199,7 @@ class RaftLog:
     def append_new(self, entry: Entry) -> int:
         """Leader-side append of a brand-new entry; returns its index."""
         self._entries.append(entry)
+        self._tally((entry,), 1)
         self._record_append(self.last_index, entry)
         return self.last_index
 
@@ -205,12 +233,16 @@ class RaftLog:
             index = prev_log_index + 1 + offset
             if index <= self.last_index:
                 if self.term_at(index) != entry.term:
-                    del self._entries[index - self.snapshot_index - 1 :]
+                    cut = index - self.snapshot_index - 1
+                    self._tally(self._entries[cut:], -1)
+                    del self._entries[cut:]
                     self._entries.append(entry)
+                    self._tally((entry,), 1)
                     self._record_append(index, entry)
                 # else: identical entry already present, keep it
             else:
                 self._entries.append(entry)
+                self._tally((entry,), 1)
                 self._record_append(index, entry)
         return True
 

@@ -8,8 +8,9 @@ kind (advance the commit index); both carry ``leader_commit``.
 ``AppendEntriesReply`` additionally carries ``match_index`` on success —
 the index of the follower's last entry known to match the leader — which
 standard Raft implementations use to update ``MatchIndex`` without an extra
-round trip.  The paper's decrement-``NextIndex``-and-retry repair loop is
-kept for the failure path.
+round trip.  On failure the same field is a repair hint, so the leader
+jumps ``NextIndex`` down in one step instead of the paper's
+decrement-by-one retry loop.
 """
 
 from __future__ import annotations
@@ -56,8 +57,10 @@ class AppendEntries:
 class AppendEntriesReply:
     """``ack_AppendEntries``: a follower's response.
 
-    ``match_index`` is meaningful only when ``success`` is true: the
-    follower's last index consistent with the leader's log.
+    On success, ``match_index`` is the follower's last index consistent
+    with the leader's log.  On failure it is the repair hint
+    ``min(prev_log_index - 1, last_index)``: the highest index that can
+    still match, where the leader probes next.
     """
 
     term: int

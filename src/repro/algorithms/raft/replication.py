@@ -29,9 +29,13 @@ What the core owns
   recovery from a durable snapshot;
 * *delta replication*: per-follower ``next_index``/``match_index`` cursors
   plus a ``sent_index`` pipeline cursor, so each message carries only the
-  entries the follower has not already been sent; a rejection rewinds
-  ``sent_index`` and the decrement-and-retry repair loop takes over; a
-  follower whose needed suffix was compacted is sent the snapshot;
+  entries the follower has not already been sent; a follower whose needed
+  suffix was compacted is sent the snapshot;
+* *linear repair*: a rejection carries the follower's hint (the highest
+  index that can still match), the leader drops ``next_index`` to it and
+  probes with empty appends until a success ack, then ships one suffix —
+  so a follower K entries behind costs O(K) entries, however many stale
+  rejections (replayed deltas, duplicate probes) arrive meanwhile;
 * follower accept with *ack coalescing*: success replies to empty
   heartbeats that repeat an already-acknowledged state are suppressed,
   with a bounded backstop so a lost ack cannot stall commit advancement;
@@ -179,6 +183,10 @@ class ReplicatedLogNode(Process):
         #: follower (acknowledged or still in flight).  Deltas start at
         #: ``sent_index + 1``; rejections rewind it to ``next_index - 1``.
         self.sent_index: Dict[Pid, int] = {}
+        #: Followers in probe mode: a rejection broke their stream, so
+        #: until a success ack every send is an empty append at
+        #: ``next_index - 1`` and ``sent_index`` stays frozen.
+        self._probing: Set[Pid] = set()
         self._decided = False
         #: Last known leader of the current epoch (``None`` during
         #: elections) — the redirect hint live KV frontends serve clients.
@@ -262,6 +270,7 @@ class ReplicatedLogNode(Process):
         # cursor starts at the optimistic floor, so the first append of
         # the epoch carries exactly the (possibly empty) new suffix.
         self.sent_index = {pid: index - 1 for pid, index in self.next_index.items()}
+        self._probing = set()
         self._ae_sent = {}  # no sends from this incarnation acked yet
         value = self._current_value(api)
         if self.propose_on_leadership:
@@ -285,6 +294,7 @@ class ReplicatedLogNode(Process):
         self.next_index = {}
         self.match_index = {}
         self.sent_index = {}
+        self._probing = set()
         self._decided = False
         self.leader_hint = None
         self._proposed_ids = set()
@@ -310,7 +320,7 @@ class ReplicatedLogNode(Process):
             yield from self._on_client_propose(api, payload)
         elif isinstance(payload, TimerFired):
             if payload.name == HEARTBEAT and self.state is LEADER:
-                yield from self._broadcast_append_entries(api)
+                yield from self._broadcast_append_entries(api, heartbeat=True)
                 yield SetTimer(self.heartbeat_interval, HEARTBEAT)
         elif isinstance(payload, self.SNAPSHOT_CLS):
             yield from self._on_install_snapshot(api, payload)
@@ -343,24 +353,31 @@ class ReplicatedLogNode(Process):
     # Log replication
     # ------------------------------------------------------------------
 
-    def _broadcast_append_entries(self, api: ProcessAPI) -> ProtocolGenerator:
+    def _broadcast_append_entries(
+        self, api: ProcessAPI, *, heartbeat: bool = False
+    ) -> ProtocolGenerator:
         for pid in self._members(api):
             if pid != api.pid:
-                yield from self._send_append_entries(api, pid)
+                yield from self._send_append_entries(api, pid, heartbeat=heartbeat)
 
-    def _send_append_entries(self, api: ProcessAPI, dst: Pid) -> ProtocolGenerator:
+    def _send_append_entries(
+        self, api: ProcessAPI, dst: Pid, *, heartbeat: bool = False
+    ) -> ProtocolGenerator:
         # Delta replication: everything up to ``sent_index`` is already in
         # flight (or acknowledged), so this message carries only the new
         # suffix beyond it — linear bytes per entry no matter how many
         # proposals are pipelined.  ``next_index`` stays the repair floor:
-        # a rejection rewinds ``sent_index`` back to it and the classic
-        # decrement-and-retry loop takes over with full consistency checks.
+        # a follower in probe mode gets an empty append at the floor
+        # instead, and ``sent_index`` stays put until it acks.
+        probing = dst in self._probing
         start = self.next_index[dst]
         sent = self.sent_index.get(dst, start - 1)
-        if sent + 1 > start:
+        if sent + 1 > start and not probing:
             start = sent + 1
         prev_index = start - 1
         if prev_index < self.log.snapshot_index:
+            if probing and sent >= self.log.snapshot_index and not heartbeat:
+                return  # the snapshot is in flight; heartbeats re-send it
             # The suffix this follower needs was compacted: ship the
             # snapshot instead of entries.
             yield Send(
@@ -386,11 +403,12 @@ class ReplicatedLogNode(Process):
                 leader_id=api.pid,
                 prev_log_index=prev_index,
                 prev_log_term=self.log.term_at(prev_index),
-                entries=self.log.entries_from(start),
+                entries=() if probing else self.log.entries_from(start),
                 leader_commit=self.commit_index,
             ),
         )
-        self.sent_index[dst] = self.log.last_index
+        if not probing:
+            self.sent_index[dst] = self.log.last_index
 
     def _on_append_entries(self, api: ProcessAPI, msg: Any) -> ProtocolGenerator:
         if msg.term < self.current_term:
@@ -403,9 +421,14 @@ class ReplicatedLogNode(Process):
         yield from self._on_leader_contact(api, msg.leader_id)
         ok = self.log.try_append(msg.prev_log_index, msg.prev_log_term, msg.entries)
         if not ok:
+            # The repair hint: nothing past it can match the leader.  The
+            # leader now probes, so its next empty append must be answered
+            # even if it repeats an already-acknowledged state.
+            self._last_ack = None
+            hint = min(msg.prev_log_index - 1, self.log.last_index)
             yield Send(
                 msg.leader_id,
-                self.APPEND_REPLY_CLS(self.current_term, False, api.pid),
+                self.APPEND_REPLY_CLS(self.current_term, False, api.pid, hint),
             )
             return
         match = msg.prev_log_index + len(msg.entries)
@@ -441,6 +464,7 @@ class ReplicatedLogNode(Process):
             return
         follower = msg.follower_id
         if msg.success:
+            self._probing.discard(follower)  # streaming resumes below
             sent = self._ae_sent.pop(follower, None)
             if sent is not None and self.reads.enabled:
                 # Piggybacked lease renewal: this ack confirms every
@@ -458,10 +482,19 @@ class ReplicatedLogNode(Process):
                 # Entries appended since the last send: ship just the delta.
                 yield from self._send_append_entries(api, follower)
         else:
-            self.next_index[follower] = max(1, self.next_index[follower] - 1)
-            # The optimistic stream is broken — rewind the pipeline cursor
-            # so repair restarts from the confirmed floor.
-            self.sent_index[follower] = self.next_index[follower] - 1
+            # Repair: drop the floor to the follower's hint (never raise
+            # it) and probe there.  A rejection that leaves the floor
+            # where an outstanding probe already asks says nothing new.
+            floor = max(1, min(self.next_index[follower], msg.match_index + 1))
+            if follower in self._probing and floor == self.next_index[follower]:
+                return
+            self.next_index[follower] = floor
+            if self.match_index.get(follower, 0) >= floor:
+                # The follower lost entries (a restart without its disk):
+                # it no longer counts toward committing them.
+                self.match_index[follower] = floor - 1
+            self._probing.add(follower)
+            self.sent_index[follower] = floor - 1
             yield from self._send_append_entries(api, follower)
 
     def _advance_commit(self, api: ProcessAPI) -> ProtocolGenerator:
@@ -563,6 +596,7 @@ class ReplicatedLogNode(Process):
             return
         follower = msg.follower_id
         if msg.last_included_index > 0:
+            self._probing.discard(follower)
             self.match_index[follower] = max(
                 self.match_index.get(follower, 0), msg.last_included_index
             )

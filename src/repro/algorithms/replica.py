@@ -150,7 +150,8 @@ class BallotChain:
 @dataclass(frozen=True)
 class BallotChainAck:
     """Phase-2b: accept (``success`` with ``match_index``) or refuse
-    (``term`` carrying the higher promised ballot)."""
+    (``term`` carrying the higher promised ballot; ``match_index`` the
+    repair hint, as on :class:`~repro.algorithms.raft.messages.AppendEntriesReply`)."""
 
     term: int
     success: bool

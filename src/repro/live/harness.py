@@ -38,6 +38,15 @@ def merge_traces(traces: Sequence[Trace]) -> Trace:
     return merged
 
 
+def _collect(trace: Trace) -> Trace:
+    """A harness-side copy of every event ``trace`` records.  A runtime's
+    own trace stores nothing (a production node must not grow with
+    uptime), so the harness keeps the copy ``merged_trace`` reads."""
+    copy = Trace()
+    trace.subscribe(copy.events.append)
+    return copy
+
+
 class LiveCluster:
     """Run arbitrary simulator processes as a live localhost cluster.
 
@@ -98,7 +107,7 @@ class LiveCluster:
             transport_options=dict(self._args["transport_options"]),
             runtime=self.rt,
         )
-        self._traces.append(runtime.trace)
+        self._traces.append(_collect(runtime.trace))
         return runtime
 
     async def start(self) -> None:
@@ -215,7 +224,7 @@ class LiveKVCluster:
             runtime=self.rt,
             **options,
         )
-        self._traces.extend(shard.runtime.trace for shard in server.shards)
+        self._traces.extend(_collect(shard.runtime.trace) for shard in server.shards)
         return server
 
     async def start(self) -> None:

@@ -27,11 +27,28 @@ nodes and clients.
 
 Write path
 ----------
-Client ``put`` requests reaching the owning shard's leader are *batched*:
-requests arriving within ``batch_window`` (or until ``max_batch``) are
-folded into one :class:`KvBatch` log command and proposed as a single
+Client ``put`` requests reaching the owning shard's leader are *batched*
+into one :class:`KvBatch` log command, proposed as a single
 :class:`~repro.algorithms.raft.messages.ClientPropose`, so one
-replication round-trip commits many client writes.  A request is
+replication round-trip commits many client writes.  Commits, not a
+fixed window, clock the flush.  A held batch is proposed when it holds
+``max_batch`` ops and fewer than ``max_inflight`` entries are
+uncommitted (full batches pipeline), or when nothing is uncommitted and
+it holds as many ops as the last applied batch carried plus those that
+queued behind it: the clients that commit released, expected back.  A
+lone put into an idle pipeline thus commits in one round, and
+closed-loop clients share one entry per round.  That expectation is a
+guess about the traffic, so an idle pipeline waits for it at most
+:data:`IDLE_WAIT_ROUNDS` of the leader's measured propose-to-apply
+rounds: clients that think longer than that, or arrive independently
+(open-loop traffic), cost each op at most that wait, and batches do not
+grow past what arrives in it.  A partial batch is also never proposed
+sooner than :data:`FLUSH_INTERVAL` after the shard's previous batch,
+so when rounds are fast the interval, not the round, clocks the flush: a
+lone put into a shard that proposed nothing for that long still commits
+in one round, while back-to-back partial batches are spaced by it.  A
+backstop timer (:data:`BATCH_WINDOW`) proposes whatever is held,
+whatever the pipeline's state.  A request is
 acknowledged only once the leader *applies* the batch — i.e. after the
 entry is committed on a majority — so every acknowledged write survives
 any minority of crashes, including the leader's.  Requests reaching a
@@ -112,6 +129,27 @@ DEFAULT_DRIFT_BOUND = 0.03
 
 #: Default bound accepted for follower (bounded-stale) reads (seconds).
 DEFAULT_STALENESS_BOUND = 0.5
+
+#: Backstop of the self-clocked flush policy (seconds): a held batch is
+#: proposed at most this long after its first op arrived.
+BATCH_WINDOW = 0.005
+
+#: How long, in rounds (the leader's last propose-to-apply time), an idle
+#: pipeline waits for the clients the last commit released: their reply
+#: and next request cross the same kind of links as a replication round,
+#: plus up to one more round of think time.
+IDLE_WAIT_ROUNDS = 2
+
+#: Least time (seconds) between a shard's previous batch and a partial
+#: one.  Every entry costs the same fixed work whatever it carries (an
+#: append and an ack per follower, a commit notice, a WAL record and, on
+#: a durable node, an fsync), so this caps partial entries at 250 a
+#: second per shard.  It also stops a few closed-loop clients from
+#: driving every core of a small host flat out, where each put's latency
+#: tracks the host's momentary CPU speed: with rounds under 1 ms on 2
+#: cores, run-to-run throughput then varies by 10-20 %.  Full batches
+#: are not held by it.
+FLUSH_INTERVAL = 0.004
 
 
 @dataclass(frozen=True)
@@ -200,7 +238,6 @@ class KVShard:
         seed: int,
         election_timeout: Tuple[float, float],
         heartbeat_interval: float,
-        batch_window: float,
         max_batch: int,
         max_inflight: int,
         snapshot_threshold: Optional[int],
@@ -213,7 +250,6 @@ class KVShard:
         self.shard_id = shard_id
         self.pid = pid
         self.engine = engine
-        self.batch_window = batch_window
         self.max_batch = max_batch
         self.max_inflight = max_inflight
         self.storage = storage
@@ -249,7 +285,16 @@ class KVShard:
         self._pending: Dict[str, asyncio.Future] = {}
         self._batch: List[TaggedPut] = []
         self._flush_handle: Optional[asyncio.TimerHandle] = None
+        self._flush_at = 0.0  # when _flush_handle fires
         self._batch_counter = 0
+        # Flush policy: how many ops to hold before proposing into an
+        # idle pipeline — the clients the last commit released, who are
+        # expected back — and the round the wait for them is counted in:
+        # the last propose-to-apply time of this leader's own proposals.
+        self._flush_target = 0
+        self._round = BATCH_WINDOW
+        self._proposal: Optional[Tuple[Any, float]] = None
+        self._flushed_at = float("-inf")  # when the last batch was proposed
         self._barrier_terms: set = set()
         # ReadIndex batching: at most one probe round in flight per
         # shard.  Reads arriving while a round is in flight queue for the
@@ -294,15 +339,9 @@ class KVShard:
         future: asyncio.Future = self.rt.create_future()
         self._pending[op.op_id] = future
         self._batch.append(op)
-        if len(self._batch) >= self.max_batch:
-            if self._flush_handle is not None:
-                self._flush_handle.cancel()
-                self._flush_handle = None
-            self._flush_batch()
-        elif self._flush_handle is None:
-            self._flush_handle = self.rt.call_later(
-                self.batch_window, self._flush_batch
-            )
+        self._maybe_flush()
+        if self._batch:
+            self._flush_within(BATCH_WINDOW)
         return future
 
     def forget(self, op_id: str) -> None:
@@ -380,6 +419,9 @@ class KVShard:
         key, value = event.detail
         if key == "applied":
             _index, _term, command = value
+            proposal = self._proposal
+            if proposal is not None and getattr(command, "batch_id", None) == proposal[0]:
+                self._round = self.rt.now() - proposal[1]
             if isinstance(command, KvBatch) and command.ops:
                 # Capture each op's result *now* — the machine just
                 # applied this very batch, so its state is the read's
@@ -403,6 +445,12 @@ class KVShard:
                     )
                     for op in command.ops
                 )
+                # Only clients waiting *here* come back here: a batch
+                # another leader proposed releases none, so a follower
+                # takes over with a target of zero.
+                pending = self._pending
+                released = sum(op.op_id in pending for op in command.ops) if pending else 0
+                self._flush_target = released + len(self._batch)
                 storage = self.storage
                 if storage is None:
                     self._resolve_ops(results)
@@ -427,18 +475,10 @@ class KVShard:
                     for _, future in due:
                         if not future.done():
                             future.set_result(applied)
-            # Group commit: a commit freed pipeline room, so flush writes
-            # that accumulated while it was full without waiting for the
-            # batch-window timer.
-            if (
-                self._batch
-                and self.node.log.last_index - self.node.commit_index
-                < self.max_inflight
-            ):
-                if self._flush_handle is not None:
-                    self._flush_handle.cancel()
-                    self._flush_handle = None
-                self.rt.call_soon(self._flush_batch)
+            # Group commit: a commit may have freed pipeline room or
+            # emptied the pipeline, so re-check the flush policy.
+            if self._batch:
+                self.rt.call_soon(self._maybe_flush)
         elif key == "read_ready":
             probe_id, read_index, ok = value
             if probe_id == self._ri_inflight:
@@ -475,10 +515,49 @@ class KVShard:
         if self.node.state is not LEADER or self.node.current_term != term:
             return
         batch = KvBatch((), batch_id=("barrier", self.pid, term))
+        self._propose(batch)
+
+    def _propose(self, batch: KvBatch) -> None:
+        self._proposal = (batch.batch_id, self.rt.now())
         self.runtime.inject(ClientPropose(batch.batch_id, batch))
 
+    def _maybe_flush(self) -> None:
+        """Propose the held batch if it is full and the pipeline has room,
+        or if nothing is uncommitted, its expected clients are back and
+        ``FLUSH_INTERVAL`` has passed since the last batch; with
+        nothing uncommitted, wait for the clients at most
+        ``IDLE_WAIT_ROUNDS`` rounds (see "Write path" above)."""
+        held = len(self._batch)
+        if not held:
+            return
+        uncommitted = self.node.log.last_index - self.node.commit_index
+        if held >= self.max_batch and uncommitted < self.max_inflight:
+            self._flush_batch()
+        elif uncommitted == 0:
+            wait = self._flushed_at + FLUSH_INTERVAL - self.rt.now()
+            if held < self._flush_target:
+                wait = max(wait, IDLE_WAIT_ROUNDS * self._round)
+            if wait > 0:
+                self._flush_within(wait)
+            else:
+                self._flush_batch()
+
+    def _flush_within(self, delay: float) -> None:
+        """Make sure the held batch is proposed within ``delay`` seconds."""
+        at = self.rt.now() + delay
+        if self._flush_handle is not None:
+            if self._flush_at <= at:
+                return
+            self._flush_handle.cancel()
+        self._flush_at = at
+        self._flush_handle = self.rt.call_later(delay, self._flush_batch)
+
     def _flush_batch(self) -> None:
-        self._flush_handle = None
+        """Propose what is held (at most ``max_batch`` ops) if the pipeline
+        has room; also the timers' callback."""
+        if self._flush_handle is not None:
+            self._flush_handle.cancel()
+            self._flush_handle = None
         if not self._batch:
             return
         if self.node.state is not LEADER:
@@ -495,21 +574,17 @@ class KVShard:
             # Pipeline full: hold the batch until commits catch up so the
             # uncommitted log (and commit latency) stays bounded.  Waiters
             # are still bounded by commit_timeout.
-            self._flush_handle = self.rt.call_later(
-                self.batch_window, self._flush_batch
-            )
+            self._flush_within(BATCH_WINDOW)
             return
         ops = tuple(self._batch[: self.max_batch])
         del self._batch[: len(ops)]
         self._batch_counter += 1
         self.flushed_batches += 1
         self.flushed_ops += len(ops)
-        batch = KvBatch(ops, batch_id=(self.pid, self._batch_counter))
-        self.runtime.inject(ClientPropose(batch.batch_id, batch))
+        self._flushed_at = self.rt.now()
+        self._propose(KvBatch(ops, batch_id=(self.pid, self._batch_counter)))
         if self._batch:
-            self._flush_handle = self.rt.call_later(
-                self.batch_window, self._flush_batch
-            )
+            self._flush_within(BATCH_WINDOW)
 
     def fail_pending(self) -> None:
         for future in self._pending.values():
@@ -555,18 +630,18 @@ class KVServer:
             (node ``i mod n`` for shard ``i``); the other nodes get a
             strictly later range so leaders spread across the cluster.
         heartbeat_interval: leader heartbeat period, in seconds.
-        batch_window: how long a shard leader waits to fold concurrent
-            client writes into one proposal.
-        max_batch: flush a batch early at this many writes.
+        max_batch: most ops one proposal carries; a full batch is
+            proposed at once if the pipeline has room.
         max_inflight: per shard, hold new proposals while this many log
-            entries are uncommitted.  Group commit: writes arriving while
-            the pipeline is full coalesce into the next batch, which is
-            flushed as soon as a commit frees a slot — so the entry rate
-            self-clocks to the commit rate and batch size adapts to load.
-            Delta replication (per-follower cursors in the Raft node)
-            makes each in-flight entry cost linear wire bytes, so the
-            default is a deep pipeline; the cap bounds commit latency and
-            uncommitted log memory, not replication traffic.
+            entries are uncommitted.  Full batches pipeline up to this
+            depth; partial ones wait for an idle pipeline and the flush
+            interval, or for the backstop (see "Write path" above), so
+            the entry rate self-clocks to the commit rate (at most one
+            partial entry per interval) and batch size adapts to load.  Delta
+            replication (per-follower cursors in the core) makes each
+            in-flight entry cost linear wire bytes, so the default is a
+            deep pipeline; the cap bounds commit latency and uncommitted
+            log memory, not replication traffic.
         commit_timeout: how long a client ``put`` may wait for commit
             before the server answers with an error (client retries).
         read_tier: default path for linearizable reads — one of
@@ -640,7 +715,6 @@ class KVServer:
         seed: int = 0,
         election_timeout: Tuple[float, float] = (0.3, 0.6),
         heartbeat_interval: float = 0.06,
-        batch_window: float = 0.005,
         max_batch: int = 64,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         commit_timeout: float = 5.0,
@@ -669,7 +743,6 @@ class KVServer:
         self.shard_count = validate_shards(shards)
         self.engines = parse_engine_spec(engine, self.shard_count)
         self.engine_spec = engine
-        self.batch_window = batch_window
         self.max_batch = max_batch
         self.max_inflight = validate_max_inflight(max_inflight)
         self.commit_timeout = commit_timeout
@@ -731,7 +804,6 @@ class KVServer:
                     seed=seed + SHARD_SEED_STRIDE * shard_id,
                     election_timeout=election_timeout,
                     heartbeat_interval=heartbeat_interval,
-                    batch_window=batch_window,
                     max_batch=max_batch,
                     max_inflight=self.max_inflight,
                     snapshot_threshold=snapshot_threshold,

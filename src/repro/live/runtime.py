@@ -24,11 +24,13 @@ Operation mapping (versus :class:`~repro.sim.async_runtime.AsyncRuntime`):
 ``Halt``           stops driving the generator
 =================  ====================================================
 
-Time in the recorded :class:`~repro.sim.trace.Trace` is wall-clock seconds
-since the runtime's ``epoch`` (shared across nodes by the harness), so the
-existing metrics, ``describe_run`` and the Section-2 property checkers
-consume live traces unchanged — decision latencies simply come out in
-seconds instead of virtual time units.
+The runtime's :class:`~repro.sim.trace.Trace` stores nothing; its
+listeners see every event (the harness collects them per node).  Time in
+an event is wall-clock seconds since the runtime's ``epoch`` (shared
+across nodes by the harness), so the existing metrics, ``describe_run``
+and the Section-2 property checkers consume live traces unchanged —
+decision latencies simply come out in seconds instead of virtual time
+units.
 """
 
 from __future__ import annotations
@@ -144,7 +146,9 @@ class LiveRuntime:
         self.n = n
         self.t = t if t is not None else (n - 1) // 2
         self.seed = seed
-        self.trace = tr.Trace(tuple(observers))
+        #: Stores nothing, so a node's memory does not grow with uptime;
+        #: listeners (``observers``) still see every event.
+        self.trace = tr.Trace(tuple(observers), record=False)
         #: The runtime seam (:mod:`repro.core.runtime`): supplies the
         #: clock and timers — wall time in production, virtual time under
         #: deterministic simulation.

@@ -34,45 +34,51 @@ class TestRaftNextIndexRepair:
         node.match_index = {1: 0, 2: 0}
         return node
 
+    @staticmethod
+    def reject(node, api, hint):
+        """A follower's refusal carrying the repair hint ``hint``."""
+        from repro.algorithms.raft.messages import AppendEntriesReply
+
+        reply = AppendEntriesReply(
+            term=2, success=False, follower_id=1, match_index=hint
+        )
+        return [op for op in drain(node._on_append_entries_reply(api, reply))
+                if isinstance(op, Send)]
+
     def test_false_ack_decrements_and_resends(self):
-        from repro.algorithms.raft.messages import AppendEntries, AppendEntriesReply
+        # A term conflict at prev 3 hints 2: the floor drops to 3 and the
+        # resend is an empty probe at prev 2, not the suffix.
+        from repro.algorithms.raft.messages import AppendEntries
 
         api = make_api()
         node = self.make_leader(api, [1, 1, 2])
-        ops = drain(
-            node._on_append_entries_reply(
-                api, AppendEntriesReply(term=2, success=False, follower_id=1)
-            )
-        )
+        sends = self.reject(node, api, hint=2)
         assert node.next_index[1] == 3
-        sends = [op for op in ops if isinstance(op, Send)]
         assert sends and isinstance(sends[0].payload, AppendEntries)
-        resend = sends[0].payload
-        assert resend.prev_log_index == 2
-        assert len(resend.entries) == 1
+        probe = sends[0].payload
+        assert probe.prev_log_index == 2
+        assert probe.entries == ()
 
     def test_repeated_false_acks_walk_back_to_the_start(self):
-        from repro.algorithms.raft.messages import AppendEntries, AppendEntriesReply
+        from repro.algorithms.raft.messages import AppendEntriesReply
 
         api = make_api()
         node = self.make_leader(api, [1, 1, 2])
-        for expected_prev in (2, 1, 0):
-            ops = drain(
-                node._on_append_entries_reply(
-                    api, AppendEntriesReply(term=2, success=False, follower_id=1)
-                )
-            )
-            resend = next(
-                op.payload for op in ops if isinstance(op, Send)
-            )
-            assert resend.prev_log_index == expected_prev
-        # The floor is next_index = 1 (prev 0, full log).
+        # Conflicts found one index further back each time walk the floor
+        # down with empty probes; a hint that does not lower it is dropped.
+        for hint in (2, 1, 0):
+            (probe,) = self.reject(node, api, hint=hint)
+            assert probe.payload.prev_log_index == hint
+            assert probe.payload.entries == ()
+            assert self.reject(node, api, hint=hint) == []
+        # The follower accepts the probe at prev 0: the full log ships once.
         ops = drain(
             node._on_append_entries_reply(
-                api, AppendEntriesReply(term=2, success=False, follower_id=1)
+                api,
+                AppendEntriesReply(term=2, success=True, follower_id=1, match_index=0),
             )
         )
-        resend = next(op.payload for op in ops if isinstance(op, Send))
+        resend = next(op.payload for op in ops if isinstance(op, Send) and op.dst == 1)
         assert resend.prev_log_index == 0
         assert len(resend.entries) == 3
 

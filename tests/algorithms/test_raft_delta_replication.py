@@ -5,25 +5,27 @@ repair floor, as in the Raft paper) and ``sent_index`` (the optimistic
 pipeline cursor — the highest index already shipped, acknowledged or not).
 Each AppendEntries carries only the suffix beyond ``sent_index``, so
 pipelining K proposals costs O(K) replicated entries instead of the
-O(K^2) a full-suffix resend per proposal would; a rejection rewinds
-``sent_index`` to the floor and the classic decrement-and-retry repair
-takes over unchanged.
+O(K^2) a full-suffix resend per proposal would.  Repair is linear too: a
+rejection carries the follower's hint, the leader drops the floor there
+and probes with empty appends until an ack, then ships one suffix.
 """
 
 import random
+from collections import deque
 
 import pytest
 
 from repro.algorithms.raft import LEADER, Put
 from repro.algorithms.raft.log import Entry
 from repro.algorithms.raft.messages import AppendEntries
+from repro.algorithms.raft.replication import HEARTBEAT
 from repro.algorithms.raft.state_machine import KeyValueStateMachine
 from repro.live.engine import ENGINES
 from repro.sim import trace as tr
 from repro.sim.failures import CrashPlan
 from repro.sim.messages import Envelope
 from repro.sim.network import ConstantDelay, NetworkConfig
-from repro.sim.ops import Send
+from repro.sim.ops import Send, TimerFired
 
 from tests.algorithms.test_raft_replication import run_replication
 
@@ -111,29 +113,39 @@ class TestCursorMechanics:
         node = leader_node(build, log_len=3)
         node.next_index[1] = 4  # stale optimism from a previous incarnation
         node.sent_index[1] = 3
-        reply = node.APPEND_REPLY_CLS(TERM, False, 1)
+        node.match_index[1] = 3
+        reply = node.APPEND_REPLY_CLS(TERM, False, 1, match_index=2)
         (msg,) = sent_appends(node._on_append_entries_reply(FakeAPI(), reply))
-        assert node.next_index[1] == 3
-        assert node.sent_index[1] >= 3  # resend advanced it again
-        assert msg.prev_log_index == 2  # probing one entry earlier
+        assert node.next_index[1] == 3  # the hint + 1
+        assert node.sent_index[1] == 2  # frozen at the floor while probing
+        assert node.match_index[1] == 2  # it lost index 3: stop counting it
+        assert msg.prev_log_index == 2 and msg.entries == ()  # an empty probe
 
     def test_repair_walks_back_to_follower_prefix(self, build):
-        # Repeated rejections walk next_index down to 1; each probe resends
-        # from the floor because the rejection rewound sent_index.
+        # Rejections walk next_index down to the follower's hints with
+        # empty probes; only the accepted probe releases the suffix.
         node = leader_node(build, log_len=3)
         node.next_index[1] = 4
         node.sent_index[1] = 3
         api = FakeAPI()
-        for expected_floor in (3, 2, 1):
+        for hint in (2, 1, 0):
             (msg,) = sent_appends(
                 node._on_append_entries_reply(
-                    api, node.APPEND_REPLY_CLS(TERM, False, 1)
+                    api, node.APPEND_REPLY_CLS(TERM, False, 1, match_index=hint)
                 )
             )
-            assert node.next_index[1] == expected_floor
-            assert msg.prev_log_index == expected_floor - 1
-        # The final probe from index 1 carries the full log: repair done.
+            assert node.next_index[1] == hint + 1
+            assert msg.prev_log_index == hint and msg.entries == ()
+        # The probe at prev 0 is accepted: the full log ships once.
+        (msg,) = sent_appends(
+            node._on_append_entries_reply(
+                api, node.APPEND_REPLY_CLS(TERM, True, 1, match_index=0)
+            ),
+            dst=1,
+        )
+        assert msg.prev_log_index == 0
         assert len(msg.entries) == 3
+        assert node.sent_index[1] == 3
 
     def test_success_ack_advances_both_cursors(self, build):
         node = leader_node(build, log_len=3)
@@ -190,6 +202,76 @@ class TestCursorMechanics:
         assert node.state is not LEADER
         assert node.current_term == 2 * TERM + 1
         assert node.leader_hint is None
+
+
+def fresh_leader(build, log_len):
+    """A leader that just won with ``log_len`` entries: every follower's
+    cursors sit at the optimistic end of the log."""
+    node = leader_node(build, log_len=log_len)
+    for pid in node.next_index:
+        node.next_index[pid] = log_len + 1
+        node.sent_index[pid] = log_len
+    return node
+
+
+def exchange(leader, follower, in_flight):
+    """Deliver messages FIFO between ``leader`` (pid 0) and ``follower``
+    (pid 1) until both are quiet; traffic to pid 2 is dropped.  Returns
+    the appends the leader sent to the follower meanwhile."""
+    queue = deque(in_flight)
+    shipped = []
+    while queue:
+        dst, payload = queue.popleft()
+        if dst == 1:
+            ops = list(follower._on_append_entries(FakeAPI(pid=1), payload))
+        else:
+            ops = list(leader._on_append_entries_reply(FakeAPI(), payload))
+        for op in ops:
+            if isinstance(op, Send) and op.dst in (0, 1):
+                if op.dst == 1:
+                    shipped.append(op.payload)
+                queue.append((op.dst, op.payload))
+    return shipped
+
+
+class TestLinearRepair:
+    """Repair ships O(K) entries to a follower K behind, over every engine."""
+
+    def test_empty_follower_catches_up_in_linear_entries(self, build):
+        leader = fresh_leader(build, log_len=300)
+        follower = build()
+        start = [(1, m) for m in sent_appends(leader._send_append_entries(FakeAPI(), 1))]
+        shipped = exchange(leader, follower, start)
+        assert follower.log.last_index == 300
+        assert leader.match_index[1] == 300
+        # Decrement-by-one with a whole-suffix resend per step ships
+        # 300 * 301 / 2 entries here.
+        assert sum(len(m.entries) for m in shipped) <= 600
+
+    def test_replayed_stale_rejections_cause_no_suffix_resend(self, build):
+        # Deltas queued for the follower while it was down are replayed to
+        # it, emptied, on reconnect: 50 rejections, all hinting index 0.
+        leader = fresh_leader(build, log_len=300)
+        follower = build()
+        stale = [
+            (1, leader.APPEND_CLS(
+                term=TERM, leader_id=0, prev_log_index=prev, prev_log_term=TERM,
+                entries=(leader.log.entry_at(prev + 1),), leader_commit=0,
+            ))
+            for prev in range(249, 299)
+        ]
+        shipped = exchange(leader, follower, stale)
+        assert [len(m.entries) for m in shipped if m.entries] == [300]
+        assert follower.log.last_index == 300
+
+    def test_lost_probe_is_resent_on_the_next_heartbeat(self, build):
+        leader = fresh_leader(build, log_len=10)
+        reject = leader.APPEND_REPLY_CLS(TERM, False, 1, match_index=4)
+        (probe,) = sent_appends(leader._on_append_entries_reply(FakeAPI(), reject))
+        assert probe.prev_log_index == 4 and probe.entries == ()
+        # The probe is lost.  Nothing else is sent until the heartbeat.
+        ops = list(leader._on_replication(FakeAPI(), TimerFired(HEARTBEAT)))
+        assert sent_appends(ops, dst=1) == [probe]
 
 
 class TestAckCoalescing:

@@ -118,10 +118,11 @@ class TestEngineConformance:
                 await client.close()
                 applied = [
                     detail
-                    for _pid, _t, detail in shard.runtime.trace.annotations(
+                    for pid, _t, detail in cluster.merged_trace().annotations(
                         "applied"
                     )
-                    if getattr(detail[2], "batch_id", None) == batch.batch_id
+                    if pid == leader
+                    and getattr(detail[2], "batch_id", None) == batch.batch_id
                 ]
                 assert len(applied) == 1, applied
             finally:

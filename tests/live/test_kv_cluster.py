@@ -1,4 +1,7 @@
-"""Replicated KV service tests: batching, redirects, leader failover.
+"""Replicated KV service tests: redirects, leader failover.
+
+The batching (flush policy) contract is pinned in virtual time by
+``test_flush_policy.py``.
 
 `test_leader_kill_loses_no_acked_write` is the CI smoke's core guarantee:
 every write acknowledged before the leader is killed must be readable
@@ -79,29 +82,25 @@ class TestBasicService:
 
         run(scenario())
 
-    def test_batching_many_concurrent_puts(self):
+    def test_put_with_a_list_value_is_acknowledged(self):
+        # A list value makes the whole batch unhashable: the leader's
+        # duplicate-proposal check must fall back to a scan, not raise.
         async def scenario():
-            cluster = LiveKVCluster(3, seed=12, **FAST)
+            cluster = LiveKVCluster(3, seed=14, **FAST)
             await cluster.start()
             try:
-                leader = await cluster.wait_for_leader(timeout=15.0)
-                clients = [AsyncKVClient(cluster.cluster) for _ in range(8)]
-                await asyncio.gather(*(
-                    client.put(f"key-{i}", i)
-                    for i, client in enumerate(clients)
-                ))
-                server = cluster.servers[leader]
-                # 8 concurrent puts must not take 8 separate log entries:
-                # the barrier no-op plus at most a handful of batches.
-                assert server.node.commit_index < 9
-                response = await clients[0].get("key-3")
-                assert response["value"] == 3
-                for client in clients:
-                    await client.close()
+                await cluster.wait_for_leader(timeout=15.0)
+                client = AsyncKVClient(cluster.cluster, max_attempts=2)
+                index = await client.put("listy", [1, [2, 3]])
+                assert index >= 1
+                response = await client.get("listy", linearizable=True)
+                assert response["found"] and list(response["value"])[0] == 1
+                assert await client.put("after", "ok") > index
+                await client.close()
             finally:
                 await cluster.stop()
 
-        run(scenario())
+        sim_run(scenario())
 
     def test_follower_redirects_to_leader(self):
         async def scenario():

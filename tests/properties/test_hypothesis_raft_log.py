@@ -77,6 +77,49 @@ def test_terms_remain_monotone(entries):
     assert terms == sorted(terms)
 
 
+#: Commands with duplicates and unhashable members (a client may put a
+#: list value, which makes its batch unhashable).
+COMMANDS = ["a", "b", ("t", 1), ("t", 2), ["l", 1], ["l", 2]]
+
+
+@st.composite
+def mutation(draw, log):
+    """One random mutation of ``log``, applied; returns its name."""
+    kind = draw(st.sampled_from(["append", "try_append", "compact", "install"]))
+    command = st.sampled_from(COMMANDS)
+    if kind == "append":
+        log.append_new(Entry(draw(st.integers(1, 4)), draw(command)))
+    elif kind == "try_append":
+        prev = draw(st.integers(0, log.last_index + 1))
+        term = draw(st.integers(0, 4))
+        if log.snapshot_index <= prev <= log.last_index and draw(st.booleans()):
+            term = log.term_at(prev)  # passes the check: may truncate a conflict
+        entries = draw(st.lists(
+            st.builds(Entry, st.integers(1, 4), command), max_size=4
+        ))
+        log.try_append(prev, term, entries)
+    elif kind == "compact":
+        log.compact_to(draw(st.integers(log.snapshot_index, log.last_index)))
+    else:
+        index = draw(st.integers(0, log.last_index + 2))
+        term = draw(st.integers(1, 4))
+        if log.snapshot_index <= index <= log.last_index and draw(st.booleans()):
+            term = log.term_at(index)  # keeps the matching suffix
+        log.install_snapshot(index, term)
+    return kind
+
+
+@given(leader_history(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_contains_command_index_agrees_with_a_scan(entries, data):
+    log = RaftLog(entries)
+    for _ in range(data.draw(st.integers(1, 25))):
+        data.draw(mutation(log))
+        retained = [entry.command for entry in log.as_list()]
+        for command in COMMANDS + ["cmd-0", "cmd-1", "absent"]:
+            assert log.contains_command(command) == (command in retained)
+
+
 @given(leader_history(), st.integers(0, 6), st.integers(0, 14))
 @settings(max_examples=100, deadline=None)
 def test_up_to_date_is_a_total_preorder_with_self(entries, other_term, other_index):
