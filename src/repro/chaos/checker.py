@@ -36,7 +36,7 @@ and stable enough to paste into a regression test.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chaos.history import GET, PUT, History, OpRecord
@@ -267,8 +267,12 @@ def _minimal_witness(
     """A minimal non-linearizable prefix, by completion order.
 
     Prefix ``k`` contains the first ``k`` completed ops (by return time)
-    plus every open op invoked before the ``k``-th return (they might
-    have taken effect inside the prefix).  Because the full history is
+    plus, as open-ended ops, every put invoked by the ``k``-th return
+    that had not returned by then — an open op, or a completed put that
+    returns later.  Either might have taken effect inside the prefix: a
+    read there may legally observe a write still in flight, and must not
+    be blamed for it.  (A later-returning read is left out: in flight, it
+    constrains nothing.)  Because the full history is
     non-linearizable and prefix ``0`` is trivially linearizable, some
     failing ``k`` exists.  Doubling finds a failing prefix in
     O(log) checks, then binary search narrows to the smallest ``k``
@@ -282,14 +286,16 @@ def _minimal_witness(
     )
     opens = [op for op in entries if op.open]
 
-    def prefix(k: int) -> List[OpRecord]:
+    def in_flight(k: int) -> List[OpRecord]:
         horizon = completed[k - 1].ret
-        out = completed[:k] + [op for op in opens if op.inv <= horizon]
-        out.sort(key=lambda o: o.inv)
-        return out
+        return [
+            op for op in completed[k:] + opens
+            if op.kind == PUT and op.inv <= horizon
+        ]
 
     def fails(k: int) -> Optional[bool]:
-        verdict = _KeySearch(prefix(k), budget).check()
+        ops = completed[:k] + [replace(op, ret=None) for op in in_flight(k)]
+        verdict = _KeySearch(ops, budget).check()
         return None if verdict is None else (verdict is False)
 
     total = len(completed)
@@ -322,7 +328,7 @@ def _minimal_witness(
             hi = mid
         else:
             lo = mid
-    witness = prefix(hi)
+    witness = sorted(completed[:hi] + in_flight(hi), key=lambda o: o.inv)
     return witness, _describe_violation(witness, completed[hi - 1])
 
 

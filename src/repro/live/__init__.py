@@ -10,7 +10,7 @@ and a real localhost/network cluster.
 
 Layers, bottom up:
 
-* :mod:`repro.live.wire` — length-prefixed JSON framing.
+* :mod:`repro.live.wire` — length-prefixed framing in the binary codec.
 * :mod:`repro.live.codec` — registers every algorithm message with the
   lossless wire codec in :mod:`repro.sim.serialize`.
 * :mod:`repro.live.transport` — per-peer connections, reconnect with

@@ -29,7 +29,7 @@ from repro.live.client import AsyncKVClient
 from repro.live.config import (
     DEFAULT_MAX_INFLIGHT,
     ClusterConfig,
-    TuningConfig,
+    validate_max_inflight,
     validate_shards,
 )
 from repro.live.engine import DEFAULT_ENGINE, ENGINES, EngineError, parse_engine_spec
@@ -45,10 +45,9 @@ from repro.storage.engine import SYNC_MODES, StorageQuarantineError
 
 def _parse_max_inflight(text: str) -> int:
     try:
-        tuning = TuningConfig(max_inflight=int(text))
+        return validate_max_inflight(int(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    return tuning.max_inflight
 
 
 def _parse_shards(text: str) -> int:
@@ -99,7 +98,7 @@ async def _check_engine(client: AsyncKVClient, expected: str) -> None:
         except (ConnectionError, OSError, asyncio.TimeoutError,
                 asyncio.IncompleteReadError):
             continue
-        advertised = status.get("engine", DEFAULT_ENGINE)
+        advertised = status["engine"]
         if advertised != expected:
             raise EngineError(
                 f"cluster runs engine {advertised!r}, not {expected!r} "
@@ -107,16 +106,6 @@ async def _check_engine(client: AsyncKVClient, expected: str) -> None:
             )
         return
     raise EngineError("no node reachable to confirm the cluster engine")
-
-
-def _add_codec_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--codec",
-        choices=("binary", "json"),
-        default="binary",
-        help="wire codec: binary (default) or json for debugging / "
-        "cross-version runs; receivers auto-detect per frame",
-    )
 
 
 def _parse_timeout_range(spec: str) -> Tuple[float, float]:
@@ -182,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="S",
         help="independent consensus groups hosted by this node; must match "
-        "the rest of the cluster (default 1, the pre-sharding behaviour)",
+        "the rest of the cluster (default 1)",
     )
     _add_engine_argument(serve, serve=True)
     serve.add_argument(
@@ -278,11 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="replication pipeline depth: hold new proposals while this "
         f"many entries are uncommitted (>= 1, default {DEFAULT_MAX_INFLIGHT})",
     )
-    _add_codec_argument(serve)
 
     client = commands.add_parser("client", help="issue one KV request")
     _add_peers_argument(client)
-    _add_codec_argument(client)
     _add_client_shards_argument(client)
     _add_engine_argument(client, serve=False)
     sub = client.add_subparsers(dest="operation", required=True)
@@ -373,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="issue the gets as bounded-stale follower reads with this "
         "staleness bound instead of linearizable reads",
     )
-    _add_codec_argument(loadgen)
     _add_client_shards_argument(loadgen)
     _add_engine_argument(loadgen, serve=False)
     loadgen.add_argument(
@@ -388,12 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _format_pipeline(pipeline: dict) -> str:
     """One human line of commit-pipeline health (serve + client status)."""
     return (
-        f"sync={pipeline.get('sync_mode', 'inline')} "
-        f"fsync_queue={pipeline.get('fsync_queue_depth', 0)} "
-        f"watermark_lag={pipeline.get('watermark_lag', 0)} "
-        f"fsyncs/commit={pipeline.get('fsyncs_per_commit', 0.0)} "
-        f"batch_occupancy={pipeline.get('batch_occupancy', 0.0)} "
-        f"frames/write={pipeline.get('frames_per_write', 0.0)}"
+        f"sync={pipeline['sync_mode']} "
+        f"fsync_queue={pipeline['fsync_queue_depth']} "
+        f"watermark_lag={pipeline['watermark_lag']} "
+        f"fsyncs/commit={pipeline['fsyncs_per_commit']} "
+        f"batch_occupancy={pipeline['batch_occupancy']} "
+        f"frames/write={pipeline['frames_per_write']}"
     )
 
 
@@ -440,7 +426,6 @@ async def _serve(args: argparse.Namespace) -> int:
             lease_duration=args.lease_duration,
             drift_bound=args.drift_bound,
             staleness_bound=args.staleness_bound,
-            transport_options={"codec": args.codec},
         )
     except StorageQuarantineError as exc:
         # Strict mode: corrupt durable state must not silently become an
@@ -490,7 +475,7 @@ async def _serve(args: argparse.Namespace) -> int:
 
 
 async def _client(args: argparse.Namespace) -> int:
-    client = AsyncKVClient(args.peers, codec=args.codec, shards=args.shards)
+    client = AsyncKVClient(args.peers, shards=args.shards)
     try:
         if args.engine is not None:
             try:
@@ -523,28 +508,25 @@ async def _client(args: argparse.Namespace) -> int:
                         asyncio.IncompleteReadError):
                     print(f"node {pid}: unreachable")
                     continue
-                reads = f" reads={status['read_tier']}" \
-                    if "read_tier" in status else ""
+                reads = f" reads={status['read_tier']}"
                 lease = status.get("lease_remaining")
                 if lease is not None and lease > 0:
                     reads += f" lease={lease:.2f}s"
                 print(
                     f"node {pid}: {status['role']} "
-                    f"engine={status.get('engine', DEFAULT_ENGINE)} "
+                    f"engine={status['engine']} "
                     f"term={status['term']} "
                     f"commit={status['commit_index']} "
                     f"applied={status['applied']} "
                     f"leader={status['leader']}{reads}"
                 )
-                for group in status.get("groups", [])[1:]:
+                for group in status["groups"][1:]:
                     print(
                         f"  shard {group['shard']}: {group['role']} "
                         f"term={group['term']} commit={group['commit_index']} "
                         f"applied={group['applied']} leader={group['leader']}"
                     )
-                pipeline = status.get("pipeline")
-                if pipeline:
-                    print(f"  pipeline: {_format_pipeline(pipeline)}")
+                print(f"  pipeline: {_format_pipeline(status['pipeline'])}")
     finally:
         await client.close()
     return 0
@@ -552,7 +534,7 @@ async def _client(args: argparse.Namespace) -> int:
 
 async def _loadgen(args: argparse.Namespace) -> int:
     if args.engine is not None:
-        probe = AsyncKVClient(args.peers, codec=args.codec, shards=args.shards)
+        probe = AsyncKVClient(args.peers, shards=args.shards)
         try:
             await _check_engine(probe, args.engine)
         except EngineError as exc:
@@ -573,7 +555,6 @@ async def _loadgen(args: argparse.Namespace) -> int:
             key_space=args.key_space,
             value_size=args.value_size,
             seed=args.seed,
-            codec=args.codec,
             key_dist=args.key_dist,
             zipf_s=args.zipf_s,
             shards=args.shards,
@@ -587,7 +568,6 @@ async def _loadgen(args: argparse.Namespace) -> int:
             key_space=args.key_space,
             value_size=args.value_size,
             seed=args.seed,
-            codec=args.codec,
             key_dist=args.key_dist,
             zipf_s=args.zipf_s,
             shards=args.shards,

@@ -4,13 +4,14 @@
 every ``put`` locally (:func:`repro.live.sharding.shard_of` — the same
 hash the servers use), keeps a per-shard leader hint learned from
 redirects, and pools one connection per node so requests for different
-shards reuse sockets.  Writes are at-least-once: a timed-out ``put`` is
-retried with the same ``op_id``, so the worst case is a duplicate apply
-of an idempotent put.
+shards reuse sockets.  Writes are at-least-once: a timed-out or
+redirected ``put`` is retried with the same ``op_id``, which the servers
+do not deduplicate, so a retry can be applied twice — possibly after
+another client's write to the key, undoing it.  That is an open bug (see
+"Delivery semantics" in :mod:`repro.live.kv`), not a harmless repeat.
 
 The shard count is discovered from the cluster on first use (the
-``status`` response carries it), so clients need no configuration and a
-pre-sharding server (no ``shards`` field) is treated as one group.
+``status`` response carries it), so clients need no configuration.
 Reads (``get``) are served from *any* node's local state machine — every
 node replicates every shard — so they follow no shard routing.
 """
@@ -25,7 +26,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.core.runtime import Runtime, current_runtime
 from repro.live.config import ClusterConfig
 from repro.live.sharding import ShardRouter
-from repro.live.wire import enable_nodelay, frame_bytes, get_codec, read_frame
+from repro.live.wire import enable_nodelay, frame_bytes, read_frame
 
 Addr = Tuple[str, int]
 
@@ -43,9 +44,6 @@ class AsyncKVClient:
         max_attempts: total tries (across redirects and reconnects) before
             an operation raises :class:`ClusterUnavailableError`.
         retry_delay: pause between failed attempts (elections need a beat).
-        codec: wire codec for requests (``"binary"`` default, ``"json"``
-            for debugging).  Servers answer in the request's codec, so
-            this needs no coordination with the cluster.
         shards: the cluster's shard count; ``None`` (the default)
             discovers it with a ``status`` request on first use.
         op_id_prefix: deterministic ``op_id`` generation — ids become
@@ -65,7 +63,6 @@ class AsyncKVClient:
         request_timeout: float = 5.0,
         max_attempts: int = 30,
         retry_delay: float = 0.1,
-        codec: Any = None,
         shards: Optional[int] = None,
         op_id_prefix: Optional[str] = None,
         runtime: Optional[Runtime] = None,
@@ -73,7 +70,6 @@ class AsyncKVClient:
         self.cluster = cluster
         self.rt = runtime if runtime is not None else current_runtime()
         self.op_id_prefix = op_id_prefix
-        self.codec = get_codec(codec)
         self.request_timeout = request_timeout
         self.max_attempts = max_attempts
         self.retry_delay = retry_delay
@@ -102,8 +98,8 @@ class AsyncKVClient:
         if op_id is None:
             op_id = self._next_op_id()
         router = await self._ensure_router()
-        # One group: fall back to the pre-sharding behaviour exactly
-        # (rotate over nodes, follow redirects on the shared target).
+        # One group: rotate over nodes and follow redirects on the shared
+        # target, so plain gets follow the leader too.
         shard = router.shard_of(key) if router.shards > 1 else None
         response = await self._request(
             {"type": "put", "id": op_id, "key": key, "value": value},
@@ -191,7 +187,7 @@ class AsyncKVClient:
             for addr in order:
                 try:
                     reader, writer = await self._connect(addr)
-                    writer.write(frame_bytes(request, self.codec))
+                    writer.write(frame_bytes(request))
                     await writer.drain()
                     response = await asyncio.wait_for(
                         read_frame(reader), timeout=self.request_timeout
@@ -224,7 +220,7 @@ class AsyncKVClient:
         )
         enable_nodelay(writer)
         try:
-            writer.write(frame_bytes({"type": "status"}, self.codec))
+            writer.write(frame_bytes({"type": "status"}))
             await writer.drain()
             return await asyncio.wait_for(
                 read_frame(reader), timeout=self.request_timeout
@@ -241,10 +237,11 @@ class AsyncKVClient:
                     asyncio.IncompleteReadError):
                 continue
             groups = status.get("groups")
-            if isinstance(groups, list) and shard < len(groups):
-                if groups[shard].get("role") == "leader":
-                    return status.get("pid")
-            elif shard == 0 and status.get("role") == "leader":
+            if (
+                isinstance(groups, list)
+                and shard < len(groups)
+                and groups[shard].get("role") == "leader"
+            ):
                 return status.get("pid")
         return None
 
@@ -264,10 +261,9 @@ class AsyncKVClient:
     async def _ensure_router(self) -> ShardRouter:
         if self._router is None:
             status = await self._request({"type": "status"}, want="status")
-            shards = status.get("shards", 1)
-            if not isinstance(shards, int) or shards < 1:
-                shards = 1
-            self._router = ShardRouter(self.cluster, shards)
+            # ShardRouter validates the count: it is input from outside
+            # the program (a missing or bad one raises ValueError).
+            self._router = ShardRouter(self.cluster, status.get("shards"))
         return self._router
 
     async def _request(
@@ -303,8 +299,7 @@ class AsyncKVClient:
             self._router.note_leader(shard, addr)
             if self._router.shards == 1:
                 # One group: the shard leader IS the cluster leader, so
-                # un-routed requests (status/get) follow it too — exactly
-                # the pre-sharding client's behaviour.
+                # un-routed requests (status/get) follow it too.
                 self._target = addr
         else:
             self._target = addr
@@ -317,7 +312,7 @@ class AsyncKVClient:
             addr = self._addr_for(shard)
             try:
                 reader, writer = await self._connect(addr)
-                writer.write(frame_bytes(request, self.codec))
+                writer.write(frame_bytes(request))
                 await writer.drain()
                 response = await asyncio.wait_for(
                     read_frame(reader), timeout=self.request_timeout

@@ -47,38 +47,6 @@ def validate_shards(value: int) -> int:
 
 
 @dataclass(frozen=True)
-class TuningConfig:
-    """Hot-path knobs exposed on the ``serve``/``loadgen`` CLIs.
-
-    Args:
-        max_inflight: replication pipeline depth (entries proposed but not
-            yet committed before the KV frontend holds new batches).
-        codec: wire codec name — ``"binary"`` (default) or ``"json"`` for
-            debugging and cross-version runs.  Receivers auto-detect per
-            frame, so nodes with different codecs interoperate.
-        shards: independent Raft groups hosted by every node.  Keys are
-            hash-partitioned across shards (:mod:`repro.live.sharding`),
-            so throughput scales with leaders instead of being capped by
-            one.  ``1`` (the default) is wire-compatible with pre-sharding
-            nodes.
-    """
-
-    max_inflight: int = DEFAULT_MAX_INFLIGHT
-    codec: str = "binary"
-    shards: int = 1
-
-    def __post_init__(self) -> None:
-        validate_max_inflight(self.max_inflight)
-        validate_shards(self.shards)
-        from repro.live.wire import CODECS
-
-        if self.codec not in CODECS:
-            raise ValueError(
-                f"unknown codec {self.codec!r} (choose from {sorted(CODECS)})"
-            )
-
-
-@dataclass(frozen=True)
 class NodeSpec:
     """One cluster member's network identity."""
 

@@ -21,9 +21,7 @@ request touches exactly one shard.  Leader placement is staggered: shard
 ``i`` prefers starting leadership on node ``i mod n``
 (:func:`~repro.live.sharding.staggered_election_timeout`), so the ``S``
 leaders — and therefore the replication fan-out and client write load —
-spread across the cluster instead of piling on one node.  With
-``shards=1`` (the default) the server is wire-compatible with pre-sharding
-nodes and clients.
+spread across the cluster instead of piling on one node.
 
 Write path
 ----------
@@ -76,10 +74,15 @@ it on purpose — any node that *believes* it is leader answers ``lin``
 reads straight from local state — giving the checker a known consistency
 bug (stale reads from a deposed leader during partitions) to catch.
 
-Delivery semantics are at-least-once: a client that times out and retries
-a ``put`` may apply it twice; puts are idempotent per (key, value), and
-the ``op_id`` carried by :class:`TaggedPut` keeps retries from being
-deduplicated *against other clients'* writes.
+Delivery semantics are at-least-once, and that is an open bug: a client
+that times out or is redirected resends a ``put`` with the same
+``op_id``, the retry is re-batched under a fresh ``batch_id``, and
+:class:`KVCommandMachine` applies every :class:`TaggedPut` without
+checking the id.  When a deposed leader's entry survives into the next
+leader's log, the op is applied twice, and the second apply can land
+after another client's write to the same key and undo it — a
+linearizability violation, not a harmless repeat.  The ``op_id`` only
+keeps two same-valued writes from different requests distinct commands.
 """
 
 from __future__ import annotations
@@ -104,13 +107,7 @@ from repro.live.engine import DEFAULT_ENGINE, ConsensusEngine, parse_engine_spec
 from repro.live.runtime import LiveRuntime, derive_process_seed
 from repro.live.sharding import shard_of
 from repro.live.transport import PeerTransport
-from repro.live.wire import (
-    decode_body,
-    detect_codec,
-    enable_nodelay,
-    frame_bytes,
-    read_frame_bytes,
-)
+from repro.live.wire import decode_body, enable_nodelay, frame_bytes, read_frame_bytes
 from repro.sim import trace as tr
 from repro.sim.serialize import WireError, register_wire_type
 from repro.storage.engine import SYNC_MODES, RaftStorage
@@ -613,8 +610,7 @@ class KVServer:
         cluster: full membership.
         pid: this node's pid.
         shards: independent consensus groups hosted by every node.  Keys
-            are hash-partitioned across them; ``1`` (the default)
-            preserves the pre-sharding wire behaviour exactly.
+            are hash-partitioned across them (default ``1``).
         engine: consensus-engine spec — one of
             :data:`repro.live.engine.ENGINES` (``raft``, ``paxos``,
             ``ct``), or a comma-separated list naming one engine per
@@ -815,12 +811,13 @@ class KVServer:
                 )
             )
         self._client_server: Optional[Any] = None
-        self._client_writers: List[asyncio.StreamWriter] = []
+        #: Running client-connection handlers and their writers.
+        self._clients: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._watchdog: Optional[asyncio.Task] = None
         self._lease_renewer: Optional[asyncio.Task] = None
 
     # ------------------------------------------------------------------
-    # Single-group compatibility surface (shard 0)
+    # Shard 0 shortcuts (the whole node when ``shards == 1``)
     # ------------------------------------------------------------------
 
     @property
@@ -876,11 +873,12 @@ class KVServer:
             self._lease_renewer = None
         if self._client_server is not None:
             self._client_server.close()
-            await self._client_server.wait_closed()
-            self._client_server = None
-        for writer in list(self._client_writers):
+        # Cancel the client handlers, parked mid-request or not; they are
+        # awaited once the shards have stopped.
+        clients, self._clients = self._clients, {}
+        for task, writer in clients.items():
             writer.close()
-        self._client_writers.clear()
+            task.cancel()
         for shard in self.shards:
             shard.fail_pending()
             await shard.runtime.stop(crash=crash)
@@ -890,6 +888,15 @@ class KVServer:
                 else:
                     shard.storage.close()
         await self.transport.stop()
+        for task in clients:
+            try:
+                await task
+            except (asyncio.CancelledError, Exception):
+                pass
+        # After the handlers end: newer Pythons block here until they do.
+        if self._client_server is not None:
+            await self._client_server.wait_closed()
+            self._client_server = None
 
     def _on_transport_event(self, kind: str, peer: int) -> None:
         # One shared link per peer: record connect/disconnect once, into
@@ -988,31 +995,27 @@ class KVServer:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._client_writers.append(writer)
+        task = asyncio.current_task()
+        self._clients[task] = writer
         enable_nodelay(writer)
         try:
             while True:
-                body = await read_frame_bytes(reader)
-                # Reply in the request's codec: binary clients get binary
-                # responses, JSON clients (older versions, humans with
-                # netcat) get JSON — no negotiation needed.
-                codec = detect_codec(body)
-                request = decode_body(body)
-                if not isinstance(request, dict):
-                    writer.write(
-                        frame_bytes({"type": "error", "reason": "bad request"}, codec)
-                    )
-                    await writer.drain()
-                    continue
-                response = await self._serve(request)
-                writer.write(frame_bytes(response, codec))
+                request = decode_body(await read_frame_bytes(reader))
+                if isinstance(request, dict):
+                    response = await self._serve(request)
+                else:
+                    response = {"type": "error", "reason": "bad request"}
+                writer.write(frame_bytes(response))
                 await writer.drain()
-        except (ConnectionError, OSError, asyncio.IncompleteReadError, WireError):
+        except asyncio.CancelledError:
+            # stop() cancelled us: end quietly, since asyncio's stream
+            # protocol logs a handler task that finishes cancelled.
             pass
+        except (ConnectionError, OSError, asyncio.IncompleteReadError, WireError):
+            pass  # a body that does not decode closes its connection
         finally:
             writer.close()
-            if writer in self._client_writers:
-                self._client_writers.remove(writer)
+            self._clients.pop(task, None)
 
     async def _serve(self, request: Dict[str, Any]) -> Dict[str, Any]:
         kind = request.get("type")

@@ -150,16 +150,12 @@ def _value(i: int, value_size: int) -> str:
 
 
 async def _discover_shards(
-    cluster: ClusterConfig,
-    shards: Optional[int],
-    *,
-    codec: Any,
-    request_timeout: float,
+    cluster: ClusterConfig, shards: Optional[int], *, request_timeout: float
 ) -> int:
     """Resolve the shard count once so every worker client skips discovery."""
     if shards is not None:
         return shards
-    probe = AsyncKVClient(cluster, request_timeout=request_timeout, codec=codec)
+    probe = AsyncKVClient(cluster, request_timeout=request_timeout)
     try:
         return await probe.shard_count()
     finally:
@@ -175,7 +171,6 @@ async def run_closed_loop(
     value_size: int = 16,
     seed: int = 0,
     request_timeout: float = 5.0,
-    codec: Any = None,
     key_dist: str = "uniform",
     zipf_s: float = 1.1,
     shards: Optional[int] = None,
@@ -193,7 +188,7 @@ async def run_closed_loop(
         raise ValueError(f"read_ratio must be in [0, 1], got {read_ratio}")
     sample_key = make_key_sampler(key_dist, key_space, zipf_s)
     shard_count = await _discover_shards(
-        cluster, shards, codec=codec, request_timeout=request_timeout
+        cluster, shards, request_timeout=request_timeout
     )
     latencies: List[float] = []
     acked: Dict[Any, Any] = {}
@@ -206,8 +201,7 @@ async def run_closed_loop(
         nonlocal errors, reads, writes
         rng = random.Random((seed << 8) | worker_id)
         client = AsyncKVClient(
-            cluster, request_timeout=request_timeout, codec=codec,
-            shards=shard_count,
+            cluster, request_timeout=request_timeout, shards=shard_count
         )
         try:
             while True:
@@ -269,7 +263,6 @@ async def run_open_loop(
     max_outstanding: int = 512,
     max_connections: int = 64,
     request_timeout: float = 5.0,
-    codec: Any = None,
     key_dist: str = "uniform",
     zipf_s: float = 1.1,
     shards: Optional[int] = None,
@@ -290,7 +283,7 @@ async def run_open_loop(
         raise ValueError(f"read_ratio must be in [0, 1], got {read_ratio}")
     sample_key = make_key_sampler(key_dist, key_space, zipf_s)
     shard_count = await _discover_shards(
-        cluster, shards, codec=codec, request_timeout=request_timeout
+        cluster, shards, request_timeout=request_timeout
     )
     latencies: List[float] = []
     acked: Dict[Any, Any] = {}
@@ -312,8 +305,7 @@ async def run_open_loop(
             return free.get_nowait()
         if len(pool) < max_connections:
             client = AsyncKVClient(
-                cluster, request_timeout=request_timeout, codec=codec,
-                shards=shard_count,
+                cluster, request_timeout=request_timeout, shards=shard_count
             )
             pool.append(client)
             return client

@@ -107,8 +107,7 @@ class LiveRuntime:
         transport_options: kwargs forwarded to the default transport.
         shard: this runtime's Raft-group id when several groups share one
             transport.  Outbound frames are tagged with it and inbound
-            frames for it are routed here; shard 0 (the default) is the
-            pre-sharding wire encoding.
+            frames for it are routed here (default 0).
         storage: the process's durable storage
             (:class:`repro.storage.engine.RaftStorage`), if any.  The
             runtime is its **sync barrier**: before any message leaves

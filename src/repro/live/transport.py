@@ -38,12 +38,11 @@ frame, so a black-holed link also goes idle-dead — exactly a partition.
 Sharding
 --------
 One transport (one socket pair per peer) carries every Raft group a node
-hosts: each ``msg`` frame is tagged with its shard id (shard 0 uses the
-untagged legacy encoding — see :mod:`repro.live.wire`) and inbound frames
-are demultiplexed to the handler registered for that shard via
-:meth:`PeerTransport.add_handler`.  Frames for a shard with no handler
-are counted (``stats.unrouted``) and dropped, which is just message loss
-to the algorithms.
+hosts: each ``msg`` frame is tagged with its shard id (see
+:mod:`repro.live.wire`) and inbound frames are demultiplexed to the
+handler registered for that shard via :meth:`PeerTransport.add_handler`.
+Frames for a shard with no handler are counted (``stats.unrouted``) and
+dropped, which is just message loss to the algorithms.
 """
 
 from __future__ import annotations
@@ -57,22 +56,25 @@ from repro.core.runtime import Runtime, current_runtime
 from repro.live.config import ClusterConfig
 from repro.live.wire import (
     FrameError,
-    WireCodec,
     encode_peer_frame,
     encode_peer_frame_into,
     enable_nodelay,
-    get_codec,
     parse_peer_frame,
     read_frame_bytes,
     decode_body,
 )
+from repro.sim.serialize import WireError
 
 #: on_message(src_pid, payload, sender_elapsed_time_or_None)
 MessageHandler = Callable[[int, Any, Optional[float]], None]
 #: on_event("connect" | "disconnect", peer_pid)
 EventHandler = Callable[[str, int], None]
 
-_RECOVERABLE = (ConnectionError, OSError, asyncio.IncompleteReadError, FrameError)
+#: Failures that end one connection (it is dropped, or re-dialed) and
+#: nothing else: a frame that cannot be decoded is one of them.
+_RECOVERABLE = (
+    ConnectionError, OSError, asyncio.IncompleteReadError, FrameError, WireError
+)
 
 #: Valid ``direction`` values for :meth:`PeerTransport.set_link_fault`.
 FAULT_DIRECTIONS = ("both", "in", "out")
@@ -161,9 +163,10 @@ class PeerTransport:
     Args:
         cluster: full membership (this node's listen address included).
         pid: this node's pid.
-        on_message: called on the event loop for every received shard-0
-            payload (``None`` when handlers are registered later with
-            :meth:`add_handler` — the sharded KV server does this).
+        on_message: handler for shard 0, the same as
+            ``add_handler(0, on_message)`` (``None`` when handlers are
+            registered later with :meth:`add_handler` — the KV server
+            does this).
         on_event: optional connect/disconnect notifications (the live
             runtime records them into the trace).
         heartbeat_interval: idle time after which a ``ping`` frame is sent
@@ -174,11 +177,6 @@ class PeerTransport:
         connect_timeout: per-dial timeout.
         reconnect_base / reconnect_max: exponential-backoff bounds.
         max_queue: per-peer buffer of undelivered payloads.
-        codec: wire codec name (``"binary"`` default, ``"json"`` for
-            debugging / cross-version runs) or a
-            :class:`~repro.live.wire.WireCodec`.  Applies to *sending*;
-            receiving always auto-detects per frame, so mixed-codec
-            clusters interoperate.
         max_coalesce_bytes: outbound frames queued behind one another are
             packed into a single socket write up to this many bytes (one
             syscall and one drain for a whole replication burst).
@@ -204,7 +202,6 @@ class PeerTransport:
         reconnect_max: float = 2.0,
         max_queue: int = 10_000,
         jitter_seed: Optional[int] = None,
-        codec: Any = None,
         max_coalesce_bytes: int = 256 * 1024,
         link_delay: float = 0.0,
         runtime: Optional[Runtime] = None,
@@ -215,14 +212,11 @@ class PeerTransport:
         #: in-memory deterministic network under DST (see
         #: :mod:`repro.core.runtime`).
         self.runtime = runtime if runtime is not None else current_runtime()
-        #: Shard-0 handler; kept as a plain attribute (not an entry in
-        #: ``_handlers``) so existing single-group users can read and
-        #: swap it directly.
-        self.on_message = on_message
-        #: Handlers for shards >= 1 (see :meth:`add_handler`).
+        #: Inbound message handler per shard (see :meth:`add_handler`).
         self._handlers: Dict[int, MessageHandler] = {}
+        if on_message is not None:
+            self._handlers[0] = on_message
         self.on_event = on_event
-        self.codec: WireCodec = get_codec(codec)
         self.max_coalesce_bytes = max_coalesce_bytes
         self.heartbeat_interval = heartbeat_interval
         self.idle_timeout = (
@@ -303,17 +297,11 @@ class PeerTransport:
     # ------------------------------------------------------------------
 
     def add_handler(self, shard: int, handler: MessageHandler) -> None:
-        """Register ``handler`` for inbound frames tagged with ``shard``.
-
-        Shard 0 is the :attr:`on_message` attribute (the pre-sharding
-        interface); registering it here just assigns that attribute.
-        """
+        """Register ``handler`` (replacing any) for inbound frames tagged
+        with ``shard``."""
         if shard < 0:
             raise ValueError(f"shard must be >= 0, got {shard}")
-        if shard == 0:
-            self.on_message = handler
-        else:
-            self._handlers[shard] = handler
+        self._handlers[shard] = handler
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -406,7 +394,7 @@ class PeerTransport:
                     timeout=self.connect_timeout,
                 )
                 enable_nodelay(writer)
-                hello = encode_peer_frame("hello", self.codec, pid=self.pid)
+                hello = encode_peer_frame("hello", pid=self.pid)
                 writer.write(hello)
                 self.stats.bytes_sent += len(hello)
                 await writer.drain()
@@ -450,7 +438,6 @@ class PeerTransport:
         # Checked every iteration rather than relying on cancellation:
         # ``wait_for`` can swallow a cancel that races with the awaited
         # future completing, leaving this task alive after ``stop()``.
-        codec = self.codec
         stats = self.stats
         budget = self.max_coalesce_bytes
         while not self._closed:
@@ -468,7 +455,7 @@ class PeerTransport:
                         # looks dead, exactly like a partition.
                         self.stats.faulted += 1
                         continue
-                    ping = encode_peer_frame("ping", codec)
+                    ping = encode_peer_frame("ping")
                     writer.write(ping)
                     stats.pings += 1
                     stats.bytes_sent += len(ping)
@@ -480,7 +467,7 @@ class PeerTransport:
             while queue and len(buffer) < budget:
                 payload, send_time, shard = queue.popleft()
                 encode_peer_frame_into(
-                    buffer, "msg", codec, payload=payload, ts=send_time, shard=shard
+                    buffer, "msg", payload=payload, ts=send_time, shard=shard
                 )
                 frames += 1
             stats.sent += frames
@@ -530,10 +517,7 @@ class PeerTransport:
                     if fault is not None and fault.discards(self._fault_rng):
                         self.stats.faulted += 1
                         continue
-                    handler = (
-                        self.on_message if shard == 0
-                        else self._handlers.get(shard)
-                    )
+                    handler = self._handlers.get(shard)
                     delay = self.link_delay + (
                         fault.delay if fault is not None else 0.0
                     )

@@ -1,35 +1,19 @@
-"""Length-prefixed framing over asyncio streams, with pluggable codecs.
+"""Length-prefixed framing over asyncio streams, in one binary encoding.
 
 Every frame on a live connection — peer protocol traffic and KV client
 requests alike — is a 4-byte big-endian length followed by that many bytes
-of frame body.  The body is one of two self-describing encodings of
-:mod:`repro.sim.serialize`:
-
-* **binary** (the default): struct-packed type-tagged values
-  (:func:`~repro.sim.serialize.binary_dumps`).  Every tag byte is below
-  ``0x20``.
-* **json**: the debug-friendly lossless JSON encoding
-  (:func:`~repro.sim.serialize.wire_dumps`).  JSON bodies always start
-  with printable ASCII (``>= 0x20``).
-
-Because the two namespaces are disjoint at the first body byte, a receiver
-decodes each frame by inspection — no codec handshake, and a cluster can
-run mixed codecs during a rollout (``--codec json`` keeps a node readable
-by ``tcpdump``/older peers).  Frames are size-capped so a corrupt or
+of frame body: the struct-packed, type-tagged encoding of
+:func:`~repro.sim.serialize.binary_dumps`.  A body that does not decode
+raises :class:`~repro.sim.serialize.WireError`, and the receiver drops the
+connection that sent it.  Frames are size-capped so a corrupt or
 malicious length prefix cannot make a node allocate unbounded memory.
 
-Peer links additionally use *compact frames* (:func:`encode_peer_frame` /
-:func:`parse_peer_frame`): a message is the tuple ``("m", ts, payload)``
-instead of a ``{"type": "msg", ...}`` dict, saving the per-message key
-strings on the hot replication path.  The dict form remains accepted
-forever — it is what JSON-codec and older nodes send.
-
-Sharded clusters multiplex several Raft groups over one connection by
-tagging ``msg`` frames with a shard id: ``("m", ts, payload, shard)`` in
-binary, a ``"shard"`` key in JSON.  Shard 0 always uses the *untagged*
-legacy encoding, so a 1-shard cluster is byte-identical on the wire to a
-pre-sharding one and mixed-version clusters interoperate; receivers treat
-a missing tag as shard 0.
+Peer links carry three kinds of frame (:func:`encode_peer_frame` /
+:func:`parse_peer_frame`), each a short tuple tagged by its first
+element: ``("h", pid)`` opens a connection, ``("p",)`` keeps an idle one
+alive, and ``("m", ts, payload, shard)`` carries one message for the
+consensus group ``shard`` — a sharded node multiplexes all its groups
+over one connection per peer.
 """
 
 from __future__ import annotations
@@ -39,13 +23,7 @@ import socket
 import struct
 from typing import Any, Optional, Tuple
 
-from repro.sim.serialize import (
-    binary_dumps,
-    binary_dumps_into,
-    binary_loads,
-    wire_dumps,
-    wire_loads,
-)
+from repro.sim.serialize import binary_dumps, binary_dumps_into, binary_loads
 
 #: Hard cap on one frame's body (a full InstallSnapshot fits comfortably).
 MAX_FRAME_BYTES = 16 * 1024 * 1024
@@ -56,67 +34,27 @@ _LEN = struct.Struct(">I")
 #: body is encoded in place (see :func:`frame_bytes_into`).
 _LEN_PAD = b"\x00" * _LEN.size
 
+#: The name of the one frame-body encoding.
+CODEC = "binary"
+
+#: Decode one frame body; raises :class:`~repro.sim.serialize.WireError`
+#: on anything that is not one.
+decode_body = binary_loads
+
 
 class FrameError(ConnectionError):
     """The stream violated the framing protocol (oversized or truncated)."""
 
 
-class WireCodec:
-    """One frame-body encoding: a name plus dumps/loads functions.
+def get_codec(name: Optional[str] = None) -> str:
+    """The frame encoding, :data:`CODEC`; there is no other.
 
-    ``dumps_into(value, out)`` — appending the body to a shared
-    ``bytearray`` — is optional; codecs without it fall back to
-    ``dumps`` plus a copy in :func:`frame_bytes_into`.
+    ``bench/micro.py`` still resolves a codec here and hands it to
+    :func:`encode_peer_frame`, which ignores it.
     """
-
-    __slots__ = ("name", "dumps", "loads", "dumps_into")
-
-    def __init__(self, name, dumps, loads, dumps_into=None):
-        self.name = name
-        self.dumps = dumps
-        self.loads = loads
-        self.dumps_into = dumps_into
-
-    def __repr__(self) -> str:
-        return f"WireCodec({self.name!r})"
-
-
-JSON_CODEC = WireCodec("json", wire_dumps, wire_loads)
-BINARY_CODEC = WireCodec(
-    "binary", binary_dumps, binary_loads, dumps_into=binary_dumps_into
-)
-
-CODECS = {codec.name: codec for codec in (JSON_CODEC, BINARY_CODEC)}
-
-#: The default codec for live traffic.  JSON stays selectable via config
-#: (``--codec json``) for debugging and cross-version runs.
-DEFAULT_CODEC_NAME = "binary"
-
-
-def get_codec(codec: Any) -> WireCodec:
-    """Resolve ``codec`` (a name, ``None``, or a codec) to a :class:`WireCodec`."""
-    if codec is None:
-        return CODECS[DEFAULT_CODEC_NAME]
-    if isinstance(codec, WireCodec):
-        return codec
-    try:
-        return CODECS[codec]
-    except KeyError:
-        raise ValueError(
-            f"unknown wire codec {codec!r} (choose from {sorted(CODECS)})"
-        )
-
-
-def decode_body(body: bytes) -> Any:
-    """Decode one frame body, auto-detecting binary vs JSON."""
-    if body and body[0] < 0x20:
-        return binary_loads(body)
-    return wire_loads(body)
-
-
-def detect_codec(body: bytes) -> WireCodec:
-    """Which codec encoded ``body`` (so a server can reply in kind)."""
-    return BINARY_CODEC if body and body[0] < 0x20 else JSON_CODEC
+    if name not in (None, CODEC):
+        raise ValueError(f"unknown wire codec {name!r} (the only one is {CODEC!r})")
+    return CODEC
 
 
 def enable_nodelay(writer: asyncio.StreamWriter) -> None:
@@ -134,36 +72,29 @@ def enable_nodelay(writer: asyncio.StreamWriter) -> None:
             pass
 
 
-def frame_bytes(value: Any, codec: Optional[WireCodec] = None) -> bytes:
+def frame_bytes(value: Any) -> bytes:
     """Encode ``value`` into one complete frame (length prefix included).
 
     This is the building block for coalesced writes: callers concatenate
     several frames and hand the transport one buffer.
     """
-    body = (codec or CODECS[DEFAULT_CODEC_NAME]).dumps(value)
+    body = binary_dumps(value)
     if len(body) > MAX_FRAME_BYTES:
         raise FrameError(f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
     return _LEN.pack(len(body)) + body
 
 
-def frame_bytes_into(
-    out: bytearray, value: Any, codec: Optional[WireCodec] = None
-) -> int:
+def frame_bytes_into(out: bytearray, value: Any) -> int:
     """Append one complete frame to ``out``; returns its byte length.
 
     The vectored-write path: a pre-sized length-prefix hole is reserved
-    in the shared buffer, the body is encoded straight into it (when the
-    codec supports in-place encoding), and the prefix is patched — so a
-    coalescing loop builds one contiguous write buffer with no per-frame
-    ``bytes`` allocation or join.
+    in the shared buffer, the body is encoded straight into it, and the
+    prefix is patched — so a coalescing loop builds one contiguous write
+    buffer with no per-frame ``bytes`` allocation or join.
     """
-    codec = codec or CODECS[DEFAULT_CODEC_NAME]
     at = len(out)
     out += _LEN_PAD
-    if codec.dumps_into is not None:
-        codec.dumps_into(value, out)
-    else:
-        out += codec.dumps(value)
+    binary_dumps_into(value, out)
     size = len(out) - at - _LEN.size
     if size > MAX_FRAME_BYTES:
         del out[at:]
@@ -172,16 +103,9 @@ def frame_bytes_into(
     return _LEN.size + size
 
 
-async def write_frame(
-    writer: asyncio.StreamWriter, value: Any, codec: Optional[WireCodec] = None
-) -> None:
-    """Encode ``value`` and write one frame, draining the transport.
-
-    ``codec=None`` keeps the historical JSON encoding: ad-hoc callers
-    (tests, debug scripts) stay readable, while the transport and KV paths
-    pass their configured codec explicitly.
-    """
-    writer.write(frame_bytes(value, codec or JSON_CODEC))
+async def write_frame(writer: asyncio.StreamWriter, value: Any) -> None:
+    """Encode ``value`` and write one frame, draining the transport."""
+    writer.write(frame_bytes(value))
     await writer.drain()
 
 
@@ -195,78 +119,52 @@ async def read_frame_bytes(reader: asyncio.StreamReader) -> bytes:
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Any:
-    """Read one frame and decode it (codec auto-detected per frame).
+    """Read one frame and decode it.
 
     Raises :class:`asyncio.IncompleteReadError` on clean EOF between frames
-    (connection closed), :class:`FrameError` on protocol violations.
+    (connection closed), :class:`FrameError` on protocol violations and
+    :class:`~repro.sim.serialize.WireError` on a body that does not decode.
     """
     return decode_body(await read_frame_bytes(reader))
 
 
 # ----------------------------------------------------------------------
-# Compact peer frames
+# Peer frames
 # ----------------------------------------------------------------------
 
-def _peer_frame_value(
-    kind: str,
-    codec: WireCodec,
-    payload: Any,
-    ts: Optional[float],
-    pid: Optional[int],
-    shard: int,
-) -> Any:
-    """The frame value for one peer-link frame (``hello``/``msg``/``ping``).
+_UNRECOGNIZED: Tuple[None, None, None, int] = (None, None, None, 0)
 
-    The JSON codec keeps the legacy self-describing dict shape; the binary
-    codec uses short tuples tagged by their first element.  ``msg`` frames
-    for shard 0 use the untagged legacy encoding — byte-identical to a
-    pre-sharding node — while other shards append the shard id.
-    """
-    if codec.name == "json":
-        if kind == "msg":
-            if shard:
-                value: Any = {
-                    "type": "msg", "payload": payload, "ts": ts, "shard": shard,
-                }
-            else:
-                value = {"type": "msg", "payload": payload, "ts": ts}
-        elif kind == "ping":
-            value = {"type": "ping"}
-        elif kind == "hello":
-            value = {"type": "hello", "pid": pid}
-        else:
-            raise ValueError(f"unknown peer frame kind {kind!r}")
-    else:
-        if kind == "msg":
-            value = ("m", ts, payload, shard) if shard else ("m", ts, payload)
-        elif kind == "ping":
-            value = ("p",)
-        elif kind == "hello":
-            value = ("h", pid)
-        else:
-            raise ValueError(f"unknown peer frame kind {kind!r}")
-    return value
+
+def _peer_frame_value(
+    kind: str, payload: Any, ts: Optional[float], pid: Optional[int], shard: int
+) -> Any:
+    """The frame value for one peer-link frame (``hello``/``msg``/``ping``)."""
+    if kind == "msg":
+        return ("m", ts, payload, shard)
+    if kind == "ping":
+        return ("p",)
+    if kind == "hello":
+        return ("h", pid)
+    raise ValueError(f"unknown peer frame kind {kind!r}")
 
 
 def encode_peer_frame(
     kind: str,
-    codec: WireCodec,
+    _codec: Any = None,
     *,
     payload: Any = None,
     ts: Optional[float] = None,
     pid: Optional[int] = None,
     shard: int = 0,
 ) -> bytes:
-    """One complete peer-link frame as standalone bytes."""
-    return frame_bytes(
-        _peer_frame_value(kind, codec, payload, ts, pid, shard), codec
-    )
+    """One complete peer-link frame as standalone bytes (``_codec`` is
+    ignored; see :func:`get_codec`)."""
+    return frame_bytes(_peer_frame_value(kind, payload, ts, pid, shard))
 
 
 def encode_peer_frame_into(
     out: bytearray,
     kind: str,
-    codec: WireCodec,
     *,
     payload: Any = None,
     ts: Optional[float] = None,
@@ -275,9 +173,7 @@ def encode_peer_frame_into(
 ) -> int:
     """Append one peer-link frame to a shared write buffer; returns its
     byte length (see :func:`frame_bytes_into`)."""
-    return frame_bytes_into(
-        out, _peer_frame_value(kind, codec, payload, ts, pid, shard), codec
-    )
+    return frame_bytes_into(out, _peer_frame_value(kind, payload, ts, pid, shard))
 
 
 def parse_peer_frame(frame: Any) -> Tuple[Optional[str], Any, Any, int]:
@@ -285,34 +181,18 @@ def parse_peer_frame(frame: Any) -> Tuple[Optional[str], Any, Any, int]:
 
     Returns ``("msg", payload, ts, shard)``, ``("ping", None, None, 0)``,
     ``("hello", pid, None, 0)``, or ``(None, None, None, 0)`` for anything
-    unrecognized (the transport skips those, tolerating future kinds).
-    An absent shard tag means shard 0 — what pre-sharding nodes send — and
-    a malformed shard tag (non-int or negative) marks the whole frame
+    unrecognized (the transport skips those, tolerating future kinds).  A
+    malformed shard tag (non-int or negative) marks the whole frame
     unrecognized rather than misrouting it.
     """
-    if isinstance(frame, dict):
-        kind = frame.get("type")
-        if kind == "msg":
-            shard = frame.get("shard", 0)
-            if not isinstance(shard, int) or isinstance(shard, bool) or shard < 0:
-                return None, None, None, 0
-            return "msg", frame.get("payload"), frame.get("ts"), shard
-        if kind == "ping":
-            return "ping", None, None, 0
-        if kind == "hello":
-            return "hello", frame.get("pid"), None, 0
-        return None, None, None, 0
     if isinstance(frame, tuple) and frame:
         tag = frame[0]
-        if tag == "m" and len(frame) == 3:
-            return "msg", frame[2], frame[1], 0
         if tag == "m" and len(frame) == 4:
             shard = frame[3]
-            if not isinstance(shard, int) or isinstance(shard, bool) or shard < 0:
-                return None, None, None, 0
-            return "msg", frame[2], frame[1], shard
-        if tag == "p":
+            if isinstance(shard, int) and not isinstance(shard, bool) and shard >= 0:
+                return "msg", frame[2], frame[1], shard
+        elif tag == "p":
             return "ping", None, None, 0
-        if tag == "h" and len(frame) == 2:
+        elif tag == "h" and len(frame) == 2:
             return "hello", frame[1], None, 0
-    return None, None, None, 0
+    return _UNRECOGNIZED

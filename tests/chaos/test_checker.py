@@ -195,6 +195,22 @@ class TestRejects:
         assert violation.witness[-1].op_id == "bad"
         assert len(violation.witness) == 51  # 50 earlier puts + the bad read
 
+    def test_witness_blames_the_illegal_read_not_a_legal_one(self):
+        # get→b legally observes put b, which is still in flight when get→b
+        # returns; the contradiction is get→a after put b returned.  The
+        # prefix ending at get→b must count put b as in flight, so the
+        # witness runs to get→a and blames it.
+        report = check(
+            put("pa", 0, "x", "a", 0.0, 1.0),
+            put("pb", 1, "x", "b", 2.0, 6.0),
+            get("gb", 2, "x", "b", 3.0, 4.0),
+            get("ga", 3, "x", "a", 7.0, 8.0),
+        )
+        assert report.ok is False
+        [violation] = report.violations
+        assert [op.op_id for op in violation.witness] == ["pa", "pb", "gb", "ga"]
+        assert violation.reason.startswith("read of 'a' at [7.000,8.000]")
+
     def test_one_bad_key_does_not_taint_others(self):
         report = check(
             put("1", 0, "x", "a", 0.0, 1.0),

@@ -12,13 +12,7 @@ from repro.live import (
     read_frame,
     write_frame,
 )
-from repro.live.wire import (
-    BINARY_CODEC,
-    JSON_CODEC,
-    decode_body,
-    encode_peer_frame,
-    parse_peer_frame,
-)
+from repro.live.wire import decode_body, encode_peer_frame, parse_peer_frame
 from repro.algorithms.raft.messages import RequestVote
 
 
@@ -126,54 +120,35 @@ class TestClusterConfig:
 
 
 class TestShardedPeerFrames:
-    """Shard-tagged frames: round trips, legacy compatibility, demux."""
+    """Shard-tagged frames: round trips, one shape for every shard."""
 
-    @staticmethod
-    def _round_trip(codec, shard):
-        frame = encode_peer_frame(
-            "msg", codec, payload=RequestVote(2, 1, 0, 0), ts=1.5, shard=shard
-        )
-        return parse_peer_frame(decode_body(frame[4:]))
-
-    def test_round_trip_both_codecs_all_shards(self):
-        for codec in (BINARY_CODEC, JSON_CODEC):
-            for shard in (0, 1, 2, 7, 255):
-                kind, payload, ts, got = self._round_trip(codec, shard)
-                assert kind == "msg"
-                assert payload == RequestVote(2, 1, 0, 0)
-                assert ts == 1.5
-                assert got == shard
-
-    def test_shard_zero_is_byte_identical_to_legacy(self):
-        # A 1-shard cluster must emit exactly the pre-sharding bytes.
-        for codec in (BINARY_CODEC, JSON_CODEC):
-            tagged = encode_peer_frame(
-                "msg", codec, payload={"x": 1}, ts=2.0, shard=0
+    def test_round_trip_all_shards(self):
+        for shard in (0, 1, 2, 7, 255):
+            frame = encode_peer_frame(
+                "msg", payload=RequestVote(2, 1, 0, 0), ts=1.5, shard=shard
             )
-            legacy = encode_peer_frame("msg", codec, payload={"x": 1}, ts=2.0)
-            assert tagged == legacy
-        body = decode_body(
-            encode_peer_frame("msg", BINARY_CODEC, payload=None, ts=0.0)[4:]
-        )
-        assert len(body) == 3  # no shard slot at all on the legacy shape
+            kind, payload, ts, got = parse_peer_frame(decode_body(frame[4:]))
+            assert kind == "msg"
+            assert payload == RequestVote(2, 1, 0, 0)
+            assert ts == 1.5
+            assert got == shard
 
-    def test_untagged_frames_parse_as_shard_zero(self):
-        assert parse_peer_frame(("m", 1.0, "p")) == ("msg", "p", 1.0, 0)
-        assert parse_peer_frame(
-            {"type": "msg", "payload": "p", "ts": 1.0}
-        ) == ("msg", "p", 1.0, 0)
+    def test_shard_zero_frame_is_tagged(self):
+        # Shard 0 carries its tag like every other shard: one msg shape.
+        body = decode_body(encode_peer_frame("msg", payload=None, ts=0.0)[4:])
+        assert body == ("m", 0.0, None, 0)
 
     def test_malformed_shard_tags_rejected_not_misrouted(self):
         bad_shards = (-1, "3", 1.5, None, True, [2])
         for bad in bad_shards:
             assert parse_peer_frame(("m", 1.0, "p", bad))[0] is None
-            assert parse_peer_frame(
-                {"type": "msg", "payload": "p", "ts": 1.0, "shard": bad}
-            )[0] is None
 
     def test_unknown_frame_shapes_skipped(self):
-        for frame in ((), ("m",), ("m", 1.0), ("m", 1.0, "p", 2, 3),
-                      ("z", 1), {"type": "future"}, "junk", 7, None):
+        # Untagged and dict-shaped messages are not peer frames either.
+        for frame in ((), ("m",), ("m", 1.0), ("m", 1.0, "p"),
+                      ("m", 1.0, "p", 2, 3), ("z", 1),
+                      {"type": "msg", "payload": "p", "ts": 1.0},
+                      {"type": "hello", "pid": 0}, "junk", 7, None):
             assert parse_peer_frame(frame) == (None, None, None, 0)
 
 
@@ -314,7 +289,7 @@ class TestTransport:
                 inbox.append((src, payload))
                 got_three.set()
 
-            b2.on_message = on_more
+            b2.add_handler(0, on_more)
             # A frame written to the dying socket may be lost (the lossy
             # link the algorithms tolerate): retransmit until received,
             # exactly as the timer-driven protocols do.

@@ -1,10 +1,10 @@
-"""The binary wire codec: round-trips, malformed-frame fuzz, JSON interop.
+"""The binary wire codec: round-trips, malformed-frame fuzz, JSON agreement.
 
-The binary codec (`binary_dumps`/`binary_loads`) must be lossless over the
-exact value model of the JSON codec — every registered message dataclass,
-every container shape, every scalar edge — because the live transport
-picks the codec per frame and mixed-codec clusters must agree on what was
-sent.  Decoding is also the trust boundary of a live node: any byte
+The binary codec (`binary_dumps`/`binary_loads`) is the only encoding on
+live connections.  It must be lossless over the exact value model of the
+JSON reference codec (`wire_dumps`/`wire_loads`) — every registered
+message dataclass, every container shape, every scalar edge.  Decoding
+is also the trust boundary of a live node: any byte
 string, however mangled, must either decode or raise ``WireError``, never
 escape with an arbitrary exception or wrong value.
 """
@@ -44,8 +44,8 @@ class TestMessageRoundTrips:
         assert back == message
 
     def test_binary_frames_are_self_describing(self):
-        # Binary tags stay below 0x20 so the transport can tell a binary
-        # body from a JSON body by its first byte, without negotiation.
+        # Binary tags stay below 0x20, so a JSON body sent to a live port
+        # fails on its first byte instead of decoding as something else.
         for message in SAMPLE_MESSAGES:
             assert binary_dumps(message)[0] < 0x20
             assert wire_dumps(message)[0] >= 0x20
@@ -221,18 +221,14 @@ class TestShardTaggedFrameFuzz:
 
     @staticmethod
     def _frames():
-        from repro.live.wire import BINARY_CODEC, JSON_CODEC, encode_peer_frame
+        from repro.live.wire import encode_peer_frame
 
         message = AppendEntries(3, 0, 2, 1, (Entry(2, Put("k", "v")),), 1)
-        out = []
-        for codec in (BINARY_CODEC, JSON_CODEC):
-            for shard in (0, 1, 5, 200):
-                out.append(
-                    encode_peer_frame(
-                        "msg", codec, payload=message, ts=0.25, shard=shard
-                    )[4:]  # body only; length prefix is the stream's job
-                )
-        return out
+        return [
+            # Body only; the length prefix is the stream's job.
+            encode_peer_frame("msg", payload=message, ts=0.25, shard=shard)[4:]
+            for shard in (0, 1, 5, 200)
+        ]
 
     def test_tagged_frames_round_trip(self):
         from repro.live.wire import decode_body, parse_peer_frame
@@ -282,7 +278,7 @@ class TestShardTaggedFrameFuzz:
 
 
 class TestJsonInterop:
-    """Both codecs share one registry and one value model."""
+    """The JSON reference codec shares the registry and the value model."""
 
     @pytest.mark.parametrize(
         "message", SAMPLE_MESSAGES, ids=lambda m: type(m).__name__
@@ -297,15 +293,13 @@ class TestJsonInterop:
         text = sum(len(wire_dumps(m)) for m in SAMPLE_MESSAGES)
         assert binary < text
 
-    def test_transport_detects_codec_per_frame(self):
-        from repro.live.wire import decode_body, detect_codec
+    def test_frame_decoder_rejects_json_bodies(self):
+        from repro.live.wire import decode_body
 
         message = AppendEntriesReply(7, True, 2, 13)
-        body_b = binary_dumps(message)
-        body_j = wire_dumps(message)
-        assert detect_codec(body_b).name == "binary"
-        assert detect_codec(body_j).name == "json"
-        assert decode_body(body_b) == decode_body(body_j) == message
+        assert decode_body(binary_dumps(message)) == message
+        with pytest.raises(WireError):
+            decode_body(wire_dumps(message))
 
     def test_registration_serves_both_codecs(self):
         @dataclass(frozen=True)
