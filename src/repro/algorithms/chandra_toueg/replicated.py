@@ -1,33 +1,36 @@
-"""Replicated-log Chandra-Toueg: ballot elections under a live Ω detector.
+"""Replicated-log Chandra-Toueg: the Ω trigger and the ``Ct*`` family.
 
 The one-shot :mod:`repro.algorithms.chandra_toueg.node` follows the 1996
-paper round by round; this module is its replicated-log service form for
-the live engine seam, built exactly as the source paper prescribes —
-take the shared replicated-log core under
+paper round by round; the live ``ct`` engine is its replicated-log service
+form, built exactly as the source paper prescribes — take the shared
+replicated-log core under
 :class:`~repro.algorithms.replica.BallotReplicaNode`'s ballot election
-and swap in a different *detector object*: an embedded
-:class:`~repro.live.detector.OmegaDetector` instead of randomized
-timeouts.
+and swap in a different *detector object*.  This module holds the two
+pieces that swap makes: :class:`OmegaTrigger`, an embedded
+:class:`~repro.live.detector.OmegaDetector` deciding when to campaign in
+place of randomized timeouts, and :data:`CT_FAMILY`, the wire names.
 
-The reconciliator rule (Lynch & Sastry's Ω-based formulation rather
-than the original rotating coordinator — Ω is what ◇S distills to, and
-it composes directly with a leader-based mixer):
+The trigger's rule (Lynch & Sastry's Ω-based formulation rather than the
+original rotating coordinator — Ω is what ◇S distills to, and it
+composes directly with a leader-based mixer):
 
 * every node broadcasts :class:`~repro.live.detector.FdHeartbeat` on a
   periodic ``fd:tick`` and feeds arrivals into its detector;
-* a node campaigns (opens a higher ballot) when its Ω output has named
-  *itself* for two consecutive ticks while someone else holds the lease
-  — never on a raw timeout, so where Multi-Paxos churns under timeout
-  skew, CT churns only when the detector actually mis-suspects;
-* a stuck campaign (no majority, e.g. the promise messages were
-  dropped) retries after a few ticks, since Ω still names us.
+* a node campaigns when its Ω output has named *itself* for two
+  consecutive ticks while someone else holds the lease — never on a raw
+  timeout, so where a timer trigger churns under timeout skew, Ω churns
+  only when the detector actually mis-suspects;
+* a stuck campaign (no majority, e.g. its messages were dropped) retries
+  after a few ticks, since Ω still names us.
 
-Safety never depends on the detector (ballots and majorities do all the
-work in the shared core); the detector buys liveness — the classic CT
-split, now measurable: benchmark E17 runs the same load and faults over
-this engine, Multi-Paxos, and Raft.
+The trigger composes with either election rule; ``ct`` pairs it with the
+ballot rule, and a test pairs it with Raft's RequestVote.  Safety never
+depends on the detector (epochs and majorities do all the work in the
+shared core); the detector buys liveness — the classic CT split, now
+measurable: benchmark E17 runs the same load and faults over ``ct``,
+``paxos`` and ``raft``.
 
-Chain traffic from a live leader also feeds the detector (a leader busy
+Append traffic from a live leader also feeds the detector (a leader busy
 streaming entries must not be suspected just because its separate
 heartbeat frame queued behind a large delta).
 """
@@ -36,18 +39,18 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.algorithms.raft.replication import LEADER
+from repro.algorithms.raft.replication import FOLLOWER, LEADER
 from repro.algorithms.replica import (
-    PREPARING,
     BallotChain,
     BallotChainAck,
+    BallotFamily,
     BallotPrepare,
     BallotPrepareNack,
     BallotPromise,
-    BallotReplicaNode,
     BallotSnapshot,
     BallotSnapshotAck,
 )
+from repro.algorithms.trigger import Trigger, preferred_leader
 from repro.live.detector import FD_TICK, FdHeartbeat, OmegaDetector
 from repro.sim.messages import Pid
 from repro.sim.ops import Send, SetTimer, TimerFired
@@ -95,128 +98,115 @@ class CtSnapshotAck(BallotSnapshotAck):
     """Chandra-Toueg snapshot acknowledgement."""
 
 
+CT_FAMILY = BallotFamily(
+    append=CtChain,
+    append_reply=CtChainAck,
+    snapshot=CtSnapshot,
+    snapshot_reply=CtSnapshotAck,
+    prepare=CtPrepare,
+    promise=CtPromise,
+    prepare_nack=CtPrepareNack,
+)
+
+
 # ----------------------------------------------------------------------
-# The node
+# The trigger
 # ----------------------------------------------------------------------
 
 
-class CtReplicatedNode(BallotReplicaNode):
-    """Replicated-log Chandra-Toueg over an embedded Ω detector.
+class OmegaTrigger(Trigger):
+    """Campaign when an embedded Ω detector names this node.
 
     Args:
-        detector_interval: heartbeat/tick period of the embedded
-            detector (the knob that replaces ``election_timeout``).
-        detector_factor / detector_margin / detector_max_margin: the
-            per-link adaptive-timeout parameters, passed through to
-            :class:`~repro.live.detector.OmegaDetector`.
-        preferred: Ω rank rotation (per-shard staggering, same role as
-            the other engines' staggered election timeouts).
+        interval: heartbeat/tick period of the detector (the knob that
+            replaces a timer trigger's ``election_timeout``).
+        preferred: Ω rank rotation (per-shard staggering, the role the
+            timer trigger's staggered ranges play).
     """
 
-    PREPARE_CLS = CtPrepare
-    PROMISE_CLS = CtPromise
-    PREPARE_NACK_CLS = CtPrepareNack
-    APPEND_CLS = CtChain
-    APPEND_REPLY_CLS = CtChainAck
-    SNAPSHOT_CLS = CtSnapshot
-    SNAPSHOT_REPLY_CLS = CtSnapshotAck
+    MESSAGES = frozenset({FdHeartbeat})
 
-    def __init__(
-        self,
-        *,
-        detector_interval: float = 0.5,
-        detector_factor: float = 2.0,
-        detector_margin: Optional[float] = None,
-        detector_max_margin: Optional[float] = None,
-        preferred: Pid = 0,
-        **kwargs,
-    ):
-        if detector_interval <= 0:
-            raise ValueError("detector_interval must be positive")
-        super().__init__(**kwargs)
-        self.detector_interval = detector_interval
-        self.detector_factor = detector_factor
-        self.detector_margin = detector_margin
-        self.detector_max_margin = detector_max_margin
+    def __init__(self, *, interval: float = 0.5, preferred: Pid = 0):
+        if interval <= 0:
+            raise ValueError("interval must be positive")
+        self.interval = interval
         self.preferred = preferred
         self.detector: Optional[OmegaDetector] = None
         self._omega_streak = 0
         self._campaign_ticks = 0
 
-    # ------------------------------------------------------------------
-    # The reconciliator: Ω drives campaigns
-    # ------------------------------------------------------------------
+    @classmethod
+    def for_shard(
+        cls, *, shard_id: int, n: int, heartbeat_interval: float, **knobs: Any
+    ) -> "OmegaTrigger":
+        # The detector's beacons are this trigger's liveness signal, so
+        # it ticks at the service heartbeat interval.
+        return cls(interval=heartbeat_interval, preferred=preferred_leader(shard_id, n))
 
-    def _on_boot(self, api: ProcessAPI) -> ProtocolGenerator:
-        members = self._members(api)
+    def boot(self, api: ProcessAPI) -> ProtocolGenerator:
         self.detector = OmegaDetector(
-            len(members),
+            len(self.node._members(api)),
             api.pid,
-            interval=self.detector_interval,
-            factor=self.detector_factor,
-            margin=self.detector_margin,
-            max_margin=self.detector_max_margin,
+            interval=self.interval,
             preferred=self.preferred,
         )
         self.detector.start(api.now)
         self._omega_streak = 0
         self._campaign_ticks = 0
         yield from self._broadcast_heartbeat(api)
-        yield SetTimer(self.detector_interval, FD_TICK)
+        yield SetTimer(self.interval, FD_TICK)
 
     def _broadcast_heartbeat(self, api: ProcessAPI) -> ProtocolGenerator:
         beat = self.detector.heartbeat()
-        for pid in self._members(api):
+        for pid in self.node._members(api):
             if pid != api.pid:
                 yield Send(pid, beat)
 
-    def _on_timer(self, api: ProcessAPI, fired: TimerFired) -> ProtocolGenerator:
-        if fired.name == FD_TICK:
-            yield from self._on_fd_tick(api)
-
-    def _on_fd_tick(self, api: ProcessAPI) -> ProtocolGenerator:
-        fd = self.detector
+    def on_timer(self, api: ProcessAPI, fired: TimerFired) -> ProtocolGenerator:
+        if fired.name != FD_TICK:
+            return
+        fd, node = self.detector, self.node
         yield from self._broadcast_heartbeat(api)
         fd.check(api.now)
-        if self.leader_hint is not None and fd.is_suspected(self.leader_hint):
-            self.leader_hint = None
+        if node.leader_hint is not None and fd.is_suspected(node.leader_hint):
+            node.leader_hint = None
         omega = fd.leader()
-        if self.state is LEADER:
+        if node.state is LEADER:
             self._omega_streak = 0
             self._campaign_ticks = 0
-        elif self.state is PREPARING:
+        elif node.state is not FOLLOWER:
             # A campaign is in flight; if its messages were lost, Ω still
             # names us and nothing else will unstick it — retry.
             self._campaign_ticks += 1
             if omega == api.pid and self._campaign_ticks >= CAMPAIGN_STUCK_TICKS:
                 self._campaign_ticks = 0
-                yield from self._start_campaign(api)
-        elif omega == api.pid and self.leader_hint != api.pid:
+                yield from node.campaign(api)
+        elif omega == api.pid and node.leader_hint != api.pid:
             self._omega_streak += 1
             if self._omega_streak >= OMEGA_STREAK_TICKS:
                 self._omega_streak = 0
                 self._campaign_ticks = 0
-                yield from self._start_campaign(api)
+                yield from node.campaign(api)
         else:
             self._omega_streak = 0
-        yield SetTimer(self.detector_interval, FD_TICK)
+        yield SetTimer(self.interval, FD_TICK)
 
-    def _on_other(self, api: ProcessAPI, payload: Any) -> ProtocolGenerator:
+    def on_message(self, api: ProcessAPI, payload: Any) -> ProtocolGenerator:
         if isinstance(payload, FdHeartbeat):
             self.detector.note_heartbeat(payload.sender, api.now)
         return
         yield  # pragma: no cover
 
-    def _on_leader_contact(self, api: ProcessAPI, leader: Pid) -> ProtocolGenerator:
-        # Chain/snapshot traffic is liveness evidence too.
+    def on_leader_contact(self, api: ProcessAPI, leader: Pid) -> ProtocolGenerator:
+        # Append/snapshot traffic is liveness evidence too.
         if self.detector is not None:
             self.detector.note_heartbeat(leader, api.now)
         self._omega_streak = 0
         return
         yield  # pragma: no cover
 
-    def _on_demoted(self, api: ProcessAPI) -> ProtocolGenerator:
-        # A higher ballot exists; Ω will re-trigger us if we should lead.
+    def on_demoted(self, api: ProcessAPI) -> ProtocolGenerator:
+        # A higher epoch exists; Ω will re-trigger us if we should lead.
         self._omega_streak = 0
         self._campaign_ticks = 0
         return

@@ -1,23 +1,2 @@
-"""Multi-Paxos replicated log: ballot mixer + randomized-timeout detector."""
-
-from repro.algorithms.multi_paxos.messages import (
-    PaxChain,
-    PaxChainAck,
-    PaxPrepare,
-    PaxPrepareNack,
-    PaxPromise,
-    PaxSnapshot,
-    PaxSnapshotAck,
-)
-from repro.algorithms.multi_paxos.node import MultiPaxosNode
-
-__all__ = [
-    "MultiPaxosNode",
-    "PaxPrepare",
-    "PaxPromise",
-    "PaxPrepareNack",
-    "PaxChain",
-    "PaxChainAck",
-    "PaxSnapshot",
-    "PaxSnapshotAck",
-]
+"""Multi-Paxos's wire family: the ballot rule's messages under ``Pax*``
+names (:mod:`repro.algorithms.multi_paxos.messages`)."""

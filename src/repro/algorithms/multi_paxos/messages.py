@@ -5,7 +5,9 @@ The seven shapes — fields, and therefore the positional wire layout — are
 family is deliberately distinct from both Raft's and Chandra-Toueg's
 message classes so a frame identifies its engine on sight: a mixed-engine
 cluster produces recognizably foreign frames instead of accidental
-cross-protocol interop.
+cross-protocol interop.  :data:`PAX_FAMILY` is what a
+:class:`~repro.algorithms.replica.BallotReplicaNode` is built with to
+speak it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from repro.algorithms.replica import (
     BallotChain,
     BallotChainAck,
+    BallotFamily,
     BallotPrepare,
     BallotPrepareNack,
     BallotPromise,
@@ -47,3 +50,14 @@ class PaxSnapshot(BallotSnapshot):
 
 class PaxSnapshotAck(BallotSnapshotAck):
     """Multi-Paxos snapshot acknowledgement."""
+
+
+PAX_FAMILY = BallotFamily(
+    append=PaxChain,
+    append_reply=PaxChainAck,
+    snapshot=PaxSnapshot,
+    snapshot_reply=PaxSnapshotAck,
+    prepare=PaxPrepare,
+    promise=PaxPromise,
+    prepare_nack=PaxPrepareNack,
+)

@@ -1,14 +1,16 @@
-"""The Raft engine: RequestVote and the randomized election timer.
+"""Raft's election rule: RequestVote.
 
 One :class:`RaftNode` is a :class:`~repro.sim.process.Process` for the
 asynchronous runtime.  Log replication, the commit rule, apply,
 compaction, snapshots, client proposals and the read path are the shared
 :class:`~repro.algorithms.raft.replication.ReplicatedLogNode` core (paper
-Algorithm 10); this module is what is left that is Raft's own — the
-paper's reconciliator (Algorithm 11) and the election it starts:
+Algorithm 10).  When to campaign is the node's trigger
+(:mod:`repro.algorithms.trigger`) — by default Raft's randomized
+election timer, re-armed on every sign of a live leader.  This module is
+what is left that is Raft's own, the election rule of the paper's
+reconciliator (Algorithm 11):
 
-* three states (follower / candidate / leader) with randomized election
-  timers, re-armed on every sign of a live leader;
+* three states (follower / candidate / leader);
 * RequestVote with the "candidate's log at least as up-to-date" check and
   one vote per term;
 * lease stickiness on the vote: a follower within the lease window of
@@ -31,7 +33,8 @@ trace by :func:`repro.algorithms.raft.vac.check_raft_vac`.
 
 from __future__ import annotations
 
-from typing import Set, Tuple
+from dataclasses import dataclass
+from typing import Optional, Set, Tuple
 
 from repro.algorithms.raft.messages import (
     AppendEntries,
@@ -43,19 +46,38 @@ from repro.algorithms.raft.messages import (
 )
 from repro.algorithms.raft.replication import (
     FOLLOWER,
-    HEARTBEAT,
     LEADER,
     ReplicatedLogNode,
+    WireFamily,
 )
+from repro.algorithms.trigger import TimerTrigger, Trigger
 from repro.core.confidence import VACILLATE
 from repro.sim.messages import Pid
-from repro.sim.ops import Annotate, Broadcast, Receive, Send, SetTimer, TimerFired
+from repro.sim.ops import Annotate, Broadcast, Receive, Send
 from repro.sim.process import ProcessAPI, ProtocolGenerator
 
 #: Raft's candidate phase (``FOLLOWER``/``LEADER`` are the core's).
 CANDIDATE = "candidate"
 
-__all__ = ["CANDIDATE", "FOLLOWER", "LEADER", "RaftNode"]
+__all__ = ["CANDIDATE", "FOLLOWER", "LEADER", "RAFT_FAMILY", "RaftNode"]
+
+
+@dataclass(frozen=True)
+class RaftFamily(WireFamily):
+    """The core's four roles plus RequestVote and its reply."""
+
+    vote: type
+    vote_reply: type
+
+
+RAFT_FAMILY = RaftFamily(
+    append=AppendEntries,
+    append_reply=AppendEntriesReply,
+    snapshot=InstallSnapshot,
+    snapshot_reply=InstallSnapshotReply,
+    vote=RequestVote,
+    vote_reply=RequestVoteReply,
+)
 
 
 class RaftNode(ReplicatedLogNode):
@@ -63,9 +85,11 @@ class RaftNode(ReplicatedLogNode):
     election rule.
 
     Args:
-        election_timeout: ``(low, high)`` range the randomized election
-            timer is drawn from.  Per the paper's *timing property* this
-            must be much larger than the network's broadcast time.
+        election_timeout: ``(low, high)`` range of the default trigger,
+            a :class:`~repro.algorithms.trigger.TimerTrigger`.
+        trigger: another trigger instead (``election_timeout`` is then
+            unused).
+        family: the message classes (default: Raft's own).
         **kwargs: the core's arguments
             (:class:`~repro.algorithms.raft.replication.ReplicatedLogNode`).
 
@@ -73,69 +97,38 @@ class RaftNode(ReplicatedLogNode):
         current_term, voted_for, log — Raft's persistent state (Figure 2).
     """
 
-    APPEND_CLS = AppendEntries
-    APPEND_REPLY_CLS = AppendEntriesReply
-    SNAPSHOT_CLS = InstallSnapshot
-    SNAPSHOT_REPLY_CLS = InstallSnapshotReply
-
     def __init__(
         self,
         *,
         election_timeout: Tuple[float, float] = (10.0, 20.0),
+        trigger: Optional[Trigger] = None,
+        family: RaftFamily = RAFT_FAMILY,
         **kwargs,
     ):
-        low, high = election_timeout
-        if not 0 < low <= high:
-            raise ValueError("election_timeout must satisfy 0 < low <= high")
-        super().__init__(**kwargs)
-        self.election_timeout = election_timeout
+        if trigger is None:
+            trigger = TimerTrigger(election_timeout)
+        super().__init__(family=family, trigger=trigger, **kwargs)
         self._votes: Set[Pid] = set()
-        self._election_epoch = 0
 
     def run(self, api: ProcessAPI) -> ProtocolGenerator:
         self._votes = set()
         yield from self._boot(api)
-        yield self._arm_election_timer(api)
         while True:
             envelopes = yield Receive(count=1)
             payload = envelopes[0].payload
-            if isinstance(payload, TimerFired) and payload.name != HEARTBEAT:
-                yield from self._on_election_timer(api, payload)
-            elif isinstance(payload, RequestVote):
+            if isinstance(payload, self.family.vote):
                 yield from self._on_request_vote(api, payload)
-            elif isinstance(payload, RequestVoteReply):
+            elif isinstance(payload, self.family.vote_reply):
                 yield from self._on_request_vote_reply(api, payload)
             else:
                 yield from self._on_replication(api, payload)
 
     # ------------------------------------------------------------------
-    # Timers (the reconciliator, Algorithm 11)
+    # Elections (the reconciliator, Algorithm 11)
     # ------------------------------------------------------------------
 
-    def _arm_election_timer(self, api: ProcessAPI) -> SetTimer:
-        """(Re-)arm the election timer with a fresh random timeout.
-
-        The epoch embedded in the timer name invalidates fired-but-not-yet-
-        consumed timer events from before the reset.
-        """
-        self._election_epoch += 1
-        timeout = api.rng.uniform(*self.election_timeout)
-        return SetTimer(timeout, f"election:{self._election_epoch}")
-
-    def _on_election_timer(self, api: ProcessAPI, fired: TimerFired) -> ProtocolGenerator:
-        if fired.name.startswith("election:"):
-            epoch = int(fired.name.split(":", 1)[1])
-            if epoch == self._election_epoch and self.state != LEADER:
-                yield from self._start_election(api)
-
-    def _on_leader_contact(self, api: ProcessAPI, leader: Pid) -> ProtocolGenerator:
-        yield self._arm_election_timer(api)
-
-    def _on_demoted(self, api: ProcessAPI) -> ProtocolGenerator:
-        yield self._arm_election_timer(api)
-
-    def _start_election(self, api: ProcessAPI) -> ProtocolGenerator:
-        """Timer expiry: increment the term and solicit votes (Algorithm 11)."""
+    def campaign(self, api: ProcessAPI) -> ProtocolGenerator:
+        """Increment the term and solicit votes (Algorithm 11)."""
         self.current_term += 1
         self.state = CANDIDATE
         self.voted_for = api.pid
@@ -144,20 +137,15 @@ class RaftNode(ReplicatedLogNode):
         value = self._current_value(api)
         yield Annotate("vac", (self.current_term, VACILLATE, value))
         yield Annotate("reconciled", (self.current_term, value))
-        yield self._arm_election_timer(api)
         if len(self._votes) >= self._majority(api):
             yield from self._become_leader(api)
             return
         yield Broadcast(
-            RequestVote(
+            self.family.vote(
                 self.current_term, api.pid, self.log.last_index, self.log.last_term
             ),
             include_self=False,
         )
-
-    # ------------------------------------------------------------------
-    # Elections
-    # ------------------------------------------------------------------
 
     def _on_request_vote(self, api: ProcessAPI, msg: RequestVote) -> ProtocolGenerator:
         # Lease stickiness: within ``lease_duration`` of hearing from the
@@ -171,7 +159,7 @@ class RaftNode(ReplicatedLogNode):
         if self.reads.sticky(api.now) and msg.candidate_id != self.leader_hint:
             yield Send(
                 msg.candidate_id,
-                RequestVoteReply(self.current_term, False, api.pid),
+                self.family.vote_reply(self.current_term, False, api.pid),
             )
             return
         yield from self._saw_epoch(api, msg.term)
@@ -182,9 +170,10 @@ class RaftNode(ReplicatedLogNode):
         )
         if grant:
             self.voted_for = msg.candidate_id
-            yield self._arm_election_timer(api)
+            yield from self.trigger.on_campaign_observed(api)
         yield Send(
-            msg.candidate_id, RequestVoteReply(self.current_term, grant, api.pid)
+            msg.candidate_id,
+            self.family.vote_reply(self.current_term, grant, api.pid),
         )
 
     def _on_request_vote_reply(
@@ -202,5 +191,5 @@ class RaftNode(ReplicatedLogNode):
             yield from self._become_leader(api)
 
     def _become_leader(self, api: ProcessAPI) -> ProtocolGenerator:
-        self._election_epoch += 1  # "freeze timer T" (Algorithm 10)
+        self.trigger.freeze()  # "freeze timer T" (Algorithm 10)
         yield from super()._become_leader(api)

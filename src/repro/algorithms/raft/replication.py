@@ -6,16 +6,15 @@ a leader replicates entries, counts a majority, commits — and a
 claims the two are interchangeable objects.  Howard & Mortier reach the
 same place from the other side: Paxos and Raft differ essentially in how
 a leader is elected.  :class:`ReplicatedLogNode` is that split made
-structural.  It is Algorithm 10, once, and the three engines are election
-rules on top of it:
+structural.  It is Algorithm 10, once; a node is this core plus one of
+two election rules plus one trigger:
 
-* :class:`~repro.algorithms.raft.node.RaftNode` — RequestVote, vote
-  counting and the randomized election timer;
-* :class:`~repro.algorithms.replica.BallotReplicaNode` — prepare /
-  promise / nack and the suffix merge, under a retry timer
-  (:class:`~repro.algorithms.multi_paxos.node.MultiPaxosNode`) or a live
-  Ω detector
-  (:class:`~repro.algorithms.chandra_toueg.replicated.CtReplicatedNode`).
+* the rule says how leadership is won —
+  :class:`~repro.algorithms.raft.node.RaftNode` (RequestVote and vote
+  counting) or :class:`~repro.algorithms.replica.BallotReplicaNode`
+  (prepare / promise / nack and the suffix merge);
+* the trigger (:mod:`repro.algorithms.trigger`) says when to campaign —
+  a randomized election timer or a live Ω detector.
 
 It lives in the ``raft`` package because everything it is built from
 already does, pinned there by wire names: the log and its entries, the
@@ -48,18 +47,20 @@ What the core owns
 * the read path: ReadIndex barrier, probe, probe ack, freshness proof;
 * the leader's heartbeat timer.
 
-What an engine supplies
------------------------
+What the election rule and the trigger supply
+---------------------------------------------
 
-* its four replication message classes (:attr:`APPEND_CLS` …), all read
-  through Raft's field names;
-* when to call :meth:`_become_leader`, with the invariant that a node is
-  ``LEADER`` only under its own ``current_term`` (Raft's term, the ballot
-  engines' promised ballot);
-* :meth:`_on_leader_contact` (re-arm the timer / feed Ω) and
-  :meth:`_on_demoted` (leadership or candidacy lost: re-arm the trigger);
-* its election messages and timers, dispatched from its own ``run``
-  before everything else is handed to :meth:`_on_replication`.
+* the rule: its :class:`WireFamily` — the core's four replication
+  message classes, read through Raft's field names, plus its own
+  election messages, which its ``run`` dispatches before handing
+  everything else to :meth:`_on_replication`; :meth:`campaign`; and
+  when to call :meth:`_become_leader`, with the invariant that a node is
+  ``LEADER`` only under its own ``current_term`` (Raft's term, a ballot
+  replica's promised ballot);
+* the trigger (:class:`~repro.algorithms.trigger.Trigger`): everything
+  the core's seams report — boot, timers other than the heartbeat,
+  leader contact, demotion, payloads nobody else knows — and the call to
+  :meth:`campaign`.
 
 Every adoption of a higher epoch goes through :meth:`_saw_epoch`, the one
 step-down function.
@@ -67,7 +68,8 @@ step-down function.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Set, Tuple, Type
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.algorithms.raft.log import Entry, RaftLog
 from repro.algorithms.raft.messages import ClientPropose
@@ -90,9 +92,12 @@ from repro.sim.messages import Pid
 from repro.sim.ops import Annotate, Broadcast, Decide, Send, SetTimer, TimerFired
 from repro.sim.process import Process, ProcessAPI, ProtocolGenerator
 
-#: Node states shared by every engine, compared by identity.  Engines add
-#: their own candidate phase (Raft's ``CANDIDATE``, the ballot engines'
-#: ``PREPARING``).
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.algorithms.trigger import Trigger
+
+#: Node states shared by every election rule, compared by identity.  Each
+#: rule adds its own candidate phase (Raft's ``CANDIDATE``, the ballot
+#: rule's ``PREPARING``).
 FOLLOWER = "follower"
 LEADER = "leader"
 
@@ -100,10 +105,31 @@ LEADER = "leader"
 HEARTBEAT = "heartbeat"
 
 
+@dataclass(frozen=True)
+class WireFamily:
+    """One engine's message classes, by role.
+
+    The core sends and dispatches the four replication roles; an election
+    rule's family adds its own election messages.  :attr:`classes` is the
+    whole set, which the live wire filter admits.
+    """
+
+    append: type
+    append_reply: type
+    snapshot: type
+    snapshot_reply: type
+
+    @property
+    def classes(self) -> FrozenSet[type]:
+        return frozenset(getattr(self, field.name) for field in fields(self))
+
+
 class ReplicatedLogNode(Process):
     """Log replication, commit, apply and reads; abstract over election.
 
     Args:
+        family: the message classes this node speaks.
+        trigger: decides when this node campaigns; one per node.
         heartbeat_interval: period of the leader's empty appends.
         state_machine_factory: builds the node's state machine (default:
             the paper's decide-and-stop machine).
@@ -130,14 +156,6 @@ class ReplicatedLogNode(Process):
         state, commit_index, last_applied, machine, leader_hint.
     """
 
-    #: The engine's replication message family.  Constructed and read
-    #: through Raft's field names (``term``, ``leader_id``,
-    #: ``prev_log_index`` …).
-    APPEND_CLS: Type[Any]
-    APPEND_REPLY_CLS: Type[Any]
-    SNAPSHOT_CLS: Type[Any]
-    SNAPSHOT_REPLY_CLS: Type[Any]
-
     #: Commands that commit and apply as nothing.
     INERT_COMMANDS: Tuple[type, ...] = ()
 
@@ -147,6 +165,8 @@ class ReplicatedLogNode(Process):
     def __init__(
         self,
         *,
+        family: WireFamily,
+        trigger: "Trigger",
         heartbeat_interval: float = 2.0,
         state_machine_factory: Callable[[], StateMachine] = DecideStateMachine,
         propose_on_leadership: bool = True,
@@ -160,6 +180,11 @@ class ReplicatedLogNode(Process):
             raise ValueError("snapshot_threshold must be >= 1")
         if cluster_size is not None and cluster_size < 1:
             raise ValueError("cluster_size must be >= 1")
+        #: Message classes, constructed and read through Raft's field
+        #: names (``term``, ``leader_id``, ``prev_log_index`` …).
+        self.family = family
+        self.trigger = trigger
+        trigger.node = self
         self.cluster_size = cluster_size
         self.heartbeat_interval = heartbeat_interval
         self.propose_on_leadership = propose_on_leadership
@@ -213,21 +238,10 @@ class ReplicatedLogNode(Process):
     # The election seam
     # ------------------------------------------------------------------
 
-    def _on_leader_contact(self, api: ProcessAPI, leader: Pid) -> ProtocolGenerator:
-        """An append, snapshot or read probe from a live leader arrived."""
+    def campaign(self, api: ProcessAPI) -> ProtocolGenerator:
+        """Seek leadership under a fresh epoch: the election rule's one
+        entry, called by the trigger."""
         raise NotImplementedError
-        yield  # pragma: no cover
-
-    def _on_demoted(self, api: ProcessAPI) -> ProtocolGenerator:
-        """This node stopped leading or campaigning: re-arm the trigger."""
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def _on_other(self, api: ProcessAPI, payload: Any) -> ProtocolGenerator:
-        """A payload the core does not know (an engine's detector
-        traffic).  Ignored by default: the cluster may share the network
-        with other protocols."""
-        return
         yield  # pragma: no cover
 
     def _saw_epoch(self, api: ProcessAPI, epoch: int) -> ProtocolGenerator:
@@ -249,7 +263,7 @@ class ReplicatedLogNode(Process):
             self.leader_hint = None
         if self.state is not FOLLOWER:
             self.state = FOLLOWER
-            yield from self._on_demoted(api)
+            yield from self.trigger.on_demoted(api)
 
     def _follow(self, api: ProcessAPI, epoch: int, leader: Pid) -> ProtocolGenerator:
         """Accept ``leader`` as the live leader of ``epoch`` (>= ours)."""
@@ -286,7 +300,8 @@ class ReplicatedLogNode(Process):
     # ------------------------------------------------------------------
 
     def _boot(self, api: ProcessAPI) -> ProtocolGenerator:
-        """Reset volatile state; recover from the durable snapshot."""
+        """Reset volatile state, recover from the durable snapshot, then
+        start the trigger."""
         self.state = FOLLOWER
         self.commit_index = 0
         self.last_applied = 0
@@ -309,22 +324,26 @@ class ReplicatedLogNode(Process):
             self.commit_index = self.log.snapshot_index
             self.last_applied = self.log.snapshot_index
             yield from self._report_decision(api)
+        yield from self.trigger.boot(api)
 
     def _on_replication(self, api: ProcessAPI, payload: Any) -> ProtocolGenerator:
-        """Everything that is not the engine's election traffic."""
-        if isinstance(payload, self.APPEND_CLS):
+        """Everything that is not the election rule's own messages."""
+        family = self.family
+        if isinstance(payload, family.append):
             yield from self._on_append_entries(api, payload)
-        elif isinstance(payload, self.APPEND_REPLY_CLS):
+        elif isinstance(payload, family.append_reply):
             yield from self._on_append_entries_reply(api, payload)
         elif isinstance(payload, ClientPropose):
             yield from self._on_client_propose(api, payload)
         elif isinstance(payload, TimerFired):
-            if payload.name == HEARTBEAT and self.state is LEADER:
+            if payload.name != HEARTBEAT:
+                yield from self.trigger.on_timer(api, payload)
+            elif self.state is LEADER:
                 yield from self._broadcast_append_entries(api, heartbeat=True)
                 yield SetTimer(self.heartbeat_interval, HEARTBEAT)
-        elif isinstance(payload, self.SNAPSHOT_CLS):
+        elif isinstance(payload, family.snapshot):
             yield from self._on_install_snapshot(api, payload)
-        elif isinstance(payload, self.SNAPSHOT_REPLY_CLS):
+        elif isinstance(payload, family.snapshot_reply):
             yield from self._on_install_snapshot_reply(api, payload)
         elif isinstance(payload, ReadBarrier):
             yield from self._on_read_barrier(api, payload)
@@ -335,7 +354,7 @@ class ReplicatedLogNode(Process):
         elif isinstance(payload, ReadFresh):
             yield from self._on_read_fresh(api, payload)
         else:
-            yield from self._on_other(api, payload)
+            yield from self.trigger.on_message(api, payload)
 
     # ------------------------------------------------------------------
     # Membership
@@ -382,7 +401,7 @@ class ReplicatedLogNode(Process):
             # snapshot instead of entries.
             yield Send(
                 dst,
-                self.SNAPSHOT_CLS(
+                self.family.snapshot(
                     term=self.current_term,
                     leader_id=api.pid,
                     last_included_index=self.log.snapshot_index,
@@ -398,7 +417,7 @@ class ReplicatedLogNode(Process):
             self._ae_sent[dst] = api.now
         yield Send(
             dst,
-            self.APPEND_CLS(
+            self.family.append(
                 term=self.current_term,
                 leader_id=api.pid,
                 prev_log_index=prev_index,
@@ -414,11 +433,11 @@ class ReplicatedLogNode(Process):
         if msg.term < self.current_term:
             yield Send(
                 msg.leader_id,
-                self.APPEND_REPLY_CLS(self.current_term, False, api.pid),
+                self.family.append_reply(self.current_term, False, api.pid),
             )
             return
         yield from self._follow(api, msg.term, msg.leader_id)
-        yield from self._on_leader_contact(api, msg.leader_id)
+        yield from self.trigger.on_leader_contact(api, msg.leader_id)
         ok = self.log.try_append(msg.prev_log_index, msg.prev_log_term, msg.entries)
         if not ok:
             # The repair hint: nothing past it can match the leader.  The
@@ -428,7 +447,7 @@ class ReplicatedLogNode(Process):
             hint = min(msg.prev_log_index - 1, self.log.last_index)
             yield Send(
                 msg.leader_id,
-                self.APPEND_REPLY_CLS(self.current_term, False, api.pid, hint),
+                self.family.append_reply(self.current_term, False, api.pid, hint),
             )
             return
         match = msg.prev_log_index + len(msg.entries)
@@ -455,7 +474,7 @@ class ReplicatedLogNode(Process):
         self._ack_skips = 0
         yield Send(
             msg.leader_id,
-            self.APPEND_REPLY_CLS(self.current_term, True, api.pid, match),
+            self.family.append_reply(self.current_term, True, api.pid, match),
         )
 
     def _on_append_entries_reply(self, api: ProcessAPI, msg: Any) -> ProtocolGenerator:
@@ -561,11 +580,11 @@ class ReplicatedLogNode(Process):
         if msg.term < self.current_term:
             yield Send(
                 msg.leader_id,
-                self.SNAPSHOT_REPLY_CLS(self.current_term, api.pid, 0),
+                self.family.snapshot_reply(self.current_term, api.pid, 0),
             )
             return
         yield from self._follow(api, msg.term, msg.leader_id)
-        yield from self._on_leader_contact(api, msg.leader_id)
+        yield from self.trigger.on_leader_contact(api, msg.leader_id)
         if msg.last_included_index > self.log.snapshot_index:
             # Adopt the machine state before moving the log's snapshot
             # point: the log's compaction hook may persist the snapshot.
@@ -583,7 +602,7 @@ class ReplicatedLogNode(Process):
             yield from self._report_decision(api)
         yield Send(
             msg.leader_id,
-            self.SNAPSHOT_REPLY_CLS(
+            self.family.snapshot_reply(
                 self.current_term, api.pid, msg.last_included_index
             ),
         )
@@ -666,7 +685,7 @@ class ReplicatedLogNode(Process):
             )
             return
         yield from self._follow(api, msg.term, msg.leader_id)
-        yield from self._on_leader_contact(api, msg.leader_id)
+        yield from self.trigger.on_leader_contact(api, msg.leader_id)
         yield Send(
             msg.leader_id,
             ReadProbeAck(self.current_term, api.pid, msg.probe_id, True),

@@ -4,16 +4,19 @@ The source paper's claim is that consensus decomposes into a *detector*
 (who may lead?) and a *mixer* (how does a leader drive agreement?).  The
 mixer — replicate, count a majority, commit — is the shared
 :class:`~repro.algorithms.raft.replication.ReplicatedLogNode` core, the
-same one the Raft engine runs.  :class:`BallotReplicaNode` is the ballot
-world's way of *winning* leadership over it — classic Multi-Paxos phase 1
-over totally ordered ballots — and its subclasses supply only the
-*reconciliator*, the piece that decides when a node campaigns:
+same one Raft runs.  :class:`BallotReplicaNode` is the ballot world's
+election rule, its way of *winning* leadership over that core — classic
+Multi-Paxos phase 1 over totally ordered ballots.  When a node campaigns
+is not its business but its trigger's (:mod:`repro.algorithms.trigger`),
+and which messages it speaks is a constructor value, a
+:class:`BallotFamily`.  Two live engines run this rule:
 
-* :class:`~repro.algorithms.multi_paxos.node.MultiPaxosNode` campaigns on
-  a randomized retry timer (leader silence, Raft-style timeouts);
-* :class:`~repro.algorithms.chandra_toueg.replicated.CtReplicatedNode`
-  campaigns when a live Ω/◇S failure detector
-  (:mod:`repro.live.detector`) elects it.
+* ``paxos`` — :data:`~repro.algorithms.multi_paxos.messages.PAX_FAMILY`
+  under a randomized election timer
+  (:class:`~repro.algorithms.trigger.TimerTrigger`), Raft's trigger;
+* ``ct`` — :data:`~repro.algorithms.chandra_toueg.replicated.CT_FAMILY`
+  under a live Ω/◇S failure detector
+  (:class:`~repro.algorithms.chandra_toueg.replicated.OmegaTrigger`).
 
 Protocol (per ballot ``b``, totally ordered ints, see :func:`make_ballot`):
 
@@ -35,31 +38,31 @@ need majorities, so a new leader's promise set intersects every commit's
 accept set and the per-slot highest-ballot merge re-proposes every
 committed value unchanged.  The three engines share every line of the
 replication logic — the measured difference between them (benchmark E17)
-is therefore exactly the cost of their election rules and detectors, which
+is therefore exactly the cost of their election rules and triggers, which
 is the decomposed-overhead question the paper poses.
 
-Each subclass speaks its own message family (class attributes below), so
-wire frames stay self-describing: a Multi-Paxos frame arriving at a CT
-node (a misconfigured mixed cluster) is recognizably foreign and the
-live engine seam fails loudly instead of half-interoperating.  The two
-families subclass the seven shapes defined here; field order is part of
-the wire format (the binary codec packs positionally).
+Each engine speaks its own family, so wire frames stay self-describing: a
+Multi-Paxos frame arriving at a CT node (a misconfigured mixed cluster)
+is recognizably foreign and the live engine seam fails loudly instead of
+half-interoperating.  Both families subclass the seven shapes defined
+here; field order is part of the wire format (the binary codec packs
+positionally).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple, Type
+from typing import Any, Dict, Tuple
 
 from repro.algorithms.raft.log import Entry
 from repro.algorithms.raft.replication import (
     FOLLOWER,
-    HEARTBEAT,
     ReplicatedLogNode,
+    WireFamily,
 )
 from repro.core.confidence import VACILLATE
 from repro.sim.messages import Pid
-from repro.sim.ops import Annotate, Receive, Send, TimerFired
+from repro.sim.ops import Annotate, Receive, Send
 from repro.sim.process import ProcessAPI, ProtocolGenerator
 
 #: The ballot world's candidate phase (``FOLLOWER``/``LEADER`` are the
@@ -99,6 +102,16 @@ class Noop:
 # ----------------------------------------------------------------------
 # Message shapes (each engine subclasses all seven into its own family)
 # ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BallotFamily(WireFamily):
+    """The core's four roles (chain, chain ack, snapshot, snapshot ack)
+    plus the three phase-1 messages."""
+
+    prepare: type
+    promise: type
+    prepare_nack: type
 
 
 @dataclass(frozen=True)
@@ -182,30 +195,20 @@ class BallotSnapshotAck:
 class BallotReplicaNode(ReplicatedLogNode):
     """Leadership by prepare/promise over totally ordered ballots.
 
-    Abstract over the *reconciliator*: subclasses implement
-    :meth:`_on_boot` (arm their campaign trigger), :meth:`_on_timer`
-    (drive it) and the core's :meth:`_on_leader_contact` /
-    :meth:`_on_demoted`, optionally :meth:`_on_campaign_observed` and
-    :meth:`_on_other` (failure-detector heartbeats).
-
     ``current_term`` is the promised ballot (also readable as
     ``promised``); a node is ``PREPARING`` or ``LEADER`` only under a
     ballot it opened itself, because every adoption of a higher one goes
     through the core's step-down.
 
     Args:
+        family: the :class:`BallotFamily` this node speaks.
+        trigger: when to campaign (:mod:`repro.algorithms.trigger`).
         propose_on_leadership: consensus mode — a fresh leader proposes
             ``DecideAndStop(init_value)``, so the cluster decides one
             value and the run terminates (the sim harness); off for
             replicated-log service use.
-        **kwargs: the core's arguments.
+        **kwargs: the core's other arguments.
     """
-
-    #: Subclasses bind their election message family here (and the core's
-    #: four replication classes).
-    PREPARE_CLS: Type[Any]
-    PROMISE_CLS: Type[Any]
-    PREPARE_NACK_CLS: Type[Any]
 
     INERT_COMMANDS = (Noop,)
 
@@ -224,26 +227,6 @@ class BallotReplicaNode(ReplicatedLogNode):
         self.current_term = ballot
 
     # ------------------------------------------------------------------
-    # Subclass hooks (the reconciliator seam)
-    # ------------------------------------------------------------------
-
-    def _on_boot(self, api: ProcessAPI) -> ProtocolGenerator:
-        """Arm the campaign trigger; runs once when the node starts."""
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def _on_timer(self, api: ProcessAPI, fired: TimerFired) -> ProtocolGenerator:
-        """Drive the campaign trigger (every timer but the heartbeat)."""
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def _on_campaign_observed(self, api: ProcessAPI, sender: Pid) -> ProtocolGenerator:
-        """A campaign by ``sender`` was granted a promise (subclasses
-        defer their own campaign triggers here)."""
-        return
-        yield  # pragma: no cover
-
-    # ------------------------------------------------------------------
     # Main event loop
     # ------------------------------------------------------------------
 
@@ -251,17 +234,14 @@ class BallotReplicaNode(ReplicatedLogNode):
         self._promises = {}
         self._max_ballot_seen = self.promised
         yield from self._boot(api)
-        yield from self._on_boot(api)
         while True:
             envelopes = yield Receive(count=1)
             payload = envelopes[0].payload
-            if isinstance(payload, TimerFired) and payload.name != HEARTBEAT:
-                yield from self._on_timer(api, payload)
-            elif isinstance(payload, self.PREPARE_CLS):
+            if isinstance(payload, self.family.prepare):
                 yield from self._on_prepare(api, payload)
-            elif isinstance(payload, self.PROMISE_CLS):
+            elif isinstance(payload, self.family.promise):
                 yield from self._on_promise(api, payload)
-            elif isinstance(payload, self.PREPARE_NACK_CLS):
+            elif isinstance(payload, self.family.prepare_nack):
                 yield from self._on_prepare_nack(api, payload)
             else:
                 yield from self._on_replication(api, payload)
@@ -276,7 +256,7 @@ class BallotReplicaNode(ReplicatedLogNode):
         if ballot > self._max_ballot_seen:
             self._max_ballot_seen = ballot
 
-    def _start_campaign(self, api: ProcessAPI) -> ProtocolGenerator:
+    def campaign(self, api: ProcessAPI) -> ProtocolGenerator:
         """Open a fresh ballot above everything seen and solicit promises."""
         counter = ballot_counter(max(self.promised, self._max_ballot_seen)) + 1
         ballot = make_ballot(counter, api.pid)
@@ -293,7 +273,7 @@ class BallotReplicaNode(ReplicatedLogNode):
             return
         for pid in self._members(api):
             if pid != api.pid:
-                yield Send(pid, self.PREPARE_CLS(ballot, from_index, api.pid))
+                yield Send(pid, self.family.prepare(ballot, from_index, api.pid))
 
     def _make_promise(self, ballot: int, voter: Pid, from_index: int) -> Any:
         """This node's suffix report from ``from_index``."""
@@ -307,7 +287,7 @@ class BallotReplicaNode(ReplicatedLogNode):
         entries: Tuple[Entry, ...] = ()
         if start <= self.log.last_index:
             entries = self.log.entries_from(start)
-        return self.PROMISE_CLS(
+        return self.family.promise(
             ballot, voter, snap_index, snap_ballot, machine_state, start, entries
         )
 
@@ -324,12 +304,13 @@ class BallotReplicaNode(ReplicatedLogNode):
             self.reads.sticky(api.now) and msg.sender != self.leader_hint
         ):
             yield Send(
-                msg.sender, self.PREPARE_NACK_CLS(msg.ballot, self.promised, api.pid)
+                msg.sender,
+                self.family.prepare_nack(msg.ballot, self.promised, api.pid),
             )
             return
         yield from self._saw_epoch(api, msg.ballot)
         self.leader_hint = None  # a campaign is in progress
-        yield from self._on_campaign_observed(api, msg.sender)
+        yield from self.trigger.on_campaign_observed(api)
         yield Send(
             msg.sender, self._make_promise(msg.ballot, api.pid, msg.from_index)
         )
@@ -346,13 +327,16 @@ class BallotReplicaNode(ReplicatedLogNode):
         if self.state is PREPARING and msg.ballot == self.promised:
             self.state = FOLLOWER
             self._promises = {}
-            yield from self._on_demoted(api)
+            yield from self.trigger.on_demoted(api)
 
     # ------------------------------------------------------------------
     # Winning: merge promised suffixes, re-tag, start streaming
     # ------------------------------------------------------------------
 
     def _become_leader(self, api: ProcessAPI) -> ProtocolGenerator:
+        # Unlike Raft this rule does not freeze the trigger on winning: a
+        # timer that fires under LEADER is ignored either way, and only
+        # the traced timer names would change.
         self._merge_promises()
         yield from super()._become_leader(api)
 

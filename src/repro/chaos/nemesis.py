@@ -66,6 +66,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.algorithms.trigger import TimerTrigger
 from repro.live.harness import LiveKVCluster
 from repro.storage.wal import flip_bit
 
@@ -612,22 +613,23 @@ class Nemesis:
             return
         factor = float(event.arg("factor", 3.0))
         victim = self._pick(alive, event)
-        timed = [
-            shard
+        timers = {
+            shard.shard_id: shard.node.trigger
             for shard in self.cluster.servers[victim].shards
-            if hasattr(shard.node, "election_timeout")
-        ]
-        if not timed:
+            if isinstance(shard.node.trigger, TimerTrigger)
+        }
+        if not timers:
             self._note("timeout-skew", "skipped: engine has no election timer")
             return
         # Ranges are per shard (staggered so leadership spreads): save,
         # scale and restore each shard's own.
         base = self._skewed.setdefault(
-            victim, {shard.shard_id: shard.node.election_timeout for shard in timed}
+            victim,
+            {shard_id: timer.election_timeout for shard_id, timer in timers.items()},
         )
-        for shard in timed:
-            lo, hi = base[shard.shard_id]
-            shard.node.election_timeout = (lo * factor, hi * factor)
+        for shard_id, timer in timers.items():
+            lo, hi = base[shard_id]
+            timer.election_timeout = (lo * factor, hi * factor)
         self._note(
             "timeout-skew", f"node {victim} election timeout x{factor:g}"
         )
@@ -667,7 +669,7 @@ class Nemesis:
             if server is not None:
                 for shard in server.shards:
                     if shard.shard_id in base:
-                        shard.node.election_timeout = base[shard.shard_id]
+                        shard.node.trigger.election_timeout = base[shard.shard_id]
             del self._skewed[pid]
         for pid in list(self._clock_skewed):
             server = self.cluster.servers[pid]

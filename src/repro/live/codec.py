@@ -20,24 +20,8 @@ from repro.algorithms.chandra_toueg.messages import (
     Estimate,
 )
 from repro.algorithms.chandra_toueg.messages import Nack as CtNack
-from repro.algorithms.chandra_toueg.replicated import (
-    CtChain,
-    CtChainAck,
-    CtPrepare,
-    CtPrepareNack,
-    CtPromise,
-    CtSnapshot,
-    CtSnapshotAck,
-)
-from repro.algorithms.multi_paxos.messages import (
-    PaxChain,
-    PaxChainAck,
-    PaxPrepare,
-    PaxPrepareNack,
-    PaxPromise,
-    PaxSnapshot,
-    PaxSnapshotAck,
-)
+from repro.algorithms.chandra_toueg.replicated import CT_FAMILY, OmegaTrigger
+from repro.algorithms.multi_paxos.messages import PAX_FAMILY
 from repro.algorithms.paxos.messages import (
     Accept,
     Accepted,
@@ -47,19 +31,11 @@ from repro.algorithms.paxos.messages import (
 )
 from repro.algorithms.replica import Noop
 from repro.algorithms.raft.log import Entry
-from repro.algorithms.raft.messages import (
-    AppendEntries,
-    AppendEntriesReply,
-    ClientPropose,
-    InstallSnapshot,
-    InstallSnapshotReply,
-    RequestVote,
-    RequestVoteReply,
-)
+from repro.algorithms.raft.messages import ClientPropose
+from repro.algorithms.raft.node import RAFT_FAMILY
 from repro.algorithms.raft.state_machine import DecideAndStop, Put
 from repro.algorithms.shared_coin.conciliator import ConcInput
 from repro.core.confidence import Confidence
-from repro.live.detector import FdHeartbeat
 from repro.sim.ops import TimerFired
 from repro.sim.serialize import register_wire_enum, register_wire_type
 
@@ -79,32 +55,15 @@ _DATACLASSES = (
     Ack,
     CtNack,
     CtDecide,
-    # Multi-Paxos engine (replicated-log ballot mixer)
-    PaxPrepare,
-    PaxPromise,
-    PaxPrepareNack,
-    PaxChain,
-    PaxChainAck,
-    PaxSnapshot,
-    PaxSnapshotAck,
-    # Chandra-Toueg engine (replicated-log mixer + Ω detector)
-    CtPrepare,
-    CtPromise,
-    CtPrepareNack,
-    CtChain,
-    CtChainAck,
-    CtSnapshot,
-    CtSnapshotAck,
-    FdHeartbeat,
+    # The live engines' wire families (raft, paxos, ct) and the Ω
+    # trigger's heartbeat
+    *RAFT_FAMILY.classes,
+    *PAX_FAMILY.classes,
+    *CT_FAMILY.classes,
+    *OmegaTrigger.MESSAGES,
     # Shared ballot-mixer gap filler (rides inside log entries)
     Noop,
-    # Raft (full stack, including log entries and commands)
-    RequestVote,
-    RequestVoteReply,
-    AppendEntries,
-    AppendEntriesReply,
-    InstallSnapshot,
-    InstallSnapshotReply,
+    # Raft log entries and commands
     ClientPropose,
     Entry,
     DecideAndStop,

@@ -3,18 +3,19 @@
 The paper's framework says a consensus protocol is an assembly of
 objects — a failure detector composed with a mixer — and that different
 assemblies should be interchangeable behind one interface.  This module
-is that interface for the live service: a :class:`ConsensusEngine`
-builds a protocol node for one shard (and its durable variant for
-``--data-dir``), names the wire-message family the node speaks, and maps
-the service-level tuning knobs onto the backend's own parameters.
-:class:`~repro.live.kv.KVShard` consumes *only* this seam plus the
-node contract below — it never mentions a concrete protocol.
+is that interface for the live service: a :class:`ConsensusEngine` is one
+row of a table — an election rule (the reconciliator), the wire family
+it speaks, and the trigger that decides when it campaigns — and builds
+the protocol node for one shard (durable for ``--data-dir``) from the
+service-level tuning knobs.  :class:`~repro.live.kv.KVShard` consumes
+*only* this seam plus the node contract below — it never mentions a
+concrete protocol.
 
 Node contract (duck-typed, pinned by tests/live/test_engine_conformance.py):
 
 * attributes ``state`` (identity-comparable against
   :data:`~repro.algorithms.raft.node.LEADER`), ``current_term`` (the
-  monotone leadership epoch — Raft's term, the ballot engines' promised
+  monotone leadership epoch — Raft's term, the ballot rule's promised
   ballot), ``commit_index``, ``last_applied``, ``leader_hint``,
   ``machine``, and ``log`` (``last_index``);
 * consumes :class:`~repro.algorithms.raft.messages.ClientPropose`
@@ -35,16 +36,15 @@ Node contract (duck-typed, pinned by tests/live/test_engine_conformance.py):
   are engine-independent and admitted by every engine's wire filter on
   top of its own disjoint family.
 
-Engines available (``--engine`` on serve/client/loadgen/chaos):
+Engines available (``--engine`` on serve/client/loadgen/chaos), election
+rule × trigger:
 
 =========  ==========================================================
-``raft``   Raft's election rule (randomized election timeout / vote
-           on log freshness) over the shared replicated-log core.
-``paxos``  Multi-Paxos: the same core and the same randomized-timeout
-           detector, leadership won by prepare/promise + suffix merge
-           instead of vote-and-truncate.
-``ct``     Chandra-Toueg: the ballot election under a live Ω/◇S
-           heartbeat failure detector (:mod:`repro.live.detector`).
+``raft``   RequestVote (vote on log freshness) × randomized election
+           timer.
+``paxos``  prepare/promise + suffix merge × the same timer.
+``ct``     the same ballot rule × a live Ω/◇S heartbeat failure
+           detector (:mod:`repro.live.detector`).
 =========  ==========================================================
 
 Every engine speaks a disjoint message family, so wire frames are
@@ -59,41 +59,17 @@ Raft and shard 1 on Chandra-Toueg.  See docs/engines.md.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple, Type
 
-from repro.algorithms.chandra_toueg.replicated import (
-    CtChain,
-    CtChainAck,
-    CtPrepare,
-    CtPrepareNack,
-    CtPromise,
-    CtReplicatedNode,
-    CtSnapshot,
-    CtSnapshotAck,
-)
-from repro.algorithms.multi_paxos import (
-    MultiPaxosNode,
-    PaxChain,
-    PaxChainAck,
-    PaxPrepare,
-    PaxPrepareNack,
-    PaxPromise,
-    PaxSnapshot,
-    PaxSnapshotAck,
-)
-from repro.algorithms.raft.messages import (
-    AppendEntries,
-    AppendEntriesReply,
-    InstallSnapshot,
-    InstallSnapshotReply,
-    RequestVote,
-    RequestVoteReply,
-)
-from repro.algorithms.raft.node import RaftNode
+from repro.algorithms.chandra_toueg.replicated import CT_FAMILY, OmegaTrigger
+from repro.algorithms.multi_paxos.messages import PAX_FAMILY
+from repro.algorithms.raft.node import RAFT_FAMILY, RaftNode
+from repro.algorithms.raft.replication import ReplicatedLogNode, WireFamily
 from repro.algorithms.readpath import READ_WIRE_CLASSES, ReadConfig
-from repro.live.detector import FdHeartbeat
-from repro.live.sharding import preferred_leader, staggered_election_timeout
-from repro.sim.process import Process
+from repro.algorithms.replica import BallotReplicaNode
+from repro.algorithms.trigger import TimerTrigger, Trigger
 from repro.storage.engine import DurableNode, RaftStorage
 
 
@@ -105,31 +81,43 @@ class DurableRaftNode(DurableNode, RaftNode):
     """Raft persisting term, vote and log to a WAL directory."""
 
 
-class DurableMultiPaxosNode(DurableNode, MultiPaxosNode):
-    """Multi-Paxos persisting promised ballot + log to a WAL directory."""
+class DurableBallotReplicaNode(DurableNode, BallotReplicaNode):
+    """A ballot replica persisting promised ballot + log to a WAL directory."""
 
 
-class DurableCtReplicatedNode(DurableNode, CtReplicatedNode):
-    """Chandra-Toueg persisting promised ballot + log to a WAL directory."""
+#: Each election rule under the durability binding.
+DURABLE: Dict[Type[ReplicatedLogNode], Type[ReplicatedLogNode]] = {
+    RaftNode: DurableRaftNode,
+    BallotReplicaNode: DurableBallotReplicaNode,
+}
 
 
+@dataclass(frozen=True)
 class ConsensusEngine:
-    """One pluggable backend: node classes + wire family + tuning map.
+    """One backend: an election rule, its wire family, and a trigger.
 
-    Subclasses set :attr:`name`, :attr:`wire_classes`, :attr:`node_cls`
-    and :attr:`durable_cls`, and override :meth:`election_kwargs` when
-    their election rule is not tuned by an election timeout.  Engines
-    are stateless — one shared instance per backend lives in
+    Engines are stateless — one shared instance per row of
     :data:`ENGINES`.
+
+    Args:
+        name: CLI / spec name.
+        reconciliator: the election rule's node class
+            (:class:`~repro.algorithms.raft.node.RaftNode` or
+            :class:`~repro.algorithms.replica.BallotReplicaNode`).
+        family: the message classes the rule speaks.
+        trigger: the trigger class; its ``for_shard`` builds one per node.
     """
 
-    #: CLI / spec name.
-    name: str = ""
-    #: The message classes this engine's nodes exchange over the wire.
-    wire_classes: FrozenSet[Type[Any]] = frozenset()
-    #: The protocol node, and the same node under the durability binding.
-    node_cls: Type[Process]
-    durable_cls: Type[Process]
+    name: str
+    reconciliator: Type[ReplicatedLogNode]
+    family: WireFamily
+    trigger: Type[Trigger]
+
+    @cached_property
+    def wire_classes(self) -> FrozenSet[type]:
+        """Every message class this engine's nodes exchange — derived from
+        what the node is built with, so the two cannot disagree."""
+        return self.family.classes | self.trigger.MESSAGES
 
     def build_node(
         self,
@@ -144,24 +132,18 @@ class ConsensusEngine:
         snapshot_threshold: Optional[int],
         storage: Optional[RaftStorage],
         read: Optional[ReadConfig] = None,
-    ) -> Process:
+    ) -> ReplicatedLogNode:
         """Build this shard's protocol node (durable iff ``storage``).
 
         ``election_timeout``/``heartbeat_interval`` are the service-level
-        knobs; each engine maps them onto its own parameters in
-        :meth:`election_kwargs` (the ct engine derives its detector
-        cadence from the heartbeat interval, for example) so one CLI
+        knobs; the trigger maps them onto its own parameters (the Ω
+        trigger ticks at the heartbeat interval, for example) so one CLI
         surface tunes every backend.  ``read`` configures the fast read
         path (lease duration + drift bound); ``None`` keeps it inert.
         """
-        args = dict(
-            heartbeat_interval=heartbeat_interval,
-            state_machine_factory=state_machine_factory,
-            propose_on_leadership=False,
-            snapshot_threshold=snapshot_threshold,
-            cluster_size=n,
-            read_config=read,
-            **self.election_kwargs(
+        args: Dict[str, Any] = dict(
+            family=self.family,
+            trigger=self.trigger.for_shard(
                 shard_id=shard_id,
                 shard_count=shard_count,
                 pid=pid,
@@ -169,32 +151,16 @@ class ConsensusEngine:
                 election_timeout=election_timeout,
                 heartbeat_interval=heartbeat_interval,
             ),
+            heartbeat_interval=heartbeat_interval,
+            state_machine_factory=state_machine_factory,
+            propose_on_leadership=False,
+            snapshot_threshold=snapshot_threshold,
+            cluster_size=n,
+            read_config=read,
         )
         if storage is not None:
-            return self.durable_cls(storage=storage, **args)
-        return self.node_cls(**args)
-
-    def election_kwargs(
-        self,
-        *,
-        shard_id: int,
-        shard_count: int,
-        pid: int,
-        n: int,
-        election_timeout: Tuple[float, float],
-        heartbeat_interval: float,
-    ) -> Dict[str, Any]:
-        """The node arguments that tune this engine's election rule.
-
-        Default: a randomized election timeout, staggered so shard i's
-        first leadership starts on node i mod n and load spreads across
-        the cluster.
-        """
-        if shard_count > 1:
-            election_timeout = staggered_election_timeout(
-                election_timeout, shard_id, pid, n
-            )
-        return {"election_timeout": election_timeout}
+            return DURABLE[self.reconciliator](storage=storage, **args)
+        return self.reconciliator(**args)
 
     def accepts(self, payload: Any) -> bool:
         """Wire filter: is ``payload`` part of this engine's protocol?
@@ -208,89 +174,16 @@ class ConsensusEngine:
         )
 
 
-class RaftEngine(ConsensusEngine):
-    """Raft: vote on log freshness, randomized election timeout."""
-
-    name = "raft"
-    wire_classes = frozenset(
-        {
-            RequestVote,
-            RequestVoteReply,
-            AppendEntries,
-            AppendEntriesReply,
-            InstallSnapshot,
-            InstallSnapshotReply,
-        }
-    )
-    node_cls = RaftNode
-    durable_cls = DurableRaftNode
-
-
-class MultiPaxosEngine(ConsensusEngine):
-    """Multi-Paxos: ballot election, randomized retry timeout."""
-
-    name = "paxos"
-    wire_classes = frozenset(
-        {
-            PaxPrepare,
-            PaxPromise,
-            PaxPrepareNack,
-            PaxChain,
-            PaxChainAck,
-            PaxSnapshot,
-            PaxSnapshotAck,
-        }
-    )
-    node_cls = MultiPaxosNode
-    durable_cls = DurableMultiPaxosNode
-
-
-class ChandraTouegEngine(ConsensusEngine):
-    """Chandra-Toueg: ballot election, live Ω/◇S heartbeat detector.
-
-    The detector ticks at the service heartbeat interval (its beacons
-    *are* this engine's liveness signal), and per-shard leader
-    staggering comes from Ω's rank rotation (``preferred``) rather than
-    timeout offsets — the same placement, produced by the detector
-    object instead of by timing.
-    """
-
-    name = "ct"
-    wire_classes = frozenset(
-        {
-            CtPrepare,
-            CtPromise,
-            CtPrepareNack,
-            CtChain,
-            CtChainAck,
-            CtSnapshot,
-            CtSnapshotAck,
-            FdHeartbeat,
-        }
-    )
-    node_cls = CtReplicatedNode
-    durable_cls = DurableCtReplicatedNode
-
-    def election_kwargs(
-        self,
-        *,
-        shard_id: int,
-        shard_count: int,
-        pid: int,
-        n: int,
-        election_timeout: Tuple[float, float],
-        heartbeat_interval: float,
-    ) -> Dict[str, Any]:
-        return {
-            "detector_interval": heartbeat_interval,
-            "preferred": preferred_leader(shard_id, n),
-        }
-
-
-#: The engine registry: one shared stateless instance per backend.
+#: The engine table, one row per backend.  The order is part of the
+#: contract: live sweeps run schedule ``i`` on row ``i % len(ENGINES)``,
+#: so every recorded sweep digest depends on it.
 ENGINES: Dict[str, ConsensusEngine] = {
     engine.name: engine
-    for engine in (RaftEngine(), MultiPaxosEngine(), ChandraTouegEngine())
+    for engine in (
+        ConsensusEngine("raft", RaftNode, RAFT_FAMILY, TimerTrigger),
+        ConsensusEngine("paxos", BallotReplicaNode, PAX_FAMILY, TimerTrigger),
+        ConsensusEngine("ct", BallotReplicaNode, CT_FAMILY, OmegaTrigger),
+    )
 }
 
 #: Default engine spec (the pre-seam behaviour).
@@ -312,11 +205,12 @@ def parse_engine_spec(spec: str, shard_count: int) -> Tuple[ConsensusEngine, ...
 
     ``"ct"`` runs every shard on Chandra-Toueg; ``"raft,ct"`` with two
     shards runs shard 0 on Raft and shard 1 on Chandra-Toueg.  A
-    comma-separated spec must name exactly ``shard_count`` engines.
+    comma-separated spec must name exactly ``shard_count`` engines, and
+    no entry may be empty.
     """
-    names = [name.strip() for name in spec.split(",") if name.strip()]
-    if not names:
-        raise EngineError("empty engine spec")
+    names = [name.strip() for name in spec.split(",")]
+    if "" in names:
+        raise EngineError(f"engine spec {spec!r} has an empty entry")
     if len(names) == 1:
         names = names * shard_count
     if len(names) != shard_count:

@@ -17,6 +17,8 @@ timeout range; the others get a strictly later range), so the ``S``
 leaders spread across the cluster instead of piling onto whichever node's
 timer fires first.  This is a preference, not a constraint — after a
 crash any node can win the shard's election, exactly as in plain Raft.
+The two placement functions live with the campaign triggers that apply
+them (:mod:`repro.algorithms.trigger`) and are re-exported here.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import hashlib
 import itertools
 from typing import Any, Dict, Optional, Tuple
 
+from repro.algorithms.trigger import preferred_leader, staggered_election_timeout
 from repro.live.config import ClusterConfig, validate_shards
 
 __all__ = [
@@ -62,28 +65,6 @@ def shard_of(key: Any, shards: int) -> int:
         return 0
     digest = hashlib.blake2b(_key_bytes(key), digest_size=8).digest()
     return int.from_bytes(digest, "big") % shards
-
-
-def preferred_leader(shard: int, n: int) -> int:
-    """The node on which ``shard`` prefers to start leadership."""
-    return shard % n
-
-
-def staggered_election_timeout(
-    base: Tuple[float, float], shard: int, pid: int, n: int
-) -> Tuple[float, float]:
-    """Election-timeout range for ``pid`` in ``shard``'s group.
-
-    The preferred node keeps the configured range; every other node gets
-    a strictly later, equally wide range, so on a clean start the
-    preferred node times out first and wins the shard's first election.
-    Liveness is unaffected: if the preferred node is down, the others
-    still time out and elect among themselves.
-    """
-    lo, hi = base
-    if pid == preferred_leader(shard, n):
-        return base
-    return (lo + hi, 2 * hi)
 
 
 class ShardRouter:

@@ -655,8 +655,8 @@ class DurableRaftLog(RaftLog):
 class DurableNode:
     """The durability binding: a node's durable fields persisted to storage.
 
-    Mixed in *before* an engine's node class
-    (:mod:`repro.live.engine` does, once per engine)::
+    Mixed in *before* an election rule's node class
+    (:mod:`repro.live.engine` does, once per rule)::
 
         class DurableRaftNode(DurableNode, RaftNode): ...
 

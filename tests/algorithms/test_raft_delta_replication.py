@@ -86,7 +86,7 @@ class TestCursorMechanics:
     def test_first_send_carries_whole_suffix(self, build):
         node = leader_node(build, log_len=3)
         (msg,) = sent_appends(node._send_append_entries(FakeAPI(), 1))
-        assert type(msg) is node.APPEND_CLS
+        assert type(msg) is node.family.append
         assert msg.prev_log_index == 0
         assert [e.command.key for e in msg.entries] == ["k1", "k2", "k3"]
         assert node.sent_index[1] == 3
@@ -114,7 +114,7 @@ class TestCursorMechanics:
         node.next_index[1] = 4  # stale optimism from a previous incarnation
         node.sent_index[1] = 3
         node.match_index[1] = 3
-        reply = node.APPEND_REPLY_CLS(TERM, False, 1, match_index=2)
+        reply = node.family.append_reply(TERM, False, 1, match_index=2)
         (msg,) = sent_appends(node._on_append_entries_reply(FakeAPI(), reply))
         assert node.next_index[1] == 3  # the hint + 1
         assert node.sent_index[1] == 2  # frozen at the floor while probing
@@ -131,7 +131,7 @@ class TestCursorMechanics:
         for hint in (2, 1, 0):
             (msg,) = sent_appends(
                 node._on_append_entries_reply(
-                    api, node.APPEND_REPLY_CLS(TERM, False, 1, match_index=hint)
+                    api, node.family.append_reply(TERM, False, 1, match_index=hint)
                 )
             )
             assert node.next_index[1] == hint + 1
@@ -139,7 +139,7 @@ class TestCursorMechanics:
         # The probe at prev 0 is accepted: the full log ships once.
         (msg,) = sent_appends(
             node._on_append_entries_reply(
-                api, node.APPEND_REPLY_CLS(TERM, True, 1, match_index=0)
+                api, node.family.append_reply(TERM, True, 1, match_index=0)
             ),
             dst=1,
         )
@@ -150,7 +150,7 @@ class TestCursorMechanics:
     def test_success_ack_advances_both_cursors(self, build):
         node = leader_node(build, log_len=3)
         list(node._send_append_entries(FakeAPI(), 1))
-        reply = node.APPEND_REPLY_CLS(TERM, True, 1, match_index=3)
+        reply = node.family.append_reply(TERM, True, 1, match_index=3)
         ops = list(node._on_append_entries_reply(FakeAPI(), reply))
         assert node.match_index[1] == 3
         assert node.next_index[1] == 4
@@ -165,11 +165,11 @@ class TestCursorMechanics:
         node = leader_node(build, log_len=3)
         list(node._send_append_entries(FakeAPI(), 1))
         list(node._on_append_entries_reply(
-            FakeAPI(), node.APPEND_REPLY_CLS(TERM, True, 1, match_index=3)
+            FakeAPI(), node.family.append_reply(TERM, True, 1, match_index=3)
         ))
         # A reordered older ack arrives late.
         list(node._on_append_entries_reply(
-            FakeAPI(), node.APPEND_REPLY_CLS(TERM, True, 1, match_index=1)
+            FakeAPI(), node.family.append_reply(TERM, True, 1, match_index=1)
         ))
         assert node.match_index[1] == 3
         assert node.next_index[1] == 4
@@ -179,7 +179,7 @@ class TestCursorMechanics:
         node = leader_node(build, log_len=2)
         list(node._send_append_entries(FakeAPI(), 1))
         node.log.append_new(Entry(TERM, Put("k3", 3)))
-        reply = node.APPEND_REPLY_CLS(TERM, True, 1, match_index=2)
+        reply = node.family.append_reply(TERM, True, 1, match_index=2)
         with_entries = [
             msg
             for msg in sent_appends(
@@ -197,7 +197,7 @@ class TestCursorMechanics:
         # election rule, which never campaigns against "its own" lease).
         node = leader_node(build, log_len=1)
         node.leader_hint = 0
-        reply = node.APPEND_REPLY_CLS(2 * TERM + 1, False, 1)
+        reply = node.family.append_reply(2 * TERM + 1, False, 1)
         assert sent_appends(node._on_append_entries_reply(FakeAPI(), reply)) == []
         assert node.state is not LEADER
         assert node.current_term == 2 * TERM + 1
@@ -254,7 +254,7 @@ class TestLinearRepair:
         leader = fresh_leader(build, log_len=300)
         follower = build()
         stale = [
-            (1, leader.APPEND_CLS(
+            (1, leader.family.append(
                 term=TERM, leader_id=0, prev_log_index=prev, prev_log_term=TERM,
                 entries=(leader.log.entry_at(prev + 1),), leader_commit=0,
             ))
@@ -266,7 +266,7 @@ class TestLinearRepair:
 
     def test_lost_probe_is_resent_on_the_next_heartbeat(self, build):
         leader = fresh_leader(build, log_len=10)
-        reject = leader.APPEND_REPLY_CLS(TERM, False, 1, match_index=4)
+        reject = leader.family.append_reply(TERM, False, 1, match_index=4)
         (probe,) = sent_appends(leader._on_append_entries_reply(FakeAPI(), reject))
         assert probe.prev_log_index == 4 and probe.entries == ()
         # The probe is lost.  Nothing else is sent until the heartbeat.
@@ -276,7 +276,7 @@ class TestLinearRepair:
 
 class TestAckCoalescing:
     def heartbeat(self, node, commit=0):
-        return node.APPEND_CLS(
+        return node.family.append(
             term=TERM,
             leader_id=0,
             prev_log_index=0,
@@ -304,7 +304,7 @@ class TestAckCoalescing:
     def test_new_information_is_never_suppressed(self, build):
         node = build()
         self.acks(node, self.heartbeat(node))
-        with_entry = node.APPEND_CLS(
+        with_entry = node.family.append(
             term=TERM,
             leader_id=0,
             prev_log_index=0,
@@ -316,7 +316,7 @@ class TestAckCoalescing:
         assert ack.match_index == 1
         # An empty heartbeat that moves the commit index changes the ack
         # state too, so it is answered.
-        beat = node.APPEND_CLS(
+        beat = node.family.append(
             term=TERM,
             leader_id=0,
             prev_log_index=1,

@@ -107,8 +107,12 @@ def _apply(cluster, *events):
 
 
 def _election_timeouts(cluster):
+    """Each shard's timer-trigger range (``None`` for an Ω trigger)."""
     return [
-        [shard.node.election_timeout for shard in server.shards]
+        [
+            getattr(shard.node.trigger, "election_timeout", None)
+            for shard in server.shards
+        ]
         for server in cluster.servers
     ]
 
@@ -145,9 +149,8 @@ class TestTimeoutSkew:
 
     def test_mixed_engines_skew_only_the_timed_shards(self):
         cluster = LiveKVCluster(3, shards=2, engine="ct,raft")
-        (lo, hi) = cluster.servers[0].shards[1].node.election_timeout
+        before = _election_timeouts(cluster)
+        (lo, hi) = before[0][1]
         log = _apply(cluster, self.SKEW)
         assert log == [("timeout-skew", "node 0 election timeout x3")]
-        assert cluster.servers[0].shards[1].node.election_timeout == (
-            lo * 3.0, hi * 3.0
-        )
+        assert _election_timeouts(cluster)[0] == [None, (lo * 3.0, hi * 3.0)]

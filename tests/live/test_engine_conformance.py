@@ -72,6 +72,17 @@ class TestEngineRegistry:
             parse_engine_spec("zab", 1)  # unknown engine
         with pytest.raises(EngineError):
             parse_engine_spec("", 1)  # empty
+        # An empty entry is an error, not silently dropped.
+        for spec, shards in ((",ct", 2), ("raft,", 2), ("raft,,ct", 2),
+                             ("raft,,ct", 3)):
+            with pytest.raises(EngineError, match="empty entry"):
+                parse_engine_spec(spec, shards)
+
+    def test_registry_order_is_fixed(self):
+        # generate_live_scenarios picks schedule i's engine as
+        # engines[i % len(engines)], so every recorded sweep digest
+        # depends on this order.
+        assert list(ENGINES) == ["raft", "paxos", "ct"]
 
 
 @pytest.mark.parametrize("engine", ENGINE_NAMES)

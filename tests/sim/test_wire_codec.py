@@ -29,7 +29,7 @@ from repro.algorithms.chandra_toueg.replicated import (
     CtSnapshot,
     CtSnapshotAck,
 )
-from repro.algorithms.multi_paxos import (
+from repro.algorithms.multi_paxos.messages import (
     PaxChain,
     PaxChainAck,
     PaxPrepare,
