@@ -2,8 +2,8 @@
 
 PR 8 added a fast read path with three tiers behind the engine seam
 (docs/reads.md): ``safe`` commits every linearizable get as a log
-marker, ``readindex`` amortizes one leadership-probe round over a batch
-of reads, and ``lease`` answers locally with zero rounds while the
+marker, ``readindex`` amortizes one leadership confirmation (an acked
+append round) over a batch of reads, and ``lease`` answers locally with zero rounds while the
 clock-based leader lease is live.  This experiment measures what each
 tier buys under the workload the ladder exists for: a read-heavy
 (90% get) Zipf-skewed closed loop against a 3-node cluster — identical
@@ -22,7 +22,7 @@ measured.  They used to ask ReadIndex for 2x and leases for 3x the
 safe tier, which held only because every safe read paid the write
 path's fixed 5 ms batch window.  With group commit clocked by commits
 alone, a safe read cost one commit round and rode the pipelined write
-batches, while ReadIndex rounds are serialised (one probe round in
+batches, while ReadIndex rounds are serialised (one confirmation in
 flight per shard), so at 4 clients ReadIndex was usually the slowest
 linearizable tier.  With the 4 ms flush interval on top, a safe read
 waits for the interval again.  Runs on a 2-core VM (ops/s, safe /
@@ -50,7 +50,7 @@ SEED = 18
 TIMINGS = dict(election_timeout=(0.3, 0.6), heartbeat_interval=0.06)
 OPS = 400
 # Moderate multiprogramming: the round-paying tiers' cost is *time* (a
-# commit or probe round), the lease tier's cost is event-loop CPU, so an
+# commit or confirmation round), the lease tier's cost is event-loop CPU, so an
 # in-process cluster driven too hard floors every tier at scheduler
 # latency and hides exactly the gap this experiment measures.
 CONCURRENCY = 4

@@ -43,7 +43,12 @@ class RequestVoteReply:
 
 @dataclass(frozen=True)
 class AppendEntries:
-    """Leader replicates entries (non-empty) or heartbeats (empty)."""
+    """Leader replicates entries (non-empty) or heartbeats (empty).
+
+    ``read_seq`` is the leader's read sequence, bumped by each ReadIndex
+    barrier; ``read_confirmed`` the newest sequence a majority has echoed
+    (see :mod:`repro.algorithms.readpath`).
+    """
 
     term: int
     leader_id: Pid
@@ -51,6 +56,8 @@ class AppendEntries:
     prev_log_term: int
     entries: Tuple[Entry, ...]
     leader_commit: int
+    read_seq: int = 0
+    read_confirmed: int = 0
 
 
 @dataclass(frozen=True)
@@ -60,13 +67,15 @@ class AppendEntriesReply:
     On success, ``match_index`` is the follower's last index consistent
     with the leader's log.  On failure it is the repair hint
     ``min(prev_log_index - 1, last_index)``: the highest index that can
-    still match, where the leader probes next.
+    still match, where the leader probes next.  ``read_seq`` echoes the
+    highest read sequence the follower took from this leader in this term.
     """
 
     term: int
     success: bool
     follower_id: Pid
     match_index: int = 0
+    read_seq: int = 0
 
 
 @dataclass(frozen=True)

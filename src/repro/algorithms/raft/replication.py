@@ -38,13 +38,16 @@ What the core owns
 * follower accept with *ack coalescing*: success replies to empty
   heartbeats that repeat an already-acknowledged state are suppressed,
   with a bounded backstop so a lost ack cannot stall commit advancement;
-* ack handling, including the *lease piggyback* — a success ack proves
-  the follower deferred elections since the oldest unacked send, so
+* ack handling, including the *lease* — a success ack proves the
+  follower deferred elections since the oldest unacked send, so
   ordinary replication traffic renews the read lease with no extra frame;
 * the commit rule (majority match *and* entry of the current epoch),
   apply, decision reporting, compaction, snapshot install;
 * client proposals with duplicate detection;
-* the read path: ReadIndex barrier, probe, probe ack, freshness proof;
+* the read path, riding the same stream: a ReadIndex barrier bumps the
+  read sequence every append carries, replies echo it, a majority of
+  echoes confirms the barrier, and appends carry the confirmed sequence
+  back so followers prove their freshness;
 * the leader's heartbeat timer.
 
 What the election rule and the trigger supply
@@ -68,8 +71,9 @@ step-down function.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.algorithms.raft.log import Entry, RaftLog
 from repro.algorithms.raft.messages import ClientPropose
@@ -78,18 +82,10 @@ from repro.algorithms.raft.state_machine import (
     DecideStateMachine,
     StateMachine,
 )
-from repro.algorithms.readpath import (
-    ReadBarrier,
-    ReadConfig,
-    ReadFresh,
-    ReadLedger,
-    ReadProbe,
-    ReadProbeAck,
-    ReadRound,
-)
+from repro.algorithms.readpath import ReadBarrier, ReadConfig, ReadLedger
 from repro.core.confidence import ADOPT, COMMIT
 from repro.sim.messages import Pid
-from repro.sim.ops import Annotate, Broadcast, Decide, Send, SetTimer, TimerFired
+from repro.sim.ops import Annotate, Decide, Send, SetTimer, TimerFired
 from repro.sim.process import Process, ProcessAPI, ProtocolGenerator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -222,16 +218,23 @@ class ReplicatedLogNode(Process):
         self._proposed_ids: Set[Any] = set()
         # Follower-side ack coalescing: the last success-ack state sent,
         # and how many redundant heartbeat acks were skipped since.
-        self._last_ack: Optional[Tuple[int, Pid, int, int]] = None
+        self._last_ack: Optional[Tuple[int, Pid, int, int, int]] = None
         self._ack_skips = 0
-        # Lease piggyback (leader-side): the *oldest unacked* append send
+        # Lease evidence (leader-side): the *oldest unacked* append send
         # time per follower.  A success ack proves the follower deferred
         # elections from that send onward.
         self._ae_sent: Dict[Pid, float] = {}
-        #: Fast-read-path state: leader-contact stickiness, in-flight
-        #: ReadIndex probe rounds, the lease, follower freshness.  Inert
-        #: unless a lease duration is configured or a
-        #: :class:`ReadBarrier` is injected.
+        # ReadIndex (leader-side, reset each leadership): the read
+        # sequence appends carry, the newest one a majority has echoed,
+        # each follower's highest echo, and the unconfirmed barriers as
+        # (seq, read index, barrier id) in seq order.
+        self._read_seq = 0
+        self._read_confirmed = 0
+        self._read_echo: Dict[Pid, int] = {}
+        self._barriers: Deque[Tuple[int, int, Any]] = deque()
+        #: Fast-read-path arithmetic: leader-contact stickiness, the
+        #: lease, follower freshness.  Inert unless a lease duration is
+        #: configured or a :class:`ReadBarrier` is injected.
         self.reads = ReadLedger(read_config)
 
     # ------------------------------------------------------------------
@@ -248,17 +251,18 @@ class ReplicatedLogNode(Process):
         """Adopt a higher epoch and stop leading or campaigning.
 
         The single step-down: every handler that reads an epoch off a
-        message calls this first.  Read rounds and lease evidence belong
-        to the old epoch and are dropped; a hint that still names this
-        node would tell clients (and an Ω-driven election rule) that it
-        leads, so it is cleared.
+        message calls this first.  Unconfirmed barriers and lease
+        evidence belong to the old epoch and are dropped; a hint that
+        still names this node would tell clients (and an Ω-driven
+        election rule) that it leads, so it is cleared.
         """
         if epoch <= self.current_term:
             return
         self.current_term = epoch
         self.voted_for = None
-        self.reads.drop_rounds()
+        self.reads.drop_acks()
         self._ae_sent = {}
+        self._barriers.clear()
         if self.leader_hint == api.pid:
             self.leader_hint = None
         if self.state is not FOLLOWER:
@@ -286,6 +290,7 @@ class ReplicatedLogNode(Process):
         self.sent_index = {pid: index - 1 for pid, index in self.next_index.items()}
         self._probing = set()
         self._ae_sent = {}  # no sends from this incarnation acked yet
+        self._reset_reads()
         value = self._current_value(api)
         if self.propose_on_leadership:
             self.log.append_new(Entry(self.current_term, DecideAndStop(value)))
@@ -316,6 +321,7 @@ class ReplicatedLogNode(Process):
         self._last_ack = None
         self._ack_skips = 0
         self._ae_sent = {}
+        self._reset_reads()
         self.reads.reset()
         if self.log.snapshot_index > 0:
             # The compacted prefix can no longer be replayed entry by
@@ -347,12 +353,6 @@ class ReplicatedLogNode(Process):
             yield from self._on_install_snapshot_reply(api, payload)
         elif isinstance(payload, ReadBarrier):
             yield from self._on_read_barrier(api, payload)
-        elif isinstance(payload, ReadProbe):
-            yield from self._on_read_probe(api, payload)
-        elif isinstance(payload, ReadProbeAck):
-            yield from self._on_read_probe_ack(api, payload)
-        elif isinstance(payload, ReadFresh):
-            yield from self._on_read_fresh(api, payload)
         else:
             yield from self.trigger.on_message(api, payload)
 
@@ -424,6 +424,8 @@ class ReplicatedLogNode(Process):
                 prev_log_term=self.log.term_at(prev_index),
                 entries=() if probing else self.log.entries_from(start),
                 leader_commit=self.commit_index,
+                read_seq=self._read_seq,
+                read_confirmed=self._read_confirmed,
             ),
         )
         if not probing:
@@ -438,6 +440,11 @@ class ReplicatedLogNode(Process):
             return
         yield from self._follow(api, msg.term, msg.leader_id)
         yield from self.trigger.on_leader_contact(api, msg.leader_id)
+        # Taking the read sequence is accepting the epoch, so even a
+        # rejection below echoes it.
+        echo = self.reads.note_append(
+            msg.term, msg.read_seq, msg.leader_commit, api.now
+        )
         ok = self.log.try_append(msg.prev_log_index, msg.prev_log_term, msg.entries)
         if not ok:
             # The repair hint: nothing past it can match the leader.  The
@@ -447,7 +454,9 @@ class ReplicatedLogNode(Process):
             hint = min(msg.prev_log_index - 1, self.log.last_index)
             yield Send(
                 msg.leader_id,
-                self.family.append_reply(self.current_term, False, api.pid, hint),
+                self.family.append_reply(
+                    self.current_term, False, api.pid, hint, echo
+                ),
             )
             return
         match = msg.prev_log_index + len(msg.entries)
@@ -458,11 +467,15 @@ class ReplicatedLogNode(Process):
         if msg.leader_commit > self.commit_index:
             self.commit_index = max(self.commit_index, min(msg.leader_commit, match))
             yield from self._apply_committed(api)
+        if msg.read_confirmed:
+            self.reads.note_confirmed(msg.read_confirmed, self.last_applied)
         # Ack coalescing: an empty heartbeat that confirms the exact state
         # the leader already heard carries no information — skip the reply,
         # but re-ack every few suppressions so a lost ack is always
         # retransmitted eventually (commit liveness under message loss).
-        ack = (self.current_term, msg.leader_id, match, self.commit_index)
+        # A new read sequence is new information, so a barrier is always
+        # answered.
+        ack = (self.current_term, msg.leader_id, match, self.commit_index, echo)
         if (
             not msg.entries
             and ack == self._last_ack
@@ -474,7 +487,7 @@ class ReplicatedLogNode(Process):
         self._ack_skips = 0
         yield Send(
             msg.leader_id,
-            self.family.append_reply(self.current_term, True, api.pid, match),
+            self.family.append_reply(self.current_term, True, api.pid, match, echo),
         )
 
     def _on_append_entries_reply(self, api: ProcessAPI, msg: Any) -> ProtocolGenerator:
@@ -482,12 +495,14 @@ class ReplicatedLogNode(Process):
         if self.state is not LEADER or msg.term != self.current_term:
             return
         follower = msg.follower_id
+        if msg.read_seq > self._read_echo.get(follower, 0):
+            yield from self._confirm_reads(api, follower, msg.read_seq)
         if msg.success:
             self._probing.discard(follower)  # streaming resumes below
             sent = self._ae_sent.pop(follower, None)
             if sent is not None and self.reads.enabled:
-                # Piggybacked lease renewal: this ack confirms every
-                # append sent to ``follower`` since ``sent``.
+                # Lease renewal: this ack confirms every append sent to
+                # ``follower`` since ``sent``.
                 self.reads.note_ack_time(
                     follower, sent, self._majority(api), api.now
                 )
@@ -645,81 +660,53 @@ class ReplicatedLogNode(Process):
         yield from self._advance_commit(api)  # n == 1 clusters commit at once
 
     # ------------------------------------------------------------------
-    # Fast read path (ReadIndex rounds, leases, follower freshness)
+    # Fast read path (ReadIndex barriers over the append stream)
     # ------------------------------------------------------------------
 
+    def _reset_reads(self) -> None:
+        """Forget the leader-side ReadIndex state: it belongs to one
+        leadership."""
+        self._read_seq = 0
+        self._read_confirmed = 0
+        self._read_echo = {}
+        self._barriers.clear()
+
     def _on_read_barrier(self, api: ProcessAPI, msg: ReadBarrier) -> ProtocolGenerator:
-        """Locally-injected: start a ReadIndex round for the current
-        commit index.  Refused (``read_ready`` with index ``-1``) unless
-        we are leader *and* have committed an entry of our own epoch —
-        a fresh leader's commit index may lag its predecessor's."""
+        """Locally-injected: confirm the current commit index as a read
+        index.  Refused (``read_ready`` with index ``-1``) unless we are
+        leader *and* have committed an entry of our own epoch — a fresh
+        leader's commit index may lag its predecessor's.  Otherwise the
+        barrier takes the next read sequence and broadcasts it on an
+        append; a majority of echoes releases it (:meth:`_confirm_reads`)."""
         if self.state is not LEADER or not self.reads.epoch_ready(
             self.log, self.commit_index, self.current_term
         ):
             yield Annotate("read_ready", (msg.barrier_id, -1, False))
             return
-        rnd = self.reads.begin_round(
-            msg.barrier_id,
-            self.current_term,
-            self.commit_index,
-            api.now,
-            self._majority(api),
-            api.pid,
-        )
-        if rnd is not None:  # single-node group: a self-ack is a majority
-            yield from self._finish_read_round(api, rnd)
+        if self._majority(api) == 1:  # single-node group: we are the quorum
+            self.reads.note_ack_time(api.pid, api.now, 1, api.now)
+            yield Annotate("read_ready", (msg.barrier_id, self.commit_index, True))
             return
-        yield Broadcast(
-            ReadProbe(self.current_term, api.pid, msg.barrier_id),
-            include_self=False,
-        )
+        self._read_seq += 1
+        self._barriers.append((self._read_seq, self.commit_index, msg.barrier_id))
+        yield from self._broadcast_append_entries(api)
 
-    def _on_read_probe(self, api: ProcessAPI, msg: ReadProbe) -> ProtocolGenerator:
-        """A probe is an empty heartbeat for read purposes: it proves the
-        sender's leadership to us, counts as leader contact for the
-        election rule, and renews our stickiness window."""
-        if msg.term < self.current_term:
-            yield Send(
-                msg.leader_id,
-                ReadProbeAck(self.current_term, api.pid, msg.probe_id, False),
-            )
+    def _confirm_reads(self, api: ProcessAPI, follower: Pid, echo: int) -> ProtocolGenerator:
+        """``follower`` echoed read sequence ``echo``: it took an append
+        sent after every barrier up to ``echo`` and accepted our epoch.
+        Once a majority, ourselves included, has echoed a barrier's
+        sequence, no rival leader can have committed past its read index
+        before it was recorded — it is released."""
+        self._read_echo[follower] = echo
+        needed = self._majority(api) - 1  # peers beyond ourselves
+        echoes = sorted(self._read_echo.values(), reverse=True)
+        if len(echoes) < needed or echoes[needed - 1] <= self._read_confirmed:
             return
-        yield from self._follow(api, msg.term, msg.leader_id)
-        yield from self.trigger.on_leader_contact(api, msg.leader_id)
-        yield Send(
-            msg.leader_id,
-            ReadProbeAck(self.current_term, api.pid, msg.probe_id, True),
-        )
-
-    def _on_read_probe_ack(
-        self, api: ProcessAPI, msg: ReadProbeAck
-    ) -> ProtocolGenerator:
-        yield from self._saw_epoch(api, msg.term)
-        if self.state is not LEADER or msg.term != self.current_term or not msg.ok:
-            return
-        rnd = self.reads.record_ack(msg.probe_id, msg.voter_id, self.current_term)
-        if rnd is not None:
-            yield from self._finish_read_round(api, rnd)
-
-    def _finish_read_round(self, api: ProcessAPI, rnd: ReadRound) -> ProtocolGenerator:
-        """A probe round reached its majority: the lease extends to
-        ``round start + lease_duration``, queued reads are released at
-        the round's read index, and followers get a freshness proof —
-        only a *live* leader can complete rounds, so a deposed leader's
-        cohort stops receiving these the moment it is cut off."""
-        self.reads.extend_lease(rnd)
-        yield Annotate("read_ready", (rnd.probe_id, rnd.read_index, True))
-        yield Broadcast(
-            ReadFresh(self.current_term, api.pid, rnd.read_index),
-            include_self=False,
-        )
-
-    def _on_read_fresh(self, api: ProcessAPI, msg: ReadFresh) -> ProtocolGenerator:
-        if msg.term < self.current_term:
-            return
-        yield from self._follow(api, msg.term, msg.leader_id)
-        if self.last_applied >= msg.read_index:
-            self.reads.note_fresh(api.now)
+        self._read_confirmed = confirmed = echoes[needed - 1]
+        barriers = self._barriers
+        while barriers and barriers[0][0] <= confirmed:
+            _seq, read_index, barrier_id = barriers.popleft()
+            yield Annotate("read_ready", (barrier_id, read_index, True))
 
     # ------------------------------------------------------------------
     # Values (Algorithm 7)

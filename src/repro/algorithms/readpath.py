@@ -1,32 +1,42 @@
-"""The shared fast-read path: ReadIndex rounds, leases, and freshness.
+"""The shared fast-read path: ReadIndex barriers, leases, and freshness.
 
 Every consensus engine in this repo (raft, multi-paxos, chandra-toueg)
 answers linearizable reads the *slow* way by default: the read is a
-no-op command appended to the replicated log.  This module provides the
-engine-independent machinery for the three standard fast tiers:
+no-op command appended to the replicated log.  The three standard fast
+tiers need one proof instead — that a majority still accepts this
+leader's epoch — and the replicated-log core
+(:class:`~repro.algorithms.raft.replication.ReplicatedLogNode`) already
+collects it: a follower's ack to an append shows that it accepted the
+leader's epoch when the append arrived.  So every read proof rides the
+replication stream:
 
-* **ReadIndex** — the leader records its commit index, confirms it is
-  still leader with one :class:`ReadProbe` round (a majority of
-  :class:`ReadProbeAck`), and answers every read that queued while the
-  round was in flight once the applied index catches up.  One round
-  amortized over a batch of reads; no log writes.
-* **Leases** — each completed probe round also *extends a lease*: for
-  ``lease_duration`` seconds measured from the round's **start**, no
-  other leader can exist, so reads are answered locally with zero
-  rounds.  The guarantee does not come from election timers; it comes
-  from *stickiness*: a replica that heard from a leader within
-  ``lease_duration`` refuses to vote for (or promise to) a challenger —
-  without adopting the challenger's term.  Any new leader needs a
-  majority of votes; that majority intersects the majority that acked
-  the round at times ``>= start``; the intersection refuses until
-  ``start + lease_duration``.  The argument is identical for Raft votes
-  and Paxos/CT prepares, which is why one module serves all engines.
-* **Freshness** — when a round completes, the leader broadcasts
-  :class:`ReadFresh` carrying the round's read index.  A follower whose
-  applied index has reached it marks its state *fresh as of now*; the
-  follower tier serves reads whose staleness bound exceeds the age of
-  the last such mark.  A deposed leader cannot complete rounds, so its
-  cohort's freshness stops advancing the moment it is partitioned.
+* **ReadIndex** — a locally injected :class:`ReadBarrier` makes the
+  leader record its commit index, bump its *read sequence* and broadcast
+  appends carrying it.  Every append reply echoes the highest sequence
+  the follower took from this leader in this term; once a majority (the
+  leader included) has echoed the barrier's sequence, the leader answers
+  every read that queued for it when the applied index catches up.  No
+  extra message type and no log writes.
+* **Leases** — every success ack also *extends a lease*
+  (:meth:`ReadLedger.note_ack_time`): for ``lease_duration`` seconds from
+  the oldest send among the newest majority of acks, no other leader can
+  exist, so reads are answered locally with zero rounds.  The guarantee
+  does not come from election timers; it comes from *stickiness*: a
+  replica that heard from a leader within ``lease_duration`` refuses to
+  vote for (or promise to) a challenger — without adopting the
+  challenger's term.  Any new leader needs a majority of votes; that
+  majority intersects the majority that acked sends at times ``>=
+  anchor``; the intersection refuses until ``anchor + lease_duration``.
+  The argument is identical for Raft votes and Paxos/CT prepares, which
+  is why one module serves all engines.
+* **Freshness** — each append also carries the newest *confirmed*
+  sequence.  A follower remembers when it first took each sequence and
+  that append's ``leader_commit``; once the sequence is confirmed and
+  its applied index has reached that commit index, its state reflects
+  every write committed before the barrier, and it is fresh as of the
+  receipt.  The follower tier serves reads whose staleness bound exceeds
+  the age of the last such proof.  A deposed leader cannot confirm, so
+  its cohort's freshness stops advancing the moment it is partitioned.
 
 Clocks may drift.  :class:`DriftClock` models a clock running ``f``
 times slow (the nemesis sets ``f`` on a live cluster), and the lease is
@@ -42,79 +52,32 @@ for the full safety argument and the chaos campaign that attacks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Optional, Set, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Any, Deque, Dict, Optional, Tuple
 
 from repro.sim.serialize import register_wire_type
 
 __all__ = [
-    "READ_WIRE_CLASSES",
     "DriftClock",
     "ReadBarrier",
     "ReadConfig",
-    "ReadFresh",
     "ReadLedger",
-    "ReadProbe",
-    "ReadProbeAck",
-    "ReadRound",
     "required_drift_bound",
 ]
 
 
-# --------------------------------------------------------------------------
-# Wire messages.  ``term`` is the raft term or the ballot number — both are
-# totally ordered "epochs", which is all the read path needs.
-
-
-@dataclass(frozen=True)
-class ReadProbe:
-    """Leader -> all: "am I still leader for epoch ``term``?"."""
-
-    term: Any
-    leader_id: int
-    probe_id: Tuple[Any, ...]
-
-
-@dataclass(frozen=True)
-class ReadProbeAck:
-    """Reply to :class:`ReadProbe`; ``ok`` iff the sender accepts the
-    probing leader's epoch as current."""
-
-    term: Any
-    voter_id: int
-    probe_id: Tuple[Any, ...]
-    ok: bool
-
-
-@dataclass(frozen=True)
-class ReadFresh:
-    """Leader -> all after a *completed* probe round: followers whose
-    ``last_applied >= read_index`` are fresh as of receipt."""
-
-    term: Any
-    leader_id: int
-    read_index: int
-
-
 @dataclass(frozen=True)
 class ReadBarrier:
-    """Locally-injected request (never sent between nodes): start a
-    ReadIndex round now.  The node answers with a ``read_ready``
-    annotation once the round completes (or immediately, refused)."""
+    """Locally-injected request (never sent between nodes): confirm the
+    current commit index as a read index.  The node answers with a
+    ``read_ready`` annotation once a majority has echoed the barrier's
+    read sequence (or immediately, refused)."""
 
     barrier_id: Tuple[Any, ...]
 
 
-register_wire_type(ReadProbe, "read:P")
-register_wire_type(ReadProbeAck, "read:A")
-register_wire_type(ReadFresh, "read:F")
 register_wire_type(ReadBarrier, "read:B")
-
-#: Read-path messages every engine's transport must admit, in addition to
-#: the engine's own (pairwise-disjoint) wire family.
-READ_WIRE_CLASSES: FrozenSet[type] = frozenset(
-    {ReadProbe, ReadProbeAck, ReadFresh, ReadBarrier}
-)
 
 
 # --------------------------------------------------------------------------
@@ -182,26 +145,9 @@ class ReadConfig:
     drift_bound: float = 0.0
 
 
-@dataclass
-class ReadRound:
-    """One in-flight ReadIndex probe round."""
-
-    probe_id: Tuple[Any, ...]
-    epoch: Any
-    read_index: int
-    start_real: float
-    start_local: float
-    needed: int
-    acked: Set[int] = field(default_factory=set)
-
-    @property
-    def complete(self) -> bool:
-        return len(self.acked) >= self.needed
-
-
 class ReadLedger:
-    """A node's read-path state: leader-contact stickiness, in-flight
-    probe rounds, the lease, and follower freshness.
+    """A node's read-path arithmetic: leader-contact stickiness, the
+    lease, and follower freshness.
 
     All methods take the *real* wall-clock time and convert through the
     node's :class:`DriftClock`, so the nemesis can skew a node by mutating
@@ -214,10 +160,15 @@ class ReadLedger:
         self._last_contact: Optional[float] = None  # local clock
         self._lease_expiry = 0.0  # local clock
         self._last_fresh: Optional[float] = None  # local clock
-        self._rounds: Dict[Tuple[Any, ...], ReadRound] = {}
-        # Per-peer latest heartbeat send time (local clock) whose ack
-        # has arrived — the piggyback lease's quorum evidence.
+        # Per-peer latest append send time (local clock) whose ack has
+        # arrived — the lease's quorum evidence.
         self._ack_starts: Dict[int, float] = {}
+        # Follower side: the epoch whose read sequences are being taken,
+        # the highest one taken, and one (seq, received real time,
+        # leader_commit) mark per sequence not yet proven fresh.
+        self._epoch: Any = None
+        self._taken = 0
+        self._marks: Deque[Tuple[int, float, int]] = deque()
 
     # -- stickiness (the lease's other half, enforced by *followers*) ----
 
@@ -241,77 +192,20 @@ class ReadLedger:
             < self.config.lease_duration
         )
 
-    # -- probe rounds (leader side) --------------------------------------
-
-    def begin_round(
-        self,
-        probe_id: Tuple[Any, ...],
-        epoch: Any,
-        read_index: int,
-        real: float,
-        majority: int,
-        self_pid: int,
-    ) -> Optional[ReadRound]:
-        """Open a round (the leader acks itself).  Returns the round
-        immediately if a self-ack alone completes it (single-node group);
-        otherwise the caller broadcasts :class:`ReadProbe` and waits."""
-        stale = [
-            pid for pid, rnd in self._rounds.items() if rnd.epoch != epoch
-        ]
-        for pid in stale:
-            del self._rounds[pid]
-        rnd = ReadRound(
-            probe_id=probe_id,
-            epoch=epoch,
-            read_index=read_index,
-            start_real=real,
-            start_local=self.clock.now(real),
-            needed=majority,
-        )
-        rnd.acked.add(self_pid)
-        if rnd.complete:
-            return rnd
-        self._rounds[probe_id] = rnd
-        return None
-
-    def record_ack(
-        self, probe_id: Tuple[Any, ...], voter: int, epoch: Any
-    ) -> Optional[ReadRound]:
-        """Count one ack; returns (and retires) the round when it reaches
-        its majority, else ``None``."""
-        rnd = self._rounds.get(probe_id)
-        if rnd is None or rnd.epoch != epoch:
-            return None
-        rnd.acked.add(voter)
-        if rnd.complete:
-            del self._rounds[probe_id]
-            return rnd
-        return None
-
-    def drop_rounds(self) -> None:
-        """Abandon all in-flight rounds and heartbeat-ack evidence
-        (leadership lost)."""
-        self._rounds.clear()
-        self._ack_starts.clear()
-
     # -- lease (leader side) ---------------------------------------------
 
     def note_ack_time(
         self, peer: int, sent_real: float, majority: int, real: float
     ) -> bool:
-        """Piggybacked lease renewal: ``peer`` acknowledged an
-        AppendEntries the leader sent at ``sent_real``, with zero extra
-        probe frames.
+        """Lease renewal, the only one: ``peer`` acknowledged an append
+        the leader sent at ``sent_real``.
 
-        The lease argument is the probe round's, reassembled from the
-        heartbeat traffic the leader generates anyway: an accepted
-        AppendEntries makes the follower sticky for W past its receipt,
-        and receipt happened at-or-after our send.  So once a majority
-        (the leader itself counts, at ``real``) has acked sends, no rival
-        can be elected before ``anchor + W``, where ``anchor`` is the
-        *oldest* send time among the newest majority-forming acks — the
-        same quantity a probe round anchors at its start time.  Returns
-        True when the lease actually extended.
+        An accepted append makes the follower sticky for W past its
+        receipt, and receipt happened at-or-after our send.  So once a
+        majority (the leader itself counts, at ``real``) has acked sends,
+        no rival can be elected before ``anchor + W``, where ``anchor`` is
+        the *oldest* send time among the newest majority-forming acks.
+        Returns True when the lease actually extended.
         """
         if not self.enabled:
             return False
@@ -332,14 +226,9 @@ class ReadLedger:
             return True
         return False
 
-    def extend_lease(self, rnd: ReadRound) -> None:
-        """A completed round proves no rival leader before
-        ``rnd.start_local + lease_duration`` (on this clock)."""
-        if self.enabled:
-            self._lease_expiry = max(
-                self._lease_expiry,
-                rnd.start_local + self.config.lease_duration,
-            )
+    def drop_acks(self) -> None:
+        """Abandon the lease's ack evidence (leadership lost)."""
+        self._ack_starts.clear()
 
     def lease_remaining(self, real: float) -> float:
         """Seconds of drift-discounted lease left (<= 0: not serveable)."""
@@ -356,10 +245,36 @@ class ReadLedger:
 
     # -- freshness (follower side) ---------------------------------------
 
+    def note_append(
+        self, epoch: Any, seq: int, leader_commit: int, real: float
+    ) -> int:
+        """An append of ``epoch`` (ours) carrying read sequence ``seq``
+        and ``leader_commit`` arrived at ``real``.  Returns the highest
+        sequence taken from this epoch's leader: what every reply to it
+        echoes."""
+        if epoch != self._epoch:
+            self._epoch = epoch
+            self._taken = 0
+            self._marks.clear()
+        if seq > self._taken:
+            self._taken = seq
+            self._marks.append((seq, real, leader_commit))
+        return self._taken
+
+    def note_confirmed(self, confirmed: int, applied: int) -> None:
+        """The leader reports every read sequence up to ``confirmed``
+        confirmed by a majority.  The newest such mark whose
+        ``leader_commit`` we have applied proves us fresh as of its
+        receipt; the marks it supersedes go with it."""
+        marks = self._marks
+        received = None
+        while marks and marks[0][0] <= confirmed and marks[0][2] <= applied:
+            received = marks.popleft()[1]
+        if received is not None:
+            self.note_fresh(received)
+
     def note_fresh(self, real: float) -> None:
-        """A completed-round :class:`ReadFresh` whose read index we have
-        applied arrived now: our state reflects every write committed
-        before that round started."""
+        """Our state reflects every write committed before ``real``."""
         self._last_fresh = self.clock.now(real)
 
     def staleness(self, real: float) -> float:
@@ -376,8 +291,10 @@ class ReadLedger:
         self._last_contact = None
         self._lease_expiry = 0.0
         self._last_fresh = None
-        self._rounds.clear()
         self._ack_starts.clear()
+        self._epoch = None
+        self._taken = 0
+        self._marks.clear()
 
     @staticmethod
     def epoch_ready(log: Any, commit_index: int, epoch: Any) -> bool:

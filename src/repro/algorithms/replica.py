@@ -150,7 +150,8 @@ class BallotPrepareNack:
 class BallotChain:
     """Phase-2a stream: log delta after ``prev_log_index`` plus commit
     index (empty ``entries`` is the leader heartbeat).  ``term`` is the
-    leader's ballot."""
+    leader's ballot; the read fields are
+    :class:`~repro.algorithms.raft.messages.AppendEntries`'s."""
 
     term: int
     leader_id: Pid
@@ -158,18 +159,22 @@ class BallotChain:
     prev_log_term: int
     entries: Tuple[Entry, ...]
     leader_commit: int
+    read_seq: int = 0
+    read_confirmed: int = 0
 
 
 @dataclass(frozen=True)
 class BallotChainAck:
     """Phase-2b: accept (``success`` with ``match_index``) or refuse
     (``term`` carrying the higher promised ballot; ``match_index`` the
-    repair hint, as on :class:`~repro.algorithms.raft.messages.AppendEntriesReply`)."""
+    repair hint and ``read_seq`` the echo, as on
+    :class:`~repro.algorithms.raft.messages.AppendEntriesReply`)."""
 
     term: int
     success: bool
     follower_id: Pid
     match_index: int = 0
+    read_seq: int = 0
 
 
 @dataclass(frozen=True)

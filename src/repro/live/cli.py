@@ -149,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
             "read tiers (--read-tier, see docs/reads.md):\n"
             "  safe       linearizable get as a committed log marker "
             "(default)\n"
-            "  readindex  one batched leadership-probe round per get "
-            "batch, no log writes\n"
+            "  readindex  one acked append round per get batch confirms "
+            "leadership, no log writes\n"
             "  lease      zero-round local reads while the clock-based "
             "leader lease is live\n"
             "  follower   like lease on the leader; clients may also "

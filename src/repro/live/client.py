@@ -124,7 +124,8 @@ class AsyncKVClient:
         linearizably.  ``tier`` (implies linearizable) overrides the
         server's default read tier per request: ``"safe"`` commits a
         :class:`~repro.live.kv.KvRead` log marker, ``"readindex"`` joins
-        a batched leadership-probe round, ``"lease"`` answers locally
+        a batched leadership confirmation (one acked append round),
+        ``"lease"`` answers locally
         while the leader lease is live.  Reads are idempotent, so
         retrying a timed-out linearizable get is always safe.
 

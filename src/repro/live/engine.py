@@ -28,13 +28,12 @@ Node contract (duck-typed, pinned by tests/live/test_engine_conformance.py):
   :class:`~repro.storage.engine.RaftStorage` directory;
 * carries a :class:`~repro.algorithms.readpath.ReadLedger` as ``reads``
   (configured via ``build_node``'s ``read``), consumes a locally
-  injected :class:`~repro.algorithms.readpath.ReadBarrier`, answers it
-  with a ``("read_ready", (barrier_id, read_index, ok))`` annotation
-  after one probe round, and — when a lease is configured — refuses
-  votes/promises to challengers within the stickiness window.  The
-  read-path messages (:data:`~repro.algorithms.readpath.READ_WIRE_CLASSES`)
-  are engine-independent and admitted by every engine's wire filter on
-  top of its own disjoint family.
+  injected :class:`~repro.algorithms.readpath.ReadBarrier` (never
+  crossing the wire), answers it with a ``("read_ready", (barrier_id,
+  read_index, ok))`` annotation once a majority has acked an append
+  carrying it, and — when a lease is configured — refuses
+  votes/promises to challengers within the stickiness window.  Reads
+  add no message type: they ride each engine's own append family.
 
 Engines available (``--engine`` on serve/client/loadgen/chaos), election
 rule × trigger:
@@ -67,7 +66,7 @@ from repro.algorithms.chandra_toueg.replicated import CT_FAMILY, OmegaTrigger
 from repro.algorithms.multi_paxos.messages import PAX_FAMILY
 from repro.algorithms.raft.node import RAFT_FAMILY, RaftNode
 from repro.algorithms.raft.replication import ReplicatedLogNode, WireFamily
-from repro.algorithms.readpath import READ_WIRE_CLASSES, ReadConfig
+from repro.algorithms.readpath import ReadConfig
 from repro.algorithms.replica import BallotReplicaNode
 from repro.algorithms.trigger import TimerTrigger, Trigger
 from repro.storage.engine import DurableNode, RaftStorage
@@ -164,14 +163,9 @@ class ConsensusEngine:
 
     def accepts(self, payload: Any) -> bool:
         """Wire filter: is ``payload`` part of this engine's protocol?
-
-        Every engine also admits the engine-independent read-path family
-        (probes, acks, freshness) on top of its own disjoint classes.
-        """
-        return (
-            type(payload) in self.wire_classes
-            or type(payload) in READ_WIRE_CLASSES
-        )
+        Locally injected requests (proposals, read barriers) never pass
+        it, so a peer sending one is foreign."""
+        return type(payload) in self.wire_classes
 
 
 #: The engine table, one row per backend.  The order is part of the

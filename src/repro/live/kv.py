@@ -88,6 +88,7 @@ keeps two same-valued writes from different requests distinct commands.
 from __future__ import annotations
 
 import asyncio
+import math
 import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -293,11 +294,11 @@ class KVShard:
         self._proposal: Optional[Tuple[Any, float]] = None
         self._flushed_at = float("-inf")  # when the last batch was proposed
         self._barrier_terms: set = set()
-        # ReadIndex batching: at most one probe round in flight per
-        # shard.  Reads arriving while a round is in flight queue for the
-        # *next* round — joining the current one would be unsound, since
-        # its read index may predate a write committed after the round
-        # began but before the read arrived.
+        # ReadIndex batching: at most one barrier in flight per shard.
+        # Reads arriving while one is in flight queue for the *next* —
+        # joining the current one would be unsound, since its read index
+        # may predate a write committed after the barrier was recorded
+        # but before the read arrived.
         self._ri_counter = 0
         self._ri_inflight: Optional[Tuple[Any, ...]] = None
         self._ri_waiting: List[asyncio.Future] = []
@@ -346,12 +347,12 @@ class KVShard:
         self._pending.pop(op_id, None)
 
     # ------------------------------------------------------------------
-    # Fast read path (ReadIndex rounds, lease bookkeeping)
+    # Fast read path (ReadIndex barriers, lease bookkeeping)
     # ------------------------------------------------------------------
 
     def read_index(self) -> asyncio.Future:
-        """Join the next ReadIndex round: the future resolves with the
-        round's read index (serve once ``last_applied`` reaches it), or
+        """Join the next ReadIndex barrier: the future resolves with its
+        read index (serve once ``last_applied`` reaches it), or
         raises :class:`NotLeaderError` if the node cannot confirm
         leadership — including the fresh-leader case where no entry of
         the current epoch has committed yet."""
@@ -362,9 +363,10 @@ class KVShard:
         return future
 
     def renew_lease(self) -> None:
-        """Start an empty probe round (lease heartbeat) unless one is
-        already in flight — a completed round extends the lease whether
-        or not any read is waiting on it."""
+        """Inject an empty barrier unless one is already in flight: its
+        append is a heartbeat every follower must ack, and those acks
+        extend the lease (and, once confirmed, prove followers fresh)
+        whether or not any read is waiting on it."""
         if self._ri_inflight is None and self.is_leader:
             self._start_read_round(force=True)
 
@@ -378,10 +380,10 @@ class KVShard:
                     future.set_exception(NotLeaderError())
             return
         self._ri_counter += 1
-        probe_id = ("ri", self.shard_id, self.pid, self._ri_counter)
-        self._ri_inflight = probe_id
+        barrier_id = ("ri", self.shard_id, self.pid, self._ri_counter)
+        self._ri_inflight = barrier_id
         self._ri_waiting = waiters
-        self.runtime.inject(ReadBarrier(probe_id))
+        self.runtime.inject(ReadBarrier(barrier_id))
 
     def wait_applied(self, index: int) -> asyncio.Future:
         """A future resolving once ``last_applied >= index``."""
@@ -477,8 +479,8 @@ class KVShard:
             if self._batch:
                 self.rt.call_soon(self._maybe_flush)
         elif key == "read_ready":
-            probe_id, read_index, ok = value
-            if probe_id == self._ri_inflight:
+            barrier_id, read_index, ok = value
+            if barrier_id == self._ri_inflight:
                 waiters = self._ri_waiting
                 self._ri_inflight = None
                 self._ri_waiting = []
@@ -489,8 +491,8 @@ class KVShard:
                         else:
                             future.set_exception(NotLeaderError())
                 if self._ri_queue:
-                    # Reads queued while this round was in flight: start
-                    # theirs now (scheduled — listener context must not
+                    # Reads queued while this barrier was in flight:
+                    # start theirs now (scheduled — listener context must not
                     # recurse into the runtime driver).
                     self.rt.call_soon(self._start_read_round)
         elif key == "leader" and value[1] == self.pid:
@@ -642,12 +644,13 @@ class KVServer:
             before the server answers with an error (client retries).
         read_tier: default path for linearizable reads — one of
             :data:`READ_TIERS`.  ``safe`` (default) commits a log marker
-            per read; ``readindex`` confirms leadership with one probe
-            round amortized over all queued reads; ``lease`` answers
-            with zero rounds while the drift-discounted leader lease is
-            live (falling back to readindex otherwise); ``follower``
-            behaves like ``safe`` server-side but runs the lease/
-            freshness machinery so followers can serve bounded-stale
+            per read; ``readindex`` confirms leadership with one
+            barrier — an append round the followers must ack —
+            amortized over all queued reads; ``lease`` answers with zero
+            rounds while the drift-discounted leader lease is live
+            (falling back to readindex otherwise); ``follower`` behaves
+            like ``safe`` server-side but renews leases with barriers,
+            whose confirmations let followers serve bounded-stale
             reads.  A per-request ``"tier"`` field overrides it.  See
             docs/reads.md.
         lease_duration: the lease/stickiness window W, seconds on each
@@ -965,18 +968,19 @@ class KVServer:
                     shard.fail_pending()
 
     async def _renew_leases(self) -> None:
-        """Fallback lease renewal with empty probe rounds.
+        """Lease renewal for idle shards and the follower tier.
 
-        The primary renewal path costs zero extra frames: a leader, on
-        any engine, extends its lease from the append acks its
-        replication traffic already collects (see
-        ``ReadLedger.note_ack_time``).  This loop only fires a probe
-        round when that piggyback is not keeping the lease healthy — a
-        shard whose acks are being coalesced away — or on the
-        ``follower`` tier, where probe rounds additionally broadcast the
-        freshness proofs that keep bounded-stale follower reads
-        serveable.  Probes run at the heartbeat cadence at most, and
-        only while this node leads a shard with a lease configured.
+        A leader, on any engine, extends its lease from the append acks
+        its replication traffic already collects (see
+        ``ReadLedger.note_ack_time``), with zero extra frames.  This loop
+        only injects an empty barrier when that is not keeping the lease
+        healthy — a shard whose heartbeat acks are being coalesced away —
+        or on the ``follower`` tier, where each confirmed barrier is also
+        the freshness proof that keeps bounded-stale follower reads
+        serveable.  A barrier's broadcast is one heartbeat that every
+        follower must ack.  Barriers run at the heartbeat cadence at
+        most, and only while this node leads a shard with a lease
+        configured.
         """
         threshold = self.lease_duration * 0.5
         while True:
@@ -1169,11 +1173,11 @@ class KVServer:
     async def _serve_readindex_get(
         self, request: Dict[str, Any], shard: KVShard
     ) -> Dict[str, Any]:
-        """The ReadIndex tier: one probe round amortized over a batch.
+        """The ReadIndex tier: one barrier amortized over a batch.
 
         The shard records its commit index, confirms leadership with a
-        single probe round shared by every read queued while the round
-        was in flight, waits for the applied index to reach the recorded
+        single barrier shared by every read queued while the previous
+        one was in flight, waits for the applied index to reach the recorded
         one, and answers from local state — no log writes.  A refused
         round on a node still believing it leads (the fresh-leader
         window before its barrier commits) falls back to the safe
@@ -1250,17 +1254,24 @@ class KVServer:
         """A bounded-stale read served from any replica's applied state.
 
         The staleness figure is the age of the replica's last freshness
-        proof (a completed probe round whose read index it had applied).
-        A replica partitioned alongside a deposed leader stops receiving
-        proofs the moment the partition lands — deposed leaders cannot
-        complete rounds — so its served staleness grows honestly.  The
-        current leader answers with staleness 0 while its lease is live.
+        proof (a confirmed barrier whose append it had taken and whose
+        commit index it has applied).  A replica partitioned alongside a
+        deposed leader stops gaining proofs the moment the partition
+        lands — deposed leaders cannot confirm barriers — so its served
+        staleness grows honestly.  The current leader answers with
+        staleness 0 while its lease is live.  A bound that is negative or
+        not finite (``nan`` compares false against everything) is refused.
         """
         key = request.get("key")
         try:
             bound = float(request.get("staleness"))
         except (TypeError, ValueError):
-            return {"type": "error", "reason": "staleness must be a number"}
+            bound = math.nan
+        if not 0.0 <= bound < math.inf:
+            return {
+                "type": "error",
+                "reason": "staleness must be a finite number >= 0",
+            }
         bound = min(bound, self.staleness_bound)
         if shard.lease_serveable():
             staleness = 0.0

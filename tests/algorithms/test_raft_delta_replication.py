@@ -20,12 +20,13 @@ from repro.algorithms.raft.log import Entry
 from repro.algorithms.raft.messages import AppendEntries
 from repro.algorithms.raft.replication import HEARTBEAT
 from repro.algorithms.raft.state_machine import KeyValueStateMachine
+from repro.algorithms.readpath import ReadBarrier
 from repro.live.engine import ENGINES
 from repro.sim import trace as tr
 from repro.sim.failures import CrashPlan
 from repro.sim.messages import Envelope
 from repro.sim.network import ConstantDelay, NetworkConfig
-from repro.sim.ops import Send, TimerFired
+from repro.sim.ops import Annotate, Send, TimerFired
 
 from tests.algorithms.test_raft_replication import run_replication
 
@@ -327,6 +328,40 @@ class TestAckCoalescing:
         (ack,) = self.acks(node, beat)
         assert ack.success and node.commit_index == 1
         assert self.acks(node, beat) == []
+
+    def test_idle_leader_confirms_a_barrier_in_one_round_trip(self, build):
+        # Followers that already acknowledged the leader's state coalesce
+        # its heartbeats away.  A barrier's append repeats that state
+        # except for the read sequence, so only a coalescing key that
+        # includes the sequence gets it answered — and an idle shard
+        # confirms a read in one round trip instead of never.
+        nodes = {0: fresh_leader(build, log_len=1), 1: build(), 2: build()}
+        leader = nodes[0]
+
+        def hop(messages):
+            """Deliver one hop; returns the next hop and the annotations."""
+            sends, notes = [], []
+            for dst, payload in messages:
+                for op in nodes[dst]._on_replication(FakeAPI(pid=dst), payload):
+                    if isinstance(op, Send):
+                        sends.append((op.dst, op.payload))
+                    elif isinstance(op, Annotate):
+                        notes.append((op.key, op.value))
+            return sends, notes
+
+        in_flight, _ = hop([(0, TimerFired(HEARTBEAT))])
+        while in_flight:  # repair, replicate and commit the entry
+            in_flight, _ = hop(in_flight)
+        assert leader.commit_index == 1
+        beats, _ = hop([(0, TimerFired(HEARTBEAT))])
+        assert hop(beats)[0] == []  # the followers coalesce the heartbeat
+
+        appends, notes = hop([(0, ReadBarrier(("b", 1)))])
+        assert sorted(dst for dst, _ in appends) == [1, 2] and notes == []
+        replies, _ = hop(appends)
+        assert len(replies) == 2
+        _, notes = hop(replies[:1])  # one follower plus the leader: a majority
+        assert ("read_ready", (("b", 1), 1, True)) in notes
 
 
 def entries_shipped_per_follower(result):

@@ -142,6 +142,19 @@ class TestEngineRotation:
         assert result.outcome.status == "ok", result.outcome
 
 
+@pytest.mark.dst
+@pytest.mark.parametrize("tier", ["readindex", "lease", "follower"])
+def test_fast_read_tiers_survive_the_sweep(tier):
+    """Every default sweep runs the safe tier; this one drives barriers,
+    leases and freshness proofs through the same seeded fault schedules
+    (30 per tier, every engine in rotation)."""
+    scenarios = generate_live_scenarios(
+        30, 9, base=LiveScenario(read_tier=tier, duration=3.0)
+    )
+    sweep = explore("live", scenarios=scenarios, workers=2)
+    assert sweep.outcomes == {"ok": 30}, sweep.outcomes
+
+
 class TestScenarioSerialization:
     def test_round_trip_through_json(self):
         data = json.loads(json.dumps(SCENARIO.to_dict()))

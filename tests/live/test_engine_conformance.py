@@ -15,6 +15,8 @@ import itertools
 import pytest
 
 from repro.algorithms.raft.messages import ClientPropose
+from repro.algorithms.readpath import ReadBarrier
+from repro.core.runtime import SimRuntime
 from repro.live import (
     ENGINES,
     AsyncKVClient,
@@ -24,6 +26,7 @@ from repro.live import (
     parse_engine_spec,
 )
 from repro.live.kv import KvBatch
+from repro.sim import trace as tr
 
 FAST = dict(election_timeout=(0.15, 0.3), heartbeat_interval=0.05)
 
@@ -32,6 +35,15 @@ ENGINE_NAMES = sorted(ENGINES)  # ct, paxos, raft
 
 def run(coro, timeout=120.0):
     return asyncio.run(asyncio.wait_for(coro, timeout))
+
+
+def sim_run(coro, timeout=120.0):
+    """Run ``coro`` in virtual time (0.5 ms per hop, see test_flush_policy)."""
+    rt = SimRuntime()
+    try:
+        return rt.run(coro, timeout=timeout)
+    finally:
+        rt.close()
 
 
 async def _get_via(cluster, pid, key):
@@ -227,7 +239,8 @@ class TestEngineConformance:
 @pytest.mark.parametrize("engine", ENGINE_NAMES)
 class TestReadTierConformance:
     """The fast read tiers are part of the node contract: every engine
-    must answer ReadIndex rounds, honour leases, and prove freshness."""
+    must confirm ReadIndex barriers, honour leases, and prove freshness.
+    Each case runs in virtual time, so its deadlines are exact."""
 
     def test_readindex_serves_without_log_growth(self, engine):
         async def scenario():
@@ -255,14 +268,23 @@ class TestReadTierConformance:
                     assert response["type"] == "value", response
                     assert response["value"] == "v1"
                     assert response.get("read") == "readindex"
-                # The batch shared probe rounds (first read opens one,
-                # the rest join the next) and wrote nothing to the log.
+                # The batch shared barriers (first read opens one, the
+                # rest join the next) and wrote nothing to the log.
                 assert shard._ri_counter - before_rounds <= 2
                 assert shard.node.log.last_index == before_log
             finally:
                 await cluster.stop()
+            # The confirmations rode the engine's own appends: no frame
+            # outside its wire family was ever sent.
+            family = get_engine(engine).wire_classes
+            sent = {
+                type(event.detail.payload)
+                for event in cluster.merged_trace().events
+                if event.kind == tr.SEND
+            }
+            assert sent and sent <= family, sent - family
 
-        run(scenario())
+        sim_run(scenario())
 
     def test_lease_reads_refuse_after_expiry(self, engine):
         async def scenario():
@@ -277,7 +299,7 @@ class TestReadTierConformance:
                 await client.close()
                 server = cluster.servers[leader]
                 shard = server.shards[0]
-                # Renewal rounds establish the lease within a heartbeat
+                # Renewal barriers establish the lease within a heartbeat
                 # or two; a lease read then touches no peer.
                 deadline = asyncio.get_event_loop().time() + 5.0
                 while not shard.lease_serveable():
@@ -304,19 +326,19 @@ class TestReadTierConformance:
                     {"type": "get", "key": "lease-key", "lin": True,
                      "id": "l2", "tier": "lease"}
                 )
-                # Without a quorum the fallback ReadIndex round cannot
-                # complete either: the read times out instead of serving
+                # Without a quorum the fallback ReadIndex barrier cannot
+                # be confirmed either: the read times out instead of serving
                 # possibly-stale state.
                 assert refused["type"] == "error", refused
             finally:
                 await cluster.stop()
 
-        run(scenario())
+        sim_run(scenario())
 
     def test_lease_renews_from_replication_acks_under_writes(self, engine):
         """The lease piggyback is the shared core's: under steady writes
         every engine's leader extends its lease from the append acks it
-        collects anyway, and the fallback probe loop opens no round."""
+        collects anyway, and the renewal loop injects no barrier."""
 
         async def scenario():
             # A long lease (the election-timeout floor) keeps the
@@ -341,7 +363,7 @@ class TestReadTierConformance:
                     await client.put("piggy", writes)
                 await client.close()
                 assert shard.is_leader
-                assert shard._ri_counter == rounds, "a ReadProbe round ran"
+                assert shard._ri_counter == rounds, "a renewal barrier ran"
                 assert shard.lease_remaining() > server.lease_duration * 0.5
                 response = await server._serve(
                     {"type": "get", "key": "piggy", "lin": True,
@@ -352,7 +374,7 @@ class TestReadTierConformance:
             finally:
                 await cluster.stop()
 
-        run(scenario())
+        sim_run(scenario())
 
     def test_follower_reads_respect_staleness_bound(self, engine):
         async def scenario():
@@ -366,8 +388,8 @@ class TestReadTierConformance:
                 await client.put("f-key", "v1")
                 follower = next(pid for pid in range(3) if pid != leader)
                 server = cluster.servers[follower]
-                # Freshness proofs ride the lease renewals: the follower
-                # becomes serveable within a heartbeat or two.
+                # Freshness proofs ride the renewal barriers: the
+                # follower becomes serveable within a heartbeat or two.
                 deadline = asyncio.get_event_loop().time() + 5.0
                 while server.shards[0].staleness() > 0.5:
                     assert asyncio.get_event_loop().time() < deadline
@@ -392,7 +414,78 @@ class TestReadTierConformance:
             finally:
                 await cluster.stop()
 
-        run(scenario())
+        sim_run(scenario())
+
+    def test_partitioned_follower_goes_stale_while_the_majority_serves(
+        self, engine
+    ):
+        """Five nodes: the leader and one follower are cut off from the
+        other three.  The cut-off leader can no longer confirm a barrier,
+        so its follower's staleness passes the bound and it refuses
+        bounded-stale reads, while the majority elects a leader and
+        serves, bounded-stale reads included."""
+
+        async def scenario():
+            cluster = LiveKVCluster(
+                5, seed=45, engine=engine, read_tier="follower", **FAST
+            )
+            await cluster.start()
+            try:
+                leader = await cluster.wait_for_leader(timeout=20.0)
+                client = AsyncKVClient(cluster.cluster)
+                await client.put("p-key", "v1")
+                await client.close()
+                cohort = next(pid for pid in range(5) if pid != leader)
+                stale = cluster.servers[cohort]
+                bound = stale.staleness_bound
+                loop = asyncio.get_event_loop()
+                deadline = loop.time() + 5.0
+                while stale.shards[0].staleness() > bound / 2:
+                    assert loop.time() < deadline
+                    await asyncio.sleep(0.02)
+                minority = {leader, cohort}
+                for server in cluster.servers:
+                    others = (
+                        set(range(5)) - minority
+                        if server.pid in minority else minority
+                    )
+                    for peer in others:
+                        server.transport.set_link_fault(peer, blackhole=True)
+                new_leader = await cluster.wait_for_leader(
+                    timeout=20.0, exclude=minority
+                )
+                majority = [
+                    pid for pid in range(5)
+                    if pid not in minority and pid != new_leader
+                ]
+                writer = AsyncKVClient(cluster.cluster)
+                writer._target = cluster.cluster[new_leader].client_addr
+                await writer.put("p-key", "v2")
+                await writer.close()
+                await asyncio.sleep(bound + 0.1)
+                assert stale.shards[0].staleness() > bound
+                refused = await stale._serve(
+                    {"type": "get", "key": "p-key", "staleness": bound}
+                )
+                assert refused["type"] == "error", refused
+                assert refused["reason"] == "stale"
+                # The deposed leader cannot vouch for itself either.
+                deposed = await cluster.servers[leader]._serve(
+                    {"type": "get", "key": "p-key", "staleness": bound}
+                )
+                assert deposed["type"] == "error", deposed
+                served = await cluster.servers[majority[0]]._serve(
+                    {"type": "get", "key": "p-key", "staleness": bound}
+                )
+                assert served["type"] == "value", served
+                assert served["value"] == "v2"
+                assert served["staleness"] <= bound
+            finally:
+                for server in cluster.servers:
+                    server.transport.heal_link()
+                await cluster.stop()
+
+        sim_run(scenario())
 
 
 class TestWireIsolation:
@@ -421,6 +514,34 @@ class TestWireIsolation:
 
         run(scenario())
 
+    def test_peer_sent_read_barrier_is_foreign(self):
+        # A barrier is a local request: a peer that sends one must not be
+        # able to make a leader run confirmations.
+        for engine in ENGINES.values():
+            assert not engine.accepts(ReadBarrier(("peer", 1)))
+
+        async def scenario():
+            cluster = LiveKVCluster(3, seed=38, engine="raft", **FAST)
+            await cluster.start()
+            try:
+                leader = await cluster.wait_for_leader(timeout=20.0)
+                shard = cluster.servers[leader].shards[0]
+                before = shard.runtime.foreign_frames
+                shard.runtime._on_peer_message(1, ReadBarrier(("peer", 1)), None)
+                assert shard.runtime.foreign_frames == before + 1
+                await asyncio.sleep(0.1)
+                ready = [
+                    detail
+                    for _pid, _t, detail in cluster.merged_trace().annotations(
+                        "read_ready"
+                    )
+                ]
+                assert ready == []
+            finally:
+                await cluster.stop()
+
+        sim_run(scenario())
+
     def test_mixed_per_shard_engines_serve(self):
         async def scenario():
             cluster = LiveKVCluster(
@@ -443,3 +564,33 @@ class TestWireIsolation:
                 await cluster.stop()
 
         run(scenario())
+
+
+class TestStalenessBound:
+    def test_bound_must_be_a_finite_non_negative_number(self):
+        # ``min(nan, cap)`` is nan and ``staleness > nan`` is false, so a
+        # nan bound once served any replica, proven fresh or not.
+        async def scenario():
+            cluster = LiveKVCluster(3, seed=39, **FAST)
+            await cluster.start()
+            try:
+                leader = await cluster.wait_for_leader(timeout=20.0)
+                client = AsyncKVClient(cluster.cluster)
+                await client.put("b-key", "v1")
+                await client.close()
+                # A safe-tier follower is never proven fresh.
+                follower = cluster.servers[(leader + 1) % 3]
+                stale = await follower._serve(
+                    {"type": "get", "key": "b-key", "staleness": 5.0}
+                )
+                assert stale["reason"] == "stale", stale
+                for bound in ("nan", float("nan"), float("inf"), -1.0, "soon"):
+                    refused = await follower._serve(
+                        {"type": "get", "key": "b-key", "staleness": bound}
+                    )
+                    assert refused["type"] == "error", (bound, refused)
+                    assert refused["reason"] != "stale", (bound, refused)
+            finally:
+                await cluster.stop()
+
+        sim_run(scenario())

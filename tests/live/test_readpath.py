@@ -2,8 +2,8 @@
 
 The live conformance suite proves the tiers end-to-end; this file pins
 the arithmetic they rest on — drift-clock rebasing, the lease/drift
-inequality, follower stickiness, probe-round accounting and the
-fresh-leader epoch guard — with no cluster in sight.
+inequality, follower stickiness, the read-sequence echo and freshness
+marks, and the fresh-leader epoch guard — with no cluster in sight.
 """
 
 import math
@@ -84,52 +84,84 @@ class TestStickiness:
         assert not ledger.sticky(11.3)
 
 
-class TestProbeRounds:
-    def test_single_node_round_completes_immediately(self):
-        ledger = ReadLedger()
-        rnd = ledger.begin_round(("p", 1), 3, 7, 1.0, majority=1, self_pid=0)
-        assert rnd is not None and rnd.read_index == 7
+class TestReadSequence:
+    """The follower half of a barrier: which read sequence a reply
+    echoes, and which confirmed sequence proves the follower fresh."""
 
-    def test_majority_acks_retire_the_round(self):
+    def test_echo_is_the_highest_sequence_taken_this_epoch(self):
         ledger = ReadLedger()
-        assert (
-            ledger.begin_round(("p", 1), 3, 7, 1.0, majority=2, self_pid=0)
-            is None
-        )
-        # Duplicate acks from one voter count once.
-        assert ledger.record_ack(("p", 1), 0, 3) is None
-        rnd = ledger.record_ack(("p", 1), 2, 3)
-        assert rnd is not None and rnd.acked == {0, 2}
-        # Retired: a late ack is ignored.
-        assert ledger.record_ack(("p", 1), 1, 3) is None
+        assert ledger.note_append(3, 0, 1, 1.0) == 0
+        assert ledger.note_append(3, 2, 1, 1.1) == 2
+        # A reordered older append never lowers the echo.
+        assert ledger.note_append(3, 1, 1, 1.2) == 2
 
-    def test_stale_epoch_acks_are_ignored(self):
+    def test_new_epoch_restarts_the_sequence(self):
+        # A sequence belongs to one leader: the next epoch's leader counts
+        # from zero, and an echo carried over would confirm its barriers
+        # on the old leader's evidence.
         ledger = ReadLedger()
-        ledger.begin_round(("p", 1), 3, 7, 1.0, majority=2, self_pid=0)
-        assert ledger.record_ack(("p", 1), 2, epoch=2) is None
-        assert ledger.record_ack(("p", 1), 2, epoch=3) is not None
+        ledger.note_append(3, 7, 1, 1.0)
+        assert ledger.note_append(4, 0, 1, 2.0) == 0
+        assert ledger.note_append(4, 1, 1, 2.1) == 1
 
-    def test_new_epoch_prunes_old_rounds(self):
+    def test_confirmed_mark_proves_freshness_as_of_receipt(self):
         ledger = ReadLedger()
-        ledger.begin_round(("p", 1), 3, 7, 1.0, majority=2, self_pid=0)
-        ledger.begin_round(("p", 2), 4, 9, 2.0, majority=2, self_pid=0)
-        assert ledger.record_ack(("p", 1), 2, 3) is None  # pruned
-        assert ledger.record_ack(("p", 2), 2, 4) is not None
+        ledger.note_append(3, 1, 5, 10.0)
+        ledger.note_append(3, 1, 6, 10.2)  # same sequence: first receipt stands
+        ledger.note_confirmed(1, applied=5)
+        assert ledger.staleness(10.5) == pytest.approx(0.5)
+
+    def test_unconfirmed_or_unapplied_marks_prove_nothing(self):
+        ledger = ReadLedger()
+        ledger.note_append(3, 1, 5, 10.0)
+        ledger.note_confirmed(0, applied=9)  # not confirmed yet
+        assert math.isinf(ledger.staleness(10.5))
+        ledger.note_confirmed(1, applied=4)  # the barrier's index not applied
+        assert math.isinf(ledger.staleness(10.5))
+        ledger.note_confirmed(1, applied=5)
+        assert ledger.staleness(10.5) == pytest.approx(0.5)
+
+    def test_newest_satisfied_mark_wins(self):
+        ledger = ReadLedger()
+        ledger.note_append(3, 1, 5, 10.0)
+        ledger.note_append(3, 2, 6, 10.1)
+        ledger.note_append(3, 3, 9, 10.2)
+        # Sequence 3 is confirmed but its commit index is not applied:
+        # sequence 2 is the newest proof, and stays consumed.
+        ledger.note_confirmed(3, applied=6)
+        assert ledger.staleness(11.0) == pytest.approx(0.9)
+        ledger.note_confirmed(3, applied=9)
+        assert ledger.staleness(11.0) == pytest.approx(0.8)
+
+    def test_marks_of_an_old_epoch_are_discarded(self):
+        ledger = ReadLedger()
+        ledger.note_append(3, 1, 5, 10.0)
+        ledger.note_append(4, 0, 5, 10.1)
+        ledger.note_confirmed(1, applied=9)
+        assert math.isinf(ledger.staleness(10.5))
 
 
 class TestLease:
     def _extend(self, ledger, real):
-        rnd = ledger.begin_round(
-            ("p", real), 1, 1, real, majority=1, self_pid=0
-        )
-        ledger.extend_lease(rnd)
+        # One peer acks an append sent at ``real``: with the leader, a
+        # majority of three.
+        ledger.note_ack_time(1, real, majority=2, real=real)
 
-    def test_lease_runs_from_round_start(self):
+    def test_lease_runs_from_the_acked_send(self):
         ledger = ReadLedger(ReadConfig(lease_duration=0.3, drift_bound=0.05))
         self._extend(ledger, 10.0)
         assert ledger.lease_remaining(10.0) == pytest.approx(0.25)
         assert ledger.lease_valid(10.2)
         assert not ledger.lease_valid(10.26)
+
+    def test_lease_needs_a_majority_of_acks(self):
+        # Five members: two peers beyond the leader must ack, and the
+        # lease anchors at the older of their sends.
+        ledger = ReadLedger(ReadConfig(lease_duration=0.3))
+        assert not ledger.note_ack_time(1, 10.0, majority=3, real=10.0)
+        assert not ledger.lease_valid(10.0)
+        assert ledger.note_ack_time(2, 10.1, majority=3, real=10.1)
+        assert ledger.lease_remaining(10.1) == pytest.approx(0.2)
 
     def test_drift_bound_saves_a_slow_clocked_leader(self):
         # The campaign scenario: W=0.3, leader clock 4x slow.  A correct
@@ -147,14 +179,19 @@ class TestLease:
         assert unsafe.lease_valid(10.0 + 1.1)  # still serving: the bug
         assert not unsafe.lease_valid(10.0 + 1.3)
 
-    def test_rounds_only_extend_forward(self):
+    def test_acks_only_extend_forward(self):
         ledger = ReadLedger(ReadConfig(lease_duration=0.3))
         self._extend(ledger, 10.0)
         remaining = ledger.lease_remaining(10.0)
-        # A round that started *earlier* cannot shorten the lease.
-        rnd = ledger.begin_round(("q", 1), 1, 1, 9.0, majority=1, self_pid=0)
-        ledger.extend_lease(rnd)
+        # An ack for an *earlier* send cannot shorten the lease.
+        assert not ledger.note_ack_time(1, 9.0, majority=2, real=10.0)
         assert ledger.lease_remaining(10.0) == pytest.approx(remaining)
+
+    def test_dropped_acks_stop_counting(self):
+        ledger = ReadLedger(ReadConfig(lease_duration=0.3))
+        ledger.note_ack_time(1, 10.0, majority=3, real=10.0)
+        ledger.drop_acks()  # leadership lost: that ack was another epoch's
+        assert not ledger.note_ack_time(2, 10.1, majority=3, real=10.1)
 
 
 class TestFreshness:
@@ -169,8 +206,7 @@ class TestFreshness:
         ledger.clock.set_factor(4.0, 0.0)
         ledger.note_leader_contact(1.0)
         ledger.note_fresh(1.0)
-        self_rnd = ledger.begin_round(("p", 1), 1, 1, 1.0, 1, 0)
-        ledger.extend_lease(self_rnd)
+        ledger.note_ack_time(1, 1.0, majority=2, real=1.0)
         ledger.reset()
         assert not ledger.sticky(1.0)
         assert not ledger.lease_valid(1.0)
