@@ -27,7 +27,7 @@ The trigger composes with either election rule; ``ct`` pairs it with the
 ballot rule, and a test pairs it with Raft's RequestVote.  Safety never
 depends on the detector (epochs and majorities do all the work in the
 shared core); the detector buys liveness — the classic CT split, now
-measurable: benchmark E17 runs the same load and faults over ``ct``,
+measurable: experiment E17 runs the same load and faults over ``ct``,
 ``paxos`` and ``raft``.
 
 Append traffic from a live leader also feeds the detector (a leader busy

@@ -37,7 +37,7 @@ Safety is the standard Multi-Paxos argument: promises and commits both
 need majorities, so a new leader's promise set intersects every commit's
 accept set and the per-slot highest-ballot merge re-proposes every
 committed value unchanged.  The three engines share every line of the
-replication logic — the measured difference between them (benchmark E17)
+replication logic — the measured difference between them (experiment E17)
 is therefore exactly the cost of their election rules and triggers, which
 is the decomposed-overhead question the paper poses.
 

@@ -5,10 +5,10 @@
 
 :func:`run` owns that sequence on the runtime seam, so the identical
 coroutine drives a wall-clock campaign on ``AsyncioRuntime`` (``python -m
-repro chaos``, the ``tests/chaos`` suites, benchmark E15) and a
-virtual-time one on ``SimRuntime`` (``explore --stack live``).  Callers
-differ only in how they build the plan and what they do with the
-:class:`CampaignResult`.  The knobs every campaign shares live beside it.
+repro chaos``, ``tests/chaos``) and a virtual-time one on ``SimRuntime``
+(``explore --stack live``, ``tests/chaos``).  Callers differ only in how
+they build the plan and what they do with the :class:`CampaignResult`.
+The knobs every campaign shares live beside it.
 """
 
 from __future__ import annotations

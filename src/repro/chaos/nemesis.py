@@ -54,8 +54,8 @@ Fault kinds
 
 The nemesis never kills more than a strict minority (``power-fail-all``
 excepted, by design), so a correct cluster must keep committing through
-the whole campaign — which is exactly what the availability benchmark
-(E15) measures and the linearizability checker verifies.
+the whole campaign — which is exactly what the availability checks
+(E15) measure and the linearizability checker verifies.
 """
 
 from __future__ import annotations

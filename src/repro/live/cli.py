@@ -23,7 +23,8 @@ import json
 import os
 import signal
 import sys
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.live.client import AsyncKVClient
 from repro.live.config import (
@@ -39,22 +40,31 @@ from repro.live.kv import (
     READ_TIERS,
     KVServer,
 )
-from repro.live.loadgen import KEY_DISTRIBUTIONS, run_closed_loop, run_open_loop
+from repro.live.loadgen import (
+    KEY_DISTRIBUTIONS,
+    check_positive,
+    check_read_ratio,
+    run_closed_loop,
+    run_open_loop,
+)
 from repro.storage.engine import SYNC_MODES, StorageQuarantineError
 
 
-def _parse_max_inflight(text: str) -> int:
-    try:
-        return validate_max_inflight(int(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _checked(convert: Callable, check: Callable) -> Callable[[str], Any]:
+    """An argparse ``type`` that converts, then validates: a bad value
+    exits 2 with a usage message instead of a traceback."""
+
+    def parse(text: str) -> Any:
+        try:
+            return check(convert(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    return parse
 
 
-def _parse_shards(text: str) -> int:
-    try:
-        return validate_shards(int(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+_parse_max_inflight = _checked(int, validate_max_inflight)
+_parse_shards = _checked(int, validate_shards)
 
 
 def _add_client_shards_argument(parser: argparse.ArgumentParser) -> None:
@@ -307,13 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument(
         "--rate",
-        type=float,
+        type=_checked(float, partial(check_positive, "rate")),
         default=None,
         help="open-loop: arrivals per second (switches mode)",
     )
     loadgen.add_argument(
         "--duration",
-        type=float,
+        type=_checked(float, partial(check_positive, "duration")),
         default=2.0,
         help="open-loop: seconds to run (default 2.0)",
     )
@@ -321,7 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--value-size", type=int, default=16, help="bytes per value"
     )
     loadgen.add_argument(
-        "--key-space", type=int, default=128, help="distinct keys"
+        "--key-space",
+        type=_checked(int, partial(check_positive, "key_space")),
+        default=128,
+        help="distinct keys",
     )
     loadgen.add_argument("--seed", type=int, default=0, help="workload seed")
     loadgen.add_argument(
@@ -332,14 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument(
         "--zipf-s",
-        type=float,
+        type=_checked(float, partial(check_positive, "zipf exponent")),
         default=1.1,
         metavar="S",
         help="zipf exponent; larger = more skew (default 1.1)",
     )
     loadgen.add_argument(
         "--read-ratio",
-        type=float,
+        type=_checked(float, check_read_ratio),
         default=0.0,
         metavar="R",
         help="fraction of ops issued as linearizable gets instead of "

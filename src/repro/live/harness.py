@@ -56,7 +56,6 @@ class LiveCluster:
         t: resilience parameter (default ``(n - 1) // 2``).
         seed: run seed (same RNG derivation as the simulator).
         cluster: explicit topology; defaults to fresh localhost ports.
-        transport_options: forwarded to every node's transport.
     """
 
     def __init__(
@@ -67,7 +66,6 @@ class LiveCluster:
         t: Optional[int] = None,
         seed: int = 0,
         cluster: Optional[ClusterConfig] = None,
-        transport_options: Optional[Dict[str, Any]] = None,
         runtime: Optional[Runtime] = None,
     ):
         n = len(processes)
@@ -82,9 +80,7 @@ class LiveCluster:
         self.epoch = self.rt.now()
         self.runtimes: List[Optional[LiveRuntime]] = []
         self._processes = list(processes)
-        self._args = dict(
-            t=t, seed=seed, transport_options=transport_options or {}
-        )
+        self._args = dict(t=t, seed=seed)
         self._init_values = list(init_values)
         self._traces: List[Trace] = []
         for pid, process in enumerate(self._processes):
@@ -104,7 +100,6 @@ class LiveCluster:
             t=self._args["t"],
             seed=self._args["seed"],
             epoch=self.epoch,
-            transport_options=dict(self._args["transport_options"]),
             runtime=self.rt,
         )
         self._traces.append(_collect(runtime.trace))
@@ -211,18 +206,13 @@ class LiveKVCluster:
         return os.path.join(self.data_dir, f"node-{pid}")
 
     def _build(self, pid: int) -> KVServer:
-        options = dict(self._server_options)
-        transport_options = options.pop("transport_options", None)
         server = KVServer(
             self.cluster,
             pid,
             epoch=self.epoch,
             data_dir=self.node_data_dir(pid),
-            transport_options=(
-                dict(transport_options) if transport_options else None
-            ),
             runtime=self.rt,
-            **options,
+            **self._server_options,
         )
         self._traces.extend(_collect(shard.runtime.trace) for shard in server.shards)
         return server

@@ -699,9 +699,9 @@ class KVServer:
             docs/performance.md "Commit pipeline").
         fsync_delay: extra seconds slept per real fsync, emulating a
             device write barrier that costs something — localhost CI
-            disks absorb fsync in microseconds, so the E19 benchmark
+            disks absorb fsync in microseconds, so the E19 pipeline test
             injects a realistic latency here to compare sync modes
-            honestly.  0 (default) outside benchmarks.
+            honestly.  0 (default) outside tests.
     """
 
     def __init__(
@@ -724,7 +724,6 @@ class KVServer:
         snapshot_threshold: Optional[int] = None,
         epoch: Optional[float] = None,
         observers: Tuple = (),
-        transport_options: Optional[Dict[str, Any]] = None,
         unsafe_lin_reads: bool = False,
         data_dir: Optional[str] = None,
         lost_ack_bug: bool = False,
@@ -773,13 +772,9 @@ class KVServer:
             )
         self.sync_mode = sync_mode
         self.fsync_delay = fsync_delay
-        options = dict(transport_options or {})
-        options.setdefault(
-            "jitter_seed", derive_process_seed(seed, pid, cluster.n) ^ 1
-        )
-        options.setdefault("runtime", self.rt)
         self.transport = PeerTransport(
-            cluster, pid, on_event=self._on_transport_event, **options
+            cluster, pid, on_event=self._on_transport_event, runtime=self.rt,
+            jitter_seed=derive_process_seed(seed, pid, cluster.n) ^ 1,
         )
         self.shards: List[KVShard] = []
         for shard_id in range(self.shard_count):

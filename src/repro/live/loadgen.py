@@ -30,22 +30,39 @@ is exactly the behaviour worth measuring.
 Both return a :class:`LoadReport` with throughput and commit-latency
 percentiles computed by :func:`repro.analysis.metrics.latency_summary`,
 so live numbers live in the same shape the simulation benchmarks use.
+Times come from ``current_runtime()`` (``now()``, ``sleep()``): wall-clock
+seconds under ``AsyncioRuntime``, exact virtual seconds under ``SimRuntime``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import bisect
+import math
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.analysis.metrics import latency_summary
+from repro.core.runtime import current_runtime
 from repro.live.client import AsyncKVClient, ClusterUnavailableError
 from repro.live.config import ClusterConfig
 
 KEY_DISTRIBUTIONS = ("uniform", "zipf")
+
+
+def check_positive(name: str, value: float) -> float:
+    """``value`` if it is a finite number > 0, else ``ValueError``."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+    return value
+
+
+def check_read_ratio(read_ratio: float) -> float:
+    """``read_ratio`` if it lies in [0, 1], else ``ValueError``."""
+    if not 0.0 <= read_ratio <= 1.0:
+        raise ValueError(f"read_ratio must be in [0, 1], got {read_ratio}")
+    return read_ratio
 
 
 class ZipfSampler:
@@ -57,10 +74,8 @@ class ZipfSampler:
     """
 
     def __init__(self, n: int, s: float = 1.1):
-        if n < 1:
-            raise ValueError(f"need at least one rank, got n={n}")
-        if s <= 0:
-            raise ValueError(f"zipf exponent must be > 0, got s={s}")
+        check_positive("rank count", n)
+        check_positive("zipf exponent", s)
         self.n = n
         self.s = s
         cdf: List[float] = []
@@ -84,6 +99,7 @@ def make_key_sampler(
     key_dist: str, key_space: int, zipf_s: float = 1.1
 ) -> Callable[[random.Random], str]:
     """A ``rng -> key`` function for the named distribution."""
+    check_positive("key_space", key_space)
     if key_dist == "uniform":
         return lambda rng: f"k{rng.randrange(key_space)}"
     if key_dist == "zipf":
@@ -184,8 +200,7 @@ async def run_closed_loop(
     (served at ``read_tier``, or bounded-stale if ``read_staleness`` is
     set) and a put otherwise.
     """
-    if not 0.0 <= read_ratio <= 1.0:
-        raise ValueError(f"read_ratio must be in [0, 1], got {read_ratio}")
+    check_read_ratio(read_ratio)
     sample_key = make_key_sampler(key_dist, key_space, zipf_s)
     shard_count = await _discover_shards(
         cluster, shards, request_timeout=request_timeout
@@ -196,6 +211,7 @@ async def run_closed_loop(
     reads = writes = 0
     counter = iter(range(ops))
     lock = asyncio.Lock()
+    rt = current_runtime()
 
     async def worker(worker_id: int) -> None:
         nonlocal errors, reads, writes
@@ -212,7 +228,7 @@ async def run_closed_loop(
                         return
                 key = sample_key(rng)
                 is_read = rng.random() < read_ratio
-                begin = time.monotonic()
+                begin = rt.now()
                 try:
                     if is_read:
                         await client.get(
@@ -225,7 +241,7 @@ async def run_closed_loop(
                 except ClusterUnavailableError:
                     errors += 1
                     continue
-                latencies.append(time.monotonic() - begin)
+                latencies.append(rt.now() - begin)
                 if is_read:
                     reads += 1
                 else:
@@ -234,9 +250,9 @@ async def run_closed_loop(
         finally:
             await client.close()
 
-    start = time.monotonic()
+    start = rt.now()
     await asyncio.gather(*(worker(w) for w in range(concurrency)))
-    duration = time.monotonic() - start
+    duration = rt.now() - start
     return LoadReport(
         mode="closed-loop",
         ops=len(latencies),
@@ -277,10 +293,9 @@ async def run_open_loop(
     generator itself.  ``read_ratio``/``read_tier``/``read_staleness``
     mix in reads exactly as in :func:`run_closed_loop`.
     """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    if not 0.0 <= read_ratio <= 1.0:
-        raise ValueError(f"read_ratio must be in [0, 1], got {read_ratio}")
+    check_positive("rate", rate)
+    check_positive("duration", duration)
+    check_read_ratio(read_ratio)
     sample_key = make_key_sampler(key_dist, key_space, zipf_s)
     shard_count = await _discover_shards(
         cluster, shards, request_timeout=request_timeout
@@ -290,6 +305,7 @@ async def run_open_loop(
     errors = 0
     reads = writes = 0
     rng = random.Random(seed)
+    rt = current_runtime()
     # Each connection carries one request at a time, so arrivals take an
     # idle connection (or open a new one, up to ``max_connections``) rather
     # than being pinned to a fixed slot: a pinned arrival queues behind one
@@ -315,7 +331,7 @@ async def run_open_loop(
         nonlocal errors, outstanding, reads, writes
         key, value = sample_key(rng), _value(i, value_size)
         is_read = rng.random() < read_ratio
-        begin = time.monotonic()
+        begin = rt.now()
         client = await acquire()
         try:
             if is_read:
@@ -331,7 +347,7 @@ async def run_open_loop(
         finally:
             outstanding -= 1
             free.put_nowait(client)
-        latencies.append(time.monotonic() - begin)
+        latencies.append(rt.now() - begin)
         if is_read:
             reads += 1
         else:
@@ -340,15 +356,15 @@ async def run_open_loop(
 
     interval = 1.0 / rate
     total = int(rate * duration)
-    start = time.monotonic()
+    start = rt.now()
     for i in range(total):
         target = start + i * interval
-        delay = target - time.monotonic()
+        delay = target - rt.now()
         if delay > 0:
-            await asyncio.sleep(delay)
+            await rt.sleep(delay)
         else:
             # Behind schedule: stay cooperative while catching up.
-            await asyncio.sleep(0)
+            await rt.sleep(0)
         if outstanding >= max_outstanding:
             errors += 1
             continue
@@ -356,7 +372,7 @@ async def run_open_loop(
         tasks.append(asyncio.ensure_future(one(i)))
     if tasks:
         await asyncio.gather(*tasks)
-    elapsed = time.monotonic() - start
+    elapsed = rt.now() - start
     for client in pool:
         await client.close()
     return LoadReport(

@@ -104,7 +104,6 @@ class LiveRuntime:
         transport: pre-built :class:`PeerTransport` (the sharded KV server
             shares one across all its groups); by default the runtime owns
             its own.
-        transport_options: kwargs forwarded to the default transport.
         shard: this runtime's Raft-group id when several groups share one
             transport.  Outbound frames are tagged with it and inbound
             frames for it are routed here (default 0).
@@ -130,7 +129,6 @@ class LiveRuntime:
         observers: Sequence[tr.TraceListener] = (),
         epoch: Optional[float] = None,
         transport: Optional[PeerTransport] = None,
-        transport_options: Optional[Dict[str, Any]] = None,
         shard: int = 0,
         storage: Optional[Any] = None,
         wire_filter: Optional[Callable[[Any], bool]] = None,
@@ -167,12 +165,11 @@ class LiveRuntime:
         #: foreign protocol) on this shard.  Exposed in KV ``status``.
         self.foreign_frames = 0
         self._foreign_seen: set = set()
-        options = dict(transport_options or {})
-        options.setdefault("jitter_seed", derive_process_seed(seed, pid, n) ^ 1)
-        options.setdefault("runtime", self.runtime)
         self.transport = transport or PeerTransport(
             cluster, pid,
-            on_event=self._on_transport_event, **options,
+            on_event=self._on_transport_event,
+            jitter_seed=derive_process_seed(seed, pid, n) ^ 1,
+            runtime=self.runtime,
         )
         self.transport.add_handler(shard, self._on_peer_message)
         self._owns_transport = transport is None

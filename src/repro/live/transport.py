@@ -180,12 +180,6 @@ class PeerTransport:
         max_coalesce_bytes: outbound frames queued behind one another are
             packed into a single socket write up to this many bytes (one
             syscall and one drain for a whole replication burst).
-        link_delay: artificial one-way latency, in seconds, added to every
-            received peer frame before it is dispatched (netem-style WAN
-            emulation for benchmarks — localhost RTTs hide pipeline
-            effects that dominate real deployments).  Per-link frame
-            order is preserved; ``0`` (the default) adds no code to the
-            hot path.
     """
 
     def __init__(
@@ -203,7 +197,6 @@ class PeerTransport:
         max_queue: int = 10_000,
         jitter_seed: Optional[int] = None,
         max_coalesce_bytes: int = 256 * 1024,
-        link_delay: float = 0.0,
         runtime: Optional[Runtime] = None,
     ):
         self.cluster = cluster
@@ -226,9 +219,6 @@ class PeerTransport:
         self.reconnect_base = reconnect_base
         self.reconnect_max = reconnect_max
         self.max_queue = max_queue
-        if link_delay < 0:
-            raise ValueError(f"link_delay must be >= 0, got {link_delay}")
-        self.link_delay = link_delay
         self.stats = TransportStats()
         self._rng = random.Random(jitter_seed)
         # Dedicated RNG for fault sampling, so injecting faults never
@@ -518,15 +508,13 @@ class PeerTransport:
                         self.stats.faulted += 1
                         continue
                     handler = self._handlers.get(shard)
-                    delay = self.link_delay + (
-                        fault.delay if fault is not None else 0.0
-                    )
+                    delay = fault.delay if fault is not None else 0.0
                     if handler is None:
                         self.stats.unrouted += 1
                     elif delay:
                         # call_later is FIFO at equal delays, so per-link
-                        # frame order survives the emulated (and injected)
-                        # latency as long as the delay stays constant.
+                        # frame order survives the injected latency as
+                        # long as the delay stays constant.
                         self.runtime.call_later(delay, handler, src, payload, ts)
                     else:
                         handler(src, payload, ts)

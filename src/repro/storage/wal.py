@@ -536,7 +536,7 @@ class Wal:
         sync_delay: extra seconds slept after every real ``fsync``,
             emulating a device whose write barrier costs something —
             localhost CI disks absorb ``fsync`` in microseconds, so
-            benchmarks comparing sync modes (E19) inject a realistic
+            tests comparing sync modes (E19) inject a realistic
             device latency here.  0 (default) for production use.
 
     Appends buffer in-process until :meth:`sync`, so one ``fsync``

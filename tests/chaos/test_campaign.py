@@ -1,18 +1,40 @@
-"""End-to-end chaos campaigns — the PR's acceptance criteria.
+"""End-to-end chaos campaigns.
 
 A seeded campaign (leader kills + partitions against a 5-node, 2-shard
 cluster) must produce a history the checker verifies linearizable; the
 same campaign with a known consistency bug injected (lin reads served
 from a deposed leader's local state) must FAIL the check with a minimal
-witness.  The campaigns are marked ``chaos`` (opt in with ``pytest -m
-chaos``); the knob tests above them are tier-1.
+witness.  The same runner on ``SimRuntime`` pins availability under
+leader kills on every engine.  The campaigns are marked ``chaos`` (opt
+in with ``pytest -m chaos``); the knob tests are tier-1.
 """
 
 import pytest
 
 from repro.chaos import FaultPlan, campaign, check_history
 from repro.chaos.cli import main as chaos_main
-from repro.core.runtime import AsyncioRuntime
+from repro.core.runtime import AsyncioRuntime, SimRuntime
+from repro.live import ENGINES
+
+
+def _run(rt, plan, **kwargs):
+    """Run the shared campaign on ``rt``; returns the result and its check."""
+    result = rt.run(
+        campaign.run(
+            rt,
+            plan,
+            grace=2.0,  # post-heal reads: every key must read consistently
+            clients=4,
+            **kwargs,
+        ),
+        timeout=300.0,
+    )
+    assert len(result.history) > 100, "campaign produced too little history"
+    return result, check_history(result.history, time_budget=60.0)
+
+
+def _availability(stats):
+    return stats["ok"] / sum(stats.values())
 
 
 def _campaign(
@@ -22,7 +44,6 @@ def _campaign(
     kinds=("kill-leader", "partition", "partition-leader"),
     nodes=5,
     shards=2,
-    clients=4,
     lease_attack=False,
     **cluster_kwargs,
 ):
@@ -35,23 +56,16 @@ def _campaign(
         plan = FaultPlan.random_campaign(
             seed, duration=duration, period=3.0, kinds=kinds
         )
-    rt = AsyncioRuntime()
-    result = rt.run(
-        campaign.run(
-            rt,
-            plan,
-            nodes=nodes,
-            shards=shards,
-            seed=seed,
-            duration=duration,
-            grace=2.0,  # post-heal reads: every key must read consistently
-            clients=clients,
-            **cluster_kwargs,
-        ),
-        timeout=300.0,
+    _, report = _run(
+        AsyncioRuntime(),
+        plan,
+        nodes=nodes,
+        shards=shards,
+        seed=seed,
+        duration=duration,
+        **cluster_kwargs,
     )
-    assert len(result.history) > 100, "campaign produced too little history"
-    return check_history(result.history, time_budget=60.0)
+    return report
 
 
 class TestCampaignKnobs:
@@ -171,3 +185,54 @@ class TestCampaigns:
         violation = report.violations[0]
         assert violation.witness, "violations must carry a witness"
         assert len(violation.witness) <= violation.ops
+
+
+@pytest.mark.chaos
+class TestVirtualTimeCampaigns:
+    """The same campaign on :class:`SimRuntime`: a leader kill per engine on
+    3 nodes, and kills plus partitions on 5 nodes x 2 shards.  Every answer
+    must be linearizable, a killed leader may stall only its shard for an
+    election, and the healed cluster must serve essentially every request."""
+
+    @pytest.mark.parametrize(
+        "engine, nodes, shards, seed, duration, period, kinds",
+        [
+            *(
+                pytest.param(
+                    engine, 3, 1, 17, 6.0, 2.0, ("kill-leader",),
+                    id=f"{engine}-3x1",
+                )
+                for engine in ENGINES
+            ),
+            pytest.param(
+                "raft", 5, 2, 15, 8.0, 2.5, ("kill-leader", "partition"),
+                id="raft-5x2",
+            ),
+        ],
+    )
+    def test_available_and_linearizable(
+        self, engine, nodes, shards, seed, duration, period, kinds
+    ):
+        rt = SimRuntime()
+        try:
+            result, report = _run(
+                rt,
+                FaultPlan.random_campaign(
+                    seed, duration=duration, period=period, kinds=kinds
+                ),
+                nodes=nodes,
+                shards=shards,
+                seed=seed,
+                duration=duration,
+                deterministic_ids=True,
+                engine=engine,
+            )
+        finally:
+            rt.close()
+        assert report.ok is True, report.summary()
+        assert any(a.kind == "kill-leader" for a in result.nemesis_log)
+        assert sum(result.fault_stats.values()) >= 200, result.fault_stats
+        assert _availability(result.fault_stats) >= 0.3, result.fault_stats
+        assert _availability(result.post_heal_stats) >= 0.9, (
+            result.post_heal_stats
+        )

@@ -1,11 +1,12 @@
-"""Load-generator key distributions (pure sampling — no sockets)."""
+"""Load-generator key distributions and argument checks (no sockets)."""
 
+import asyncio
 import math
 import random
 
 import pytest
 
-from repro.live import ZipfSampler, make_key_sampler
+from repro.live import ClusterConfig, ZipfSampler, make_key_sampler, run_open_loop
 
 
 class TestZipfSampler:
@@ -16,6 +17,8 @@ class TestZipfSampler:
             ZipfSampler(10, s=0.0)
         with pytest.raises(ValueError):
             ZipfSampler(10, s=-1.0)
+        with pytest.raises(ValueError):
+            ZipfSampler(10, s=math.nan)
 
     def test_probabilities_sum_to_one(self):
         sampler = ZipfSampler(200, s=1.1)
@@ -81,3 +84,29 @@ class TestMakeKeySampler:
     def test_unknown_distribution_rejected(self):
         with pytest.raises(ValueError, match="unknown key distribution"):
             make_key_sampler("pareto", 10)
+
+    def test_empty_keyspace_rejected(self):
+        for dist in ("uniform", "zipf"):
+            with pytest.raises(ValueError, match="key_space"):
+                make_key_sampler(dist, 0)
+
+
+class TestOpenLoopArguments:
+    """Bad numbers are refused before any connection is opened."""
+
+    @pytest.mark.parametrize(
+        "rate, duration",
+        [(0.0, 1.0), (-5.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+         (10.0, 0.0), (10.0, math.nan), (10.0, math.inf)],
+    )
+    def test_rate_and_duration_must_be_finite_and_positive(self, rate, duration):
+        cluster = ClusterConfig.localhost(3)
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            asyncio.run(
+                run_open_loop(cluster, rate=rate, duration=duration, shards=1)
+            )
+
+    def test_read_ratio_outside_unit_interval_rejected(self):
+        cluster = ClusterConfig.localhost(3)
+        with pytest.raises(ValueError, match="read_ratio"):
+            asyncio.run(run_open_loop(cluster, read_ratio=math.nan, shards=1))

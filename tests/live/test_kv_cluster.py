@@ -24,6 +24,7 @@ from repro.live import (
     ClusterUnavailableError,
     LiveKVCluster,
     run_closed_loop,
+    run_open_loop,
 )
 
 FAST = dict(election_timeout=(0.15, 0.3), heartbeat_interval=0.05)
@@ -181,28 +182,77 @@ class TestFailover:
 
 
 class TestLoadgen:
-    def test_closed_loop_reports_all_ops(self):
+    """``run_closed_loop`` / ``run_open_loop`` read the runtime's clock, so
+    under :class:`SimRuntime` (0.5 ms per hop) every figure they report is
+    exact: a put is two client hops plus one replication round, plus
+    whatever the leader's flush policy holds it for."""
+
+    @pytest.mark.parametrize(
+        "n, closed_duration, open_duration, connections",
+        [(3, 0.063, 1.0013333, 2), (5, 0.065, 1.0026667, 3)],
+    )
+    def test_closed_then_open_loop(
+        self, n, closed_duration, open_duration, connections
+    ):
         async def scenario():
-            cluster = LiveKVCluster(3, seed=21, **FAST)
+            cluster = LiveKVCluster(n, seed=21, **FAST)
             await cluster.start()
             try:
                 await cluster.wait_for_leader(timeout=15.0)
-                report = await run_closed_loop(
+                commit = cluster.servers[0].node.commit_index
+                closed = await run_closed_loop(
                     cluster.cluster, ops=60, concurrency=4, seed=3
                 )
-                assert report.ops + report.errors == 60
-                assert report.errors == 0
-                assert report.throughput > 0
-                summary = report.latency
-                assert summary["count"] == 60
-                assert 0 < summary["p50"] <= summary["p95"] <= summary["max"]
+                assert cluster.servers[0].node.commit_index > commit
+                opened = await run_open_loop(
+                    cluster.cluster, rate=300.0, duration=1.0, seed=3
+                )
                 # Every acknowledged write is durable and readable.
                 client = AsyncKVClient(cluster.cluster)
-                for key, value in list(report.acked.items())[:5]:
+                for key, value in list(closed.acked.items())[:5]:
                     response = await client.get(key)
                     assert response["found"]
                 await client.close()
             finally:
                 await cluster.stop()
+            return closed, opened
 
-        run(scenario())
+        closed, opened = sim_run(scenario())
+        for report, ops in ((closed, 60), (opened, 300)):
+            assert (report.ops, report.errors) == (ops, 0), report.summary()
+            lat = report.latency
+            assert lat["count"] == ops
+            assert 0 < lat["p50"] <= lat["p95"] <= lat["p99"] <= lat["max"]
+        assert closed.latency["p50"] == pytest.approx(0.004)
+        assert closed.duration == pytest.approx(closed_duration)
+        # Open loop: 300 arrivals on a 1 s schedule, the last one answered
+        # a few ms after it; arrivals find idle connections, so only a
+        # couple are ever opened.
+        assert opened.latency["p50"] == pytest.approx(0.0046667, abs=1e-6)
+        assert opened.duration == pytest.approx(open_duration)
+        assert opened.concurrency == connections
+
+    @pytest.mark.parametrize(
+        "engine, rate",
+        [("raft", 3703.7), ("paxos", 3703.7), ("ct", 3797.5)],
+    )
+    def test_closed_loop_is_error_free_on_every_engine(self, engine, rate):
+        async def scenario():
+            cluster = LiveKVCluster(
+                3, seed=17, engine=engine,
+                election_timeout=(0.3, 0.6), heartbeat_interval=0.06,
+            )
+            await cluster.start()
+            try:
+                await cluster.wait_for_leader(30.0)
+                return await run_closed_loop(
+                    cluster.cluster, ops=300, concurrency=16, key_space=256,
+                    seed=17,
+                )
+            finally:
+                await cluster.stop()
+
+        report = sim_run(scenario())
+        assert (report.ops, report.errors) == (300, 0), report.summary()
+        assert report.latency["p50"] == pytest.approx(0.004)
+        assert report.throughput == pytest.approx(rate, abs=0.1)

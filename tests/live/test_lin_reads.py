@@ -1,20 +1,32 @@
-"""Linearizable reads: the read-as-log-entry path.
+"""Linearizable reads: the read-as-log-entry path, and the tier ladder.
 
 A ``get(..., linearizable=True)`` is folded into the write batch pipeline
 as a :class:`~repro.live.kv.KvRead` marker and answered at apply time, so
 it reflects every write committed before it — unlike the default local
-read, which may lag on a follower.
+read, which may lag on a follower.  The faster tiers' costs relative to
+that path are pinned in virtual time at the end.
 """
 
 import asyncio
 
-from repro.live import AsyncKVClient, LiveKVCluster
+import pytest
+
+from repro.core.runtime import SimRuntime
+from repro.live import AsyncKVClient, LiveKVCluster, run_closed_loop
 
 FAST = dict(election_timeout=(0.15, 0.3), heartbeat_interval=0.05)
 
 
 def run(coro, timeout=120.0):
     return asyncio.run(asyncio.wait_for(coro, timeout))
+
+
+def sim_run(coro, timeout=120.0):
+    rt = SimRuntime()
+    try:
+        return rt.run(coro, timeout=timeout)
+    finally:
+        rt.close()
 
 
 class TestLinearizableReads:
@@ -130,3 +142,84 @@ class TestLinearizableReads:
                 await cluster.stop()
 
         run(scenario())
+
+
+class TestReadTierLadder:
+    """What each tier buys a read-heavy (90 % get), Zipf-skewed closed loop
+    of 4 clients on 3 nodes, in virtual time (0.5 ms per hop).
+
+    ``safe`` commits every get as a log marker and waits for the flush
+    policy like a put; ``readindex`` confirms leadership with one append
+    round per batch of gets; ``lease`` answers at once while the lease is
+    live, and ``follower`` reads bounded-stale from the nearest replica.
+    """
+
+    #: tier -> (staleness bound, virtual ops/s, get p50 in seconds)
+    LADDER = {
+        "safe": (None, 987.7, 0.004),
+        "readindex": (None, 1769.9, 0.002),
+        "lease": (None, 2857.1, 0.001),
+        "follower": (0.5, 2898.6, 0.001),
+    }
+
+    def _mix(self, tier, staleness):
+        async def scenario():
+            cluster = LiveKVCluster(
+                3, seed=18, read_tier=tier,
+                election_timeout=(0.3, 0.6), heartbeat_interval=0.06,
+            )
+            await cluster.start()
+            try:
+                await cluster.wait_for_leader(30.0)
+                # Preload so the reads observe real values, not misses.
+                client = AsyncKVClient(cluster.cluster)
+                for i in range(0, 256, 4):
+                    await client.put(f"k{i}", f"seed-{i}")
+                await client.close()
+                return await run_closed_loop(
+                    cluster.cluster, ops=400, concurrency=4, key_space=256,
+                    seed=18, key_dist="zipf", read_ratio=0.9,
+                    read_staleness=staleness,
+                )
+            finally:
+                await cluster.stop()
+
+        return sim_run(scenario())
+
+    def test_ladder(self):
+        rates = {}
+        for tier, (staleness, rate, p50) in self.LADDER.items():
+            report = self._mix(tier, staleness)
+            assert report.errors == 0, (tier, report.summary())
+            assert report.ops == 400 and report.reads > 300, report.summary()
+            assert report.throughput == pytest.approx(rate, abs=0.1), tier
+            assert report.latency["p50"] == pytest.approx(p50), tier
+            rates[tier] = report.throughput
+        # Zero rounds beat one confirmation round beat a commit round...
+        assert rates["lease"] >= max(rates["safe"], rates["readindex"])
+        # ...and a confirmation round never collapses behind a timer.
+        assert rates["readindex"] >= 0.4 * rates["safe"]
+
+    def test_lease_read_costs_one_client_round_trip(self):
+        async def scenario():
+            cluster = LiveKVCluster(
+                3, seed=18, read_tier="lease",
+                election_timeout=(0.3, 0.6), heartbeat_interval=0.06,
+            )
+            await cluster.start()
+            client = AsyncKVClient(cluster.cluster)
+            try:
+                await cluster.wait_for_leader(30.0)
+                await client.put("k", "v")
+                loop = asyncio.get_event_loop()
+                start = loop.time()
+                response = await client.get("k", linearizable=True)
+                return response, loop.time() - start
+            finally:
+                await client.close()
+                await cluster.stop()
+
+        response, took = sim_run(scenario())
+        assert response["value"] == "v" and response["read"] == "lease"
+        # Client -> leader -> client: two 0.5 ms hops, no round on top.
+        assert took == pytest.approx(2 * 0.0005)

@@ -6,18 +6,23 @@ per committed entry must be about the same at ``max_inflight=16`` as at
 ``max_inflight=2``.  Before the per-follower cursors, every AppendEntries
 resent the whole unacknowledged suffix — bytes per entry then grow
 roughly linearly with the pipeline depth, which is exactly what this
-test rejects.
+test rejects.  Both runs are in virtual time, so the byte counts are exact.
 """
 
-import asyncio
+import pytest
 
+from repro.core.runtime import SimRuntime
 from repro.live import LiveKVCluster, run_closed_loop
 
 FAST = dict(election_timeout=(0.15, 0.3), heartbeat_interval=0.05)
 
 
-def run(coro, timeout=120.0):
-    return asyncio.run(asyncio.wait_for(coro, timeout))
+def sim_run(coro, timeout=120.0):
+    rt = SimRuntime()
+    try:
+        return rt.run(coro, timeout=timeout)
+    finally:
+        rt.close()
 
 
 def _totals(cluster):
@@ -34,7 +39,7 @@ def _totals(cluster):
     return bytes_sent, commit
 
 
-async def _bytes_per_entry(max_inflight, *, seed):
+async def _replicated(max_inflight, *, seed):
     cluster = LiveKVCluster(3, seed=seed, max_inflight=max_inflight, **FAST)
     await cluster.start()
     try:
@@ -47,17 +52,17 @@ async def _bytes_per_entry(max_inflight, *, seed):
     finally:
         await cluster.stop()
     assert report.errors == 0, report.summary()
-    entries = commit_after - commit_before
-    assert entries > 0
-    return (bytes_after - bytes_before) / entries
+    return bytes_after - bytes_before, commit_after - commit_before
 
 
 class TestReplicationBytesLinear:
     def test_bytes_per_entry_flat_across_pipeline_depths(self):
-        shallow = run(_bytes_per_entry(2, seed=21))
-        deep = run(_bytes_per_entry(16, seed=22))
+        shallow_bytes, shallow_entries = sim_run(_replicated(2, seed=21))
+        deep_bytes, deep_entries = sim_run(_replicated(16, seed=22))
+        # 120 puts from 16 clients batch into nine entries either way.
+        assert shallow_entries == deep_entries == 9
+        shallow = shallow_bytes / shallow_entries
+        deep = deep_bytes / deep_entries
         # Full-suffix resends would make the deep pipeline several times
-        # costlier per entry; delta replication keeps the two comparable.
-        assert deep <= shallow * 3.0, (shallow, deep)
-        # Sanity floor: both configurations actually replicated data.
-        assert shallow > 0 and deep > 0
+        # costlier per entry; delta replication keeps the two equal.
+        assert deep == pytest.approx(shallow, rel=0.02), (shallow, deep)

@@ -186,43 +186,6 @@ class TestShardDemux:
 
         run(scenario())
 
-    def test_link_delay_defers_but_preserves_order(self):
-        async def scenario():
-            import time
-
-            cluster = ClusterConfig.localhost(2)
-            inbox = []
-            got_all = asyncio.Event()
-
-            def on_message(src, payload, ts):
-                inbox.append((payload["n"], time.monotonic()))
-                if len(inbox) >= 3:
-                    got_all.set()
-
-            a = PeerTransport(cluster, 0, lambda *args: None,
-                              heartbeat_interval=0.1, connect_timeout=0.5)
-            b = PeerTransport(cluster, 1, on_message,
-                              heartbeat_interval=0.1, connect_timeout=0.5,
-                              link_delay=0.05)
-            await b.start()
-            await a.start()
-            start = time.monotonic()
-            for n in (1, 2, 3):
-                a.send(1, {"n": n})
-            await asyncio.wait_for(got_all.wait(), 10.0)
-            assert [n for n, _t in inbox] == [1, 2, 3]
-            # Every delivery waited out the emulated one-way latency.
-            assert all(t - start >= 0.05 for _n, t in inbox)
-            await a.stop()
-            await b.stop()
-
-        run(scenario())
-
-    def test_negative_link_delay_rejected(self):
-        cluster = ClusterConfig.localhost(2)
-        with pytest.raises(ValueError):
-            PeerTransport(cluster, 0, lambda *args: None, link_delay=-0.1)
-
     def test_unrouted_shard_counted_and_dropped(self):
         async def scenario():
             cluster = ClusterConfig.localhost(2)

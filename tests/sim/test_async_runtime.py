@@ -305,6 +305,37 @@ class TestDeterminism:
         second = self._battery(2)
         assert first.decisions != second.decisions
 
+    @staticmethod
+    def _flood(record_trace, n=8, rounds=30):
+        """E10's flood: every round, everyone broadcasts and hears all."""
+
+        def proto(api):
+            for round_no in range(rounds):
+                yield Broadcast(("flood", round_no))
+                yield Receive(
+                    count=api.n,
+                    predicate=lambda e, r=round_no: e.payload == ("flood", r),
+                )
+            yield Decide("done")
+
+        return run([proto] * n, seed=0, record_trace=record_trace)
+
+    def test_tracing_off_changes_nothing_but_the_trace(self):
+        traced = self._flood(True)
+        untraced = self._flood(False)
+        assert untraced.events_processed == traced.events_processed
+        assert untraced.final_time == traced.final_time
+        assert untraced.decisions == traced.decisions
+        assert len(untraced.trace) == 0
+        assert len(traced.trace) > 0
+
+    def test_same_seed_replays_the_identical_trace(self):
+        def events(result):
+            return [(e.time, e.kind, e.pid, e.detail) for e in result.trace.events]
+
+        first, again = self._flood(True), self._flood(True)
+        assert events(again) == events(first)
+
 
 class TestValidation:
     def test_needs_at_least_one_process(self):

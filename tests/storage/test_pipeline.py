@@ -15,14 +15,24 @@ storage generation they depend on.  The contract under test:
 Every claim is proven the honest way: write, pull the power at the
 interesting moment, cold-restart, compare.  Tier-1: in-process power
 failures are cheap, so this runs everywhere.
+
+Two cluster-level claims close the file: group commit amortises one
+fsync over many client ops (tier-1, virtual time), and the pipelined mode
+outruns inline under a slow write barrier (``storage``-marked, wall
+clock: the fsync worker is a real thread, so virtual time cannot show it).
 """
 
+import asyncio
 import random
 
 import pytest
 
 from repro.algorithms.raft.log import Entry
+from repro.core.runtime import SimRuntime
+from repro.live import LiveKVCluster, run_closed_loop
 from repro.storage import RaftStorage
+
+FAST = dict(election_timeout=(0.15, 0.3), heartbeat_interval=0.05)
 
 
 def recovered_commands(directory):
@@ -160,3 +170,92 @@ class TestLostAckPrecondition:
             "sync_policy='none' must lose the acked write — otherwise the "
             "lost-ack canary can no longer prove the barrier matters"
         )
+
+
+def _wal_syncs(cluster):
+    """Cluster-wide fsync count across every live node's shards."""
+    return sum(
+        shard.storage.stats.syncs
+        for server in cluster.servers
+        if server is not None
+        for shard in server.shards
+    )
+
+
+class TestGroupCommit:
+    def test_one_fsync_covers_many_ops(self, tmp_path):
+        """A batch of concurrent puts is one WAL record, hence one fsync
+        per node: 400 ops from 8 clients need far fewer than 400 fsyncs
+        on each of the 3 nodes."""
+
+        async def scenario():
+            cluster = LiveKVCluster(3, seed=16, data_dir=str(tmp_path), **FAST)
+            await cluster.start()
+            try:
+                await cluster.wait_for_leader(timeout=20.0)
+                before = _wal_syncs(cluster)
+                report = await run_closed_loop(
+                    cluster.cluster, ops=400, concurrency=8, seed=16
+                )
+                return report, _wal_syncs(cluster) - before
+            finally:
+                await cluster.stop()
+
+        rt = SimRuntime()
+        try:
+            report, syncs = rt.run(scenario(), timeout=120.0)
+        finally:
+            rt.close()
+        assert (report.ops, report.errors) == (400, 0), report.summary()
+        lat = report.latency
+        assert 0 < lat["p50"] <= lat["p95"] <= lat["p99"] <= lat["max"]
+        assert report.throughput == pytest.approx(1951.2, abs=0.1)
+        assert syncs == 153
+        assert report.ops / (syncs / 3) > 1.0
+
+
+@pytest.mark.storage
+class TestPipelinedSpeedup:
+    """3 nodes x 4 shards, 8 closed-loop clients, a 2 ms emulated write
+    barrier per fsync: taking the fsync off the event loop lets co-hosted
+    shards sync in parallel with replication and apply."""
+
+    def _closed_loop(self, data_dir, sync_mode, snapshot_threshold=None):
+        async def scenario():
+            cluster = LiveKVCluster(
+                3, seed=19, shards=4, data_dir=str(data_dir),
+                sync_mode=sync_mode, fsync_delay=0.002,
+                snapshot_threshold=snapshot_threshold, **FAST,
+            )
+            await cluster.start()
+            try:
+                await cluster.wait_for_all_leaders(20.0)
+                report = await run_closed_loop(
+                    cluster.cluster, ops=400, concurrency=8, seed=19, shards=4
+                )
+                compactions = sum(
+                    server.pipeline_status()["compactions"]
+                    for server in cluster.servers
+                    if server is not None
+                )
+                return report, compactions
+            finally:
+                await cluster.stop()
+
+        return asyncio.run(asyncio.wait_for(scenario(), 300.0))
+
+    def test_pipelined_outruns_inline(self, tmp_path):
+        inline, _ = self._closed_loop(tmp_path / "inline", "inline")
+        piped, _ = self._closed_loop(tmp_path / "pipelined", "pipelined")
+        assert inline.errors == 0, inline.summary()
+        assert piped.errors == 0, piped.summary()
+        assert piped.throughput >= 1.5 * inline.throughput, (
+            inline.summary(), piped.summary()
+        )
+
+    def test_snapshot_run_compacts(self, tmp_path):
+        report, compactions = self._closed_loop(
+            tmp_path, "pipelined", snapshot_threshold=32
+        )
+        assert report.errors == 0, report.summary()
+        assert compactions > 0

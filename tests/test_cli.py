@@ -108,6 +108,29 @@ class TestParser:
         assert (plan.pid, plan.at_time, plan.restart_at) == (1, 5.0, 9.0)
 
 
+class TestLoadgenArguments:
+    """Bad numbers exit 2 with a usage message, never a traceback."""
+
+    PEERS = ("--peers", "127.0.0.1:7400,127.0.0.1:7401,127.0.0.1:7402")
+
+    @pytest.mark.parametrize(
+        "bad, flag",
+        [
+            (("--rate", "0"), "--rate"),
+            (("--rate", "nan"), "--rate"),
+            (("--rate", "10", "--duration", "inf"), "--duration"),
+            (("--read-ratio", "1.5"), "--read-ratio"),
+            (("--key-space", "0"), "--key-space"),
+            (("--key-dist", "zipf", "--zipf-s", "0"), "--zipf-s"),
+        ],
+    )
+    def test_bad_number_is_a_usage_error(self, capsys, bad, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("loadgen", *self.PEERS, "--shards", "1", *bad)
+        assert exc.value.code == 2
+        assert f"error: argument {flag}:" in capsys.readouterr().err
+
+
 def test_module_invocation():
     result = subprocess.run(
         [sys.executable, "-m", "repro", "ben-or", "--n", "4", "--quiet"],
