@@ -20,7 +20,7 @@ from benchmarks.conftest import emit
 from repro.algorithms.ben_or import ben_or_template_consensus
 from repro.algorithms.chandra_toueg import run_chandra_toueg
 from repro.algorithms.decentralized_raft import decentralized_raft_consensus
-from repro.algorithms.paxos import run_paxos
+from repro.algorithms.multi_paxos import run_paxos
 from repro.algorithms.phase_king import run_phase_king
 from repro.algorithms.phase_queen import run_phase_queen
 from repro.algorithms.raft import run_raft_consensus

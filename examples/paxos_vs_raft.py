@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Paxos and Raft, side by side, through the framework's lens.
 
-Both algorithms break asynchronous stalemates the same way — a randomized
+Both break asynchronous stalemates the same way — a randomized election
 timer opens a new attempt (a ballot / a term) — and both satisfy the VAC
-coherence conditions per attempt.  Their costs differ sharply though: a
-Raft leader amortizes its election over the whole decision, while Paxos
-pays a prepare round trip per ballot.  This demo runs both on the same
-cluster size and seed battery and prints the comparison, then shows one
-Paxos run's per-ballot VAC table.
+coherence conditions per attempt.  Here they share more than that: Paxos
+is Raft's replicated-log core with a different election rule
+(prepare/promise over ballots instead of RequestVote), so once a leader
+stands the two send the same messages and cost the same.  This demo runs
+both on the same cluster size and seed battery and prints the
+comparison, then shows one Paxos run's per-ballot VAC table.
 
 Run:  python examples/paxos_vs_raft.py
 """
@@ -48,7 +49,7 @@ def main() -> None:
     print()
     result = run_paxos(INPUTS, seed=3)
     print("one Paxos run, per-ballot VAC outcomes "
-          "(rounds are ballots (counter, proposer)):")
+          "(rounds are ballots counter*4096 + proposer, e.g. 4097):")
     print(round_table(result.trace, "vac"))
     print(f"\ndecided: {result.decided_value()}")
 

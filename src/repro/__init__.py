@@ -60,7 +60,7 @@ from repro.sim import (
 from repro.algorithms.ben_or import ben_or_template_consensus
 from repro.algorithms.chandra_toueg import run_chandra_toueg
 from repro.algorithms.decentralized_raft import decentralized_raft_consensus
-from repro.algorithms.paxos import PaxosNode, run_paxos
+from repro.algorithms.multi_paxos import run_paxos
 from repro.algorithms.phase_king import phase_king_consensus, run_phase_king
 from repro.algorithms.phase_queen import phase_queen_consensus, run_phase_queen
 from repro.algorithms.raft import RaftNode, run_raft_consensus
@@ -81,7 +81,6 @@ __all__ = [
     "Confidence",
     "CrashPlan",
     "NetworkConfig",
-    "PaxosNode",
     "Process",
     "ProcessAPI",
     "PropertyViolation",

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.analysis.report import describe_run, round_table
 from repro.analysis.workloads import balanced_split
@@ -78,6 +78,20 @@ def _parse_crash(spec: str) -> CrashPlan:
     return CrashPlan(pid, at_time=at_time, restart_at=restart_at)
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse ``type`` for an int ``>= low``: a bad value exits 2 with
+    a usage message instead of a traceback."""
+
+    def parse(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError by __name__
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
 EXTRA_COMMANDS_EPILOG = """\
 additional commands (dispatched before this parser):
   explore ALGORITHM ...   deterministic schedule exploration (docs/testing.md)
@@ -98,11 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("algorithm", choices=ALGORITHMS)
-    parser.add_argument("--n", type=int, default=5, help="number of processes")
+    parser.add_argument(
+        "--n", type=_int_at_least(1), default=5, help="number of processes"
+    )
     parser.add_argument("--seed", type=int, default=0, help="run seed")
     parser.add_argument(
         "--byzantine",
-        type=int,
+        type=_int_at_least(0),
         default=0,
         help="number of (equivocating) Byzantine processes (phase-king only)",
     )
@@ -156,7 +172,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.chaos.cli import main as chaos_main
 
         return chaos_main(argv[1:])
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for plan in args.crash:
+        if plan.pid >= args.n:
+            parser.error(f"--crash: pid {plan.pid} is not below --n {args.n}")
     name = args.algorithm
 
     if name == "ben-or":
@@ -209,7 +229,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if name in ("paxos", "chandra-toueg"):
         if name == "paxos":
-            from repro.algorithms.paxos import run_paxos as run_it
+            from repro.algorithms.multi_paxos import run_paxos as run_it
         else:
             from repro.algorithms.chandra_toueg import run_chandra_toueg as run_it
 

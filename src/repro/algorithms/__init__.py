@@ -24,6 +24,9 @@ Beyond the paper's examples, demonstrating the Section 3 generality claim:
 * :mod:`repro.algorithms.phase_queen` — Berman-Garay's one-exchange
   relative of Phase-King (``4t < n``), reusing Phase-King's conciliator
   unchanged.
-* :mod:`repro.algorithms.paxos` — single-decree Paxos with ballots as
-  template rounds and the randomized retry timer as reconciliator.
+* :mod:`repro.algorithms.multi_paxos` — Paxos as Raft's replicated-log
+  core with the ballot election rule (:mod:`repro.algorithms.replica`)
+  under the same randomized election timer; ballots are template rounds.
+* :mod:`repro.algorithms.chandra_toueg` — rotating-coordinator consensus
+  with a failure detector's timeout as reconciliator.
 """

@@ -22,8 +22,8 @@ The template mapping: **adopt** — received the coordinator's proposal (a
 majority of estimates stood behind its choice); **vacillate** — suspected
 the coordinator, learning nothing about the round's value; **commit** —
 received ``Decide``.  The **reconciliator** is the failure detector's
-timeout: like Raft's and Paxos' timers it acts through *timing* (kicking
-the protocol to the next coordinator), not through a return value.
+timeout, acting through *timing* like the election timer Raft and Paxos
+share, but the coordinator rotates by round number, not by who campaigns.
 Locking (majority-ack ⇒ every later coordinator re-proposes the same
 value) is the leader-completeness analogue, asserted in the tests.
 """

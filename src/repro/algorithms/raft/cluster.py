@@ -1,4 +1,5 @@
-"""Cluster assembly helpers for Raft runs.
+"""Cluster assembly for Raft runs, and the run-to-decision harness it shares
+with :func:`~repro.algorithms.multi_paxos.run_paxos`.
 
 These helpers encode the paper's *timing property* — broadcast time much
 smaller than the election timeout, which in turn is much smaller than the
@@ -14,6 +15,7 @@ from repro.algorithms.raft.node import RaftNode
 from repro.sim.async_runtime import AsyncRuntime, RunResult
 from repro.sim.failures import CrashPlan
 from repro.sim.network import NetworkConfig, UniformDelay
+from repro.sim.process import Process
 
 
 def build_raft_cluster(
@@ -34,6 +36,30 @@ def build_raft_cluster(
     ]
 
 
+def run_to_decision(
+    nodes: Sequence[Process],
+    init_values: Sequence[Any],
+    seed: int,
+    crash_plans: Sequence[CrashPlan],
+    network: Optional[NetworkConfig],
+    max_time: float,
+    max_events: int,
+) -> RunResult:
+    """Run decide-and-stop ``nodes`` until every live one has decided."""
+    n = len(init_values)
+    return AsyncRuntime(
+        list(nodes),
+        init_values=list(init_values),
+        t=(n - 1) // 2,
+        network=network or NetworkConfig(delay_model=UniformDelay(0.5, 1.5)),
+        seed=seed,
+        crash_plans=crash_plans,
+        max_time=max_time,
+        max_events=max_events,
+        stop_when="all_alive_decided",
+    ).run()
+
+
 def run_raft_consensus(
     init_values: Sequence[Any],
     *,
@@ -45,31 +71,14 @@ def run_raft_consensus(
     max_time: float = 2_000.0,
     max_events: int = 2_000_000,
 ) -> RunResult:
-    """Run one Raft consensus (Algorithm 7) to completion.
-
-    Every node runs :class:`~repro.algorithms.raft.node.RaftNode` with the
-    decide-and-stop state machine; the run ends once every live node has
-    decided (or at the safety caps).
-
-    Returns the :class:`~repro.sim.async_runtime.RunResult`; the built
-    nodes are reachable for inspection via the runtime states recorded in
-    the trace annotations (``leader``, ``vac``, ``applied``).
-    """
-    n = len(init_values)
+    """Run one Raft consensus (Algorithm 7) to completion: every node is a
+    decide-and-stop :class:`~repro.algorithms.raft.node.RaftNode`, and the
+    trace carries its ``leader``, ``vac`` and ``applied`` annotations."""
     nodes = build_raft_cluster(
-        n,
+        len(init_values),
         election_timeout=election_timeout,
         heartbeat_interval=heartbeat_interval,
     )
-    runtime = AsyncRuntime(
-        nodes,
-        init_values=list(init_values),
-        t=(n - 1) // 2,
-        network=network or NetworkConfig(delay_model=UniformDelay(0.5, 1.5)),
-        seed=seed,
-        crash_plans=crash_plans,
-        max_time=max_time,
-        max_events=max_events,
-        stop_when="all_alive_decided",
+    return run_to_decision(
+        nodes, init_values, seed, crash_plans, network, max_time, max_events
     )
-    return runtime.run()

@@ -229,23 +229,6 @@ class AsyncKVClient:
         finally:
             writer.close()
 
-    async def find_leader(self, shard: int = 0) -> Optional[int]:
-        """Poll every reachable node once; returns ``shard``'s leader pid."""
-        for pid in range(self.cluster.n):
-            try:
-                status = await self.status_of(pid)
-            except (ConnectionError, OSError, asyncio.TimeoutError,
-                    asyncio.IncompleteReadError):
-                continue
-            groups = status.get("groups")
-            if (
-                isinstance(groups, list)
-                and shard < len(groups)
-                and groups[shard].get("role") == "leader"
-            ):
-                return status.get("pid")
-        return None
-
     async def shard_count(self) -> int:
         """The cluster's shard count (discovered once, then cached)."""
         return (await self._ensure_router()).shards

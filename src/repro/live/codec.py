@@ -18,17 +18,10 @@ from repro.algorithms.chandra_toueg.messages import (
     CoordinatorProposal,
     CtDecide,
     Estimate,
+    Nack,
 )
-from repro.algorithms.chandra_toueg.messages import Nack as CtNack
 from repro.algorithms.chandra_toueg.replicated import CT_FAMILY, OmegaTrigger
 from repro.algorithms.multi_paxos.messages import PAX_FAMILY
-from repro.algorithms.paxos.messages import (
-    Accept,
-    Accepted,
-    Nack,
-    Prepare,
-    Promise,
-)
 from repro.algorithms.replica import Noop
 from repro.algorithms.raft.log import Entry
 from repro.algorithms.raft.messages import ClientPropose
@@ -43,17 +36,11 @@ _DATACLASSES = (
     # Ben-Or (paper Algorithms 5-6)
     Report,
     Ratify,
-    # Paxos (single decree)
-    Prepare,
-    Promise,
-    Accept,
-    Accepted,
-    Nack,
     # Chandra-Toueg (one-shot)
     Estimate,
     CoordinatorProposal,
     Ack,
-    CtNack,
+    Nack,
     CtDecide,
     # The live engines' wire families (raft, paxos, ct) and the Ω
     # trigger's heartbeat

@@ -1,8 +1,13 @@
-"""Tests for single-decree Paxos and its VAC view."""
+"""Single-decree Paxos on the live ballot rule, and its VAC view.
+
+:func:`repro.run_paxos` runs :class:`~repro.algorithms.replica.BallotReplicaNode`
+× ``PAX_FAMILY`` × ``TimerTrigger`` on the simulator; the rule's phase-1
+and acceptor branches are unit-tested in ``test_protocol_internals.py``.
+"""
 
 import pytest
 
-from repro.algorithms.paxos import PaxosNode, run_paxos
+from repro.algorithms.multi_paxos import run_paxos
 from repro.algorithms.raft.vac import check_raft_vac
 from repro.core.properties import (
     check_agreement,
@@ -95,12 +100,12 @@ class TestUnderFailures:
 class TestDuelingProposers:
     @pytest.mark.parametrize("seed", range(6))
     def test_contention_resolves(self, seed):
-        # Tight identical retry ranges maximize dueling; randomized draws
+        # Tight identical election ranges maximize dueling; randomized draws
         # must still separate the proposers eventually.
         result = run_paxos(
             [1, 2, 3, 4, 5],
             seed=seed,
-            retry_timeout=(4.0, 6.0),
+            election_timeout=(4.0, 6.0),
             max_time=5_000.0,
         )
         check_agreement(result.decisions)
@@ -110,7 +115,7 @@ class TestDuelingProposers:
         """Paxos' core invariant, observed: once any ballot commits, every
         later ballot's adopt annotations carry the same value."""
         for seed in range(8):
-            result = run_paxos([1, 2, 3, 4, 5], seed=seed, retry_timeout=(4.0, 6.0))
+            result = run_paxos([1, 2, 3, 4, 5], seed=seed, election_timeout=(4.0, 6.0))
             annotations = result.trace.annotations("vac")
             from repro.core.confidence import ADOPT, COMMIT
 
@@ -125,54 +130,3 @@ class TestDuelingProposers:
             for _pid, _t, (ballot, conf, value) in annotations:
                 if conf is ADOPT and ballot > first_ballot:
                     assert value == chosen
-
-
-class TestAcceptorRules:
-    def make_api(self, pid=0, n=3):
-        import random
-
-        from repro.sim.process import ProcessAPI
-
-        return ProcessAPI(pid, n, 1, f"v{pid}", random.Random(0))
-
-    def drain(self, gen):
-        return list(gen)
-
-    def test_promise_is_monotone(self):
-        from repro.algorithms.paxos.messages import Nack, Prepare, Promise
-
-        node = PaxosNode()
-        api = self.make_api()
-        ops = self.drain(node._on_prepare(api, Prepare((5, 1)), 1))
-        assert isinstance(ops[0].payload, Promise)
-        ops = self.drain(node._on_prepare(api, Prepare((3, 2)), 2))
-        assert isinstance(ops[0].payload, Nack)
-        assert node.promised == (5, 1)
-
-    def test_accept_below_promise_nacked(self):
-        from repro.algorithms.paxos.messages import Accept, Nack, Prepare
-
-        node = PaxosNode()
-        api = self.make_api()
-        self.drain(node._on_prepare(api, Prepare((5, 1)), 1))
-        ops = self.drain(node._on_accept(api, Accept((4, 2), "v"), 2))
-        assert isinstance(ops[0].payload, Nack)
-        assert node.accepted_ballot is None
-
-    def test_accept_at_promise_succeeds_and_broadcasts(self):
-        from repro.algorithms.paxos.messages import Accept, Accepted, Prepare
-        from repro.sim.ops import Broadcast
-
-        node = PaxosNode()
-        api = self.make_api()
-        self.drain(node._on_prepare(api, Prepare((5, 1)), 1))
-        ops = self.drain(node._on_accept(api, Accept((5, 1), "v"), 1))
-        broadcasts = [op for op in ops if isinstance(op, Broadcast)]
-        assert broadcasts and isinstance(broadcasts[0].payload, Accepted)
-        assert node.accepted_value == "v"
-
-    def test_retry_timeout_validation(self):
-        with pytest.raises(ValueError):
-            PaxosNode(retry_timeout=(0.0, 5.0))
-        with pytest.raises(ValueError):
-            PaxosNode(cluster_size=0)

@@ -1,12 +1,12 @@
 """Targeted unit tests for protocol branches the end-to-end runs exercise
-only incidentally: Raft's NextIndex backoff, Paxos' value-choice rule, and
-Ben-Or's crash-model boundary."""
+only incidentally: Raft's NextIndex backoff, the ballot rule's phase 1
+(Paxos' value-choice rule, slot-wise), and Ben-Or's crash-model boundary."""
 
 import random
 
 import pytest
 
-from repro.sim.ops import Broadcast, Send
+from repro.sim.ops import Send
 from repro.sim.process import ProcessAPI
 
 
@@ -118,64 +118,205 @@ class TestRaftNextIndexRepair:
         assert node.commit_index == 0
 
 
-class TestPaxosValueChoice:
-    def prime_proposer(self, api, ballot):
-        from repro.algorithms.paxos import PaxosNode
+def ballot(counter, pid):
+    from repro.algorithms.replica import make_ballot
 
-        node = PaxosNode()
-        node._proposing = ballot
-        node._promises = {}
-        return node
+    return make_ballot(counter, pid)
 
-    def test_highest_accepted_ballot_wins(self):
-        from repro.algorithms.paxos.messages import Accept, Promise
+
+def decide(value):
+    from repro.algorithms.raft.state_machine import DecideAndStop
+
+    return DecideAndStop(value)
+
+
+class TestBallotPhaseOne:
+    """The ballot rule's phase 1 and acceptor side (``replica.py``), one
+    message at a time, on the family and trigger of the ``paxos`` engine."""
+
+    @staticmethod
+    def make_node(**kwargs):
+        from repro.algorithms.multi_paxos.messages import PAX_FAMILY
+        from repro.algorithms.replica import BallotReplicaNode
+        from repro.algorithms.trigger import TimerTrigger
+
+        return BallotReplicaNode(family=PAX_FAMILY, trigger=TimerTrigger(), **kwargs)
+
+    @staticmethod
+    def promise(b, voter, from_index=1, entries=()):
+        from repro.algorithms.multi_paxos.messages import PaxPromise
+
+        return PaxPromise(b, voter, 0, 0, None, from_index, tuple(entries))
+
+    def campaign(self, node, api, seen=0):
+        """Open a ballot above ``seen``; returns it (the node prepares)."""
+        from repro.algorithms.replica import PREPARING
+
+        node._max_ballot_seen = seen
+        drain(node.campaign(api))
+        assert node.state is PREPARING
+        return node.promised
+
+    def test_prepare_below_promise_is_nacked(self):
+        from repro.algorithms.multi_paxos.messages import (
+            PaxPrepare,
+            PaxPrepareNack,
+            PaxPromise,
+        )
+
+        api = make_api()
+        node = self.make_node()
+        ops = drain(node._on_prepare(api, PaxPrepare(ballot(5, 1), 1, 1)))
+        sends = [op for op in ops if isinstance(op, Send)]
+        assert isinstance(sends[0].payload, PaxPromise)
+        assert node.promised == ballot(5, 1)
+        ops = drain(node._on_prepare(api, PaxPrepare(ballot(3, 2), 1, 2)))
+        assert ops == [Send(2, PaxPrepareNack(ballot(3, 2), ballot(5, 1), 0))]
+        assert node.promised == ballot(5, 1)
+
+    def test_sticky_window_nacks_a_challenger_without_promising(self):
+        from repro.algorithms.multi_paxos.messages import (
+            PaxPrepare,
+            PaxPrepareNack,
+            PaxPromise,
+        )
+        from repro.algorithms.readpath import ReadConfig
+
+        api = make_api()
+        node = self.make_node(read_config=ReadConfig(lease_duration=1.0))
+        node.promised = ballot(2, 1)
+        node.leader_hint = 1
+        node.reads.note_leader_contact(0.0)
+        api.now = 0.5
+        ops = drain(node._on_prepare(api, PaxPrepare(ballot(3, 2), 1, 2)))
+        assert ops == [Send(2, PaxPrepareNack(ballot(3, 2), ballot(2, 1), 0))]
+        assert node.promised == ballot(2, 1)
+        # The leader it hears from may still move to a higher ballot.
+        ops = drain(node._on_prepare(api, PaxPrepare(ballot(3, 1), 1, 1)))
+        assert isinstance(ops[-1].payload, PaxPromise)
+        assert node.promised == ballot(3, 1)
+
+    def test_merge_keeps_the_highest_ballots_value_retagged(self):
+        from repro.algorithms.raft.log import Entry
+        from repro.algorithms.raft.replication import LEADER
+
+        api = make_api(pid=0, n=5, t=2)
+        node = self.make_node()
+        b = self.campaign(node, api, seen=ballot(3, 4))
+        assert b == ballot(4, 0)
+        newer = Entry(ballot(2, 3), decide("newer"))
+        older = Entry(ballot(1, 1), decide("older"))
+        drain(node._on_promise(api, self.promise(b, 1, entries=[newer])))
+        drain(node._on_promise(api, self.promise(b, 2, entries=[older])))
+        assert node.state is LEADER
+        assert node.log.last_index == 1
+        assert node.log.entry_at(1) == Entry(b, decide("newer"))
+
+    def test_suffix_above_the_local_end_is_filled_with_noops(self):
+        from repro.algorithms.raft.log import Entry
+        from repro.algorithms.replica import Noop
 
         api = make_api(pid=0, n=3)
-        ballot = (5, 0)
-        node = self.prime_proposer(api, ballot)
-        drain(node._on_promise(api, Promise(ballot, (2, 1), "older", voter=1)))
-        ops = drain(node._on_promise(api, Promise(ballot, (3, 2), "newer", voter=2)))
-        accepts = [
-            op.payload
-            for op in ops
-            if isinstance(op, Broadcast) and isinstance(op.payload, Accept)
+        node = self.make_node()
+        b = self.campaign(node, api)
+        reported = Entry(ballot(1, 2), decide("far"))
+        drain(node._on_promise(api, self.promise(b, 1, 3, [reported])))
+        assert [node.log.entry_at(i) for i in (1, 2, 3)] == [
+            Entry(b, Noop()),
+            Entry(b, Noop()),
+            Entry(b, decide("far")),
         ]
-        assert accepts and accepts[0].value == "newer"
 
-    def test_own_value_used_when_no_promise_carries_one(self):
-        from repro.algorithms.paxos.messages import Accept, Promise
-
-        api = make_api(pid=0, n=3)
-        ballot = (5, 0)
-        node = self.prime_proposer(api, ballot)
-        drain(node._on_promise(api, Promise(ballot, None, None, voter=1)))
-        ops = drain(node._on_promise(api, Promise(ballot, None, None, voter=2)))
-        accepts = [
-            op.payload
-            for op in ops
-            if isinstance(op, Broadcast) and isinstance(op.payload, Accept)
-        ]
-        assert accepts and accepts[0].value == api.init_value
-
-    def test_promises_for_other_ballots_ignored(self):
-        from repro.algorithms.paxos.messages import Promise
+    def test_promise_for_another_ballot_is_ignored(self):
+        from repro.algorithms.replica import PREPARING
 
         api = make_api(pid=0, n=3)
-        node = self.prime_proposer(api, (5, 0))
-        ops = drain(node._on_promise(api, Promise((4, 0), None, None, voter=1)))
+        node = self.make_node()
+        b = self.campaign(node, api, seen=ballot(4, 2))
+        ops = drain(node._on_promise(api, self.promise(b - 1, 1)))
         assert ops == []
-        assert node._promises == {}
+        assert node.state is PREPARING
+        assert list(node._promises) == [0]
 
-    def test_extra_promises_beyond_majority_do_not_repropose(self):
-        from repro.algorithms.paxos.messages import Promise
+    def test_late_promise_after_winning_neither_remerges_nor_appends(self):
+        from repro.algorithms.raft.log import Entry
+        from repro.algorithms.raft.replication import LEADER
 
         api = make_api(pid=0, n=3)
-        ballot = (5, 0)
-        node = self.prime_proposer(api, ballot)
-        drain(node._on_promise(api, Promise(ballot, None, None, voter=1)))
-        drain(node._on_promise(api, Promise(ballot, None, None, voter=2)))
-        late = drain(node._on_promise(api, Promise(ballot, None, None, voter=0)))
-        assert not any(isinstance(op, Broadcast) for op in late)
+        node = self.make_node(propose_on_leadership=True)
+        b = self.campaign(node, api)
+        drain(node._on_promise(api, self.promise(b, 1)))
+        assert node.state is LEADER
+        log = node.log.entries_from(1)
+        stale = Entry(ballot(0, 2), decide("stale"))
+        late = drain(node._on_promise(api, self.promise(b, 2, entries=[stale])))
+        assert late == []
+        assert node.log.entries_from(1) == log
+
+    def test_nack_for_the_current_ballot_demotes(self):
+        from repro.algorithms.multi_paxos.messages import PaxPrepareNack
+        from repro.algorithms.raft.replication import FOLLOWER
+        from repro.algorithms.replica import PREPARING, ballot_counter
+        from repro.sim.ops import SetTimer
+
+        api = make_api(pid=0, n=3)
+        node = self.make_node()
+        b = self.campaign(node, api)
+        # A nack for a ballot this node is not running changes nothing.
+        assert drain(node._on_prepare_nack(api, PaxPrepareNack(b - 1, b, 1))) == []
+        assert node.state is PREPARING
+        ops = drain(node._on_prepare_nack(api, PaxPrepareNack(b, ballot(9, 2), 1)))
+        assert node.state is FOLLOWER
+        assert node._promises == {}
+        assert any(isinstance(op, SetTimer) for op in ops)  # the trigger re-arms
+        drain(node.campaign(api))
+        assert ballot_counter(node.promised) == 10  # next campaign opens above
+
+    def test_fresh_leader_with_an_empty_log_proposes_its_input(self):
+        from repro.algorithms.raft.log import Entry
+
+        api = make_api(pid=0, n=3)
+        node = self.make_node(propose_on_leadership=True)
+        b = self.campaign(node, api)
+        drain(node._on_promise(api, self.promise(b, 1)))
+        assert node.log.entries_from(1) == (Entry(b, decide(api.init_value)),)
+
+    def test_chain_below_the_promise_is_refused(self):
+        from repro.algorithms.multi_paxos.messages import (
+            PaxChain,
+            PaxChainAck,
+            PaxPrepare,
+        )
+        from repro.algorithms.raft.log import Entry
+
+        api = make_api()
+        node = self.make_node()
+        drain(node._on_prepare(api, PaxPrepare(ballot(5, 1), 1, 1)))
+        low = ballot(4, 2)
+        chain = PaxChain(low, 2, 0, 0, (Entry(low, decide("v")),), 0)
+        ops = drain(node._on_append_entries(api, chain))
+        assert ops == [Send(2, PaxChainAck(ballot(5, 1), False, 0))]
+        assert node.log.last_index == 0
+
+    def test_chain_at_the_promise_is_accepted_and_acked(self):
+        from repro.algorithms.multi_paxos.messages import PaxChain, PaxPrepare
+        from repro.algorithms.raft.log import Entry
+
+        api = make_api()
+        node = self.make_node()
+        b = ballot(5, 1)
+        drain(node._on_prepare(api, PaxPrepare(b, 1, 1)))
+        chain = PaxChain(b, 1, 0, 0, (Entry(b, decide("v")),), 0)
+        ops = drain(node._on_append_entries(api, chain))
+        assert node.log.entries_from(1) == (Entry(b, decide("v")),)
+        (ack,) = [op.payload for op in ops if isinstance(op, Send)]
+        assert ack.success and ack.match_index == 1
+
+    def test_election_timeout_validation(self):
+        from repro.algorithms.trigger import TimerTrigger
+
+        with pytest.raises(ValueError):
+            TimerTrigger((0.0, 5.0))
 
 
 class TestBenOrModelBoundary:

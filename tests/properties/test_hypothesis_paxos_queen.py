@@ -8,7 +8,7 @@ satisfy full consensus plus their per-round/per-ballot coherence.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.paxos import run_paxos
+from repro.algorithms.multi_paxos import run_paxos
 from repro.algorithms.phase_queen import run_phase_queen
 from repro.algorithms.raft.vac import check_raft_vac
 from repro.core.properties import (

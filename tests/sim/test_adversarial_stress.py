@@ -15,9 +15,10 @@ import pytest
 
 from repro.algorithms.ben_or import ben_or_template_consensus
 from repro.algorithms.chandra_toueg import run_chandra_toueg
-from repro.algorithms.paxos import run_paxos
-from repro.algorithms.paxos.messages import Accept
+from repro.algorithms.multi_paxos import run_paxos
+from repro.algorithms.multi_paxos.messages import PaxChain
 from repro.algorithms.raft import run_raft_consensus
+from repro.algorithms.replica import ballot_counter
 from repro.core.properties import check_agreement, check_all_rounds, check_termination
 from repro.sim.async_runtime import AsyncRuntime
 from repro.sim.network import DEFER, NetworkConfig, Partition, UniformDelay
@@ -112,16 +113,17 @@ class TestRaftHostileNetworks:
 class TestPaxosTargetedAttacks:
     @pytest.mark.parametrize("seed", range(3))
     def test_dropping_all_accepts_of_low_ballots(self, seed):
-        """An interceptor that destroys every Accept of the first three
-        ballot counters: early ballots can never choose, later ones must."""
+        """An interceptor that destroys every phase-2a stream (``PaxChain``)
+        of the first three ballot counters: early ballots can never
+        choose, later ones must."""
 
-        def drop_early_accepts(payload, src, dst, now):
-            if isinstance(payload, Accept) and payload.ballot[0] <= 3:
+        def drop_early_chains(payload, src, dst, now):
+            if isinstance(payload, PaxChain) and ballot_counter(payload.term) <= 3:
                 return None
             return DEFER
 
         network = NetworkConfig(
-            delay_model=UniformDelay(0.5, 1.5), interceptor=drop_early_accepts
+            delay_model=UniformDelay(0.5, 1.5), interceptor=drop_early_chains
         )
         result = run_paxos(
             [1, 2, 3, 4, 5], seed=seed, network=network, max_time=10_000.0
@@ -136,7 +138,7 @@ class TestPaxosTargetedAttacks:
             for _p, _t, (ballot, conf, _v) in result.trace.annotations("vac")
             if conf is COMMIT
         ]
-        assert min(commit_ballots)[0] > 3
+        assert ballot_counter(min(commit_ballots)) > 3
 
 
 class TestChandraTouegHostileTiming:

@@ -38,7 +38,6 @@ from repro.algorithms.multi_paxos.messages import (
     PaxSnapshot,
     PaxSnapshotAck,
 )
-from repro.algorithms.paxos.messages import Accept, Accepted, Nack, Prepare, Promise
 from repro.algorithms.replica import Noop
 from repro.algorithms.raft.log import Entry
 from repro.algorithms.raft.messages import (
@@ -71,13 +70,6 @@ SAMPLE_MESSAGES = [
     Report(("phase", 2), 0),
     Ratify(3, 1),
     Ratify(4, None),
-    # Paxos, ballots as (counter, pid) tuples.
-    Prepare((5, 2)),
-    Promise((5, 2), None, None, 0),
-    Promise((5, 2), (4, 1), "värde", 3),
-    Accept((5, 2), {"k": [1, 2, 3]}),
-    Accepted((5, 2), 40, 1),
-    Nack((5, 2), (9, 4)),
     # Chandra-Toueg.
     Estimate(2, "估计值", 1, 4),
     CoordinatorProposal(2, 40),
@@ -116,6 +108,14 @@ SAMPLE_MESSAGES = [
     PaxChainAck(8193, False, 2, 0),
     PaxSnapshot(8193, 1, 10, 4097, ({"x": [1, 2]}, 10)),
     PaxSnapshotAck(8193, 0, 10),
+    # One single-decree Paxos ballot (5, pid 2) = 20482: an empty and a
+    # value-carrying promise, phase 2a with a nested value, its ack, a nack.
+    PaxPrepare(20482, 1, 2),
+    PaxPromise(20482, 0, 0, 0, None, 1, ()),
+    PaxPromise(20482, 3, 0, 0, None, 1, (Entry(16385, DecideAndStop("värde")),)),
+    PaxChain(20482, 2, 0, 0, (Entry(20482, DecideAndStop({"k": [1, 2, 3]})),), 0),
+    PaxChainAck(20482, True, 1, 1),
+    PaxPrepareNack(20482, 36868, 4),
     # Chandra-Toueg engine (same mixer shapes, disjoint wire names).
     CtPrepare(12290, 1, 2),
     CtPromise(12290, 0, 0, 0, None, 1, (Entry(8193, Put("k", "v")),)),

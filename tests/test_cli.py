@@ -107,6 +107,31 @@ class TestParser:
         plan = args.crash[0]
         assert (plan.pid, plan.at_time, plan.restart_at) == (1, 5.0, 9.0)
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("raft", "--n", "0"), "argument --n: must be >= 1, got 0"),
+            (("paxos", "--n", "0"), "argument --n: must be >= 1, got 0"),
+            (("ben-or", "--n", "-1"), "argument --n: must be >= 1, got -1"),
+            (("chandra-toueg", "--n", "0"), "argument --n: must be >= 1"),
+            (("shared-memory", "--n", "0"), "argument --n: must be >= 1"),
+            (("ben-or", "--n", "x"), "argument --n: invalid int value: 'x'"),
+            (
+                ("phase-king", "--n", "7", "--byzantine", "-1"),
+                "argument --byzantine: must be >= 0, got -1",
+            ),
+            (("raft", "--n", "3", "--crash", "7@1"), "pid 7 is not below --n 3"),
+            (("paxos", "--n", "3", "--crash", "7@1"), "pid 7 is not below --n 3"),
+        ],
+    )
+    def test_bad_numbers_are_usage_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert message in err
+
 
 class TestLoadgenArguments:
     """Bad numbers exit 2 with a usage message, never a traceback."""

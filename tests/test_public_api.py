@@ -40,7 +40,7 @@ SUBMODULES = [
     "repro.algorithms.phase_king",
     "repro.algorithms.phase_queen",
     "repro.algorithms.raft",
-    "repro.algorithms.paxos",
+    "repro.algorithms.multi_paxos",
     "repro.algorithms.chandra_toueg",
     "repro.algorithms.decentralized_raft",
     "repro.algorithms.shared_coin",
