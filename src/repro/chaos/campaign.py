@@ -89,7 +89,7 @@ class CampaignResult:
     ``fault_stats`` / ``post_heal_stats`` are ``ok`` / ``ambiguous`` /
     ``failed`` op counts per phase; the first ``fault_ops`` records of
     ``history.ops`` are the fault phase, the rest grace reads.
-    ``cluster`` is the stopped harness (for ``merged_trace()``).
+    ``cluster`` is the stopped harness (no trace: pass ``observers=``).
     """
 
     history: History

@@ -55,7 +55,7 @@ from repro.dst.scenario import (
     ViolationRecord,
 )
 from repro.live.engine import ENGINES
-from repro.live.harness import LiveKVCluster
+from repro.sim.trace import Trace
 
 #: The fault mix explored by default: every kind that needs neither a
 #: data directory nor wall-clock side effects.  Durability kinds
@@ -168,6 +168,7 @@ def run_live(scenario: LiveScenario) -> LiveRunResult:
     and the exception type only — the message can carry a temp path.
     """
     rt = SimRuntime()
+    recorded = Trace()
     options, needs_disk = campaign.cluster_options(
         scenario.inject_bug,
         scenario.read_tier,
@@ -192,11 +193,12 @@ def run_live(scenario: LiveScenario) -> LiveRunResult:
                 deterministic_ids=True,
                 needs_disk=needs_disk,
                 engine=scenario.engine,
+                observers=(recorded.events.append,),
                 **options,
             ),
             timeout=scenario.duration + scenario.grace + _RUN_TIMEOUT_SLACK,
         )
-        return _judge(result)
+        return _judge(result, recorded)
     except Exception as exc:
         kind = type(exc).__name__
         return LiveRunResult(
@@ -210,11 +212,11 @@ def run_live(scenario: LiveScenario) -> LiveRunResult:
         rt.close()
 
 
-def _judge(result: campaign.CampaignResult) -> LiveRunResult:
+def _judge(result: campaign.CampaignResult, recorded: Trace) -> LiveRunResult:
     # Generous wall-clock budget: simulated histories are small, and a
     # budget-flipped verdict would break replay determinism.
     report = check_history(result.history, time_budget=60.0)
-    trace_text = _trace_text(result.cluster)
+    trace_text = _trace_text(recorded)
     history_jsonl = result.history.to_jsonl()
     nemesis_log = [(a.at, a.kind, a.detail) for a in result.nemesis_log]
     outcome = _verdict(report, result.history)
@@ -261,14 +263,11 @@ def _verdict(report, history: History) -> ScenarioOutcome:
     )
 
 
-def _trace_text(cluster: LiveKVCluster) -> str:
-    """A canonical, deterministic dump of every node's merged trace."""
-    lines = []
-    for event in cluster.merged_trace().events:
-        lines.append(
-            f"{event.time:.6f} {event.kind} {event.pid} {event.detail!r}"
-        )
-    return "\n".join(lines)
+def _trace_text(recorded: Trace) -> str:
+    """A canonical dump of every node's events, in recording order."""
+    return "\n".join(
+        f"{e.time:.6f} {e.kind} {e.pid} {e.detail!r}" for e in recorded.events
+    )
 
 
 def _fingerprint(

@@ -159,6 +159,11 @@ class LiveKVCluster:
     Keyword args are forwarded to every ``KVServer`` (election timeouts,
     batching knobs, ``shards=S`` for a sharded cluster, ...).
 
+    It keeps no trace (its memory follows the retained logs, not
+    uptime).  To record one, pass ``observers=(recorded.events.append,)``
+    for a ``recorded = Trace()``: it reaches every shard's runtime,
+    restarted nodes' included, and one loop records in time order.
+
     With ``data_dir`` set, each node persists its Raft groups under
     ``data_dir/node-<pid>`` and :meth:`restart` performs *real* crash
     recovery: the replacement server reads its durable state back from
@@ -194,7 +199,6 @@ class LiveKVCluster:
             **server_options,
         )
         self.servers: List[Optional[KVServer]] = []
-        self._traces: List[Trace] = []
         for pid in range(n):
             self.servers.append(self._build(pid))
         self.shard_count = self.servers[0].shard_count if n else 1
@@ -206,7 +210,7 @@ class LiveKVCluster:
         return os.path.join(self.data_dir, f"node-{pid}")
 
     def _build(self, pid: int) -> KVServer:
-        server = KVServer(
+        return KVServer(
             self.cluster,
             pid,
             epoch=self.epoch,
@@ -214,8 +218,6 @@ class LiveKVCluster:
             runtime=self.rt,
             **self._server_options,
         )
-        self._traces.extend(_collect(shard.runtime.trace) for shard in server.shards)
-        return server
 
     async def start(self) -> None:
         for server in self.servers:
@@ -303,6 +305,3 @@ class LiveKVCluster:
             remaining = max(0.02, deadline - self.rt.now())
             leaders[shard] = await self.wait_for_leader(remaining, shard=shard)
         return leaders
-
-    def merged_trace(self) -> Trace:
-        return merge_traces(self._traces)

@@ -175,7 +175,6 @@ class LiveRuntime:
         self._owns_transport = transport is None
         self._mailbox: list = []
         self._mail_event = asyncio.Event()
-        self._timer_gen: Dict[str, int] = {}
         self._timer_handles: Dict[str, asyncio.TimerHandle] = {}
         self._seq = 0
         self._decided: Any = _UNDECIDED
@@ -381,16 +380,13 @@ class LiveRuntime:
         elif isinstance(op, SetTimer):
             if op.delay < 0:
                 raise LiveRuntimeError("timer delay must be >= 0")
-            gen = self._timer_gen.get(op.name, 0) + 1
-            self._timer_gen[op.name] = gen
             pending = self._timer_handles.pop(op.name, None)
             if pending is not None:
                 pending.cancel()
             self._timer_handles[op.name] = self.runtime.call_later(
-                op.delay, self._fire_timer, op.name, gen
+                op.delay, self._fire_timer, op.name
             )
         elif isinstance(op, CancelTimer):
-            self._timer_gen[op.name] = self._timer_gen.get(op.name, 0) + 1
             pending = self._timer_handles.pop(op.name, None)
             if pending is not None:
                 pending.cancel()
@@ -415,8 +411,9 @@ class LiveRuntime:
                 f"(synchronous Exchange ops need the round-based simulator)"
             )
 
-    def _fire_timer(self, name: str, gen: int) -> None:
-        if not self._running or self._timer_gen.get(name, 0) != gen:
+    def _fire_timer(self, name: str) -> None:
+        # Re-arming or cancelling ``name`` cancels its handle: this is current.
+        if not self._running:
             return
         self._timer_handles.pop(name, None)
         self.trace.record(self.now, tr.TIMER, self.pid, name)

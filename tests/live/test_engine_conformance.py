@@ -127,7 +127,11 @@ class TestEngineConformance:
 
     def test_duplicate_proposal_applies_once(self, engine):
         async def scenario():
-            cluster = LiveKVCluster(3, seed=32, engine=engine, **FAST)
+            recorded = tr.Trace()
+            cluster = LiveKVCluster(
+                3, seed=32, engine=engine,
+                observers=(recorded.events.append,), **FAST,
+            )
             await cluster.start()
             try:
                 leader = await cluster.wait_for_leader(timeout=20.0)
@@ -141,9 +145,7 @@ class TestEngineConformance:
                 await client.close()
                 applied = [
                     detail
-                    for pid, _t, detail in cluster.merged_trace().annotations(
-                        "applied"
-                    )
+                    for pid, _t, detail in recorded.annotations("applied")
                     if pid == leader
                     and getattr(detail[2], "batch_id", None) == batch.batch_id
                 ]
@@ -244,8 +246,10 @@ class TestReadTierConformance:
 
     def test_readindex_serves_without_log_growth(self, engine):
         async def scenario():
+            recorded = tr.Trace()
             cluster = LiveKVCluster(
-                3, seed=41, engine=engine, read_tier="readindex", **FAST
+                3, seed=41, engine=engine, read_tier="readindex",
+                observers=(recorded.events.append,), **FAST,
             )
             await cluster.start()
             try:
@@ -279,8 +283,7 @@ class TestReadTierConformance:
             family = get_engine(engine).wire_classes
             sent = {
                 type(event.detail.payload)
-                for event in cluster.merged_trace().events
-                if event.kind == tr.SEND
+                for event in recorded.of_kind(tr.SEND)
             }
             assert sent and sent <= family, sent - family
 
@@ -521,7 +524,11 @@ class TestWireIsolation:
             assert not engine.accepts(ReadBarrier(("peer", 1)))
 
         async def scenario():
-            cluster = LiveKVCluster(3, seed=38, engine="raft", **FAST)
+            recorded = tr.Trace()
+            cluster = LiveKVCluster(
+                3, seed=38, engine="raft",
+                observers=(recorded.events.append,), **FAST,
+            )
             await cluster.start()
             try:
                 leader = await cluster.wait_for_leader(timeout=20.0)
@@ -532,9 +539,7 @@ class TestWireIsolation:
                 await asyncio.sleep(0.1)
                 ready = [
                     detail
-                    for _pid, _t, detail in cluster.merged_trace().annotations(
-                        "read_ready"
-                    )
+                    for _pid, _t, detail in recorded.annotations("read_ready")
                 ]
                 assert ready == []
             finally:
