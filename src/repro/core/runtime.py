@@ -508,8 +508,3 @@ class _RuntimeScope:
 def use_runtime(runtime: Runtime) -> _RuntimeScope:
     """Context manager installing ``runtime`` as the ambient default."""
     return _RuntimeScope(runtime)
-
-
-def free_sim_ports(n: int, *, base: int = 20000, stride: int = 10) -> List[int]:
-    """Deterministic port numbers for simulated clusters (no OS sockets)."""
-    return [base + i * stride for i in range(n)]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import math
 import os
 import signal
 import sys
@@ -30,7 +31,7 @@ from repro.live.client import AsyncKVClient
 from repro.live.config import (
     DEFAULT_MAX_INFLIGHT,
     ClusterConfig,
-    validate_max_inflight,
+    validate_count,
     validate_shards,
 )
 from repro.live.engine import DEFAULT_ENGINE, ENGINES, EngineError, parse_engine_spec
@@ -63,7 +64,14 @@ def _checked(convert: Callable, check: Callable) -> Callable[[str], Any]:
     return parse
 
 
-_parse_max_inflight = _checked(int, validate_max_inflight)
+def _check_non_negative(name: str, value: float) -> float:
+    """``value`` if it is a finite number >= 0, else ``ValueError``."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return value
+
+
+_parse_max_inflight = _checked(int, partial(validate_count, "max_inflight"))
 _parse_shards = _checked(int, validate_shards)
 
 
@@ -193,13 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--heartbeat",
-        type=float,
+        type=_checked(float, partial(check_positive, "heartbeat")),
         default=0.06,
         help="leader heartbeat interval in seconds (default 0.06)",
     )
     serve.add_argument(
         "--snapshot-threshold",
-        type=int,
+        type=_checked(int, partial(check_positive, "snapshot threshold")),
         default=None,
         help="compact the Raft log above this many entries",
     )
@@ -245,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--lease-duration",
-        type=float,
+        type=_checked(float, partial(_check_non_negative, "lease duration")),
         default=None,
         metavar="SECS",
         help="leader-lease / follower-stickiness window; defaults to the "
@@ -254,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--drift-bound",
-        type=float,
+        type=_checked(float, partial(_check_non_negative, "drift bound")),
         default=DEFAULT_DRIFT_BOUND,
         metavar="SECS",
         help="clock-drift allowance subtracted from every lease "
@@ -263,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--staleness-bound",
-        type=float,
+        type=_checked(float, partial(_check_non_negative, "staleness bound")),
         default=DEFAULT_STALENESS_BOUND,
         metavar="SECS",
         help="cap on the staleness bound follower reads may request "

@@ -24,10 +24,11 @@ CLIENT_PORT_OFFSET = 1000
 DEFAULT_MAX_INFLIGHT = 16
 
 
-def validate_max_inflight(value: int) -> int:
-    """Check a pipeline-depth setting (CLI / config shared validation)."""
+def validate_count(name: str, value: int) -> int:
+    """Check a setting that must be an integer >= 1 (``max_inflight``,
+    ``max_batch``, ``shards``; CLI / config shared validation)."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"max_inflight must be an integer >= 1, got {value!r}")
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     return value
 
 
@@ -39,8 +40,7 @@ MAX_SHARDS = 256
 
 def validate_shards(value: int) -> int:
     """Check a shard-count setting (CLI / config / router shared)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"shards must be an integer >= 1, got {value!r}")
+    validate_count("shards", value)
     if value > MAX_SHARDS:
         raise ValueError(f"shards must be <= {MAX_SHARDS}, got {value!r}")
     return value

@@ -28,25 +28,8 @@ Write path
 Client ``put`` requests reaching the owning shard's leader are *batched*
 into one :class:`KvBatch` log command, proposed as a single
 :class:`~repro.algorithms.raft.messages.ClientPropose`, so one
-replication round-trip commits many client writes.  Commits, not a
-fixed window, clock the flush.  A held batch is proposed when it holds
-``max_batch`` ops and fewer than ``max_inflight`` entries are
-uncommitted (full batches pipeline), or when nothing is uncommitted and
-it holds as many ops as the last applied batch carried plus those that
-queued behind it: the clients that commit released, expected back.  A
-lone put into an idle pipeline thus commits in one round, and
-closed-loop clients share one entry per round.  That expectation is a
-guess about the traffic, so an idle pipeline waits for it at most
-:data:`IDLE_WAIT_ROUNDS` of the leader's measured propose-to-apply
-rounds: clients that think longer than that, or arrive independently
-(open-loop traffic), cost each op at most that wait, and batches do not
-grow past what arrives in it.  A partial batch is also never proposed
-sooner than :data:`FLUSH_INTERVAL` after the shard's previous batch,
-so when rounds are fast the interval, not the round, clocks the flush: a
-lone put into a shard that proposed nothing for that long still commits
-in one round, while back-to-back partial batches are spaced by it.  A
-backstop timer (:data:`BATCH_WINDOW`) proposes whatever is held,
-whatever the pipeline's state.  A request is
+replication round-trip commits many client writes; :class:`FlushPolicy`
+decides when.  A request is
 acknowledged only once the leader *applies* the batch — i.e. after the
 entry is committed on a majority — so every acknowledged write survives
 any minority of crashes, including the leader's.  Requests reaching a
@@ -101,7 +84,7 @@ from repro.core.runtime import Runtime, current_runtime
 from repro.live.config import (
     DEFAULT_MAX_INFLIGHT,
     ClusterConfig,
-    validate_max_inflight,
+    validate_count,
     validate_shards,
 )
 from repro.live.engine import DEFAULT_ENGINE, ConsensusEngine, parse_engine_spec
@@ -213,15 +196,146 @@ class NotLeaderError(Exception):
     """This node lost (or never had) leadership; client should redirect."""
 
 
+def _refuse(futures) -> None:
+    """Fail every open future in ``futures`` (``None`` entries skipped)
+    with :class:`NotLeaderError`, so its client redirects."""
+    for future in futures:
+        if future is not None and not future.done():
+            future.set_exception(NotLeaderError())
+
+
+class FlushPolicy:
+    """When a shard leader proposes the client ops it holds: the write
+    path's batching rule, with no I/O, timers or clock of its own.
+
+    Commits, not a fixed window, clock the flush.  A held batch is
+    proposed when it holds ``max_batch`` ops and fewer than
+    ``max_inflight`` entries are uncommitted (full batches pipeline), or
+    when nothing is uncommitted and it holds as many ops as the last
+    applied batch carried plus those that queued behind it: the clients
+    that commit released, expected back.  A lone put into an idle
+    pipeline thus commits in one round, and closed-loop clients share
+    one entry per round.  That expectation is a guess about the traffic,
+    so an idle pipeline waits for it at most :data:`IDLE_WAIT_ROUNDS` of
+    the leader's measured propose-to-apply rounds: clients that think
+    longer than that, or arrive independently (open-loop traffic), cost
+    each op at most that wait, and batches do not grow past what arrives
+    in it.  A partial batch is also never proposed sooner than
+    :data:`FLUSH_INTERVAL` after the shard's previous batch, so when
+    rounds are fast the interval, not the round, clocks the flush: a
+    lone put into a shard that proposed nothing for that long still
+    commits in one round, while back-to-back partial batches are spaced
+    by it.  The shard's backstop timer (:data:`BATCH_WINDOW`) proposes
+    whatever is held, whatever the pipeline's state.
+
+    The shard reports every applied entry (:meth:`applied`) and its own
+    proposals (:meth:`proposed`), and asks :meth:`wait` what to do.
+    """
+
+    def __init__(self, max_batch: int, max_inflight: int):
+        self.max_batch = max_batch
+        self.max_inflight = max_inflight
+        #: Ops to hold before proposing into an idle pipeline.
+        self.target = 0
+        #: The unit of the idle wait: this leader's last propose-to-apply time.
+        self.round = BATCH_WINDOW
+        self.flushed_at = float("-inf")  # when the last batch was proposed
+        self._proposal: Optional[Tuple[Any, float]] = None
+
+    def proposed(self, batch: KvBatch, now: float) -> None:
+        """``batch`` (client ops, or an empty barrier) entered the log."""
+        self._proposal = (batch.batch_id, now)
+        if batch.ops:
+            self.flushed_at = now
+
+    def applied(self, batch_id: Any, now: float, expected: Optional[int] = None) -> None:
+        """The entry proposed as ``batch_id`` applied at ``now``; when it
+        carried client ops, ``expected`` of them are due back."""
+        proposal = self._proposal
+        if proposal is not None and batch_id == proposal[0]:
+            self.round = now - proposal[1]
+        if expected is not None:
+            self.target = expected
+
+    def wait(self, now: float, held: int, uncommitted: int) -> Optional[float]:
+        """What to do with ``held`` ops while ``uncommitted`` entries are
+        in the pipeline: ``0.0`` proposes now, a delay checks again after
+        it, and ``None`` waits for a commit."""
+        if not held:
+            return None
+        if held >= self.max_batch and uncommitted < self.max_inflight:
+            return 0.0
+        if uncommitted:
+            return None
+        wait = self.flushed_at + FLUSH_INTERVAL - now
+        if held < self.target:
+            wait = max(wait, IDLE_WAIT_ROUNDS * self.round)
+        return wait if wait > 0 else 0.0
+
+
+class ReadQueue:
+    """A shard's ReadIndex reads, with at most one barrier in flight.
+
+    Reads arriving while one is in flight queue for the *next*: joining
+    the current one would be unsound, since its read index may predate a
+    write committed after the barrier was recorded but before the read
+    arrived.  Waiters are opaque here; the shard injects the barriers
+    and resolves the waiters this returns.
+    """
+
+    def __init__(self, shard_id: int, pid: int):
+        self._tag = ("ri", shard_id, pid)
+        self.rounds = 0  # barriers opened
+        self.inflight: Optional[Tuple[Any, ...]] = None
+        self.waiting: List[Any] = []  # the in-flight barrier's reads
+        self.queued: List[Any] = []  # reads for the next barrier
+
+    def join(self, waiter: Any) -> bool:
+        """Queue ``waiter`` for the next barrier; ``True`` when none is in
+        flight, so one should open now."""
+        self.queued.append(waiter)
+        return self.inflight is None
+
+    def open(self, leader: bool, force: bool = False) -> Tuple[Optional[Tuple], List]:
+        """Open the next barrier for the queued reads (with ``force``, even
+        for none): ``(barrier_id, refused)``.  No barrier opens while one
+        is in flight, and none on a node that does not lead, whose queued
+        reads come back ``refused``."""
+        if self.inflight is not None or not (self.queued or force):
+            return None, []
+        waiters, self.queued = self.queued, []
+        if not leader:
+            return None, waiters
+        self.rounds += 1
+        self.inflight = self._tag + (self.rounds,)
+        self.waiting = waiters
+        return self.inflight, []
+
+    def confirmed(self, barrier_id: Any) -> Optional[List]:
+        """The reads barrier ``barrier_id`` answers (``None`` unless it is
+        the one in flight)."""
+        if barrier_id != self.inflight:
+            return None
+        waiters, self.waiting, self.inflight = self.waiting, [], None
+        return waiters
+
+    def drop(self) -> List:
+        """Forget every read (leadership is gone); returns their waiters."""
+        waiters = self.waiting + self.queued
+        self.inflight, self.waiting, self.queued = None, [], []
+        return waiters
+
+
 class KVShard:
     """One consensus group hosted by a :class:`KVServer`.
 
     Owns the group's protocol node (built by its ``engine`` — Raft by
-    default), its :class:`LiveRuntime` (driving the node over the
+    default) and its :class:`LiveRuntime` (driving the node over the
     server's shared transport, frames tagged with ``shard_id`` and
-    filtered to the engine's own message family), and the
-    write-batching state: pending client futures, the open batch, and
-    the group-commit flow control.
+    filtered to the engine's own message family).  The glue between them
+    and the clients: it holds the pending client futures and the open
+    batch, feeds its :class:`FlushPolicy` and :class:`ReadQueue`, and
+    carries out what they decide.
     """
 
     def __init__(
@@ -248,8 +362,6 @@ class KVShard:
         self.shard_id = shard_id
         self.pid = pid
         self.engine = engine
-        self.max_batch = max_batch
-        self.max_inflight = max_inflight
         self.storage = storage
         self.node = engine.build_node(
             shard_id=shard_id,
@@ -280,29 +392,14 @@ class KVShard:
         #: shard's :class:`LiveRuntime`.
         self.rt = self.runtime.runtime
         self.runtime.trace.subscribe(self._on_trace)
+        self.policy = FlushPolicy(max_batch, max_inflight)
+        self.reads = ReadQueue(shard_id, pid)
         self._pending: Dict[str, asyncio.Future] = {}
         self._batch: List[TaggedPut] = []
         self._flush_handle: Optional[asyncio.TimerHandle] = None
         self._flush_at = 0.0  # when _flush_handle fires
         self._batch_counter = 0
-        # Flush policy: how many ops to hold before proposing into an
-        # idle pipeline — the clients the last commit released, who are
-        # expected back — and the round the wait for them is counted in:
-        # the last propose-to-apply time of this leader's own proposals.
-        self._flush_target = 0
-        self._round = BATCH_WINDOW
-        self._proposal: Optional[Tuple[Any, float]] = None
-        self._flushed_at = float("-inf")  # when the last batch was proposed
         self._barrier_terms: set = set()
-        # ReadIndex batching: at most one barrier in flight per shard.
-        # Reads arriving while one is in flight queue for the *next* —
-        # joining the current one would be unsound, since its read index
-        # may predate a write committed after the barrier was recorded
-        # but before the read arrived.
-        self._ri_counter = 0
-        self._ri_inflight: Optional[Tuple[Any, ...]] = None
-        self._ri_waiting: List[asyncio.Future] = []
-        self._ri_queue: List[asyncio.Future] = []
         self._applied_waiters: List[Tuple[int, asyncio.Future]] = []
         # Pipeline telemetry: proposed batches and the ops they carried
         # (occupancy = ops/batch), surfaced by the server's status RPC.
@@ -317,12 +414,24 @@ class KVShard:
     def leader_hint(self) -> Optional[int]:
         return self.node.leader_hint
 
+    def status(self) -> Dict[str, Any]:
+        """This group's entry in the ``status`` reply."""
+        storage = self.storage
+        return {
+            "shard": self.shard_id, "engine": self.engine.name,
+            "role": self.node.state, "term": self.node.current_term,
+            "commit_index": self.node.commit_index,
+            "applied": self.node.last_applied, "leader": self.leader_hint,
+            "foreign_frames": self.runtime.foreign_frames,
+            "lease_remaining": self.lease_remaining(),
+            "fsync_queue_depth": 0 if storage is None else storage.fsync_queue_depth,
+            "watermark_lag": 0 if storage is None else storage.watermark_lag,
+        }
+
     def has_pending(self) -> bool:
+        reads = self.reads
         return bool(
-            self._pending
-            or self._ri_waiting
-            or self._ri_queue
-            or self._applied_waiters
+            self._pending or reads.waiting or reads.queued or self._applied_waiters
         )
 
     # ------------------------------------------------------------------
@@ -357,8 +466,7 @@ class KVShard:
         leadership — including the fresh-leader case where no entry of
         the current epoch has committed yet."""
         future: asyncio.Future = self.rt.create_future()
-        self._ri_queue.append(future)
-        if self._ri_inflight is None:
+        if self.reads.join(future):
             self._start_read_round()
         return future
 
@@ -367,23 +475,14 @@ class KVShard:
         append is a heartbeat every follower must ack, and those acks
         extend the lease (and, once confirmed, prove followers fresh)
         whether or not any read is waiting on it."""
-        if self._ri_inflight is None and self.is_leader:
+        if self.reads.inflight is None and self.is_leader:
             self._start_read_round(force=True)
 
     def _start_read_round(self, *, force: bool = False) -> None:
-        if self._ri_inflight is not None or not (self._ri_queue or force):
-            return
-        waiters, self._ri_queue = self._ri_queue, []
-        if self.node.state is not LEADER:
-            for future in waiters:
-                if not future.done():
-                    future.set_exception(NotLeaderError())
-            return
-        self._ri_counter += 1
-        barrier_id = ("ri", self.shard_id, self.pid, self._ri_counter)
-        self._ri_inflight = barrier_id
-        self._ri_waiting = waiters
-        self.runtime.inject(ReadBarrier(barrier_id))
+        barrier_id, refused = self.reads.open(self.is_leader, force)
+        _refuse(refused)
+        if barrier_id is not None:
+            self.runtime.inject(ReadBarrier(barrier_id))
 
     def wait_applied(self, index: int) -> asyncio.Future:
         """A future resolving once ``last_applied >= index``."""
@@ -417,84 +516,23 @@ class KVShard:
             return
         key, value = event.detail
         if key == "applied":
-            _index, _term, command = value
-            proposal = self._proposal
-            if proposal is not None and getattr(command, "batch_id", None) == proposal[0]:
-                self._round = self.rt.now() - proposal[1]
-            if isinstance(command, KvBatch) and command.ops:
-                # Capture each op's result *now* — the machine just
-                # applied this very batch, so its state is the read's
-                # linearization point — but release the futures only
-                # once the WAL covering the batch is durable.  Ack ⇒
-                # durable, unconditionally: the replication barrier
-                # already covers any cluster with peers, but a
-                # single-node group commits without ever sending, so
-                # the barrier must also run here.  Under the inline
-                # sync mode this resolves synchronously exactly as
-                # before; under the pipelined mode resolution queues on
-                # the durability watermark while the fsync overlaps the
-                # next batch.
-                data = self.node.machine.data
-                results = tuple(
-                    (
-                        op.op_id,
-                        (_index, op.key in data, data.get(op.key))
-                        if isinstance(op, KvRead)
-                        else _index,
-                    )
-                    for op in command.ops
-                )
-                # Only clients waiting *here* come back here: a batch
-                # another leader proposed releases none, so a follower
-                # takes over with a target of zero.
-                pending = self._pending
-                released = sum(op.op_id in pending for op in command.ops) if pending else 0
-                self._flush_target = released + len(self._batch)
-                storage = self.storage
-                if storage is None:
-                    self._resolve_ops(results)
-                else:
-                    if storage.dirty:
-                        storage.begin_sync()
-                    storage.notify_durable(
-                        storage.generation,
-                        lambda: self._resolve_ops(results),
-                    )
-            elif self.storage is not None and self.storage.dirty:
-                # Barrier no-ops and the like: nothing to ack, but keep
-                # every applied entry flowing toward the disk.
-                self.storage.begin_sync()
-            if self._applied_waiters:
-                applied = self.node.last_applied
-                due = [w for w in self._applied_waiters if w[0] <= applied]
-                if due:
-                    self._applied_waiters = [
-                        w for w in self._applied_waiters if w[0] > applied
-                    ]
-                    for _, future in due:
-                        if not future.done():
-                            future.set_result(applied)
-            # Group commit: a commit may have freed pipeline room or
-            # emptied the pipeline, so re-check the flush policy.
-            if self._batch:
-                self.rt.call_soon(self._maybe_flush)
+            self._on_applied(value[0], value[2])
         elif key == "read_ready":
             barrier_id, read_index, ok = value
-            if barrier_id == self._ri_inflight:
-                waiters = self._ri_waiting
-                self._ri_inflight = None
-                self._ri_waiting = []
+            waiters = self.reads.confirmed(barrier_id)
+            if waiters is None:
+                return
+            if not ok:
+                _refuse(waiters)
+            else:
                 for future in waiters:
                     if not future.done():
-                        if ok:
-                            future.set_result(read_index)
-                        else:
-                            future.set_exception(NotLeaderError())
-                if self._ri_queue:
-                    # Reads queued while this barrier was in flight:
-                    # start theirs now (scheduled — listener context must not
-                    # recurse into the runtime driver).
-                    self.rt.call_soon(self._start_read_round)
+                        future.set_result(read_index)
+            if self.reads.queued:
+                # Reads queued while this barrier was in flight: start
+                # theirs now (scheduled — listener context must not
+                # recurse into the runtime driver).
+                self.rt.call_soon(self._start_read_round)
         elif key == "leader" and value[1] == self.pid:
             term = value[0]
             if term not in self._barrier_terms:
@@ -502,6 +540,67 @@ class KVShard:
                 # Listener context: schedule the injection, don't recurse
                 # into the runtime from inside its own driver.
                 self.rt.call_soon(self._propose_barrier, term)
+
+    def _on_applied(self, index: int, command: Any) -> None:
+        ops = command.ops if isinstance(command, KvBatch) else ()
+        # Only clients waiting *here* come back here: a batch another
+        # leader proposed releases none, so a follower takes over with a
+        # target of zero.
+        pending = self._pending
+        released = sum(op.op_id in pending for op in ops) if pending else 0
+        self.policy.applied(
+            getattr(command, "batch_id", None),
+            self.rt.now(),
+            released + len(self._batch) if ops else None,
+        )
+        storage = self.storage
+        if ops:
+            # Capture each op's result *now* — the machine just applied
+            # this very batch, so its state is the read's linearization
+            # point — but release the futures only once the WAL covering
+            # the batch is durable.  Ack ⇒ durable, unconditionally: the
+            # replication barrier already covers any cluster with peers,
+            # but a single-node group commits without ever sending, so
+            # the barrier must also run here.  Under the inline sync mode
+            # this resolves synchronously; under the pipelined mode
+            # resolution queues on the durability watermark while the
+            # fsync overlaps the next batch.
+            data = self.node.machine.data
+            results = tuple(
+                (
+                    op.op_id,
+                    (index, op.key in data, data.get(op.key))
+                    if isinstance(op, KvRead)
+                    else index,
+                )
+                for op in ops
+            )
+            if storage is None:
+                self._resolve_ops(results)
+            else:
+                if storage.dirty:
+                    storage.begin_sync()
+                storage.notify_durable(
+                    storage.generation, lambda: self._resolve_ops(results)
+                )
+        elif storage is not None and storage.dirty:
+            # Barrier no-ops and the like: nothing to ack, but keep every
+            # applied entry flowing toward the disk.
+            storage.begin_sync()
+        if self._applied_waiters:
+            applied = self.node.last_applied
+            due = [w for w in self._applied_waiters if w[0] <= applied]
+            if due:
+                self._applied_waiters = [
+                    w for w in self._applied_waiters if w[0] > applied
+                ]
+                for _, future in due:
+                    if not future.done():
+                        future.set_result(applied)
+        # Group commit: a commit may have freed pipeline room or emptied
+        # the pipeline, so ask the flush policy again.
+        if self._batch:
+            self.rt.call_soon(self._maybe_flush)
 
     def _resolve_ops(self, results: Tuple[Tuple[str, Any], ...]) -> None:
         """Release client futures whose results are now durable."""
@@ -513,33 +612,22 @@ class KVShard:
     def _propose_barrier(self, term: int) -> None:
         if self.node.state is not LEADER or self.node.current_term != term:
             return
-        batch = KvBatch((), batch_id=("barrier", self.pid, term))
-        self._propose(batch)
+        self._propose(KvBatch((), batch_id=("barrier", self.pid, term)))
 
     def _propose(self, batch: KvBatch) -> None:
-        self._proposal = (batch.batch_id, self.rt.now())
+        self.policy.proposed(batch, self.rt.now())
         self.runtime.inject(ClientPropose(batch.batch_id, batch))
 
+    def _uncommitted(self) -> int:
+        return self.node.log.last_index - self.node.commit_index
+
     def _maybe_flush(self) -> None:
-        """Propose the held batch if it is full and the pipeline has room,
-        or if nothing is uncommitted, its expected clients are back and
-        ``FLUSH_INTERVAL`` has passed since the last batch; with
-        nothing uncommitted, wait for the clients at most
-        ``IDLE_WAIT_ROUNDS`` rounds (see "Write path" above)."""
-        held = len(self._batch)
-        if not held:
-            return
-        uncommitted = self.node.log.last_index - self.node.commit_index
-        if held >= self.max_batch and uncommitted < self.max_inflight:
+        """Carry out the flush policy's answer for what is held now."""
+        delay = self.policy.wait(self.rt.now(), len(self._batch), self._uncommitted())
+        if delay == 0.0:
             self._flush_batch()
-        elif uncommitted == 0:
-            wait = self._flushed_at + FLUSH_INTERVAL - self.rt.now()
-            if held < self._flush_target:
-                wait = max(wait, IDLE_WAIT_ROUNDS * self._round)
-            if wait > 0:
-                self._flush_within(wait)
-            else:
-                self._flush_batch()
+        elif delay is not None:
+            self._flush_within(delay)
 
     def _flush_within(self, delay: float) -> None:
         """Make sure the held batch is proposed within ``delay`` seconds."""
@@ -560,48 +648,31 @@ class KVShard:
         if not self._batch:
             return
         if self.node.state is not LEADER:
-            for op in self._batch:
-                future = self._pending.pop(op.op_id, None)
-                if future is not None and not future.done():
-                    future.set_exception(NotLeaderError())
+            _refuse(self._pending.pop(op.op_id, None) for op in self._batch)
             self._batch.clear()
             return
-        if (
-            self.node.log.last_index - self.node.commit_index
-            >= self.max_inflight
-        ):
+        if self._uncommitted() >= self.policy.max_inflight:
             # Pipeline full: hold the batch until commits catch up so the
             # uncommitted log (and commit latency) stays bounded.  Waiters
             # are still bounded by commit_timeout.
             self._flush_within(BATCH_WINDOW)
             return
-        ops = tuple(self._batch[: self.max_batch])
+        ops = tuple(self._batch[: self.policy.max_batch])
         del self._batch[: len(ops)]
         self._batch_counter += 1
         self.flushed_batches += 1
         self.flushed_ops += len(ops)
-        self._flushed_at = self.rt.now()
         self._propose(KvBatch(ops, batch_id=(self.pid, self._batch_counter)))
         if self._batch:
             self._flush_within(BATCH_WINDOW)
 
     def fail_pending(self) -> None:
-        for future in self._pending.values():
-            if not future.done():
-                future.set_exception(NotLeaderError())
+        _refuse(self._pending.values())
         self._pending.clear()
         self._batch.clear()
-        read_waiters = self._ri_waiting + self._ri_queue
-        self._ri_inflight = None
-        self._ri_waiting = []
-        self._ri_queue = []
-        for future in read_waiters:
-            if not future.done():
-                future.set_exception(NotLeaderError())
+        _refuse(self.reads.drop())
         applied_waiters, self._applied_waiters = self._applied_waiters, []
-        for _, future in applied_waiters:
-            if not future.done():
-                future.set_exception(NotLeaderError())
+        _refuse(future for _, future in applied_waiters)
 
 
 class KVServer:
@@ -631,11 +702,7 @@ class KVServer:
         max_batch: most ops one proposal carries; a full batch is
             proposed at once if the pipeline has room.
         max_inflight: per shard, hold new proposals while this many log
-            entries are uncommitted.  Full batches pipeline up to this
-            depth; partial ones wait for an idle pipeline and the flush
-            interval, or for the backstop (see "Write path" above), so
-            the entry rate self-clocks to the commit rate (at most one
-            partial entry per interval) and batch size adapts to load.  Delta
+            entries are uncommitted (see :class:`FlushPolicy`).  Delta
             replication (per-follower cursors in the core) makes each
             in-flight entry cost linear wire bytes, so the default is a
             deep pipeline; the cap bounds commit latency and uncommitted
@@ -740,9 +807,8 @@ class KVServer:
         self.rt = runtime if runtime is not None else current_runtime()
         self.shard_count = validate_shards(shards)
         self.engines = parse_engine_spec(engine, self.shard_count)
-        self.engine_spec = engine
-        self.max_batch = max_batch
-        self.max_inflight = validate_max_inflight(max_inflight)
+        max_batch = validate_count("max_batch", max_batch)
+        self.max_inflight = validate_count("max_inflight", max_inflight)
         self.commit_timeout = commit_timeout
         if read_tier not in READ_TIERS:
             raise ValueError(
@@ -763,15 +829,11 @@ class KVServer:
             lease_duration=lease_duration, drift_bound=drift_bound
         )
         self.unsafe_lin_reads = unsafe_lin_reads
-        self.data_dir = data_dir
-        self.lost_ack_bug = lost_ack_bug
-        self.no_rejoin = no_rejoin
         if sync_mode not in SYNC_MODES:
             raise ValueError(
                 f"unknown sync mode {sync_mode!r} (choose from {SYNC_MODES})"
             )
         self.sync_mode = sync_mode
-        self.fsync_delay = fsync_delay
         self.transport = PeerTransport(
             cluster, pid, on_event=self._on_transport_event, runtime=self.rt,
             jitter_seed=derive_process_seed(seed, pid, cluster.n) ^ 1,
@@ -828,10 +890,6 @@ class KVServer:
         """Shard 0's runtime (its ``transport`` is the shared one)."""
         return self.shards[0].runtime
 
-    @property
-    def is_leader(self) -> bool:
-        return self.shards[0].is_leader
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -855,20 +913,14 @@ class KVServer:
         state is lost (with ``torn=True`` a torn final frame is left on
         disk); a graceful stop flushes and closes it instead.
         """
-        if self._watchdog is not None:
-            self._watchdog.cancel()
-            try:
-                await self._watchdog
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._watchdog = None
-        if self._lease_renewer is not None:
-            self._lease_renewer.cancel()
-            try:
-                await self._lease_renewer
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._lease_renewer = None
+        for task in (self._watchdog, self._lease_renewer):
+            if task is not None:
+                task.cancel()
+                try:
+                    await task
+                except (asyncio.CancelledError, Exception):
+                    pass
+        self._watchdog = self._lease_renewer = None
         if self._client_server is not None:
             self._client_server.close()
         # Cancel the client handlers, parked mid-request or not; they are
@@ -1027,56 +1079,18 @@ class KVServer:
                 return await self._serve_lin_get(request, shard)
             if request.get("staleness") is not None:
                 return self._serve_stale_get(request, shard)
-            machine = shard.node.machine
-            return {
-                "type": "value",
-                "key": key,
-                "found": key in machine.data,
-                "value": machine.data.get(key),
-                "applied": shard.node.last_applied,
-                "leader": shard.leader_hint,
-                "shard": shard.shard_id,
-            }
+            return _value_reply(shard, key)
         if kind == "status":
-            head = self.shards[0]
+            groups = [shard.status() for shard in self.shards]
             return {
-                "type": "status",
-                "pid": self.pid,
-                "n": self.cluster.n,
-                "shards": self.shard_count,
-                "engine": head.engine.name,
-                "role": head.node.state,
-                "term": head.node.current_term,
-                "commit_index": head.node.commit_index,
-                "applied": head.node.last_applied,
-                "leader": head.leader_hint,
-                "read_tier": self.read_tier,
-                "lease_remaining": head.lease_remaining(),
-                "pipeline": self.pipeline_status(),
-                "groups": [
-                    {
-                        "shard": shard.shard_id,
-                        "engine": shard.engine.name,
-                        "role": shard.node.state,
-                        "term": shard.node.current_term,
-                        "commit_index": shard.node.commit_index,
-                        "applied": shard.node.last_applied,
-                        "leader": shard.leader_hint,
-                        "foreign_frames": shard.runtime.foreign_frames,
-                        "lease_remaining": shard.lease_remaining(),
-                        "fsync_queue_depth": (
-                            shard.storage.fsync_queue_depth
-                            if shard.storage is not None
-                            else 0
-                        ),
-                        "watermark_lag": (
-                            shard.storage.watermark_lag
-                            if shard.storage is not None
-                            else 0
-                        ),
-                    }
-                    for shard in self.shards
-                ],
+                "type": "status", "pid": self.pid, "n": self.cluster.n,
+                "shards": self.shard_count, "read_tier": self.read_tier,
+                "pipeline": self.pipeline_status(), "groups": groups,
+                # Shard 0 stands for the node (the whole node when unsharded).
+                **{key: groups[0][key] for key in (
+                    "engine", "role", "term", "commit_index", "applied",
+                    "leader", "lease_remaining",
+                )},
             }
         return {"type": "error", "reason": f"unknown request type {kind!r}"}
 
@@ -1088,19 +1102,31 @@ class KVServer:
         shard = self.shards[self.shard_for_key(key)]
         if not shard.is_leader:
             return self._redirect(shard)
-        future = shard.enqueue(TaggedPut(key, request.get("value"), op_id))
+        index, refusal = await self._await(
+            shard, shard.enqueue(TaggedPut(key, request.get("value"), op_id)),
+            op_id, "commit timeout", forget=True,
+        )
+        return refusal or {
+            "type": "ok", "id": op_id, "index": index, "shard": shard.shard_id,
+        }
+
+    async def _await(
+        self, shard: KVShard, future: asyncio.Future, op_id: str,
+        reason: str = "read timeout", *, forget: bool = False,
+    ) -> Tuple[Any, Optional[Dict[str, Any]]]:
+        """``(result, None)`` once ``future`` resolves within
+        ``commit_timeout``, else ``(None, reply)``: a redirect when the
+        shard lost leadership, an error on timeout.  With ``forget`` the
+        shard drops ``op_id``'s waiter either way."""
         try:
-            index = await asyncio.wait_for(future, timeout=self.commit_timeout)
-            return {
-                "type": "ok", "id": op_id, "index": index,
-                "shard": shard.shard_id,
-            }
+            return await asyncio.wait_for(future, timeout=self.commit_timeout), None
         except NotLeaderError:
-            return self._redirect(shard)
+            return None, self._redirect(shard)
         except asyncio.TimeoutError:
-            return {"type": "error", "reason": "commit timeout", "id": op_id}
+            return None, {"type": "error", "reason": reason, "id": op_id}
         finally:
-            shard.forget(op_id)
+            if forget:
+                shard.forget(op_id)
 
     async def _serve_lin_get(
         self, request: Dict[str, Any], shard: KVShard
@@ -1121,15 +1147,7 @@ class KVServer:
         if self.unsafe_lin_reads:
             # The injectable bug: answer from local state on mere belief
             # of leadership — no commit round, no deposition check.
-            machine = shard.node.machine
-            return {
-                "type": "value", "key": key,
-                "found": key in machine.data,
-                "value": machine.data.get(key),
-                "applied": shard.node.last_applied,
-                "leader": shard.leader_hint,
-                "shard": shard.shard_id, "lin": True,
-            }
+            return _value_reply(shard, key, lin=True)
         tier = request.get("tier") or self.read_tier
         if tier == "lease":
             return await self._serve_lease_get(request, shard)
@@ -1148,22 +1166,15 @@ class KVServer:
         """
         key = request.get("key")
         op_id = request["id"]
-        future = shard.enqueue(KvRead(key, op_id))
-        try:
-            index, found, value = await asyncio.wait_for(
-                future, timeout=self.commit_timeout
-            )
-            return {
-                "type": "value", "key": key, "found": found, "value": value,
-                "applied": index, "leader": shard.leader_hint,
-                "shard": shard.shard_id, "lin": True,
-            }
-        except NotLeaderError:
-            return self._redirect(shard)
-        except asyncio.TimeoutError:
-            return {"type": "error", "reason": "read timeout", "id": op_id}
-        finally:
-            shard.forget(op_id)
+        result, refusal = await self._await(
+            shard, shard.enqueue(KvRead(key, op_id)), op_id, forget=True
+        )
+        if refusal is not None:
+            return refusal
+        index, found, value = result
+        return _value_reply(
+            shard, key, found=found, value=value, applied=index, lin=True
+        )
 
     async def _serve_readindex_get(
         self, request: Dict[str, Any], shard: KVShard
@@ -1179,30 +1190,17 @@ class KVServer:
         marker read, which both answers correctly and advances the
         epoch.
         """
-        key = request.get("key")
         op_id = request["id"]
-        try:
-            read_index = await asyncio.wait_for(
-                shard.read_index(), timeout=self.commit_timeout
+        read_index, refusal = await self._await(shard, shard.read_index(), op_id)
+        if refusal is None:
+            _, refusal = await self._await(
+                shard, shard.wait_applied(read_index), op_id
             )
-            await asyncio.wait_for(
-                shard.wait_applied(read_index), timeout=self.commit_timeout
-            )
-        except NotLeaderError:
-            if shard.is_leader:
+        if refusal is not None:
+            if refusal["type"] == "redirect" and shard.is_leader:
                 return await self._serve_safe_lin_get(request, shard)
-            return self._redirect(shard)
-        except asyncio.TimeoutError:
-            return {"type": "error", "reason": "read timeout", "id": op_id}
-        machine = shard.node.machine
-        return {
-            "type": "value", "key": key,
-            "found": key in machine.data,
-            "value": machine.data.get(key),
-            "applied": shard.node.last_applied,
-            "leader": shard.leader_hint,
-            "shard": shard.shard_id, "lin": True, "read": "readindex",
-        }
+            return refusal
+        return _value_reply(shard, request.get("key"), lin=True, read="readindex")
 
     async def _serve_lease_get(
         self, request: Dict[str, Any], shard: KVShard
@@ -1216,32 +1214,20 @@ class KVServer:
         is linearizable.  Without a live lease the read degrades to a
         ReadIndex round (which also re-extends the lease).
         """
-        key = request.get("key")
-        op_id = request["id"]
         if not shard.lease_serveable():
             return await self._serve_readindex_get(request, shard)
-        try:
-            await asyncio.wait_for(
-                shard.wait_applied(shard.node.commit_index),
-                timeout=self.commit_timeout,
-            )
-        except NotLeaderError:
-            return self._redirect(shard)
-        except asyncio.TimeoutError:
-            return {"type": "error", "reason": "read timeout", "id": op_id}
+        _, refusal = await self._await(
+            shard, shard.wait_applied(shard.node.commit_index), request["id"]
+        )
+        if refusal is not None:
+            return refusal
         if not shard.lease_serveable():
             # The lease lapsed while we waited for the applied index.
             return await self._serve_readindex_get(request, shard)
-        machine = shard.node.machine
-        return {
-            "type": "value", "key": key,
-            "found": key in machine.data,
-            "value": machine.data.get(key),
-            "applied": shard.node.last_applied,
-            "leader": shard.leader_hint,
-            "shard": shard.shard_id, "lin": True, "read": "lease",
-            "lease_remaining": shard.lease_remaining(),
-        }
+        return _value_reply(
+            shard, request.get("key"), lin=True, read="lease",
+            lease_remaining=shard.lease_remaining(),
+        )
 
     def _serve_stale_get(
         self, request: Dict[str, Any], shard: KVShard
@@ -1279,29 +1265,27 @@ class KVServer:
                     "leader": shard.leader_hint,
                     "shard": shard.shard_id,
                 }
-        machine = shard.node.machine
-        return {
-            "type": "value", "key": key,
-            "found": key in machine.data,
-            "value": machine.data.get(key),
-            "applied": shard.node.last_applied,
-            "leader": shard.leader_hint,
-            "shard": shard.shard_id,
-            "read": "follower", "staleness": staleness,
-        }
+        return _value_reply(shard, key, read="follower", staleness=staleness)
 
     def _redirect(self, shard: KVShard) -> Dict[str, Any]:
         leader = shard.leader_hint
         if leader is None or leader == self.pid:
-            return {
-                "type": "redirect", "leader": None, "host": None,
-                "port": None, "shard": shard.shard_id,
-            }
-        spec = self.cluster[leader]
+            leader = host = port = None
+        else:
+            spec = self.cluster[leader]
+            host, port = spec.host, spec.client_port
         return {
-            "type": "redirect",
-            "leader": leader,
-            "host": spec.host,
-            "port": spec.client_port,
+            "type": "redirect", "leader": leader, "host": host, "port": port,
             "shard": shard.shard_id,
         }
+
+
+def _value_reply(shard: KVShard, key: Any, **extra: Any) -> Dict[str, Any]:
+    """A ``value`` answer for ``key`` from ``shard``'s applied state;
+    ``extra`` adds fields or overrides them."""
+    data = shard.node.machine.data
+    return {
+        "type": "value", "key": key, "found": key in data,
+        "value": data.get(key), "applied": shard.node.last_applied,
+        "leader": shard.leader_hint, "shard": shard.shard_id, **extra,
+    }

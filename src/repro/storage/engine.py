@@ -192,6 +192,9 @@ class RaftStorage:
         self._waiters: Deque[Tuple[int, Callable[[], None]]] = deque()
         self._releasing = False
         self._inflight = 0
+        # After a failed pipelined fsync (EIO may drop dirty pages, so no
+        # later barrier vouches for them) the watermark never advances.
+        self._sync_failed = False
         self._completions: Deque[Tuple[int, int, List[Tuple[int, int]]]] = deque()
         self._fsync_queue: Optional["queue.Queue"] = None
         self._fsync_thread: Optional[threading.Thread] = None
@@ -497,6 +500,8 @@ class RaftStorage:
             time.sleep(0.001)
 
     def _advance_watermark(self, generation: int) -> None:
+        if self._sync_failed:
+            return
         if generation > self.durable_generation:
             self.durable_generation = generation
         self._release_waiters()
@@ -518,6 +523,9 @@ class RaftStorage:
         while self._completions:
             gen, count, synced = self._completions.popleft()
             self._inflight -= count
+            self._sync_failed = self._sync_failed or gen is None
+            if self._sync_failed:
+                continue
             for segment, written in synced:
                 self._wal.mark_synced(segment, written)
             if gen > self.durable_generation:
@@ -572,26 +580,27 @@ class RaftStorage:
                         # Emulated device latency (benchmarks): the sleep
                         # lands here, off the event loop — the whole point.
                         time.sleep(self.fsync_delay)
-                except OSError:  # pragma: no cover - crashed mid-flight
+                except OSError:
                     failed = True
             for gen, segment, fd, written in jobs:
                 try:
                     os.close(fd)
                 except OSError:  # pragma: no cover - defensive
                     pass
-            if not failed:
-                top = max(gen for gen, _segment, _fd, _written in jobs)
-                synced = [
-                    (segment, written)
-                    for segment, (_gen, _fd, written) in latest.items()
-                ]
-                self._completions.append((top, len(jobs), synced))
-                loop = self._loop
-                if loop is not None:
-                    try:
-                        loop.call_soon_threadsafe(self._drain_completions)
-                    except RuntimeError:
-                        pass  # loop already closed; polling will drain
+            # A failed batch still completes (generation ``None``), so the
+            # queue depth drops and the loop learns to fail closed.
+            top = None if failed else max(job[0] for job in jobs)
+            synced = [] if failed else [
+                (segment, written)
+                for segment, (_gen, _fd, written) in latest.items()
+            ]
+            self._completions.append((top, len(jobs), synced))
+            loop = self._loop
+            if loop is not None:
+                try:
+                    loop.call_soon_threadsafe(self._drain_completions)
+                except RuntimeError:
+                    pass  # loop already closed; polling will drain
             if stop:
                 return
 

@@ -260,7 +260,7 @@ class TestReadTierConformance:
                 server = cluster.servers[leader]
                 shard = server.shards[0]
                 before_log = shard.node.log.last_index
-                before_rounds = shard._ri_counter
+                before_rounds = shard.reads.rounds
                 responses = await asyncio.gather(*(
                     server._serve(
                         {"type": "get", "key": "ri", "lin": True,
@@ -274,7 +274,7 @@ class TestReadTierConformance:
                     assert response.get("read") == "readindex"
                 # The batch shared barriers (first read opens one, the
                 # rest join the next) and wrote nothing to the log.
-                assert shard._ri_counter - before_rounds <= 2
+                assert shard.reads.rounds - before_rounds <= 2
                 assert shard.node.log.last_index == before_log
             finally:
                 await cluster.stop()
@@ -357,7 +357,7 @@ class TestReadTierConformance:
                 await client.put("piggy", 0)
                 server = cluster.servers[leader]
                 shard = server.shards[0]
-                rounds = shard._ri_counter
+                rounds = shard.reads.rounds
                 loop = asyncio.get_event_loop()
                 deadline = loop.time() + server.lease_duration
                 writes = 0
@@ -366,7 +366,7 @@ class TestReadTierConformance:
                     await client.put("piggy", writes)
                 await client.close()
                 assert shard.is_leader
-                assert shard._ri_counter == rounds, "a renewal barrier ran"
+                assert shard.reads.rounds == rounds, "a renewal barrier ran"
                 assert shard.lease_remaining() > server.lease_duration * 0.5
                 response = await server._serve(
                     {"type": "get", "key": "piggy", "lin": True,

@@ -85,7 +85,7 @@ def test_retained_puts_are_bounded_by_the_log_not_the_run():
             gc.collect()
             alive = sum(1 for o in gc.get_objects() if type(o) is TaggedPut)
             shard = cluster.servers[0].shards[0]
-            retained = threshold + shard.max_inflight
+            retained = threshold + shard.policy.max_inflight
             return alive, 3 * retained * clients
         finally:
             await cluster.stop()

@@ -23,7 +23,10 @@ clock: the fsync worker is a real thread, so virtual time cannot show it).
 """
 
 import asyncio
+import errno
+import os
 import random
+import time
 
 import pytest
 
@@ -103,6 +106,41 @@ class TestPipelinedBarrier:
         assert storage.fsync_queue_depth == 0
         assert storage.watermark_lag == 0
         storage.close()
+
+    def test_failed_fsync_fails_closed(self, tmp_path, monkeypatch):
+        """EIO on one barrier: after it the kernel may have dropped the
+        dirty pages, so a later successful barrier — or a clean close —
+        must not release the failed generation's acks, and the queue
+        depth must still drain."""
+        real_fsync = os.fsync
+        calls = []
+
+        def fsync(fd):
+            calls.append(fd)
+            if len(calls) == 1:
+                raise OSError(errno.EIO, "injected EIO")
+            real_fsync(fd)
+
+        storage = RaftStorage(str(tmp_path), sync_mode="pipelined")
+        monkeypatch.setattr(os, "fsync", fsync)
+        released = []
+        storage.record_append(1, Entry(1, "a"))
+        storage.notify_durable(storage.generation, lambda: released.append("a"))
+        storage.begin_sync()
+        deadline = time.monotonic() + 5.0
+        while not calls:
+            assert time.monotonic() < deadline, "fsync thread stalled"
+            time.sleep(0.001)
+        storage.record_append(2, Entry(1, "b"))
+        storage.notify_durable(storage.generation, lambda: released.append("b"))
+        storage.begin_sync()
+        while storage.fsync_queue_depth:
+            assert time.monotonic() < deadline, "queue depth leaked"
+            storage.wait_durable(timeout=0.01)
+        assert len(calls) == 2
+        assert released == [] and storage.durable_generation == 0
+        storage.close()
+        assert released == [] and storage.durable_generation == 0
 
     def test_rejects_unknown_sync_mode(self, tmp_path):
         with pytest.raises(ValueError):

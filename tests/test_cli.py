@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.live.cli import build_parser as live_build_parser
 
 
 def run_cli(*argv):
@@ -154,6 +155,41 @@ class TestLoadgenArguments:
             run_cli("loadgen", *self.PEERS, "--shards", "1", *bad)
         assert exc.value.code == 2
         assert f"error: argument {flag}:" in capsys.readouterr().err
+
+
+class TestServeArguments:
+    """``serve`` refuses bad numbers at parse time (exit 2, usage line):
+    none of them may crash the node later or start it misconfigured."""
+
+    PEERS = ("--peers", "127.0.0.1:7400,127.0.0.1:7401,127.0.0.1:7402")
+
+    @pytest.mark.parametrize(
+        "flag, bad",
+        [
+            ("--heartbeat", "0"),
+            ("--heartbeat", "nan"),
+            ("--snapshot-threshold", "0"),
+            ("--drift-bound", "-1"),
+            ("--staleness-bound", "-0.5"),
+            ("--lease-duration", "-1"),
+            ("--lease-duration", "inf"),
+        ],
+    )
+    def test_bad_number_is_a_usage_error(self, capsys, flag, bad):
+        parser = live_build_parser()
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["serve", "--pid", "0", *self.PEERS, flag, bad])
+        assert exc.value.code == 2
+        assert f"error: argument {flag}:" in capsys.readouterr().err
+
+    def test_zero_bounds_are_accepted(self):
+        args = live_build_parser().parse_args(
+            ["serve", "--pid", "0", *self.PEERS, "--drift-bound", "0",
+             "--staleness-bound", "0", "--lease-duration", "0"]
+        )
+        assert (args.drift_bound, args.staleness_bound, args.lease_duration) == (
+            0.0, 0.0, 0.0,
+        )
 
 
 def test_module_invocation():
