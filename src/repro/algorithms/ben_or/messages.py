@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable, Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Report:
     """First-exchange message ``<1, v>``: the sender's current preference."""
 
@@ -23,7 +23,7 @@ class Report:
     value: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ratify:
     """Second-exchange message: ``<2, v, ratify>`` or ``<2, ?>``.
 

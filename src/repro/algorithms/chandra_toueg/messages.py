@@ -8,7 +8,7 @@ from typing import Any
 from repro.sim.messages import Pid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Estimate:
     """Phase 1: a process sends the coordinator its current estimate,
     timestamped with the last round that updated it."""
@@ -19,7 +19,7 @@ class Estimate:
     sender: Pid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoordinatorProposal:
     """Phase 2: the coordinator relays the highest-timestamped estimate."""
 
@@ -27,7 +27,7 @@ class CoordinatorProposal:
     value: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ack:
     """Phase 3: adopted the coordinator's proposal (positive)."""
 
@@ -35,7 +35,7 @@ class Ack:
     sender: Pid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nack:
     """Phase 3: suspected the coordinator instead (negative)."""
 
@@ -43,7 +43,7 @@ class Nack:
     sender: Pid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CtDecide:
     """Phase 4 / reliable broadcast: the locked value is decided."""
 

@@ -72,30 +72,44 @@ CAMPAIGN_STUCK_TICKS = 4
 class CtPrepare(BallotPrepare):
     """Chandra-Toueg phase-1a."""
 
+    __slots__ = ()
+
 
 class CtPromise(BallotPromise):
     """Chandra-Toueg phase-1b grant."""
 
+    __slots__ = ()
+
 
 class CtPrepareNack(BallotPrepareNack):
     """Chandra-Toueg phase-1b refusal."""
+
+    __slots__ = ()
 
 
 class CtChain(BallotChain):
     """Chandra-Toueg phase-2a stream (empty ``entries`` is the
     coordinator heartbeat)."""
 
+    __slots__ = ()
+
 
 class CtChainAck(BallotChainAck):
     """Chandra-Toueg phase-2b."""
+
+    __slots__ = ()
 
 
 class CtSnapshot(BallotSnapshot):
     """Chandra-Toueg snapshot repair."""
 
+    __slots__ = ()
+
 
 class CtSnapshotAck(BallotSnapshotAck):
     """Chandra-Toueg snapshot acknowledgement."""
+
+    __slots__ = ()
 
 
 CT_FAMILY = BallotFamily(

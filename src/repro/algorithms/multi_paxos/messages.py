@@ -27,29 +27,43 @@ from repro.algorithms.replica import (
 class PaxPrepare(BallotPrepare):
     """Multi-Paxos phase-1a."""
 
+    __slots__ = ()
+
 
 class PaxPromise(BallotPromise):
     """Multi-Paxos phase-1b grant."""
+
+    __slots__ = ()
 
 
 class PaxPrepareNack(BallotPrepareNack):
     """Multi-Paxos phase-1b refusal."""
 
+    __slots__ = ()
+
 
 class PaxChain(BallotChain):
     """Multi-Paxos phase-2a stream."""
+
+    __slots__ = ()
 
 
 class PaxChainAck(BallotChainAck):
     """Multi-Paxos phase-2b."""
 
+    __slots__ = ()
+
 
 class PaxSnapshot(BallotSnapshot):
     """Multi-Paxos snapshot repair."""
 
+    __slots__ = ()
+
 
 class PaxSnapshotAck(BallotSnapshotAck):
     """Multi-Paxos snapshot acknowledgement."""
+
+    __slots__ = ()
 
 
 PAX_FAMILY = BallotFamily(

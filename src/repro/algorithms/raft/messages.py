@@ -22,7 +22,7 @@ from repro.algorithms.raft.log import Entry
 from repro.sim.messages import Pid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestVote:
     """Candidate solicits a vote (Figure 1)."""
 
@@ -32,7 +32,7 @@ class RequestVote:
     last_log_term: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestVoteReply:
     """``ack_RequestVote``: a voter's response."""
 
@@ -41,7 +41,7 @@ class RequestVoteReply:
     voter_id: Pid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppendEntries:
     """Leader replicates entries (non-empty) or heartbeats (empty).
 
@@ -60,7 +60,7 @@ class AppendEntries:
     read_confirmed: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppendEntriesReply:
     """``ack_AppendEntries``: a follower's response.
 
@@ -78,7 +78,7 @@ class AppendEntriesReply:
     read_seq: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstallSnapshot:
     """Leader ships a state-machine snapshot to a follower whose needed log
     suffix was compacted away (the Raft paper's log-compaction extension)."""
@@ -90,7 +90,7 @@ class InstallSnapshot:
     machine_state: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstallSnapshotReply:
     """Follower acknowledges a snapshot installation."""
 
@@ -99,7 +99,7 @@ class InstallSnapshotReply:
     last_included_index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClientPropose:
     """A client asks the cluster to append ``command`` to the log.
 

@@ -18,14 +18,14 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecideAndStop:
     """The paper's ``D&S(v)`` command: decide ``value``, ignore the rest."""
 
     value: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Put:
     """Key-value write command for :class:`KeyValueStateMachine`."""
 

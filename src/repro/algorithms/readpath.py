@@ -67,7 +67,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadBarrier:
     """Locally-injected request (never sent between nodes): confirm the
     current commit index as a read index.  The node answers with a

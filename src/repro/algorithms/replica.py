@@ -92,7 +92,7 @@ def ballot_owner(ballot: int) -> Pid:
     return ballot % BALLOT_STRIDE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Noop:
     """A gap-filling no-op command (commits, applies as nothing)."""
 
@@ -114,7 +114,7 @@ class BallotFamily(WireFamily):
     prepare_nack: type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BallotPrepare:
     """Phase-1a: campaign for ``ballot``; report suffix from ``from_index``."""
 
@@ -123,7 +123,7 @@ class BallotPrepare:
     sender: Pid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BallotPromise:
     """Phase-1b grant: the voter's accepted suffix (and snapshot if its
     log was compacted at or past ``from_index``)."""
@@ -137,7 +137,7 @@ class BallotPromise:
     entries: Tuple[Entry, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BallotPrepareNack:
     """Phase-1b refusal: the voter already promised ``promised``."""
 
@@ -146,7 +146,7 @@ class BallotPrepareNack:
     voter: Pid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BallotChain:
     """Phase-2a stream: log delta after ``prev_log_index`` plus commit
     index (empty ``entries`` is the leader heartbeat).  ``term`` is the
@@ -163,7 +163,7 @@ class BallotChain:
     read_confirmed: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BallotChainAck:
     """Phase-2b: accept (``success`` with ``match_index``) or refuse
     (``term`` carrying the higher promised ballot; ``match_index`` the
@@ -177,7 +177,7 @@ class BallotChainAck:
     read_seq: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BallotSnapshot:
     """Snapshot repair for a follower whose needed suffix was compacted."""
 
@@ -188,7 +188,7 @@ class BallotSnapshot:
     machine_state: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BallotSnapshotAck:
     """Follower acknowledges a snapshot installation."""
 

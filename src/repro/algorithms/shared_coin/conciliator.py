@@ -37,7 +37,7 @@ from repro.sim.ops import Annotate, Broadcast, Receive
 from repro.sim.process import ProcessAPI
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConcInput:
     """A conciliator-round broadcast of the caller's current value."""
 

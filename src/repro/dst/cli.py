@@ -41,6 +41,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from typing import List, Optional
 
 from repro.analysis.report import exploration_summary
@@ -61,6 +62,9 @@ from repro.dst.livestack import (
 from repro.dst.registry import algorithm_names, get_algorithm
 from repro.dst.scenario import VIOLATION, scenario_from_dict
 from repro.dst.shrinker import shrink
+from repro.live.cli import check_non_negative, checked
+from repro.live.config import validate_count, validate_shards
+from repro.live.loadgen import check_positive
 
 COMMANDS = ("explore", "replay")
 
@@ -90,7 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
         "full KVServer production stack in virtual time (live)",
     )
     ex.add_argument(
-        "--schedules", type=int, default=200, help="scenarios to run"
+        "--schedules",
+        type=checked(int, partial(validate_count, "schedules")),
+        default=200,
+        help="scenarios to run",
     )
     ex.add_argument(
         "--meta-seed",
@@ -118,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ex.add_argument(
         "--workers",
-        type=int,
+        type=checked(int, partial(check_non_negative, "workers")),
         default=0,
         help="fan execution out over a multiprocessing pool of this size",
     )
@@ -148,19 +155,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     live = ex.add_argument_group("live-stack options (--stack live)")
     live.add_argument(
-        "--nodes", type=int, default=3, help="cluster size per schedule"
+        "--nodes",
+        type=checked(int, partial(validate_count, "nodes")),
+        default=3,
+        help="cluster size per schedule",
     )
     live.add_argument(
-        "--shards", type=int, default=2, help="consensus groups per node"
+        "--shards",
+        type=checked(int, validate_shards),
+        default=2,
+        help="consensus groups per node",
     )
     live.add_argument(
         "--duration",
-        type=float,
+        type=checked(float, partial(check_positive, "duration")),
         default=6.0,
         help="virtual seconds of faulted workload per schedule",
     )
     live.add_argument(
-        "--clients", type=int, default=3, help="workload clients"
+        "--clients",
+        type=checked(int, partial(validate_count, "clients")),
+        default=3,
+        help="workload clients",
     )
     live.add_argument(
         "--inject-bug",

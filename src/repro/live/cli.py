@@ -51,7 +51,7 @@ from repro.live.loadgen import (
 from repro.storage.engine import SYNC_MODES, StorageQuarantineError
 
 
-def _checked(convert: Callable, check: Callable) -> Callable[[str], Any]:
+def checked(convert: Callable, check: Callable) -> Callable[[str], Any]:
     """An argparse ``type`` that converts, then validates: a bad value
     exits 2 with a usage message instead of a traceback."""
 
@@ -64,15 +64,15 @@ def _checked(convert: Callable, check: Callable) -> Callable[[str], Any]:
     return parse
 
 
-def _check_non_negative(name: str, value: float) -> float:
+def check_non_negative(name: str, value: float) -> float:
     """``value`` if it is a finite number >= 0, else ``ValueError``."""
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
     return value
 
 
-_parse_max_inflight = _checked(int, partial(validate_count, "max_inflight"))
-_parse_shards = _checked(int, validate_shards)
+_parse_max_inflight = checked(int, partial(validate_count, "max_inflight"))
+_parse_shards = checked(int, validate_shards)
 
 
 def _add_client_shards_argument(parser: argparse.ArgumentParser) -> None:
@@ -201,13 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--heartbeat",
-        type=_checked(float, partial(check_positive, "heartbeat")),
+        type=checked(float, partial(check_positive, "heartbeat")),
         default=0.06,
         help="leader heartbeat interval in seconds (default 0.06)",
     )
     serve.add_argument(
         "--snapshot-threshold",
-        type=_checked(int, partial(check_positive, "snapshot threshold")),
+        type=checked(int, partial(check_positive, "snapshot threshold")),
         default=None,
         help="compact the Raft log above this many entries",
     )
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--lease-duration",
-        type=_checked(float, partial(_check_non_negative, "lease duration")),
+        type=checked(float, partial(check_non_negative, "lease duration")),
         default=None,
         metavar="SECS",
         help="leader-lease / follower-stickiness window; defaults to the "
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--drift-bound",
-        type=_checked(float, partial(_check_non_negative, "drift bound")),
+        type=checked(float, partial(check_non_negative, "drift bound")),
         default=DEFAULT_DRIFT_BOUND,
         metavar="SECS",
         help="clock-drift allowance subtracted from every lease "
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--staleness-bound",
-        type=_checked(float, partial(_check_non_negative, "staleness bound")),
+        type=checked(float, partial(check_non_negative, "staleness bound")),
         default=DEFAULT_STALENESS_BOUND,
         metavar="SECS",
         help="cap on the staleness bound follower reads may request "
@@ -325,13 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument(
         "--rate",
-        type=_checked(float, partial(check_positive, "rate")),
+        type=checked(float, partial(check_positive, "rate")),
         default=None,
         help="open-loop: arrivals per second (switches mode)",
     )
     loadgen.add_argument(
         "--duration",
-        type=_checked(float, partial(check_positive, "duration")),
+        type=checked(float, partial(check_positive, "duration")),
         default=2.0,
         help="open-loop: seconds to run (default 2.0)",
     )
@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument(
         "--key-space",
-        type=_checked(int, partial(check_positive, "key_space")),
+        type=checked(int, partial(check_positive, "key_space")),
         default=128,
         help="distinct keys",
     )
@@ -353,14 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument(
         "--zipf-s",
-        type=_checked(float, partial(check_positive, "zipf exponent")),
+        type=checked(float, partial(check_positive, "zipf exponent")),
         default=1.1,
         metavar="S",
         help="zipf exponent; larger = more skew (default 1.1)",
     )
     loadgen.add_argument(
         "--read-ratio",
-        type=_checked(float, check_read_ratio),
+        type=checked(float, check_read_ratio),
         default=0.0,
         metavar="R",
         help="fraction of ops issued as linearizable gets instead of "

@@ -55,7 +55,7 @@ EWMA_ALPHA = 0.125
 EVENT_MEMORY = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FdHeartbeat:
     """Periodic liveness beacon (``seq`` strictly increases per sender)."""
 

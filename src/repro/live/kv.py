@@ -133,7 +133,7 @@ IDLE_WAIT_ROUNDS = 2
 FLUSH_INTERVAL = 0.004
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaggedPut(Put):
     """A ``Put`` carrying the client's unique operation id.
 
@@ -146,7 +146,7 @@ class TaggedPut(Put):
     op_id: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KvRead:
     """A linearizable-read marker riding the write batch pipeline.
 
@@ -159,7 +159,7 @@ class KvRead:
     op_id: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KvBatch:
     """One log entry holding a whole batch of client writes.
 

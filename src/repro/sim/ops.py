@@ -111,7 +111,7 @@ class CancelTimer(Op):
     name: str = "timer"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimerFired:
     """Payload delivered to a process when one of its timers fires."""
 

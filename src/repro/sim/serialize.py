@@ -10,39 +10,32 @@ Two formats live here:
   jq/pandas-style post-processing of big seed batteries.  It is *lossy* by
   design.
 
-* **The wire codec** (:func:`to_wire`, :func:`from_wire`,
-  :func:`wire_dumps`, :func:`wire_loads`): a *lossless* JSON encoding of
-  algorithm message payloads, used by :mod:`repro.live` to ship the exact
-  dataclasses the simulators pass by reference over real TCP connections.
-  Dataclass and enum types must be registered
-  (:func:`register_wire_type`, :func:`register_wire_enum`); the built-in
-  algorithm message types are registered by importing
+* **The binary wire codec** (:func:`binary_dumps`, :func:`binary_loads`):
+  a *lossless* struct-packed encoding of algorithm message payloads, used
+  by :mod:`repro.live` to ship the exact dataclasses the simulators pass
+  by reference over real TCP connections.  Dataclass and enum types must
+  be registered (:func:`register_wire_type`, :func:`register_wire_enum`);
+  the built-in algorithm message types are registered by importing
   :mod:`repro.live.codec`.  Scalars, lists, tuples, dicts (with arbitrary
   hashable encodable keys) and bytes round-trip exactly, so a payload
   decoded on the receiving node is ``==`` to the one that was sent and
-  ``isinstance`` predicates keep working.
-
-* **The binary wire codec** (:func:`binary_dumps`, :func:`binary_loads`):
-  the same lossless value model as the JSON codec, struct-packed instead
-  of JSON-quoted.  Every value is a one-byte type tag followed by packed
-  payload bytes; registered dataclass/enum *names* are interned per frame
-  (sent once, referenced by a one-byte slot afterwards) and dataclass
-  fields travel positionally in declaration order, so an ``AppendEntries``
-  full of log entries pays for the class name exactly once.  Both codecs
-  share one registry, so anything that round-trips through JSON
-  round-trips through binary and vice versa.  Frame bodies are
-  self-describing at the first byte: binary tags are all ``< 0x20`` while
-  JSON bodies start with printable ASCII, which is how the live transport
-  tells them apart without negotiation.
+  ``isinstance`` predicates keep working.  Every value is a one-byte type
+  tag followed by packed payload bytes; registered dataclass/enum *names*
+  are interned per frame (sent once, referenced by a one-byte slot
+  afterwards) and dataclass fields travel positionally in declaration
+  order, so an ``AppendEntries`` full of log entries pays for the class
+  name exactly once.  Binary tags are all ``< 0x20``, so a frame body
+  that starts with printable ASCII (a JSON body) is refused on its first
+  byte.
 """
 
 from __future__ import annotations
 
-import base64
 import enum
 import json
 import operator
 import struct
+import types
 from dataclasses import fields, is_dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Type
 
@@ -114,19 +107,8 @@ def load_jsonl(path: str) -> List[Dict[str, Any]]:
 
 
 # ----------------------------------------------------------------------
-# The lossless wire codec (used by repro.live)
+# The wire type registry (used by repro.live)
 # ----------------------------------------------------------------------
-#
-# Encoded forms ("!" is the type tag, reserved at the top level of every
-# encoded dict):
-#
-#   scalars                  -> themselves (None, bool, int, float, str)
-#   list                     -> JSON array of encoded items
-#   tuple                    -> {"!": "t", "v": [...]}
-#   dict                     -> {"!": "d", "v": [[key, value], ...]}
-#   bytes                    -> {"!": "b", "v": "<base64>"}
-#   registered dataclass     -> {"!": "c", "t": "<name>", "f": {field: ...}}
-#   registered enum member   -> {"!": "e", "t": "<name>", "v": "<member>"}
 
 _WIRE_DATACLASSES: Dict[str, type] = {}
 _WIRE_ENUMS: Dict[str, Type[enum.Enum]] = {}
@@ -166,16 +148,17 @@ def _make_field_decoder(cls: type, field_names: Tuple[str, ...]):
     Decoding dataclass fields is the binary codec's hottest loop, so each
     registered class gets a generated function that unrolls it: inline
     scalar cases (mirroring the container item loop), no values list, and
-    direct construction — via ``object.__new__`` + one ``__dict__`` update
-    where that is observationally equivalent to ``__init__`` (no
-    ``__post_init__``, all fields ``init=True``, no ``__slots__`` in the
-    MRO), via a positional call otherwise.  Registration-time codegen;
-    runs only after the module is fully loaded.
+    direct construction — via ``object.__new__`` + one slot descriptor
+    ``__set__`` per field where that is observationally equivalent to
+    ``__init__`` (no ``__post_init__``, all fields ``init=True``, every
+    field a slot), via a positional call otherwise.  Registration-time
+    codegen; runs only after the module is fully loaded.
     """
-    plain = (
+    setters = [getattr(cls, name, None) for name in field_names]
+    slotted = (
         not hasattr(cls, "__post_init__")
         and all(f.init for f in fields(cls))
-        and not any("__slots__" in k.__dict__ for k in cls.__mro__ if k is not object)
+        and all(isinstance(d, types.MemberDescriptorType) for d in setters)
     )
     lines = ["def _dec(data, pos, slots):"]
     for i in range(len(field_names)):
@@ -213,17 +196,6 @@ def _make_field_decoder(cls: type, field_names: Tuple[str, ...]):
             "    else:",
             f"        {v}, pos = _decode(data, pos, slots)",
         ]
-    if plain:
-        lines.append("    obj = _new(_cls)")
-        if field_names:
-            pairs = ", ".join(
-                f"{name!r}: v{i}" for i, name in enumerate(field_names)
-            )
-            lines.append(f"    obj.__dict__.update({{{pairs}}})")
-        lines.append("    return obj, pos")
-    else:
-        args = ", ".join(f"v{i}" for i in range(len(field_names)))
-        lines.append(f"    return _cls({args}), pos")
     namespace = {
         "_cls": cls,
         "_new": object.__new__,
@@ -231,6 +203,15 @@ def _make_field_decoder(cls: type, field_names: Tuple[str, ...]):
         "_unpack_q": _S_Q.unpack_from,
         "_err": WireError,
     }
+    if slotted:
+        lines.append("    obj = _new(_cls)")
+        for i, setter in enumerate(setters):
+            namespace[f"_set{i}"] = setter.__set__
+            lines.append(f"    _set{i}(obj, v{i})")
+        lines.append("    return obj, pos")
+    else:
+        args = ", ".join(f"v{i}" for i in range(len(field_names)))
+        lines.append(f"    return _cls({args}), pos")
     exec("\n".join(lines), namespace)
     return namespace["_dec"]
 
@@ -284,92 +265,8 @@ def register_wire_enum(cls: Type[enum.Enum], name: Optional[str] = None) -> type
     return cls
 
 
-def to_wire(value: Any) -> Any:
-    """Encode ``value`` into the JSON-safe wire form (lossless)."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, list):
-        return [to_wire(v) for v in value]
-    if isinstance(value, tuple):
-        return {"!": "t", "v": [to_wire(v) for v in value]}
-    if isinstance(value, dict):
-        return {"!": "d", "v": [[to_wire(k), to_wire(v)] for k, v in value.items()]}
-    if isinstance(value, bytes):
-        return {"!": "b", "v": base64.b64encode(value).decode("ascii")}
-    if isinstance(value, enum.Enum):
-        key = _wire_name(type(value))
-        if key not in _WIRE_ENUMS:
-            raise WireError(f"enum {key!r} is not wire-registered")
-        return {"!": "e", "t": key, "v": value.name}
-    if is_dataclass(value) and not isinstance(value, type):
-        key = _wire_name(type(value))
-        if key not in _WIRE_DATACLASSES:
-            raise WireError(
-                f"dataclass {key!r} is not wire-registered; call "
-                f"register_wire_type (repro.live.codec registers the "
-                f"built-in algorithm messages)"
-            )
-        return {
-            "!": "c",
-            "t": key,
-            "f": {f.name: to_wire(getattr(value, f.name)) for f in fields(value)},
-        }
-    raise WireError(f"cannot wire-encode {type(value).__name__}: {value!r}")
-
-
-def from_wire(value: Any) -> Any:
-    """Decode the wire form produced by :func:`to_wire`."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, list):
-        return [from_wire(v) for v in value]
-    if isinstance(value, dict):
-        tag = value.get("!")
-        if tag == "t":
-            return tuple(from_wire(v) for v in value["v"])
-        if tag == "d":
-            return {from_wire(k): from_wire(v) for k, v in value["v"]}
-        if tag == "b":
-            return base64.b64decode(value["v"])
-        if tag == "e":
-            cls = _WIRE_ENUMS.get(value["t"])
-            if cls is None:
-                raise WireError(f"unknown wire enum {value['t']!r}")
-            return cls[value["v"]]
-        if tag == "c":
-            dc = _WIRE_DATACLASSES.get(value["t"])
-            if dc is None:
-                raise WireError(f"unknown wire dataclass {value['t']!r}")
-            return dc(**{k: from_wire(v) for k, v in value["f"].items()})
-        raise WireError(f"malformed wire dict (tag {tag!r}): {value!r}")
-    raise WireError(f"cannot wire-decode {type(value).__name__}: {value!r}")
-
-
-def wire_dumps(value: Any) -> bytes:
-    """Encode ``value`` to compact UTF-8 JSON bytes (the frame body)."""
-    return json.dumps(to_wire(value), separators=(",", ":")).encode("utf-8")
-
-
-def wire_loads(data: bytes) -> Any:
-    """Decode frame-body bytes produced by :func:`wire_dumps`.
-
-    Any malformed input — invalid UTF-8 or JSON, a structurally broken
-    wire dict (missing ``v``/``t``/``f`` slots, bad base64, wrong field
-    names) — raises :class:`WireError`, matching the binary codec: a
-    corrupt frame from the network must never escape as an arbitrary
-    exception.
-    """
-    try:
-        return from_wire(json.loads(data.decode("utf-8")))
-    except WireError:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:
-        # ValueError covers bad JSON, bad UTF-8 and bad base64 alike.
-        raise WireError(f"malformed JSON frame: {exc}") from None
-
-
 # ----------------------------------------------------------------------
-# The binary wire codec (same registry, struct-packed frames)
+# The binary wire codec (struct-packed frames)
 # ----------------------------------------------------------------------
 #
 # value := tag byte + payload.  All tags are < 0x20 so the first byte of a
@@ -538,8 +435,8 @@ def _bin_encode(value: Any, out: bytearray, slots: Dict[type, int]) -> None:
         out.append(len(member))
         out += member
         return
-    # Slow path mirrors to_wire's tolerance: dataclass/enum/list/tuple/dict
-    # subclasses and unregistered types get the same diagnostics JSON gives.
+    # Slow path: dataclass/enum/list/tuple/dict subclasses and unregistered
+    # types get a diagnostic instead of a silently lossy encoding.
     if is_dataclass(value) and not isinstance(value, type):
         raise WireError(
             f"dataclass {_wire_name(cls)!r} is not wire-registered; call "
@@ -556,9 +453,8 @@ def _bin_encode(value: Any, out: bytearray, slots: Dict[type, int]) -> None:
 def binary_dumps(value: Any) -> bytes:
     """Encode ``value`` to struct-packed binary bytes (the frame body).
 
-    Lossless over exactly the value model of :func:`wire_dumps`; the two
-    codecs share the type registry and are freely mixable on one
-    connection (frame bodies self-describe at the first byte).
+    Lossless over the value model in the module docstring: scalars,
+    containers, bytes and registered dataclasses and enums.
     """
     out = bytearray()
     _bin_encode(value, out, {})

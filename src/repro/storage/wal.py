@@ -111,7 +111,7 @@ class WalCorruptionError(WalError):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WalCheckpoint:
     """Full scalar durable state; first frame of every segment."""
 
@@ -121,7 +121,7 @@ class WalCheckpoint:
     snapshot_term: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WalTerm:
     """``currentTerm``/``votedFor`` changed (Figure 2 scalar state)."""
 
@@ -129,7 +129,7 @@ class WalTerm:
     voted_for: Optional[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WalEntry:
     """The entry at ``index`` was (re)written; any previous local
     entries from ``index`` on were discarded first."""
@@ -139,7 +139,7 @@ class WalEntry:
     command: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SnapshotDelta:
     """An incremental snapshot: the machine state at this file's index
     equals the state at ``prev_index`` with ``changed`` keys overwritten

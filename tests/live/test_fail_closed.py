@@ -15,7 +15,7 @@ import pytest
 from repro.core.runtime import SimRuntime, current_runtime
 from repro.live import AsyncKVClient, ClusterConfig, LiveKVCluster, PeerTransport
 from repro.live.wire import encode_peer_frame, frame_bytes, read_frame, write_frame
-from repro.sim.serialize import wire_dumps
+from tests.wire_json import wire_dumps
 
 FAST = dict(election_timeout=(0.15, 0.3), heartbeat_interval=0.05)
 

@@ -2,7 +2,7 @@
 
 The binary codec (`binary_dumps`/`binary_loads`) is the only encoding on
 live connections.  It must be lossless over the exact value model of the
-JSON reference codec (`wire_dumps`/`wire_loads`) — every registered
+JSON reference codec (`tests.wire_json`) — every registered
 message dataclass, every container shape, every scalar edge.  Decoding
 is also the trust boundary of a live node: any byte
 string, however mangled, must either decode or raise ``WireError``, never
@@ -26,10 +26,9 @@ from repro.sim.serialize import (
     binary_dumps,
     binary_loads,
     register_wire_type,
-    wire_dumps,
-    wire_loads,
 )
 from tests.sim.test_wire_codec import SAMPLE_MESSAGES
+from tests.wire_json import wire_dumps, wire_loads
 
 
 class TestMessageRoundTrips:

@@ -1,9 +1,10 @@
-"""Round-trip tests for the lossless wire codec (`repro.sim.serialize`).
+"""Round-trip tests for the tagged-JSON reference codec (`tests.wire_json`).
 
 Every algorithm message dataclass that `repro.live.codec` registers must
 survive ``wire_loads(wire_dumps(msg)) == msg`` — including nested entries,
-tuples, unicode strings and enum members — because the live runtime ships
-exactly these objects between cluster nodes.
+tuples, unicode strings and enum members — because the binary codec that
+ships them between live nodes is checked against this one
+(`tests/sim/test_binary_codec.py`).
 """
 
 import enum
@@ -55,14 +56,8 @@ from repro.core.confidence import ADOPT, COMMIT, Confidence
 from repro.live.detector import FdHeartbeat
 from repro.live.kv import KvBatch, TaggedPut
 from repro.sim.ops import TimerFired
-from repro.sim.serialize import (
-    WireError,
-    from_wire,
-    register_wire_type,
-    to_wire,
-    wire_dumps,
-    wire_loads,
-)
+from repro.sim.serialize import WireError, register_wire_type
+from tests.wire_json import from_wire, to_wire, wire_dumps, wire_loads
 
 SAMPLE_MESSAGES = [
     # Ben-Or exchanges, including a hashable-but-composite round tag.

@@ -157,6 +157,47 @@ class TestLoadgenArguments:
         assert f"error: argument {flag}:" in capsys.readouterr().err
 
 
+class TestExploreArguments:
+    """``explore`` refuses numbers that would make a sweep check nothing
+    (no schedules, no clients, no time) or fail every schedule: exit 2
+    with a usage line, before any schedule runs."""
+
+    # One short schedule, so a parser that lets a bad value through still
+    # finishes quickly (and then fails the assertion).
+    BASE = ("explore", "--stack", "live", "--schedules", "1", "--duration", "0.5")
+
+    @pytest.mark.parametrize(
+        "flag, bad",
+        [
+            ("--schedules", "0"),
+            ("--schedules", "-1"),
+            ("--clients", "0"),
+            ("--duration", "0"),
+            ("--duration", "-1"),
+            ("--nodes", "0"),
+            ("--shards", "0"),
+            ("--workers", "-1"),
+        ],
+    )
+    def test_bad_number_is_a_usage_error(self, capsys, flag, bad):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*self.BASE, flag, bad)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"error: argument {flag}:" in err
+
+    def test_smallest_sweep_is_accepted(self):
+        from repro.dst.cli import build_parser as dst_build_parser
+
+        args = dst_build_parser().parse_args(
+            [*self.BASE, "--workers", "0", "--nodes", "1", "--shards", "1",
+             "--clients", "1"]
+        )
+        assert (args.schedules, args.workers, args.nodes, args.shards,
+                args.clients, args.duration) == (1, 0, 1, 1, 1, 0.5)
+
+
 class TestServeArguments:
     """``serve`` refuses bad numbers at parse time (exit 2, usage line):
     none of them may crash the node later or start it misconfigured."""
