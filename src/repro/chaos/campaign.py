@@ -20,11 +20,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.chaos.history import History
 from repro.chaos.nemesis import (
     DURABILITY_KINDS,
-    FAULT_KINDS,
     FaultEvent,
     FaultPlan,
     Nemesis,
     NemesisAction,
+    check_kind,
 )
 from repro.chaos.workload import close_clients, make_clients, run_workload
 from repro.core.runtime import Runtime
@@ -44,14 +44,7 @@ INJECTABLE_BUGS = ("stale-reads", "unbounded-lease", "lost-ack")
 
 def parse_kinds(spec: str) -> Tuple[str, ...]:
     """Parse a ``--kinds K1,K2,...`` flag; ``ValueError`` names a bad kind."""
-    kinds = tuple(k.strip() for k in spec.split(",") if k.strip())
-    for kind in kinds:
-        if kind not in FAULT_KINDS:
-            raise ValueError(
-                f"unknown fault kind {kind!r} "
-                f"(choose from {', '.join(FAULT_KINDS)})"
-            )
-    return kinds
+    return tuple(check_kind(k.strip()) for k in spec.split(",") if k.strip())
 
 
 def cluster_options(

@@ -5,7 +5,8 @@ runs a recorded client workload while a :class:`~repro.chaos.nemesis.Nemesis`
 executes a seeded fault plan, then heals, lets the cluster quiesce, and
 checks the recorded history for linearizability.  Exit status: ``0`` if
 the history is linearizable, ``1`` on a violation (the minimal witness is
-printed), ``2`` if the checker's time budget ran out before a verdict.
+printed), ``2`` if the checker's time budget ran out before a verdict
+or the command line is wrong (a bad number, kind or engine spec).
 
 Examples::
 
@@ -44,6 +45,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import sys
+from functools import partial
 from typing import List, Optional
 
 from repro.chaos import campaign
@@ -56,8 +58,11 @@ from repro.chaos.nemesis import (
 )
 from repro.chaos.timeline import render_html, render_text
 from repro.core.runtime import current_runtime
+from repro.live.cli import checked
+from repro.live.config import validate_count, validate_shards
 from repro.live.engine import DEFAULT_ENGINE, ENGINES, EngineError, parse_engine_spec
 from repro.live.kv import READ_TIERS
+from repro.live.loadgen import check_positive
 from repro.storage.engine import SYNC_MODES
 
 
@@ -67,9 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fault-inject a live KV cluster and check the recorded "
         "client history for linearizability.",
     )
-    parser.add_argument("--nodes", type=int, default=5, help="cluster size")
     parser.add_argument(
-        "--shards", type=int, default=2, help="consensus groups"
+        "--nodes", type=checked(int, partial(validate_count, "nodes")),
+        default=5, help="cluster size",
+    )
+    parser.add_argument(
+        "--shards", type=checked(int, validate_shards), default=2,
+        help="consensus groups",
     )
     parser.add_argument(
         "--engine", default=DEFAULT_ENGINE, metavar="SPEC",
@@ -79,16 +88,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="campaign seed")
     parser.add_argument(
-        "--duration", type=float, default=20.0,
+        "--duration", type=checked(float, partial(check_positive, "duration")),
+        default=20.0,
         help="workload/nemesis duration in seconds",
     )
-    parser.add_argument("--clients", type=int, default=4)
+    parser.add_argument(
+        "--clients", type=checked(int, partial(validate_count, "clients")),
+        default=4,
+    )
     parser.add_argument(
         "--read-fraction", type=float, default=0.5, metavar="F",
         help="fraction of ops that are linearizable reads",
     )
     parser.add_argument(
-        "--key-space", type=int, default=4, metavar="K",
+        "--key-space", type=checked(int, partial(validate_count, "key_space")),
+        default=4, metavar="K",
         help="number of distinct keys (small = high contention)",
     )
     parser.add_argument(
@@ -102,7 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
         "checker finishes within its budget)",
     )
     parser.add_argument(
-        "--fault-period", type=float, default=3.0, metavar="SECS",
+        "--fault-period",
+        type=checked(float, partial(check_positive, "fault_period")),
+        default=3.0, metavar="SECS",
         help="seconds between injected faults",
     )
     parser.add_argument(

@@ -7,89 +7,75 @@ executes one against a running
 process faults (kill/restart) and the transport fault hooks
 (:meth:`~repro.live.transport.PeerTransport.set_link_fault`) for network
 faults.  Everything the nemesis does is appended to ``log`` with a
-wall-clock timestamp, so campaign timelines can overlay faults on the
-recorded client history.
+timestamp on the cluster's runtime clock, so campaign timelines can
+overlay faults on the recorded client history.
 
-Fault kinds
------------
-``kill-leader``       kill shard 0's current leader (crash, no warning)
-``kill-random``       kill a random live node (never breaking majority)
-``restart``           restart every killed node
-``partition``         symmetric split: a random minority is black-holed
-                      from the rest, both directions, every live node
-``partition-leader``  isolate a shard's current leader from all peers —
-                      the deposed-leader scenario that exposes stale-read
-                      bugs (the majority elects a new leader; the old
-                      one, alone, still believes it leads)
-``asym-partition``    one-way black-hole: a random node stops *sending*
-                      (its peers still reach it) — the asymmetric case
-                      that breaks naive failure detectors
-``drop``              probabilistic loss on every link of one random node
-``delay``             extra one-way latency on every link of one node
-``timeout-skew``      scale one node's election-timeout ranges (a slow or
-                      hasty clock), restored on ``heal``; skipped on an
-                      engine without an election timer (``ct``)
-``clock-skew``        slow a node's *drift clock* by ``factor`` — the
-                      clock the read path's leader lease is measured on
-                      — preferring the current leader (the dangerous
-                      victim: a slow-clocked leaseholder under-measures
-                      how much real time its lease has burned);
-                      restored on ``heal``
-``heal``              clear every link fault and timeout skew
-``power-fail``        cut one node's power: an abrupt kill where WAL
-                      state not yet fsynced is really lost; ``restart``
-                      later cold-starts it from its data directory
-``power-fail-all``    cut the *whole cluster's* power at once — the one
-                      fault that deliberately bypasses the majority
-                      guard, because with durable storage even a full
-                      outage must preserve every acknowledged write
-                      (requires a cluster ``data_dir``)
-``torn-tail``         power-fail one node mid-write: a strict prefix of
-                      its last WAL frame lands on disk, so recovery must
-                      truncate the torn tail
-``bit-flip``          power-fail one node and flip a bit inside its WAL
-                      segment body (silent disk corruption); recovery
-                      truncates from the damage or quarantines the
-                      directory and the node rejoins empty
-
-The nemesis never kills more than a strict minority (``power-fail-all``
-excepted, by design), so a correct cluster must keep committing through
-the whole campaign — which is exactly what the availability checks
-(E15) measure and the linearizability checker verifies.
+Every fault kind is one :data:`KINDS` row: what it needs before it acts,
+the :class:`Nemesis` method that acts, and the arguments plans give it.
+The method's docstring says what the kind does; ``docs/chaos.md`` has
+the table.  The nemesis never kills more than a strict minority
+(``power-fail-all`` excepted, by design), so a correct cluster must keep
+committing through the whole campaign — which is exactly what the
+availability checks (E15) measure and the linearizability checker
+verifies.
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.algorithms.trigger import TimerTrigger
 from repro.live.harness import LiveKVCluster
+from repro.live.loadgen import check_positive
 from repro.storage.wal import flip_bit
+
+Args = Tuple[Tuple[str, Any], ...]
+
+
+@dataclass(frozen=True)
+class FaultKind:
+    """One fault kind: what it needs before it acts, and how it acts.
+
+    :meth:`Nemesis.apply` checks the needs in this order and logs the
+    first one unmet as a skip: ``disk`` (the cluster has a data dir),
+    ``guarded`` (one more dead node still leaves a majority alive),
+    ``min_alive`` (live nodes).  Then it calls the :class:`Nemesis`
+    method named ``act`` with ``(event, alive)``.  ``args`` are the
+    default arguments: plans attach them, and acts fall back to them.
+    """
+
+    act: str
+    disk: bool = False
+    guarded: bool = False
+    min_alive: int = 0
+    args: Args = ()
+
 
 #: Every fault kind a plan may schedule.  New kinds are appended at the
 #: end: :meth:`FaultPlan.random_campaign` draws are position-sensitive,
 #: and seeded plans must stay reproducible across versions.
-FAULT_KINDS = (
-    "kill-leader",
-    "kill-random",
-    "restart",
-    "partition",
-    "partition-leader",
-    "asym-partition",
-    "drop",
-    "delay",
-    "timeout-skew",
-    "heal",
-    "power-fail",
-    "power-fail-all",
-    "torn-tail",
-    "bit-flip",
-    "clock-skew",
-)
+KINDS: Dict[str, FaultKind] = {
+    "kill-leader": FaultKind("_kill_leader", guarded=True),
+    "kill-random": FaultKind("_kill_random", guarded=True, min_alive=1),
+    "restart": FaultKind("_restart"),
+    "partition": FaultKind("_partition", min_alive=2),
+    "partition-leader": FaultKind("_partition_leader", min_alive=2),
+    "asym-partition": FaultKind("_asym_partition", min_alive=2),
+    "drop": FaultKind("_drop", min_alive=2, args=(("prob", 0.4),)),
+    "delay": FaultKind("_delay", min_alive=2, args=(("delay", 0.05),)),
+    "timeout-skew": FaultKind("_timeout_skew", min_alive=1, args=(("factor", 3.0),)),
+    "heal": FaultKind("_heal"),
+    "power-fail": FaultKind("_power_fail", disk=True, guarded=True, min_alive=1),
+    "power-fail-all": FaultKind("_power_fail_all", disk=True, min_alive=1),
+    "torn-tail": FaultKind("_torn_tail", disk=True, guarded=True, min_alive=1),
+    "bit-flip": FaultKind("_bit_flip", disk=True, guarded=True, min_alive=1),
+    "clock-skew": FaultKind("_clock_skew", min_alive=1, args=(("factor", 4.0),)),
+}
+
+FAULT_KINDS = tuple(KINDS)
 
 #: The default campaign mix: each cycle injects one disruptive fault,
 #: lets it bite, then heals/restarts so the cluster must re-converge.
@@ -103,21 +89,27 @@ DEFAULT_KINDS = (
 
 #: The power-failure campaign mix for clusters with durable storage:
 #: every fault forces at least one node through WAL crash recovery.
-DURABILITY_KINDS = (
-    "power-fail",
-    "power-fail-all",
-    "torn-tail",
-    "bit-flip",
-)
+DURABILITY_KINDS = tuple(name for name, kind in KINDS.items() if kind.disk)
 
-#: The lease-attack mix: skew the leaseholder's clock, isolate deposed
-#: leaders, and stretch election timers — the faults that break a
-#: mis-bounded clock lease (``--read-tier lease``, see docs/reads.md).
-LEASE_ATTACK_KINDS = (
-    "clock-skew",
-    "partition-leader",
-    "timeout-skew",
-)
+#: The lease-attack cycle, in the order and at the spacing it strikes:
+#: skew the leaseholder's clock, stretch election timers, then isolate
+#: the (still skewed) leader — the faults that break a mis-bounded clock
+#: lease (``--read-tier lease``, see docs/reads.md).
+LEASE_ATTACK_KINDS = ("clock-skew", "timeout-skew", "partition-leader")
+LEASE_ATTACK_STAGGER = 0.2
+
+#: How far into each period the generators heal and restart.
+HEAL_POINT = 0.6
+
+
+def check_kind(kind: str) -> str:
+    """``kind`` if it names a fault kind, else ``ValueError``."""
+    if kind not in KINDS:
+        raise ValueError(
+            f"unknown fault kind {kind!r} "
+            f"(choose from {', '.join(FAULT_KINDS)})"
+        )
+    return kind
 
 
 @dataclass(frozen=True)
@@ -126,10 +118,15 @@ class FaultEvent:
 
     at: float
     kind: str
-    args: Tuple[Tuple[str, Any], ...] = ()
+    args: Args = ()
 
     def arg(self, name: str, default: Any = None) -> Any:
         return dict(self.args).get(name, default)
+
+
+def _rolled(at: float, kind: str, roll: float) -> FaultEvent:
+    """A ``kind`` event with its default arguments and a victim roll."""
+    return FaultEvent(round(at, 6), kind, KINDS[kind].args + (("roll", roll),))
 
 
 @dataclass(frozen=True)
@@ -142,11 +139,7 @@ class FaultPlan:
     def __post_init__(self):
         last = -1.0
         for event in self.events:
-            if event.kind not in FAULT_KINDS:
-                raise ValueError(
-                    f"unknown fault kind {event.kind!r} "
-                    f"(choose from {FAULT_KINDS})"
-                )
+            check_kind(event.kind)
             if event.at < 0:
                 raise ValueError(f"fault time must be >= 0, got {event.at}")
             if event.at < last:
@@ -158,56 +151,19 @@ class FaultPlan:
         return self.events[-1].at if self.events else 0.0
 
     @classmethod
-    def random_campaign(
-        cls,
-        seed: int,
-        *,
-        duration: float = 30.0,
-        period: float = 3.0,
-        kinds: Sequence[str] = DEFAULT_KINDS,
-        heal_fraction: float = 0.6,
-        drop_prob: float = 0.4,
-        delay: float = 0.05,
-        skew_factor: float = 3.0,
-        clock_factor: float = 4.0,
+    def _cycles(
+        cls, seed: int, duration: float, period: float,
+        disrupt: Callable[[random.Random, float], List[FaultEvent]],
     ) -> "FaultPlan":
-        """A seeded disrupt→heal cycle schedule.
-
-        Deterministic: the same ``(seed, parameters)`` always yields the
-        identical plan (the determinism test pins this).  Each ``period``
-        starts one randomly chosen disruption; ``heal_fraction`` of the
-        way through the period the damage is repaired (``heal`` plus
-        ``restart``), so the cluster alternates between surviving a fault
-        and recovering from it.
-        """
-        if not kinds:
-            raise ValueError("need at least one fault kind")
-        for kind in kinds:
-            if kind not in FAULT_KINDS:
-                raise ValueError(f"unknown fault kind {kind!r}")
-        if period <= 0:
-            raise ValueError("period must be positive")
+        """One ``disrupt(rng, at)`` per ``period``, each healed and
+        restarted :data:`HEAL_POINT` of the way into its period."""
+        check_positive("period", period)
         rng = random.Random(seed)
         events: List[FaultEvent] = []
         at = period
         while at < duration:
-            kind = kinds[rng.randrange(len(kinds))]
-            args: Tuple[Tuple[str, Any], ...] = ()
-            if kind == "drop":
-                args = (("prob", drop_prob),)
-            elif kind == "delay":
-                args = (("delay", delay),)
-            elif kind == "timeout-skew":
-                args = (("factor", skew_factor),)
-            elif kind == "clock-skew":
-                args = (("factor", clock_factor),)
-            # One random draw reserved per event for victim selection, so
-            # inserting new kinds upstream never shifts later victims.
-            victim_roll = rng.random()
-            events.append(
-                FaultEvent(round(at, 6), kind, args + (("roll", victim_roll),))
-            )
-            heal_at = at + heal_fraction * period
+            events += disrupt(rng, at)
+            heal_at = at + HEAL_POINT * period
             if heal_at < duration:
                 events.append(FaultEvent(round(heal_at, 6), "heal"))
                 events.append(FaultEvent(round(heal_at, 6), "restart"))
@@ -215,15 +171,39 @@ class FaultPlan:
         return cls(tuple(events), seed=seed)
 
     @classmethod
-    def lease_attack_campaign(
+    def random_campaign(
         cls,
         seed: int,
         *,
-        duration: float = 20.0,
+        duration: float = 30.0,
         period: float = 3.0,
-        clock_factor: float = 4.0,
-        skew_factor: float = 3.0,
-        heal_fraction: float = 0.6,
+        kinds: Sequence[str] = DEFAULT_KINDS,
+    ) -> "FaultPlan":
+        """A seeded disrupt→heal cycle schedule.
+
+        Deterministic: the same ``(seed, parameters)`` always yields the
+        identical plan (the determinism test pins this).  Each ``period``
+        starts one randomly chosen disruption, repaired (``heal`` plus
+        ``restart``) :data:`HEAL_POINT` of the way through the period, so
+        the cluster alternates between surviving a fault and recovering
+        from it.
+        """
+        if not kinds:
+            raise ValueError("need at least one fault kind")
+        for kind in kinds:
+            check_kind(kind)
+
+        def disrupt(rng: random.Random, at: float) -> List[FaultEvent]:
+            kind = kinds[rng.randrange(len(kinds))]
+            # One random draw reserved per event for victim selection, so
+            # inserting new kinds upstream never shifts later victims.
+            return [_rolled(at, kind, rng.random())]
+
+        return cls._cycles(seed, duration, period, disrupt)
+
+    @classmethod
+    def lease_attack_campaign(
+        cls, seed: int, *, duration: float = 20.0, period: float = 3.0
     ) -> "FaultPlan":
         """The compound attack on clock-based leases.
 
@@ -231,46 +211,21 @@ class FaultPlan:
         independent: each cycle slows the current leaseholder's drift
         clock, stretches a random node's election timers, and only
         *then* isolates the (still skewed) leader from its peers.  The
-        deposed leader's lease now burns real time ``clock_factor``
-        times faster than it measures — with a correctly sized drift
-        bound it stops serving before the majority's new leader can
-        commit; with ``drift_bound = 0`` it keeps answering long after,
-        which is the stale read the checker must catch.
+        deposed leader's lease now burns real time ``factor`` times
+        faster than it measures — with a correctly sized drift bound it
+        stops serving before the majority's new leader can commit; with
+        ``drift_bound = 0`` it keeps answering long after, which is the
+        stale read the checker must catch.
         """
-        if period <= 0:
-            raise ValueError("period must be positive")
-        rng = random.Random(seed)
-        events: List[FaultEvent] = []
-        at = period
-        while at < duration:
+
+        def disrupt(rng: random.Random, at: float) -> List[FaultEvent]:
             roll = rng.random()
-            events.append(
-                FaultEvent(
-                    round(at, 6),
-                    "clock-skew",
-                    (("factor", clock_factor), ("roll", roll)),
-                )
-            )
-            events.append(
-                FaultEvent(
-                    round(at + 0.2, 6),
-                    "timeout-skew",
-                    (("factor", skew_factor), ("roll", roll)),
-                )
-            )
-            events.append(
-                FaultEvent(
-                    round(at + 0.4, 6),
-                    "partition-leader",
-                    (("roll", roll),),
-                )
-            )
-            heal_at = at + heal_fraction * period
-            if heal_at < duration:
-                events.append(FaultEvent(round(heal_at, 6), "heal"))
-                events.append(FaultEvent(round(heal_at, 6), "restart"))
-            at += period
-        return cls(tuple(events), seed=seed)
+            return [
+                _rolled(at + i * LEASE_ATTACK_STAGGER, kind, roll)
+                for i, kind in enumerate(LEASE_ATTACK_KINDS)
+            ]
+
+        return cls._cycles(seed, duration, period, disrupt)
 
 
 @dataclass
@@ -305,7 +260,7 @@ class Nemesis:
         self.log: List[NemesisAction] = []
         #: Per victim, each shard's election-timeout range before the skew.
         self._skewed: Dict[int, Dict[int, Tuple[float, float]]] = {}
-        self._clock_skewed: set = set()
+        self._clock_skewed: Set[int] = set()
         self._epoch: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -316,55 +271,42 @@ class Nemesis:
         """Execute the whole plan; returns the action log.
 
         Sleeps are relative to the campaign start, so event times in the
-        log line up with history timestamps recorded on the same loop.
+        log line up with history timestamps recorded on the same runtime.
         """
-        loop = asyncio.get_event_loop()
-        start = loop.time()
-        self._epoch = start
+        rt = self.cluster.rt
+        start = self._epoch = rt.now()
         for event in self.plan.events:
-            delay = start + event.at - loop.time()
+            delay = start + event.at - rt.now()
             if delay > 0:
-                await asyncio.sleep(delay)
+                await rt.sleep(delay)
             await self.apply(event)
         return self.log
 
     async def apply(self, event: FaultEvent) -> None:
-        """Apply one event now (dispatch by kind)."""
-        handler = {
-            "kill-leader": self._kill_leader,
-            "kill-random": self._kill_random,
-            "restart": self._restart_all,
-            "partition": self._partition,
-            "partition-leader": self._partition_leader,
-            "asym-partition": self._asym_partition,
-            "drop": self._drop,
-            "delay": self._delay,
-            "timeout-skew": self._timeout_skew,
-            "clock-skew": self._clock_skew,
-            "heal": self._heal,
-            "power-fail": self._power_fail,
-            "power-fail-all": self._power_fail_all,
-            "torn-tail": self._torn_tail,
-            "bit-flip": self._bit_flip,
-        }[event.kind]
-        await handler(event)
-
-    def _note(self, kind: str, detail: str) -> None:
-        loop = asyncio.get_event_loop()
-        at = loop.time() - self._epoch if self._epoch is not None else 0.0
-        self.log.append(NemesisAction(at, kind, detail))
+        """Apply one event now: check its kind's needs, then act."""
+        kind = KINDS[event.kind]
+        alive = self.cluster.alive()
+        if kind.disk and self.cluster.data_dir is None:
+            detail = "skipped: cluster has no data dir"
+        elif kind.guarded and not self._may_kill(alive):
+            detail = "skipped: would break majority"
+        elif len(alive) < kind.min_alive:
+            detail = (
+                "skipped: nothing alive" if kind.min_alive == 1
+                else "skipped: fewer than two nodes alive"
+            )
+        else:
+            detail = await getattr(self, kind.act)(event, alive)
+        at = 0.0 if self._epoch is None else self.cluster.rt.now() - self._epoch
+        self.log.append(NemesisAction(at, event.kind, detail))
 
     # ------------------------------------------------------------------
     # Victim selection
     # ------------------------------------------------------------------
 
-    def _alive(self) -> List[int]:
-        return self.cluster.alive()
-
-    def _may_kill(self) -> bool:
+    def _may_kill(self, alive: List[int]) -> bool:
         n = len(self.cluster.servers)
-        dead = n - len(self._alive())
-        return dead + 1 <= (n - 1) // 2
+        return n - len(alive) + 1 <= (n - 1) // 2
 
     def _pick(self, candidates: Sequence[int], event: FaultEvent) -> int:
         roll = event.arg("roll")
@@ -372,44 +314,44 @@ class Nemesis:
             roll = self.rng.random()
         return candidates[int(roll * len(candidates)) % len(candidates)]
 
+    @staticmethod
+    def _setting(event: FaultEvent) -> float:
+        """The event's one numeric argument, else its kind's default."""
+        ((name, default),) = KINDS[event.kind].args
+        return float(event.arg(name, default))
+
     # ------------------------------------------------------------------
     # Process faults
     # ------------------------------------------------------------------
 
-    async def _kill_leader(self, event: FaultEvent) -> None:
-        if not self._may_kill():
-            self._note("kill-leader", "skipped: would break majority")
-            return
+    async def _kill_leader(self, event: FaultEvent, alive: List[int]) -> str:
+        """Kill a shard's current leader (crash, no warning)."""
         shard = event.arg("shard", 0)
         leader = self.cluster.leader_pid(shard)
         if leader is None:
-            self._note("kill-leader", f"skipped: shard {shard} has no leader")
-            return
+            return f"skipped: shard {shard} has no leader"
         await self.cluster.kill(leader)
-        self._note("kill-leader", f"killed node {leader} (shard {shard} leader)")
+        return f"killed node {leader} (shard {shard} leader)"
 
-    async def _kill_random(self, event: FaultEvent) -> None:
-        if not self._may_kill():
-            self._note("kill-random", "skipped: would break majority")
-            return
-        alive = self._alive()
-        if not alive:
-            self._note("kill-random", "skipped: nothing alive")
-            return
+    async def _kill_victim(
+        self, event: FaultEvent, alive: List[int], *, torn: bool = False
+    ) -> int:
         victim = self._pick(alive, event)
-        await self.cluster.kill(victim)
-        self._note("kill-random", f"killed node {victim}")
+        await self.cluster.kill(victim, torn=torn)
+        return victim
 
-    async def _restart_all(self, event: FaultEvent) -> None:
-        revived = []
-        for pid, server in enumerate(self.cluster.servers):
-            if server is None:
-                await self.cluster.restart(pid)
-                revived.append(pid)
-        self._note(
-            "restart",
-            f"restarted nodes {revived}" if revived else "nothing to restart",
-        )
+    async def _kill_random(self, event: FaultEvent, alive: List[int]) -> str:
+        """Kill a random live node."""
+        return f"killed node {await self._kill_victim(event, alive)}"
+
+    async def _restart(self, event: FaultEvent, alive: List[int]) -> str:
+        """Restart every killed node."""
+        revived = [
+            pid for pid in range(len(self.cluster.servers)) if pid not in alive
+        ]
+        for pid in revived:
+            await self.cluster.restart(pid)
+        return f"restarted nodes {revived}" if revived else "nothing to restart"
 
     # ------------------------------------------------------------------
     # Power-failure faults (durable storage + WAL recovery)
@@ -426,116 +368,62 @@ class Nemesis:
             if name.startswith("shard-")
         )
 
-    async def _power_fail(self, event: FaultEvent) -> None:
-        if not self._may_kill():
-            self._note("power-fail", "skipped: would break majority")
-            return
-        alive = self._alive()
-        if not alive:
-            self._note("power-fail", "skipped: nothing alive")
-            return
-        victim = self._pick(alive, event)
-        await self.cluster.kill(victim)
-        self._note("power-fail", f"node {victim} lost power")
+    async def _power_fail(self, event: FaultEvent, alive: List[int]) -> str:
+        """Cut one node's power: WAL state not yet fsynced is lost, and
+        ``restart`` later cold-starts it from its data directory."""
+        return f"node {await self._kill_victim(event, alive)} lost power"
 
-    async def _power_fail_all(self, event: FaultEvent) -> None:
+    async def _power_fail_all(self, event: FaultEvent, alive: List[int]) -> str:
         """Full-cluster outage — the durability acid test.
 
-        Deliberately bypasses the majority guard: with fsynced WALs a
-        simultaneous power loss of every node must still preserve every
-        acknowledged write, and with the ``lost-ack`` bug injected this
-        is the fault that makes acked-but-unsynced state vanish
-        *everywhere* so the checker can catch it.
+        Deliberately unguarded: with fsynced WALs a simultaneous power
+        loss of every node must still preserve every acknowledged write,
+        and with the ``lost-ack`` bug injected this is the fault that
+        makes acked-but-unsynced state vanish *everywhere* so the
+        checker can catch it.
         """
-        if self.cluster.data_dir is None:
-            self._note(
-                "power-fail-all", "skipped: cluster has no data dir"
-            )
-            return
-        alive = self._alive()
-        if not alive:
-            self._note("power-fail-all", "skipped: nothing alive")
-            return
         for pid in alive:
             await self.cluster.kill(pid)
-        self._note(
-            "power-fail-all", f"whole cluster lost power: nodes {alive}"
-        )
+        return f"whole cluster lost power: nodes {alive}"
 
-    async def _torn_tail(self, event: FaultEvent) -> None:
-        if self.cluster.data_dir is None:
-            self._note("torn-tail", "skipped: cluster has no data dir")
-            return
-        if not self._may_kill():
-            self._note("torn-tail", "skipped: would break majority")
-            return
-        alive = self._alive()
-        if not alive:
-            self._note("torn-tail", "skipped: nothing alive")
-            return
-        victim = self._pick(alive, event)
-        await self.cluster.kill(victim, torn=True)
-        self._note(
-            "torn-tail",
-            f"node {victim} lost power mid-write (torn last WAL frame)",
-        )
+    async def _torn_tail(self, event: FaultEvent, alive: List[int]) -> str:
+        """Power-fail one node mid-write: a strict prefix of its last WAL
+        frame lands on disk, so recovery must truncate the torn tail."""
+        victim = await self._kill_victim(event, alive, torn=True)
+        return f"node {victim} lost power mid-write (torn last WAL frame)"
 
-    async def _bit_flip(self, event: FaultEvent) -> None:
-        if self.cluster.data_dir is None:
-            self._note("bit-flip", "skipped: cluster has no data dir")
-            return
-        if not self._may_kill():
-            self._note("bit-flip", "skipped: would break majority")
-            return
-        alive = self._alive()
-        if not alive:
-            self._note("bit-flip", "skipped: nothing alive")
-            return
-        victim = self._pick(alive, event)
-        await self.cluster.kill(victim)
+    async def _bit_flip(self, event: FaultEvent, alive: List[int]) -> str:
+        """Power-fail one node and flip a bit inside its WAL segment body;
+        recovery truncates from the damage or quarantines the directory
+        and the node rejoins empty."""
+        victim = await self._kill_victim(event, alive)
         damaged = [
             os.path.basename(path)
             for directory in self._shard_dirs(victim)
             for path in [flip_bit(directory)]
             if path is not None
         ]
-        self._note(
-            "bit-flip",
-            f"node {victim} down, corrupted {damaged or 'no segments'}",
-        )
+        return f"node {victim} down, corrupted {damaged or 'no segments'}"
 
     # ------------------------------------------------------------------
     # Network faults (transport hooks)
     # ------------------------------------------------------------------
 
-    def _transports(self):
-        for server in self.cluster.servers:
-            if server is not None:
-                yield server.pid, server.transport
-
-    def _split(self, kind: str, alive: List[int], minority: set) -> None:
+    def _split(self, minority: Set[int], alive: List[int]) -> str:
         """Black-hole every link between ``minority`` and the rest."""
-        majority = [pid for pid in alive if pid not in minority]
-        for pid, transport in self._transports():
-            others = minority if pid not in minority else majority
-            for peer in others:
-                if peer != pid:
-                    transport.set_link_fault(peer, blackhole=True)
-        self._note(kind, f"split {sorted(minority)} | {sorted(majority)}")
+        side_a = sorted(minority)
+        side_b = [pid for pid in alive if pid not in minority]
+        partition_cluster(self.cluster, side_a, side_b)
+        return f"split {side_a} | {side_b}"
 
-    async def _partition(self, event: FaultEvent) -> None:
+    async def _partition(self, event: FaultEvent, alive: List[int]) -> str:
         """Symmetric split: a random strict minority vs the rest."""
-        alive = self._alive()
-        if len(alive) < 2:
-            self._note("partition", "skipped: fewer than two nodes alive")
-            return
-        n = len(self.cluster.servers)
-        minority_size = max(1, (n - 1) // 2)
-        seed_pid = self._pick(alive, event)
-        rotation = alive[alive.index(seed_pid):] + alive[:alive.index(seed_pid)]
-        self._split("partition", alive, set(rotation[:minority_size]))
+        size = max(1, (len(self.cluster.servers) - 1) // 2)
+        first = alive.index(self._pick(alive, event))
+        rotation = alive[first:] + alive[:first]
+        return self._split(set(rotation[:size]), alive)
 
-    async def _partition_leader(self, event: FaultEvent) -> None:
+    async def _partition_leader(self, event: FaultEvent, alive: List[int]) -> str:
         """Isolate a shard's current leader from every peer, alone.
 
         With no minority partner to outvote it and no check-quorum, the
@@ -545,12 +433,6 @@ class Nemesis:
         lin reads stay safe, and where ``unsafe_lin_reads`` produces the
         stale reads the checker must catch.
         """
-        alive = self._alive()
-        if len(alive) < 2:
-            self._note(
-                "partition-leader", "skipped: fewer than two nodes alive"
-            )
-            return
         shards = self.cluster.shard_count
         roll = event.arg("roll")
         shard = (
@@ -559,59 +441,40 @@ class Nemesis:
         )
         leader = self.cluster.leader_pid(shard)
         if leader is None or leader not in alive:
-            self._note(
-                "partition-leader", f"skipped: shard {shard} has no live leader"
-            )
-            return
-        self._split("partition-leader", alive, {leader})
+            return f"skipped: shard {shard} has no live leader"
+        return self._split({leader}, alive)
 
-    async def _asym_partition(self, event: FaultEvent) -> None:
-        """One node's outbound links go dark; inbound still works."""
-        alive = self._alive()
-        if len(alive) < 2:
-            self._note("asym-partition", "skipped: fewer than two nodes alive")
-            return
+    def _fault_links(self, event: FaultEvent, alive: List[int], **fault: Any) -> int:
+        """Put ``fault`` on every link of a picked victim; returns it."""
         victim = self._pick(alive, event)
-        server = self.cluster.servers[victim]
+        transport = self.cluster.servers[victim].transport
         for peer in alive:
             if peer != victim:
-                server.transport.set_link_fault(
-                    peer, blackhole=True, direction="out"
-                )
-        self._note("asym-partition", f"node {victim} sends into the void")
+                transport.set_link_fault(peer, **fault)
+        return victim
 
-    async def _drop(self, event: FaultEvent) -> None:
-        alive = self._alive()
-        if len(alive) < 2:
-            self._note("drop", "skipped: fewer than two nodes alive")
-            return
-        prob = float(event.arg("prob", 0.4))
-        victim = self._pick(alive, event)
-        server = self.cluster.servers[victim]
-        for peer in alive:
-            if peer != victim:
-                server.transport.set_link_fault(peer, drop=prob)
-        self._note("drop", f"node {victim} loses {prob:.0%} of frames")
+    async def _asym_partition(self, event: FaultEvent, alive: List[int]) -> str:
+        """One node's outbound links go dark; inbound still works — the
+        asymmetric case that breaks naive failure detectors."""
+        victim = self._fault_links(event, alive, blackhole=True, direction="out")
+        return f"node {victim} sends into the void"
 
-    async def _delay(self, event: FaultEvent) -> None:
-        alive = self._alive()
-        if len(alive) < 2:
-            self._note("delay", "skipped: fewer than two nodes alive")
-            return
-        extra = float(event.arg("delay", 0.05))
-        victim = self._pick(alive, event)
-        server = self.cluster.servers[victim]
-        for peer in alive:
-            if peer != victim:
-                server.transport.set_link_fault(peer, delay=extra)
-        self._note("delay", f"node {victim} links +{extra * 1e3:.0f}ms")
+    async def _drop(self, event: FaultEvent, alive: List[int]) -> str:
+        """Probabilistic loss on every link of one node."""
+        prob = self._setting(event)
+        victim = self._fault_links(event, alive, drop=prob)
+        return f"node {victim} loses {prob:.0%} of frames"
 
-    async def _timeout_skew(self, event: FaultEvent) -> None:
-        alive = self._alive()
-        if not alive:
-            self._note("timeout-skew", "skipped: nothing alive")
-            return
-        factor = float(event.arg("factor", 3.0))
+    async def _delay(self, event: FaultEvent, alive: List[int]) -> str:
+        """Extra one-way latency on every link of one node."""
+        extra = self._setting(event)
+        victim = self._fault_links(event, alive, delay=extra)
+        return f"node {victim} links +{extra * 1e3:.0f}ms"
+
+    async def _timeout_skew(self, event: FaultEvent, alive: List[int]) -> str:
+        """Scale one node's election-timeout ranges (a slow or hasty
+        clock) until ``heal``; an Ω-triggered shard has none to scale."""
+        factor = self._setting(event)
         victim = self._pick(alive, event)
         timers = {
             shard.shard_id: shard.node.trigger
@@ -619,8 +482,7 @@ class Nemesis:
             if isinstance(shard.node.trigger, TimerTrigger)
         }
         if not timers:
-            self._note("timeout-skew", "skipped: engine has no election timer")
-            return
+            return "skipped: engine has no election timer"
         # Ranges are per shard (staggered so leadership spreads): save,
         # scale and restore each shard's own.
         base = self._skewed.setdefault(
@@ -630,12 +492,11 @@ class Nemesis:
         for shard_id, timer in timers.items():
             lo, hi = base[shard_id]
             timer.election_timeout = (lo * factor, hi * factor)
-        self._note(
-            "timeout-skew", f"node {victim} election timeout x{factor:g}"
-        )
+        return f"node {victim} election timeout x{factor:g}"
 
-    async def _clock_skew(self, event: FaultEvent) -> None:
-        """Slow a node's drift clock — preferring the current leader.
+    async def _clock_skew(self, event: FaultEvent, alive: List[int]) -> str:
+        """Slow a node's drift clock until ``heal`` — preferring the
+        current leader.
 
         Slowing the *leaseholder's* clock is the attack the drift bound
         exists for: the leader under-measures elapsed real time, so its
@@ -644,40 +505,29 @@ class Nemesis:
         merely stretches its refusal window, which is safe — hence the
         leader preference.
         """
-        alive = self._alive()
-        if not alive:
-            self._note("clock-skew", "skipped: nothing alive")
-            return
-        factor = float(event.arg("factor", 4.0))
-        shard_id = event.arg("shard", 0)
-        victim = self.cluster.leader_pid(shard_id)
+        factor = self._setting(event)
+        victim = self.cluster.leader_pid(event.arg("shard", 0))
         if victim is None or victim not in alive:
             victim = self._pick(alive, event)
-        server = self.cluster.servers[victim]
-        for shard in server.shards:
+        for shard in self.cluster.servers[victim].shards:
             shard.node.reads.clock.set_factor(factor, shard.runtime.now)
         self._clock_skewed.add(victim)
-        self._note(
-            "clock-skew", f"node {victim} drift clock x{factor:g} slow"
-        )
+        return f"node {victim} drift clock x{factor:g} slow"
 
-    async def _heal(self, event: FaultEvent) -> None:
-        for _pid, transport in self._transports():
-            transport.heal_link()
-        for pid, base in list(self._skewed.items()):
-            server = self.cluster.servers[pid]
-            if server is not None:
-                for shard in server.shards:
-                    if shard.shard_id in base:
-                        shard.node.trigger.election_timeout = base[shard.shard_id]
-            del self._skewed[pid]
-        for pid in list(self._clock_skewed):
-            server = self.cluster.servers[pid]
-            if server is not None:
-                for shard in server.shards:
+    async def _heal(self, event: FaultEvent, alive: List[int]) -> str:
+        """Clear every link fault, timeout skew and clock skew."""
+        heal_cluster(self.cluster)
+        for pid in alive:
+            base = self._skewed.get(pid, {})
+            for shard in self.cluster.servers[pid].shards:
+                if shard.shard_id in base:
+                    shard.node.trigger.election_timeout = base[shard.shard_id]
+                if pid in self._clock_skewed:
                     shard.node.reads.clock.set_factor(1.0, shard.runtime.now)
-            self._clock_skewed.discard(pid)
-        self._note("heal", "all link faults cleared, clocks restored")
+        # A dead victim restarts with fresh timers and clocks.
+        self._skewed.clear()
+        self._clock_skewed.clear()
+        return "all link faults cleared, clocks restored"
 
 
 def partition_cluster(
@@ -685,20 +535,13 @@ def partition_cluster(
 ) -> None:
     """Black-hole every link between ``side_a`` and ``side_b`` (both
     directions on both sides — also usable directly from tests)."""
-    for pid in side_a:
-        server = cluster.servers[pid]
-        if server is None:
-            continue
-        for peer in side_b:
-            if peer != pid:
-                server.transport.set_link_fault(peer, blackhole=True)
-    for pid in side_b:
-        server = cluster.servers[pid]
-        if server is None:
-            continue
-        for peer in side_a:
-            if peer != pid:
-                server.transport.set_link_fault(peer, blackhole=True)
+    for here, there in ((side_a, side_b), (side_b, side_a)):
+        for pid in here:
+            server = cluster.servers[pid]
+            if server is not None:
+                for peer in there:
+                    if peer != pid:
+                        server.transport.set_link_fault(peer, blackhole=True)
 
 
 def heal_cluster(cluster: LiveKVCluster) -> None:

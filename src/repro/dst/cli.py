@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     live.add_argument(
         "--fault-period",
-        type=float,
+        type=checked(float, partial(check_positive, "fault_period")),
         default=1.5,
         help="virtual seconds between scheduled faults",
     )

@@ -37,12 +37,7 @@ from typing import Any, ClassVar, Dict, Iterator, List, Optional, Sequence, Tupl
 from repro.chaos import campaign
 from repro.chaos.checker import check_history
 from repro.chaos.history import History
-from repro.chaos.nemesis import (
-    DEFAULT_KINDS,
-    FAULT_KINDS,
-    FaultEvent,
-    FaultPlan,
-)
+from repro.chaos.nemesis import DEFAULT_KINDS, FaultEvent, FaultPlan, check_kind
 from repro.core.runtime import SimRuntime
 from repro.dst.scenario import (
     ERROR,
@@ -109,8 +104,7 @@ class LiveScenario:
                 f"(choose from {campaign.INJECTABLE_BUGS})"
             )
         for event in self.faults:
-            if event.kind not in FAULT_KINDS:
-                raise ValueError(f"unknown fault kind {event.kind!r}")
+            check_kind(event.kind)
 
     def run(self) -> "LiveRunResult":
         return run_live(self)

@@ -17,7 +17,7 @@ import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.runtime import Runtime, current_runtime
-from repro.live.config import ClusterConfig
+from repro.live.config import ClusterConfig, validate_count
 from repro.live.kv import KVServer
 from repro.live.runtime import LiveRuntime
 from repro.sim.process import Process
@@ -183,6 +183,7 @@ class LiveKVCluster:
         runtime: Optional[Runtime] = None,
         **server_options: Any,
     ):
+        validate_count("n", n)
         self.rt = runtime if runtime is not None else current_runtime()
         if cluster is None:
             cluster = (
@@ -201,7 +202,7 @@ class LiveKVCluster:
         self.servers: List[Optional[KVServer]] = []
         for pid in range(n):
             self.servers.append(self._build(pid))
-        self.shard_count = self.servers[0].shard_count if n else 1
+        self.shard_count = self.servers[0].shard_count
 
     def node_data_dir(self, pid: int) -> Optional[str]:
         """Node ``pid``'s durable-state directory (``None`` if diskless)."""

@@ -1,6 +1,7 @@
 """Fault-plan generation: validation, determinism, and structure."""
 
 import asyncio
+import math
 
 import pytest
 
@@ -77,6 +78,15 @@ class TestSeededGeneration:
             FaultPlan.random_campaign(1, kinds=("nope",))
         with pytest.raises(ValueError):
             FaultPlan.random_campaign(1, period=0.0)
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_period_that_is_not_finite_and_positive(self, period):
+        # A nan or infinite period schedules no fault at all, so a
+        # campaign would pass without ever being disrupted.
+        with pytest.raises(ValueError, match="period"):
+            FaultPlan.random_campaign(1, period=period)
+        with pytest.raises(ValueError, match="period"):
+            FaultPlan.lease_attack_campaign(1, period=period)
 
     def test_victim_rolls_are_reproducible(self):
         """Victim choice is pre-rolled into the plan, not drawn live, so

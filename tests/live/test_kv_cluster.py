@@ -64,6 +64,13 @@ async def _get_via(cluster, pid, key):
 
 
 class TestBasicService:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_a_cluster_needs_a_node(self, n):
+        # An empty cluster never elects a leader: a campaign on one
+        # waits out its whole leader deadline before it fails.
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            LiveKVCluster(n)
+
     def test_put_get_and_status(self):
         async def scenario():
             cluster = LiveKVCluster(3, seed=11, **FAST)

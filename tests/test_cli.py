@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.chaos.cli import build_parser as chaos_build_parser
 from repro.live.cli import build_parser as live_build_parser
 
 
@@ -177,6 +178,9 @@ class TestExploreArguments:
             ("--nodes", "0"),
             ("--shards", "0"),
             ("--workers", "-1"),
+            ("--fault-period", "0"),
+            ("--fault-period", "nan"),
+            ("--fault-period", "inf"),
         ],
     )
     def test_bad_number_is_a_usage_error(self, capsys, flag, bad):
@@ -196,6 +200,43 @@ class TestExploreArguments:
         )
         assert (args.schedules, args.workers, args.nodes, args.shards,
                 args.clients, args.duration) == (1, 0, 1, 1, 1, 0.5)
+
+
+class TestChaosArguments:
+    """``chaos`` refuses bad numbers at parse time with exit 2, never 1:
+    exit 1 means "the checker found a violation", which canary steps
+    test for."""
+
+    @pytest.mark.parametrize(
+        "flag, bad",
+        [
+            ("--nodes", "-1"),
+            ("--nodes", "0"),
+            ("--shards", "0"),
+            ("--clients", "0"),
+            ("--key-space", "0"),
+            ("--duration", "0"),
+            ("--duration", "nan"),
+            ("--fault-period", "0"),
+            ("--fault-period", "nan"),
+            ("--fault-period", "inf"),
+        ],
+    )
+    def test_bad_number_is_a_usage_error(self, capsys, flag, bad):
+        with pytest.raises(SystemExit) as exc:
+            chaos_build_parser().parse_args([flag, bad])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"error: argument {flag}:" in err
+
+    def test_smallest_campaign_is_accepted(self):
+        args = chaos_build_parser().parse_args(
+            ["--nodes", "1", "--shards", "1", "--clients", "1",
+             "--key-space", "1", "--duration", "0.5", "--fault-period", "0.1"]
+        )
+        assert (args.nodes, args.shards, args.clients, args.key_space,
+                args.duration, args.fault_period) == (1, 1, 1, 1, 0.5, 0.1)
 
 
 class TestServeArguments:
