@@ -27,13 +27,15 @@ cluster runtime (see ``docs/live.md``) hang off the same entry point::
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.analysis.report import describe_run, round_table
 from repro.analysis.workloads import balanced_split
+from repro.options import add_options
 from repro.sim.async_runtime import AsyncRuntime
-from repro.sim.failures import CrashPlan, equivocating_strategy
+from repro.sim.failures import equivocating_strategy
 
 ALGORITHMS = (
     "ben-or",
@@ -47,92 +49,31 @@ ALGORITHMS = (
     "shared-memory",
 )
 
-
-def _parse_crash(spec: str) -> CrashPlan:
-    """Parse ``pid@time`` or ``pid@time@restart`` into a CrashPlan."""
-    parts = spec.split("@")
-    if len(parts) not in (2, 3):
-        raise argparse.ArgumentTypeError(
-            f"bad crash spec {spec!r}: use pid@time[@restart]"
-        )
-    try:
-        pid = int(parts[0])
-        at_time = float(parts[1])
-        restart_at = float(parts[2]) if len(parts) == 3 else None
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad crash spec {spec!r}: pid must be an integer, times numeric"
-        )
-    if pid < 0:
-        raise argparse.ArgumentTypeError(
-            f"bad crash spec {spec!r}: pid must be non-negative"
-        )
-    if at_time < 0:
-        raise argparse.ArgumentTypeError(
-            f"bad crash spec {spec!r}: crash time must be non-negative"
-        )
-    if restart_at is not None and restart_at <= at_time:
-        raise argparse.ArgumentTypeError(
-            f"bad crash spec {spec!r}: restart time must come after the crash"
-        )
-    return CrashPlan(pid, at_time=at_time, restart_at=restart_at)
-
-
-def _int_at_least(low: int) -> Callable[[str], int]:
-    """An argparse ``type`` for an int ``>= low``: a bad value exits 2 with
-    a usage message instead of a traceback."""
-
-    def parse(text: str) -> int:
-        value = int(text)  # argparse reports a ValueError by __name__
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-
-    parse.__name__ = "int"
-    return parse
-
-
-EXTRA_COMMANDS_EPILOG = """\
-additional commands (dispatched before this parser):
-  explore ALGORITHM ...   deterministic schedule exploration (docs/testing.md)
-  replay CASE.json ...    replay a recorded failure case (docs/testing.md)
-  serve --pid N --peers ...    run one live replicated-KV node (docs/live.md)
-  client --peers ... OP        put/get/status against a live cluster
-  loadgen --peers ... ...      drive a live cluster, report latency percentiles
-  chaos --seed N ...           fault-inject a cluster, check linearizability
-                               (docs/chaos.md)
-"""
+#: The commands dispatched before the demo runner's parser: name ->
+#: (module whose ``main(argv)`` runs it, one line for ``--help``).
+COMMANDS = {
+    "explore": ("repro.dst.cli", "deterministic schedule exploration (docs/testing.md)"),
+    "replay": ("repro.dst.cli", "replay a recorded failure case (docs/testing.md)"),
+    "serve": ("repro.live.cli", "run one live replicated-KV node (docs/live.md)"),
+    "client": ("repro.live.cli", "put/get/status against a live cluster"),
+    "loadgen": ("repro.live.cli", "drive a live cluster, report latency percentiles"),
+    "chaos": (
+        "repro.chaos.cli", "fault-inject a cluster, check linearizability (docs/chaos.md)"
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Run one consensus execution and print what happened.",
-        epilog=EXTRA_COMMANDS_EPILOG,
+        epilog="additional commands (dispatched before this parser):\n" + "".join(
+            f"  {name:<9} {help_text}\n" for name, (_, help_text) in COMMANDS.items()
+        ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("algorithm", choices=ALGORITHMS)
-    parser.add_argument(
-        "--n", type=_int_at_least(1), default=5, help="number of processes"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="run seed")
-    parser.add_argument(
-        "--byzantine",
-        type=_int_at_least(0),
-        default=0,
-        help="number of (equivocating) Byzantine processes (phase-king only)",
-    )
-    parser.add_argument(
-        "--crash",
-        type=_parse_crash,
-        action="append",
-        default=[],
-        metavar="PID@TIME[@RESTART]",
-        help="crash plan (repeatable; asynchronous algorithms only)",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="print only the summary line"
-    )
+    add_options(parser, ("--n", "--seed", "--byzantine", "--crash", "--quiet"))
     return parser
 
 
@@ -160,18 +101,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in ("explore", "replay"):
-        from repro.dst.cli import main as dst_main
-
-        return dst_main(argv)
-    if argv and argv[0] in ("serve", "client", "loadgen"):
-        from repro.live.cli import main as live_main
-
-        return live_main(argv)
-    if argv and argv[0] == "chaos":
-        from repro.chaos.cli import main as chaos_main
-
-        return chaos_main(argv[1:])
+    if argv and argv[0] in COMMANDS:
+        return importlib.import_module(COMMANDS[argv[0]][0]).main(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     for plan in args.crash:

@@ -45,177 +45,105 @@ from __future__ import annotations
 import argparse
 import asyncio
 import sys
-from functools import partial
 from typing import List, Optional
 
 from repro.chaos import campaign
 from repro.chaos.checker import check_history
-from repro.chaos.nemesis import (
-    DEFAULT_KINDS,
-    FAULT_KINDS,
-    LEASE_ATTACK_KINDS,
-    FaultPlan,
-)
+from repro.chaos.nemesis import DEFAULT_KINDS, FAULT_KINDS, LEASE_ATTACK_KINDS, FaultPlan
 from repro.chaos.timeline import render_html, render_text
 from repro.core.runtime import current_runtime
-from repro.live.cli import checked
-from repro.live.config import validate_count, validate_shards
 from repro.live.engine import DEFAULT_ENGINE, ENGINES, EngineError, parse_engine_spec
-from repro.live.kv import READ_TIERS
-from repro.live.loadgen import check_positive
-from repro.storage.engine import SYNC_MODES
+from repro.options import add_options, opt
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro chaos",
-        description="Fault-inject a live KV cluster and check the recorded "
-        "client history for linearizability.",
-    )
-    parser.add_argument(
-        "--nodes", type=checked(int, partial(validate_count, "nodes")),
-        default=5, help="cluster size",
-    )
-    parser.add_argument(
-        "--shards", type=checked(int, validate_shards), default=2,
-        help="consensus groups",
-    )
-    parser.add_argument(
-        "--engine", default=DEFAULT_ENGINE, metavar="SPEC",
+OPTIONS = (
+    "--nodes", opt("--shards", default=2, metavar=None, help="consensus groups"),
+    opt(
+        "--engine", default=DEFAULT_ENGINE,
         help="consensus backend per shard: one of "
         f"{'/'.join(sorted(ENGINES))} or a comma-separated per-shard "
         f"list (default {DEFAULT_ENGINE})",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="campaign seed")
-    parser.add_argument(
-        "--duration", type=checked(float, partial(check_positive, "duration")),
-        default=20.0,
-        help="workload/nemesis duration in seconds",
-    )
-    parser.add_argument(
-        "--clients", type=checked(int, partial(validate_count, "clients")),
-        default=4,
-    )
-    parser.add_argument(
-        "--read-fraction", type=float, default=0.5, metavar="F",
-        help="fraction of ops that are linearizable reads",
-    )
-    parser.add_argument(
-        "--key-space", type=checked(int, partial(validate_count, "key_space")),
-        default=4, metavar="K",
-        help="number of distinct keys (small = high contention)",
-    )
-    parser.add_argument(
-        "--readonly-clients", type=int, default=1, metavar="R",
-        help="how many clients never write (readers are what catch "
-        "deposed-leader stale reads)",
-    )
-    parser.add_argument(
-        "--op-pause", type=float, default=0.005, metavar="SECS",
-        help="per-client pause between ops (bounds history size so the "
-        "checker finishes within its budget)",
-    )
-    parser.add_argument(
-        "--fault-period",
-        type=checked(float, partial(check_positive, "fault_period")),
-        default=3.0, metavar="SECS",
-        help="seconds between injected faults",
-    )
-    parser.add_argument(
-        "--kinds", default=",".join(DEFAULT_KINDS), metavar="K1,K2,...",
+    ),
+    opt("--seed", help="campaign seed"), "--duration", "--clients",
+    "--read-fraction", "--key-space", "--readonly-clients", "--op-pause",
+    "--fault-period",
+    opt(
+        "--kinds", default=",".join(DEFAULT_KINDS),
         help=f"fault kinds to draw from (choose from {', '.join(FAULT_KINDS)})",
-    )
-    parser.add_argument(
-        "--campaign", choices=("random", "lease-attack"), default="random",
-        help="plan shape: random (default) draws one independent fault "
-        "per period; lease-attack stacks clock-skew + timeout-skew + "
-        "partition-leader each cycle so the deposed leaseholder's clock "
-        "is still skewed when it is isolated (ignores --kinds)",
-    )
-    parser.add_argument(
-        "--time-budget", type=float, default=30.0, metavar="SECS",
-        help="linearizability checker wall-clock budget",
-    )
-    parser.add_argument(
-        "--grace", type=float, default=3.0, metavar="SECS",
-        help="post-heal quiesce time before the final reads",
-    )
-    parser.add_argument(
-        "--html", metavar="FILE", default=None,
-        help="write an HTML timeline of the campaign",
-    )
-    parser.add_argument(
-        "--json", metavar="FILE", default=None,
-        help="write the recorded history as JSON lines",
-    )
-    parser.add_argument(
-        "--data-dir", metavar="DIR", default=None,
+    ),
+    "--campaign", "--time-budget", "--grace", "--html",
+    opt("--json", metavar="FILE", help="write the recorded history as JSON lines"),
+    opt(
+        "--data-dir",
         help="persist each node's Raft state under DIR (power-failure "
         "fault kinds and --inject-bug lost-ack use a temporary "
         "directory when omitted)",
-    )
-    parser.add_argument(
-        "--sync-mode", choices=SYNC_MODES, default="inline",
+    ),
+    opt(
+        "--sync-mode",
         help="WAL durability pipeline: inline fsyncs on the event loop "
         "(default); pipelined off-loads fsync to a thread behind the "
         "durability watermark — power-failure campaigns must stay "
         "linearizable in both modes",
-    )
-    parser.add_argument(
-        "--read-tier", choices=READ_TIERS, default="safe",
+    ),
+    opt(
+        "--read-tier",
         help="how the workload's linearizable reads are served "
         "(default safe; lease exercises the clock-based fast path the "
         "clock-skew fault attacks)",
-    )
-    parser.add_argument(
-        "--lease-duration", type=float, default=None, metavar="SECS",
+    ),
+    opt(
+        "--lease-duration",
         help="leader-lease window (defaults to the election-timeout "
         "floor when --read-tier is lease/follower)",
-    )
-    parser.add_argument(
-        "--drift-bound", type=float, default=0.25, metavar="SECS",
+    ),
+    opt(
+        "--drift-bound", default=0.25,
         help="clock-drift allowance subtracted from every lease "
         "(default 0.25: safe against the default clock-skew factor 4 "
         "on the default 0.3s lease, since 0.3 * (1 - 1/4) = 0.225)",
-    )
-    parser.add_argument(
+    ),
+    opt(
         "--inject-bug",
-        choices=campaign.INJECTABLE_BUGS,
-        default=None,
         help="deliberately break the cluster (stale-reads: nodes that "
         "believe they lead serve lin reads from local state; lost-ack: "
         "writes are acknowledged before fsync, so a power failure "
         "forgets them; unbounded-lease: leases ignore clock drift, so a "
         "clock-skewed leaseholder serves stale reads after deposition) "
         "— the campaign should then FAIL the check",
+    ),
+    opt("--quiet", help="print only the verdict"),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="python -m repro")
+    commands = parser.add_subparsers(dest="command", required=True)
+    chaos = commands.add_parser(
+        "chaos",
+        description="Fault-inject a live KV cluster and check the recorded "
+        "client history for linearizability.",
     )
-    parser.add_argument(
-        "--quiet", action="store_true", help="print only the verdict"
-    )
+    add_options(chaos, OPTIONS)
     return parser
 
 
 async def run_campaign(args: argparse.Namespace) -> int:
     try:
         parse_engine_spec(args.engine, args.shards)
-        kinds = campaign.parse_kinds(args.kinds)
-        if args.campaign == "lease-attack":
-            kinds = LEASE_ATTACK_KINDS
-            plan = FaultPlan.lease_attack_campaign(
-                args.seed,
-                duration=args.duration,
-                period=args.fault_period,
-            )
-        else:
-            plan = FaultPlan.random_campaign(
-                args.seed,
-                duration=args.duration,
-                period=args.fault_period,
-                kinds=kinds,
-            )
-    except (EngineError, ValueError) as exc:
+    except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.campaign == "lease-attack":
+        kinds = LEASE_ATTACK_KINDS
+        plan = FaultPlan.lease_attack_campaign(
+            args.seed, duration=args.duration, period=args.fault_period
+        )
+    else:
+        kinds = args.kinds
+        plan = FaultPlan.random_campaign(
+            args.seed, duration=args.duration, period=args.fault_period,
+            kinds=kinds,
+        )
     options, needs_disk = campaign.cluster_options(
         args.inject_bug, args.read_tier, args.drift_bound, kinds
     )
@@ -284,7 +212,3 @@ async def run_campaign(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     return asyncio.run(run_campaign(args))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.algorithms.trigger import TimerTrigger
 from repro.live.harness import LiveKVCluster
-from repro.live.loadgen import check_positive
+from repro.options import check_non_negative, check_positive
 from repro.storage.wal import flip_bit
 
 Args = Tuple[Tuple[str, Any], ...]
@@ -140,8 +140,7 @@ class FaultPlan:
         last = -1.0
         for event in self.events:
             check_kind(event.kind)
-            if event.at < 0:
-                raise ValueError(f"fault time must be >= 0, got {event.at}")
+            check_non_negative("at", event.at)
             if event.at < last:
                 raise ValueError("fault events must be time-ordered")
             last = event.at

@@ -41,32 +41,45 @@ import json
 import os
 import sys
 import time
-from functools import partial
 from typing import List, Optional
 
 from repro.analysis.report import exploration_summary
-from repro.chaos.campaign import INJECTABLE_BUGS, parse_kinds
-from repro.dst.corpus import (
-    DEFAULT_CORPUS_DIR,
-    CorpusCase,
-    case_name,
-    replay as replay_case,
-    save_case,
-)
+from repro.dst.corpus import CorpusCase, case_name, replay as replay_case, save_case
 from repro.dst.explorer import explore, generate_scenarios
-from repro.dst.livestack import (
-    LIVE_EXPLORE_KINDS,
-    LiveScenario,
-    generate_live_scenarios,
-)
+from repro.dst.livestack import LIVE_EXPLORE_KINDS, LiveScenario, generate_live_scenarios
 from repro.dst.registry import algorithm_names, get_algorithm
 from repro.dst.scenario import VIOLATION, scenario_from_dict
 from repro.dst.shrinker import shrink
-from repro.live.cli import check_non_negative, checked
-from repro.live.config import validate_count, validate_shards
-from repro.live.loadgen import check_positive
+from repro.options import add_options, opt
 
-COMMANDS = ("explore", "replay")
+EXPLORE_OPTIONS = (
+    "--stack", "--schedules",
+    opt(
+        "--seed", flag="--meta-seed", aliases=("--seed",),
+        help="seed of the generator walk (the sweep is a pure function of it)",
+    ),
+    "--mutation-rate", "--n-range", "--max-rounds", "--workers", "--stop-after",
+    "--shrink", "--save-corpus", opt("--quiet", help="print only the outcome counts"),
+)
+LIVE_STACK_OPTIONS = (
+    opt("--nodes", default=3, help="cluster size per schedule"),
+    opt("--shards", default=2, metavar=None, help="consensus groups per node"),
+    opt(
+        "--duration", default=6.0,
+        help="virtual seconds of faulted workload per schedule",
+    ),
+    opt("--clients", default=3),
+    opt("--inject-bug", default=""),
+    opt(
+        "--kinds", default=",".join(LIVE_EXPLORE_KINDS),
+        help="comma-separated fault kinds (default: %(default)s)",
+    ),
+    opt(
+        "--fault-period", default=1.5, metavar=None,
+        help="virtual seconds between scheduled faults",
+    ),
+    "--trace-out",
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,124 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=algorithm_names(include_broken=True),
         help="registry name to sweep (required unless --stack live)",
     )
-    ex.add_argument(
-        "--stack",
-        choices=("sim", "live"),
-        default="sim",
-        help="what to explore: bare simulator algorithms (sim) or the "
-        "full KVServer production stack in virtual time (live)",
-    )
-    ex.add_argument(
-        "--schedules",
-        type=checked(int, partial(validate_count, "schedules")),
-        default=200,
-        help="scenarios to run",
-    )
-    ex.add_argument(
-        "--meta-seed",
-        "--seed",
-        dest="meta_seed",
-        type=int,
-        default=0,
-        help="seed of the generator walk (the sweep is a pure function of it)",
-    )
-    ex.add_argument(
-        "--mutation-rate",
-        type=float,
-        default=0.4,
-        help="fraction of scenarios produced by adversarial mutation",
-    )
-    ex.add_argument(
-        "--n-range",
-        type=str,
-        default="4:7",
-        metavar="LO:HI",
-        help="inclusive system-size range",
-    )
-    ex.add_argument(
-        "--max-rounds", type=int, default=60, help="template-round cap per run"
-    )
-    ex.add_argument(
-        "--workers",
-        type=checked(int, partial(check_non_negative, "workers")),
-        default=0,
-        help="fan execution out over a multiprocessing pool of this size",
-    )
-    ex.add_argument(
-        "--stop-after",
-        type=int,
-        default=None,
-        metavar="K",
-        help="stop after K violating scenarios",
-    )
-    ex.add_argument(
-        "--shrink",
-        action="store_true",
-        help="minimize each violating scenario before reporting it",
-    )
-    ex.add_argument(
-        "--save-corpus",
-        nargs="?",
-        const=DEFAULT_CORPUS_DIR,
-        default=None,
-        metavar="DIR",
-        help=f"save (shrunk) violations as corpus cases (default dir: {DEFAULT_CORPUS_DIR})",
-    )
-    ex.add_argument(
-        "--quiet", action="store_true", help="print only the outcome counts"
-    )
-
-    live = ex.add_argument_group("live-stack options (--stack live)")
-    live.add_argument(
-        "--nodes",
-        type=checked(int, partial(validate_count, "nodes")),
-        default=3,
-        help="cluster size per schedule",
-    )
-    live.add_argument(
-        "--shards",
-        type=checked(int, validate_shards),
-        default=2,
-        help="consensus groups per node",
-    )
-    live.add_argument(
-        "--duration",
-        type=checked(float, partial(check_positive, "duration")),
-        default=6.0,
-        help="virtual seconds of faulted workload per schedule",
-    )
-    live.add_argument(
-        "--clients",
-        type=checked(int, partial(validate_count, "clients")),
-        default=3,
-        help="workload clients",
-    )
-    live.add_argument(
-        "--inject-bug",
-        choices=INJECTABLE_BUGS,
-        default="",
-        help="run a known-buggy cluster (canary sweeps should violate)",
-    )
-    live.add_argument(
-        "--kinds",
-        type=str,
-        default=",".join(LIVE_EXPLORE_KINDS),
-        metavar="K1,K2,...",
-        help="comma-separated fault kinds (default: %(default)s)",
-    )
-    live.add_argument(
-        "--fault-period",
-        type=checked(float, partial(check_positive, "fault_period")),
-        default=1.5,
-        help="virtual seconds between scheduled faults",
-    )
-    live.add_argument(
-        "--trace-out",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="append every schedule's full node trace to PATH "
-        "(byte-identical across repeat runs of the same sweep)",
+    add_options(ex, EXPLORE_OPTIONS)
+    add_options(
+        ex.add_argument_group("live-stack options (--stack live)"),
+        LIVE_STACK_OPTIONS,
     )
 
     rp = sub.add_parser(
@@ -229,22 +128,18 @@ def _sweep(args: argparse.Namespace):
             args.schedules,
             args.meta_seed,
             base=base,
-            kinds=parse_kinds(args.kinds),
+            kinds=args.kinds,
             fault_period=args.fault_period,
         )
         return "live", scenarios, bool(args.inject_bug)
     if args.algorithm is None:
         raise ValueError("an algorithm is required unless --stack live")
-    try:
-        lo, hi = (int(part) for part in args.n_range.split(":"))
-    except ValueError:
-        raise ValueError(f"bad --n-range {args.n_range!r}: use LO:HI") from None
     scenarios = generate_scenarios(
         args.algorithm,
         args.schedules,
         meta_seed=args.meta_seed,
         mutation_rate=args.mutation_rate,
-        n_range=(lo, hi),
+        n_range=args.n_range,
         max_rounds=args.max_rounds,
     )
     expect_broken = get_algorithm(args.algorithm).expect_broken
@@ -314,14 +209,19 @@ def _replay(args: argparse.Namespace) -> int:
     try:
         with open(args.path) as handle:
             data = json.load(handle)
+        case = CorpusCase.from_dict(data) if "scenario" in data else None
+        scenario = case.scenario if case else scenario_from_dict(data)
     except OSError as exc:
         print(f"error: cannot read {args.path}: {exc.strerror}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: {args.path} is not valid JSON: {exc}", file=sys.stderr)
         return 2
-    if "scenario" in data:
-        case = CorpusCase.from_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        # A hand-edited case is outside input: a bad field is a usage error.
+        print(f"error: {args.path}: bad scenario: {exc}", file=sys.stderr)
+        return 2
+    if case is not None:
         outcome = replay_case(case)
         print(
             f"replayed {case.name}: status={outcome.status} "
@@ -341,7 +241,7 @@ def _replay(args: argparse.Namespace) -> int:
         )
         return 1
     # A bare scenario JSON: just run it and report.
-    outcome = scenario_from_dict(data).run().outcome
+    outcome = scenario.run().outcome
     print(f"status={outcome.status} ({outcome.events} events)")
     if outcome.violation is not None:
         print(f"  [{outcome.violation.kind}] {outcome.violation.message}")

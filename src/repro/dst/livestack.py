@@ -37,7 +37,7 @@ from typing import Any, ClassVar, Dict, Iterator, List, Optional, Sequence, Tupl
 from repro.chaos import campaign
 from repro.chaos.checker import check_history
 from repro.chaos.history import History
-from repro.chaos.nemesis import DEFAULT_KINDS, FaultEvent, FaultPlan, check_kind
+from repro.chaos.nemesis import DEFAULT_KINDS, FaultEvent, FaultPlan
 from repro.core.runtime import SimRuntime
 from repro.dst.scenario import (
     ERROR,
@@ -50,6 +50,7 @@ from repro.dst.scenario import (
     ViolationRecord,
 )
 from repro.live.engine import ENGINES
+from repro.options import check_fields
 from repro.sim.trace import Trace
 
 #: The fault mix explored by default: every kind that needs neither a
@@ -103,8 +104,13 @@ class LiveScenario:
                 f"unknown inject_bug {self.inject_bug!r} "
                 f"(choose from {campaign.INJECTABLE_BUGS})"
             )
-        for event in self.faults:
-            check_kind(event.kind)
+        check_fields(
+            self, n="--nodes", shards="--shards", duration="--duration",
+            clients="--clients", readonly_clients="--readonly-clients",
+            key_space="--key-space", read_fraction="--read-fraction",
+            op_pause="--op-pause", grace="--grace",
+        )
+        FaultPlan(self.faults)  # checks each event's kind, time and order
 
     def run(self) -> "LiveRunResult":
         return run_live(self)

@@ -20,92 +20,49 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import math
 import os
 import signal
 import sys
-from functools import partial
-from typing import Any, Callable, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.live.client import AsyncKVClient
-from repro.live.config import (
-    DEFAULT_MAX_INFLIGHT,
-    ClusterConfig,
-    validate_count,
-    validate_shards,
-)
 from repro.live.engine import DEFAULT_ENGINE, ENGINES, EngineError, parse_engine_spec
-from repro.live.kv import (
-    DEFAULT_DRIFT_BOUND,
-    DEFAULT_STALENESS_BOUND,
-    READ_TIERS,
-    KVServer,
+from repro.live.kv import KVServer
+from repro.live.loadgen import run_closed_loop, run_open_loop
+from repro.options import add_options, opt
+from repro.storage.engine import StorageQuarantineError
+
+SERVE_OPTIONS = (
+    "--peers", "--pid", "--seed",
+    opt(
+        "--shards", default=1,
+        help="independent consensus groups hosted by this node; must match "
+        "the rest of the cluster (default 1)",
+    ),
+    opt(
+        "--engine", default=DEFAULT_ENGINE,
+        help="consensus backend per shard: one of "
+        f"{'/'.join(sorted(ENGINES))}, or a comma-separated list with "
+        "one name per shard (e.g. raft,ct); must match the rest of "
+        f"the cluster (default {DEFAULT_ENGINE})",
+    ),
+    "--election-timeout", "--heartbeat", "--snapshot-threshold", "--data-dir",
+    "--sync-mode", "--status-interval", "--no-rejoin", "--read-tier",
+    "--lease-duration", "--drift-bound", "--staleness-bound", "--max-inflight",
 )
-from repro.live.loadgen import (
-    KEY_DISTRIBUTIONS,
-    check_positive,
-    check_read_ratio,
-    run_closed_loop,
-    run_open_loop,
+CLIENT_OPTIONS = ("--peers", "--shards", "--engine")
+LOADGEN_OPTIONS = (
+    "--peers", "--ops", "--concurrency", "--rate",
+    opt("--duration", default=2.0, help="open-loop: seconds to run (default 2.0)"),
+    "--value-size", opt("--key-space", default=128, metavar=None, help="distinct keys"),
+    opt("--seed", help="workload seed"), "--key-dist", "--zipf-s", "--read-ratio",
+    opt(
+        "--read-tier", choices=("safe", "readindex", "lease"), default=None,
+        help="serving tier requested for the gets (omit for the "
+        "servers' default tier)",
+    ),
+    "--read-staleness", "--shards", "--engine", "--json",
 )
-from repro.storage.engine import SYNC_MODES, StorageQuarantineError
-
-
-def checked(convert: Callable, check: Callable) -> Callable[[str], Any]:
-    """An argparse ``type`` that converts, then validates: a bad value
-    exits 2 with a usage message instead of a traceback."""
-
-    def parse(text: str) -> Any:
-        try:
-            return check(convert(text))
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc))
-
-    return parse
-
-
-def check_non_negative(name: str, value: float) -> float:
-    """``value`` if it is a finite number >= 0, else ``ValueError``."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
-    return value
-
-
-_parse_max_inflight = checked(int, partial(validate_count, "max_inflight"))
-_parse_shards = checked(int, validate_shards)
-
-
-def _add_client_shards_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards",
-        type=_parse_shards,
-        default=None,
-        metavar="S",
-        help="the cluster's shard count; omit to discover it from the "
-        "cluster (one status round trip)",
-    )
-
-
-def _add_engine_argument(parser: argparse.ArgumentParser, serve: bool) -> None:
-    if serve:
-        help_text = (
-            "consensus backend per shard: one of "
-            f"{'/'.join(sorted(ENGINES))}, or a comma-separated list with "
-            "one name per shard (e.g. raft,ct); must match the rest of "
-            f"the cluster (default {DEFAULT_ENGINE})"
-        )
-    else:
-        help_text = (
-            "the engine the cluster is expected to run; checked against "
-            "the servers' advertised engine and mismatches fail loudly "
-            "(omit to skip the check)"
-        )
-    parser.add_argument(
-        "--engine",
-        default=DEFAULT_ENGINE if serve else None,
-        metavar="SPEC",
-        help=help_text,
-    )
 
 
 async def _check_engine(client: AsyncKVClient, expected: str) -> None:
@@ -124,32 +81,6 @@ async def _check_engine(client: AsyncKVClient, expected: str) -> None:
             )
         return
     raise EngineError("no node reachable to confirm the cluster engine")
-
-
-def _parse_timeout_range(spec: str) -> Tuple[float, float]:
-    """Parse ``lo,hi`` (seconds) into an election-timeout range."""
-    try:
-        lo_text, hi_text = spec.split(",")
-        lo, hi = float(lo_text), float(hi_text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad timeout range {spec!r}: use lo,hi (e.g. 0.3,0.6)"
-        )
-    if not 0 < lo <= hi:
-        raise argparse.ArgumentTypeError(
-            f"bad timeout range {spec!r}: need 0 < lo <= hi"
-        )
-    return lo, hi
-
-
-def _add_peers_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--peers",
-        required=True,
-        type=ClusterConfig.from_spec,
-        metavar="HOST:PORT[:CLIENTPORT],...",
-        help="full cluster membership, in pid order",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,215 +111,23 @@ def build_parser() -> argparse.ArgumentParser:
             "slow needs --drift-bound >= lease * (1 - 1/f)."
         ),
     )
-    _add_peers_argument(serve)
-    serve.add_argument("--pid", type=int, required=True, help="this node's pid")
-    serve.add_argument("--seed", type=int, default=0, help="run seed")
-    serve.add_argument(
-        "--shards",
-        type=_parse_shards,
-        default=1,
-        metavar="S",
-        help="independent consensus groups hosted by this node; must match "
-        "the rest of the cluster (default 1)",
-    )
-    _add_engine_argument(serve, serve=True)
-    serve.add_argument(
-        "--election-timeout",
-        type=_parse_timeout_range,
-        default=(0.3, 0.6),
-        metavar="LO,HI",
-        help="election timer range in seconds (default 0.3,0.6)",
-    )
-    serve.add_argument(
-        "--heartbeat",
-        type=checked(float, partial(check_positive, "heartbeat")),
-        default=0.06,
-        help="leader heartbeat interval in seconds (default 0.06)",
-    )
-    serve.add_argument(
-        "--snapshot-threshold",
-        type=checked(int, partial(check_positive, "snapshot threshold")),
-        default=None,
-        help="compact the Raft log above this many entries",
-    )
-    serve.add_argument(
-        "--data-dir",
-        default=None,
-        metavar="DIR",
-        help="persist consensus state (term, vote, log, snapshots) under "
-        "DIR and recover it on restart; omit for the in-memory behaviour",
-    )
-    serve.add_argument(
-        "--sync-mode",
-        choices=SYNC_MODES,
-        default="inline",
-        help="WAL durability pipeline under --data-dir: inline blocks the "
-        "event loop on every group fsync (default); pipelined hands the "
-        "fsync to a dedicated thread and releases acks when the "
-        "durability watermark catches up (see docs/performance.md)",
-    )
-    serve.add_argument(
-        "--status-interval",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="print one commit-pipeline health line (fsync queue depth, "
-        "watermark lag, batch occupancy, frames per write) every SECS "
-        "seconds",
-    )
-    serve.add_argument(
-        "--no-rejoin",
-        action="store_true",
-        help="strict quarantine: refuse to start when the durable state "
-        "under --data-dir is corrupt, instead of moving it aside and "
-        "rejoining as an empty follower (see docs/storage.md for the "
-        "trade-off)",
-    )
-    serve.add_argument(
-        "--read-tier",
-        choices=READ_TIERS,
-        default="safe",
-        help="default serving tier for linearizable gets (see epilog; "
-        "default safe); clients can override per request",
-    )
-    serve.add_argument(
-        "--lease-duration",
-        type=checked(float, partial(check_non_negative, "lease duration")),
-        default=None,
-        metavar="SECS",
-        help="leader-lease / follower-stickiness window; defaults to the "
-        "election-timeout floor when --read-tier is lease or follower, "
-        "else 0 (lease machinery off)",
-    )
-    serve.add_argument(
-        "--drift-bound",
-        type=checked(float, partial(check_non_negative, "drift bound")),
-        default=DEFAULT_DRIFT_BOUND,
-        metavar="SECS",
-        help="clock-drift allowance subtracted from every lease "
-        f"(default {DEFAULT_DRIFT_BOUND}); 0 is UNSAFE under skewed "
-        "clocks and exists for the chaos canary",
-    )
-    serve.add_argument(
-        "--staleness-bound",
-        type=checked(float, partial(check_non_negative, "staleness bound")),
-        default=DEFAULT_STALENESS_BOUND,
-        metavar="SECS",
-        help="cap on the staleness bound follower reads may request "
-        f"(default {DEFAULT_STALENESS_BOUND})",
-    )
-    serve.add_argument(
-        "--max-inflight",
-        type=_parse_max_inflight,
-        default=DEFAULT_MAX_INFLIGHT,
-        metavar="N",
-        help="replication pipeline depth: hold new proposals while this "
-        f"many entries are uncommitted (>= 1, default {DEFAULT_MAX_INFLIGHT})",
-    )
+    add_options(serve, SERVE_OPTIONS)
 
     client = commands.add_parser("client", help="issue one KV request")
-    _add_peers_argument(client)
-    _add_client_shards_argument(client)
-    _add_engine_argument(client, serve=False)
+    add_options(client, CLIENT_OPTIONS)
     sub = client.add_subparsers(dest="operation", required=True)
     put = sub.add_parser("put", help="replicate KEY -> VALUE")
     put.add_argument("key")
     put.add_argument("value")
     get = sub.add_parser("get", help="read KEY (local read, may be stale)")
     get.add_argument("key")
-    get.add_argument(
-        "--tier",
-        choices=("safe", "readindex", "lease"),
-        default=None,
-        help="linearizable read through the leader at this tier "
-        "(omit for the plain local read)",
-    )
-    get.add_argument(
-        "--staleness",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="bounded-stale read: accept any replica whose state is "
-        "provably at most SECS old (fans out, followers first)",
-    )
+    add_options(get, ("--tier", "--staleness"))
     sub.add_parser("status", help="print each node's role/term/indices")
 
     loadgen = commands.add_parser(
         "loadgen", help="drive a running cluster and report latency"
     )
-    _add_peers_argument(loadgen)
-    loadgen.add_argument(
-        "--ops", type=int, default=200, help="closed-loop: total writes"
-    )
-    loadgen.add_argument(
-        "--concurrency", type=int, default=4, help="closed-loop: workers"
-    )
-    loadgen.add_argument(
-        "--rate",
-        type=checked(float, partial(check_positive, "rate")),
-        default=None,
-        help="open-loop: arrivals per second (switches mode)",
-    )
-    loadgen.add_argument(
-        "--duration",
-        type=checked(float, partial(check_positive, "duration")),
-        default=2.0,
-        help="open-loop: seconds to run (default 2.0)",
-    )
-    loadgen.add_argument(
-        "--value-size", type=int, default=16, help="bytes per value"
-    )
-    loadgen.add_argument(
-        "--key-space",
-        type=checked(int, partial(check_positive, "key_space")),
-        default=128,
-        help="distinct keys",
-    )
-    loadgen.add_argument("--seed", type=int, default=0, help="workload seed")
-    loadgen.add_argument(
-        "--key-dist",
-        choices=KEY_DISTRIBUTIONS,
-        default="uniform",
-        help="key popularity: uniform (default) or zipf (hot-key skew)",
-    )
-    loadgen.add_argument(
-        "--zipf-s",
-        type=checked(float, partial(check_positive, "zipf exponent")),
-        default=1.1,
-        metavar="S",
-        help="zipf exponent; larger = more skew (default 1.1)",
-    )
-    loadgen.add_argument(
-        "--read-ratio",
-        type=checked(float, check_read_ratio),
-        default=0.0,
-        metavar="R",
-        help="fraction of ops issued as linearizable gets instead of "
-        "puts (default 0.0; combinable with --key-dist zipf)",
-    )
-    loadgen.add_argument(
-        "--read-tier",
-        choices=("safe", "readindex", "lease"),
-        default=None,
-        help="serving tier requested for the gets (omit for the "
-        "servers' default tier)",
-    )
-    loadgen.add_argument(
-        "--read-staleness",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="issue the gets as bounded-stale follower reads with this "
-        "staleness bound instead of linearizable reads",
-    )
-    _add_client_shards_argument(loadgen)
-    _add_engine_argument(loadgen, serve=False)
-    loadgen.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the report as JSON to PATH",
-    )
+    add_options(loadgen, LOADGEN_OPTIONS)
     return parser
 
 
@@ -481,7 +220,7 @@ async def _serve(args: argparse.Namespace) -> int:
         except NotImplementedError:  # pragma: no cover - non-unix
             pass
     reporter = None
-    if args.status_interval is not None and args.status_interval > 0:
+    if args.status_interval is not None:
         reporter = asyncio.ensure_future(
             _report_pipeline(server, args.pid, args.status_interval)
         )
@@ -622,7 +361,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -24,28 +24,6 @@ CLIENT_PORT_OFFSET = 1000
 DEFAULT_MAX_INFLIGHT = 16
 
 
-def validate_count(name: str, value: int) -> int:
-    """Check a setting that must be an integer >= 1 (``max_inflight``,
-    ``max_batch``, ``shards``; CLI / config shared validation)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return value
-
-
-#: Sanity cap on Raft groups per cluster.  Each shard costs a full
-#: consensus instance per node (log, timers, heartbeats); hundreds of
-#: groups on one node set is a config error, not a deployment.
-MAX_SHARDS = 256
-
-
-def validate_shards(value: int) -> int:
-    """Check a shard-count setting (CLI / config / router shared)."""
-    validate_count("shards", value)
-    if value > MAX_SHARDS:
-        raise ValueError(f"shards must be <= {MAX_SHARDS}, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class NodeSpec:
     """One cluster member's network identity."""

@@ -17,9 +17,10 @@ import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.runtime import Runtime, current_runtime
-from repro.live.config import ClusterConfig, validate_count
+from repro.live.config import ClusterConfig
 from repro.live.kv import KVServer
 from repro.live.runtime import LiveRuntime
+from repro.options import check_count
 from repro.sim.process import Process
 from repro.sim.trace import Trace
 
@@ -183,7 +184,7 @@ class LiveKVCluster:
         runtime: Optional[Runtime] = None,
         **server_options: Any,
     ):
-        validate_count("n", n)
+        check_count("n", n)
         self.rt = runtime if runtime is not None else current_runtime()
         if cluster is None:
             cluster = (

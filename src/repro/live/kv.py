@@ -81,17 +81,13 @@ from repro.algorithms.raft.node import LEADER
 from repro.algorithms.raft.state_machine import KeyValueStateMachine, Put
 from repro.algorithms.readpath import ReadBarrier, ReadConfig
 from repro.core.runtime import Runtime, current_runtime
-from repro.live.config import (
-    DEFAULT_MAX_INFLIGHT,
-    ClusterConfig,
-    validate_count,
-    validate_shards,
-)
+from repro.live.config import DEFAULT_MAX_INFLIGHT, ClusterConfig
 from repro.live.engine import DEFAULT_ENGINE, ConsensusEngine, parse_engine_spec
 from repro.live.runtime import LiveRuntime, derive_process_seed
 from repro.live.sharding import shard_of
 from repro.live.transport import PeerTransport
 from repro.live.wire import decode_body, enable_nodelay, frame_bytes, read_frame_bytes
+from repro.options import check_count, check_shards
 from repro.sim import trace as tr
 from repro.sim.serialize import WireError, register_wire_type
 from repro.storage.engine import SYNC_MODES, RaftStorage
@@ -805,10 +801,10 @@ class KVServer:
         #: on: real sockets and wall clocks in production, the in-memory
         #: deterministic network and virtual time under DST.
         self.rt = runtime if runtime is not None else current_runtime()
-        self.shard_count = validate_shards(shards)
+        self.shard_count = check_shards("shards", shards)
         self.engines = parse_engine_spec(engine, self.shard_count)
-        max_batch = validate_count("max_batch", max_batch)
-        self.max_inflight = validate_count("max_inflight", max_inflight)
+        max_batch = check_count("max_batch", max_batch)
+        self.max_inflight = check_count("max_inflight", max_inflight)
         self.commit_timeout = commit_timeout
         if read_tier not in READ_TIERS:
             raise ValueError(

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import asyncio
 import bisect
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
@@ -47,22 +46,9 @@ from repro.analysis.metrics import latency_summary
 from repro.core.runtime import current_runtime
 from repro.live.client import AsyncKVClient, ClusterUnavailableError
 from repro.live.config import ClusterConfig
+from repro.options import check_fraction, check_positive
 
 KEY_DISTRIBUTIONS = ("uniform", "zipf")
-
-
-def check_positive(name: str, value: float) -> float:
-    """``value`` if it is a finite number > 0, else ``ValueError``."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and > 0, got {value}")
-    return value
-
-
-def check_read_ratio(read_ratio: float) -> float:
-    """``read_ratio`` if it lies in [0, 1], else ``ValueError``."""
-    if not 0.0 <= read_ratio <= 1.0:
-        raise ValueError(f"read_ratio must be in [0, 1], got {read_ratio}")
-    return read_ratio
 
 
 class ZipfSampler:
@@ -200,7 +186,7 @@ async def run_closed_loop(
     (served at ``read_tier``, or bounded-stale if ``read_staleness`` is
     set) and a put otherwise.
     """
-    check_read_ratio(read_ratio)
+    check_fraction("read_ratio", read_ratio)
     sample_key = make_key_sampler(key_dist, key_space, zipf_s)
     shard_count = await _discover_shards(
         cluster, shards, request_timeout=request_timeout
@@ -295,7 +281,7 @@ async def run_open_loop(
     """
     check_positive("rate", rate)
     check_positive("duration", duration)
-    check_read_ratio(read_ratio)
+    check_fraction("read_ratio", read_ratio)
     sample_key = make_key_sampler(key_dist, key_space, zipf_s)
     shard_count = await _discover_shards(
         cluster, shards, request_timeout=request_timeout

@@ -28,7 +28,8 @@ import itertools
 from typing import Any, Dict, Optional, Tuple
 
 from repro.algorithms.trigger import preferred_leader, staggered_election_timeout
-from repro.live.config import ClusterConfig, validate_shards
+from repro.live.config import ClusterConfig
+from repro.options import check_shards
 
 __all__ = [
     "ShardRouter",
@@ -82,7 +83,7 @@ class ShardRouter:
 
     def __init__(self, cluster: ClusterConfig, shards: int):
         self.cluster = cluster
-        self.shards = validate_shards(shards)
+        self.shards = check_shards("shards", shards)
         self._hints: Dict[int, Tuple[str, int]] = {}
         self._rotation = itertools.cycle(range(cluster.n))
 

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.__main__ import main
 
 
@@ -65,8 +67,10 @@ class TestExplore:
         assert data["violation"]["kind"] == "vac-coherence"
 
     def test_bad_n_range_rejected(self, capsys):
-        assert run_cli("explore", "ben-or", "--n-range", "wide") == 2
-        assert "bad --n-range" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run_cli("explore", "ben-or", "--n-range", "wide")
+        assert exc.value.code == 2
+        assert "argument --n-range: bad n_range 'wide'" in capsys.readouterr().err
 
 
 class TestReplay:

@@ -22,6 +22,7 @@ from repro.dst.livestack import (
     generate_live_scenarios,
     run_live,
 )
+from repro.dst.scenario import scenario_from_dict
 
 #: Short but not trivial: two fault-heal cycles, a couple hundred ops.
 SCENARIO = LiveScenario(
@@ -177,6 +178,52 @@ class TestScenarioSerialization:
             LiveScenario(faults=(FaultEvent(1.0, "meteor-strike"),))
 
 
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "regressions", "corpus")
+
+
+class TestScenarioFilesAreChecked:
+    """A scenario file is outside input: each field meets the bounds of
+    the flag that sets it, and ``replay`` names the field it refuses."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("read_fraction", 7), ("clients", 0), ("n", 0), ("shards", 0),
+         ("duration", 0), ("readonly_clients", -1), ("key_space", 0),
+         ("op_pause", -1), ("grace", float("nan")), ("clients", 2.5)],
+    )
+    def test_bad_field_is_refused_by_name(self, field, value):
+        data = {**SCENARIO.to_dict(), field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            scenario_from_dict(data)
+
+    def test_bad_fault_time_is_refused(self):
+        data = SCENARIO.to_dict()
+        data["faults"] = [{"at": -1.0, "kind": "heal"}]
+        with pytest.raises(ValueError, match="^at must be finite and >= 0"):
+            scenario_from_dict(data)
+
+    def test_replay_exits_2_naming_the_field(self, tmp_path, capsys):
+        case_file = "live-unbounded-lease-linearizability-n3-seed11.json"
+        with open(os.path.join(CORPUS, case_file)) as fh:
+            case = json.load(fh)
+        case["scenario"]["read_fraction"] = 7
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(case))
+        assert dst_main(["replay", str(path)]) == 2
+        assert "read_fraction must be in [0, 1], got 7" in capsys.readouterr().err
+
+    def test_committed_cases_and_their_shrink_steps_validate(self):
+        live = 0
+        for name in sorted(os.listdir(CORPUS)):
+            scenario = load_case(os.path.join(CORPUS, name)).scenario
+            if isinstance(scenario, LiveScenario):
+                live += 1
+                # Each step is a fresh LiveScenario: building it checks it.
+                for step in scenario.shrink_passes():
+                    list(step(scenario))
+        assert live == 3
+
+
 class TestInjectedBugCanary:
     def test_stale_reads_bug_violates(self):
         """A deliberately broken cluster must produce a violation —
@@ -251,5 +298,7 @@ class TestSharedPipeline:
 
     def test_cli_rejects_an_unknown_fault_kind(self, capsys):
         argv = ["explore", "--stack", "live", "--kinds", "bogus"]
-        assert dst_main(argv) == 2
-        assert "unknown fault kind 'bogus'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            dst_main(argv)
+        assert exc.value.code == 2
+        assert "argument --kinds: unknown fault kind 'bogus'" in capsys.readouterr().err

@@ -152,6 +152,19 @@ def test_max_batch_below_one_is_refused(max_batch):
         KVServer(ClusterConfig.simulated(3), 0, max_batch=max_batch)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 0")
+def test_a_retried_put_is_applied_once():
+    """A client retries ``c1-1`` after a redirect; the deposed leader's
+    entry had survived, so the retry commits again in a new batch, after
+    another client's put.  Applying it twice turns the store back to the
+    older value."""
+    machine = kv.KVCommandMachine()
+    puts = [("c1-1", "v1"), ("c2-1", "v2"), ("c1-1", "v1")]
+    for index, (op_id, value) in enumerate(puts, start=1):
+        machine.apply(index, batch(index, (kv.TaggedPut("k", value, op_id),)))
+    assert machine.data == {"k": "v2"}
+
+
 class TestDeposedLeader:
     def test_every_waiter_kind_redirects(self):
         """A put, a safe read and a readindex read wait on an isolated

@@ -1,11 +1,16 @@
 """Tests for the ``python -m repro`` command-line demo runner."""
 
+import argparse
+import importlib
+import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from repro.__main__ import build_parser, main
+from repro import options
+from repro.__main__ import COMMANDS, build_parser, main
 from repro.chaos.cli import build_parser as chaos_build_parser
 from repro.live.cli import build_parser as live_build_parser
 
@@ -109,24 +114,139 @@ class TestParser:
         plan = args.crash[0]
         assert (plan.pid, plan.at_time, plan.restart_at) == (1, 5.0, 9.0)
 
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (("raft", "--n", "0"), "argument --n: must be >= 1, got 0"),
-            (("paxos", "--n", "0"), "argument --n: must be >= 1, got 0"),
-            (("ben-or", "--n", "-1"), "argument --n: must be >= 1, got -1"),
-            (("chandra-toueg", "--n", "0"), "argument --n: must be >= 1"),
-            (("shared-memory", "--n", "0"), "argument --n: must be >= 1"),
-            (("ben-or", "--n", "x"), "argument --n: invalid int value: 'x'"),
-            (
-                ("phase-king", "--n", "7", "--byzantine", "-1"),
-                "argument --byzantine: must be >= 0, got -1",
-            ),
-            (("raft", "--n", "3", "--crash", "7@1"), "pid 7 is not below --n 3"),
-            (("paxos", "--n", "3", "--crash", "7@1"), "pid 7 is not below --n 3"),
-        ],
-    )
-    def test_bad_numbers_are_usage_errors(self, capsys, argv, message):
+
+def parsers():
+    """Every parser ``python -m repro`` reaches, by prog."""
+    found = {}
+
+    def walk(parser):
+        found.setdefault(parser.prog, parser)  # the demo runner owns "python -m repro"
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    walk(sub)
+
+    walk(build_parser())
+    for module in sorted({module for module, _ in COMMANDS.values()}):
+        walk(importlib.import_module(module).build_parser())
+    return found
+
+
+def actions(parser):
+    """``[option_strings, dest, default, choices, metavar, help]`` per action."""
+
+    def plain(value):
+        return [plain(v) for v in value] if isinstance(value, (list, tuple)) else value
+
+    return [
+        [action.option_strings, action.dest, plain(action.default),
+         plain(action.choices), action.metavar, action.help]
+        for action in parser._actions
+        if not isinstance(action, (argparse._SubParsersAction, argparse._HelpAction))
+    ]
+
+
+class TestHelpDoesNotDrift:
+    """Every parser's actions equal the recorded ones: the option table
+    moved the flags, it did not change what ``--help`` shows."""
+
+    #: Help that was wrong when the fixture was recorded: (prog, dest) ->
+    #: the fields that changed.
+    FIXED = {("python -m repro chaos", "clients"): {5: "workload clients"}}
+
+    def test_actions_match_the_fixture(self):
+        with open(os.path.join(os.path.dirname(__file__), "parser_actions.json")) as fh:
+            recorded = json.load(fh)
+        for (prog, dest), fields in self.FIXED.items():
+            (row,) = [row for row in recorded[prog] if row[1] == dest]
+            for index, value in fields.items():
+                row[index] = value
+        current = {prog: actions(parser) for prog, parser in parsers().items()}
+        assert {prog: rows for prog, rows in current.items() if rows} == recorded
+
+
+PEERS = ("--peers", "127.0.0.1:7400,127.0.0.1:7401,127.0.0.1:7402")
+
+#: What each parser needs around the flag under test: ``before`` + flag +
+#: value + ``after``.  Short runs, so a check that lets a value through
+#: fails the assertion quickly instead of running a full campaign.
+AROUND = {
+    "python -m repro": (("ben-or",), ()),
+    "python -m repro serve": (("serve", "--pid", "0", *PEERS), ()),
+    "python -m repro client": (("client", *PEERS), ("get", "k")),
+    "python -m repro client get": (("client", *PEERS, "get", "k"), ()),
+    "python -m repro loadgen": (("loadgen", *PEERS, "--shards", "1"), ()),
+    "python -m repro explore": (("explore", "ben-or", "--schedules", "1"), ()),
+    "python -m repro chaos": (("chaos", "--duration", "0.5", "--grace", "0"), ()),
+}
+
+#: Out-of-range values per check.
+BAD = {
+    options.check_count: ("0", "-1", "-3"),
+    options.check_shards: ("0", "257"),
+    options.check_positive: ("0", "-1", "nan", "inf"),
+    options.check_non_negative: ("-1", "-2", "-0.5", "nan", "inf"),
+    options.check_fraction: ("7", "5", "1.5", "-0.1", "nan"),
+    options.check_engine_spec: (",ct", "bogus"),
+    options.check_kinds: ("bogus", ","),
+    options.check_peers: ("127.0.0.1:7400,", "127.0.0.1"),
+    options.check_crash: ("nope", "1@-1", "1@5@2", "1@nan"),
+    options.check_timeout_range: ("0.6", "0,1", "0.6,0.3", "0.3,inf"),
+    options.check_size_range: ("7:4", "0:3", "4"),
+}
+
+
+def _message(row, text):
+    """What argparse prints after ``argument FLAG:`` for ``text``."""
+    try:
+        value = row.convert(text)
+    except ValueError:
+        return f"invalid {row.convert.__name__} value: {text!r}"
+    with pytest.raises(ValueError) as exc:
+        row.check(row.name, value)
+    return str(exc.value)
+
+
+def _walk():
+    table = options.rows()
+    for prog, parser in parsers().items():
+        for action in parser._actions:
+            row = table.get(action.option_strings[0]) if action.option_strings else None
+            if row is None or row.check is None:
+                continue
+            before, after = AROUND[prog]
+            for text in BAD[row.check]:
+                yield pytest.param(
+                    (*before, row.flag, text, *after),
+                    f"argument {row.flag}: {_message(row, text)}",
+                    id=f"{prog[len('python -m repro '):] or 'demo'} {row.flag} {text}",
+                )
+
+
+#: Cases the row walk cannot spell: another algorithm, or a check that
+#: needs two flags.
+CROSS_FLAG = [
+    (("raft", "--n", "0"), "argument --n: n must be an integer >= 1, got 0"),
+    (("paxos", "--n", "0"), "argument --n: n must be an integer >= 1, got 0"),
+    (("chandra-toueg", "--n", "0"), "argument --n: n must be an integer >= 1"),
+    (("shared-memory", "--n", "0"), "argument --n: n must be an integer >= 1"),
+    (("ben-or", "--n", "x"), "argument --n: invalid int value: 'x'"),
+    (("phase-king", "--n", "7", "--byzantine", "-1"),
+     "argument --byzantine: byzantine must be"),
+    (("raft", "--n", "3", "--crash", "7@1"), "pid 7 is not below --n 3"),
+    (("paxos", "--n", "3", "--crash", "7@1"), "pid 7 is not below --n 3"),
+    (("loadgen", *PEERS, "--rate", "10", "--duration", "inf"), "argument --duration:"),
+    (("loadgen", *PEERS, "--key-dist", "zipf", "--zipf-s", "0"), "argument --zipf-s:"),
+]
+
+
+class TestBadValuesAreUsageErrors:
+    """Every (command, row) pair that takes a number or a spec refuses an
+    out-of-range value at parse time: exit 2, a usage line and the row's
+    message, never a traceback, a run, or exit 1 ("violation found")."""
+
+    @pytest.mark.parametrize("argv, message", [*_walk(), *CROSS_FLAG])
+    def test_bad_value_exits_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv)
         assert exc.value.code == 2
@@ -134,144 +254,87 @@ class TestParser:
         assert "usage:" in err
         assert message in err
 
+    #: (command, flag, value) cases that must be in the walk: the gaps the
+    #: option table closed, and the per-command cases it replaced.
+    REQUIRED = [
+        ("chaos", "--read-fraction", "7"), ("chaos", "--grace", "nan"),
+        ("chaos", "--readonly-clients", "-2"), ("chaos", "--op-pause", "-1"),
+        ("chaos", "--drift-bound", "nan"), ("chaos", "--lease-duration", "-1"),
+        ("chaos", "--time-budget", "-1"), ("explore", "--max-rounds", "-1"),
+        ("explore", "--mutation-rate", "5"), ("explore", "--mutation-rate", "nan"),
+        ("explore", "--stop-after", "-3"), ("explore", "--n-range", "7:4"),
+        ("loadgen", "--ops", "-1"), ("loadgen", "--concurrency", "0"),
+        ("loadgen", "--read-staleness", "nan"), ("client get", "--staleness", "-1"),
+        ("serve", "--status-interval", "-1"), ("serve", "--status-interval", "nan"),
+        *(("loadgen", flag, bad) for flag, bad in [
+            ("--rate", "0"), ("--rate", "nan"), ("--duration", "inf"),
+            ("--read-ratio", "1.5"), ("--key-space", "0"), ("--zipf-s", "0")]),
+        *(("explore", flag, bad) for flag, bad in [
+            ("--schedules", "0"), ("--schedules", "-1"), ("--clients", "0"),
+            ("--duration", "0"), ("--duration", "-1"), ("--nodes", "0"),
+            ("--shards", "0"), ("--workers", "-1"), ("--fault-period", "0"),
+            ("--fault-period", "nan"), ("--fault-period", "inf")]),
+        *(("chaos", flag, bad) for flag, bad in [
+            ("--nodes", "-1"), ("--nodes", "0"), ("--shards", "0"),
+            ("--clients", "0"), ("--key-space", "0"), ("--duration", "0"),
+            ("--duration", "nan"), ("--fault-period", "0"),
+            ("--fault-period", "nan"), ("--fault-period", "inf")]),
+        *(("serve", flag, bad) for flag, bad in [
+            ("--heartbeat", "0"), ("--heartbeat", "nan"),
+            ("--snapshot-threshold", "0"), ("--drift-bound", "-1"),
+            ("--staleness-bound", "-0.5"), ("--lease-duration", "-1"),
+            ("--lease-duration", "inf"), ("--engine", ",ct")]),
+        ("demo", "--n", "0"), ("demo", "--n", "-1"), ("demo", "--byzantine", "-1"),
+    ]
 
-class TestLoadgenArguments:
-    """Bad numbers exit 2 with a usage message, never a traceback."""
-
-    PEERS = ("--peers", "127.0.0.1:7400,127.0.0.1:7401,127.0.0.1:7402")
-
-    @pytest.mark.parametrize(
-        "bad, flag",
-        [
-            (("--rate", "0"), "--rate"),
-            (("--rate", "nan"), "--rate"),
-            (("--rate", "10", "--duration", "inf"), "--duration"),
-            (("--read-ratio", "1.5"), "--read-ratio"),
-            (("--key-space", "0"), "--key-space"),
-            (("--key-dist", "zipf", "--zipf-s", "0"), "--zipf-s"),
-        ],
-    )
-    def test_bad_number_is_a_usage_error(self, capsys, bad, flag):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("loadgen", *self.PEERS, "--shards", "1", *bad)
-        assert exc.value.code == 2
-        assert f"error: argument {flag}:" in capsys.readouterr().err
+    def test_walk_holds_every_required_case(self):
+        walked = {case.id for case in _walk()}
+        assert [c for c in self.REQUIRED if " ".join(c) not in walked] == []
 
 
-class TestExploreArguments:
-    """``explore`` refuses numbers that would make a sweep check nothing
-    (no schedules, no clients, no time) or fail every schedule: exit 2
-    with a usage line, before any schedule runs."""
-
-    # One short schedule, so a parser that lets a bad value through still
-    # finishes quickly (and then fails the assertion).
-    BASE = ("explore", "--stack", "live", "--schedules", "1", "--duration", "0.5")
-
-    @pytest.mark.parametrize(
-        "flag, bad",
-        [
-            ("--schedules", "0"),
-            ("--schedules", "-1"),
-            ("--clients", "0"),
-            ("--duration", "0"),
-            ("--duration", "-1"),
-            ("--nodes", "0"),
-            ("--shards", "0"),
-            ("--workers", "-1"),
-            ("--fault-period", "0"),
-            ("--fault-period", "nan"),
-            ("--fault-period", "inf"),
-        ],
-    )
-    def test_bad_number_is_a_usage_error(self, capsys, flag, bad):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(*self.BASE, flag, bad)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "usage:" in err
-        assert f"error: argument {flag}:" in err
-
-    def test_smallest_sweep_is_accepted(self):
+class TestSmallestValuesAreAccepted:
+    def test_smallest_sweep(self):
         from repro.dst.cli import build_parser as dst_build_parser
 
         args = dst_build_parser().parse_args(
-            [*self.BASE, "--workers", "0", "--nodes", "1", "--shards", "1",
+            ["explore", "--stack", "live", "--schedules", "1", "--duration",
+             "0.5", "--workers", "0", "--nodes", "1", "--shards", "1",
              "--clients", "1"]
         )
         assert (args.schedules, args.workers, args.nodes, args.shards,
                 args.clients, args.duration) == (1, 0, 1, 1, 1, 0.5)
 
-
-class TestChaosArguments:
-    """``chaos`` refuses bad numbers at parse time with exit 2, never 1:
-    exit 1 means "the checker found a violation", which canary steps
-    test for."""
-
-    @pytest.mark.parametrize(
-        "flag, bad",
-        [
-            ("--nodes", "-1"),
-            ("--nodes", "0"),
-            ("--shards", "0"),
-            ("--clients", "0"),
-            ("--key-space", "0"),
-            ("--duration", "0"),
-            ("--duration", "nan"),
-            ("--fault-period", "0"),
-            ("--fault-period", "nan"),
-            ("--fault-period", "inf"),
-        ],
-    )
-    def test_bad_number_is_a_usage_error(self, capsys, flag, bad):
-        with pytest.raises(SystemExit) as exc:
-            chaos_build_parser().parse_args([flag, bad])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "usage:" in err
-        assert f"error: argument {flag}:" in err
-
-    def test_smallest_campaign_is_accepted(self):
+    def test_smallest_campaign(self):
         args = chaos_build_parser().parse_args(
-            ["--nodes", "1", "--shards", "1", "--clients", "1",
-             "--key-space", "1", "--duration", "0.5", "--fault-period", "0.1"]
+            ["chaos", "--nodes", "1", "--shards", "1", "--clients", "1",
+             "--key-space", "1", "--duration", "0.5", "--fault-period", "0.1",
+             "--grace", "0", "--op-pause", "0", "--readonly-clients", "0",
+             "--read-fraction", "0"]
         )
         assert (args.nodes, args.shards, args.clients, args.key_space,
-                args.duration, args.fault_period) == (1, 1, 1, 1, 0.5, 0.1)
+                args.duration, args.fault_period, args.grace) == (
+            1, 1, 1, 1, 0.5, 0.1, 0.0)
 
-
-class TestServeArguments:
-    """``serve`` refuses bad numbers at parse time (exit 2, usage line):
-    none of them may crash the node later or start it misconfigured."""
-
-    PEERS = ("--peers", "127.0.0.1:7400,127.0.0.1:7401,127.0.0.1:7402")
-
-    @pytest.mark.parametrize(
-        "flag, bad",
-        [
-            ("--heartbeat", "0"),
-            ("--heartbeat", "nan"),
-            ("--snapshot-threshold", "0"),
-            ("--drift-bound", "-1"),
-            ("--staleness-bound", "-0.5"),
-            ("--lease-duration", "-1"),
-            ("--lease-duration", "inf"),
-        ],
-    )
-    def test_bad_number_is_a_usage_error(self, capsys, flag, bad):
-        parser = live_build_parser()
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(["serve", "--pid", "0", *self.PEERS, flag, bad])
-        assert exc.value.code == 2
-        assert f"error: argument {flag}:" in capsys.readouterr().err
-
-    def test_zero_bounds_are_accepted(self):
+    def test_zero_bounds_on_serve(self):
         args = live_build_parser().parse_args(
-            ["serve", "--pid", "0", *self.PEERS, "--drift-bound", "0",
+            ["serve", "--pid", "0", *PEERS, "--drift-bound", "0",
              "--staleness-bound", "0", "--lease-duration", "0"]
         )
         assert (args.drift_bound, args.staleness_bound, args.lease_duration) == (
             0.0, 0.0, 0.0,
         )
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_every_command_dispatches_and_is_listed(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(name, "--help")
+        assert exc.value.code == 0
+        assert f"usage: python -m repro {name} " in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            run_cli("--help")
+        assert f"  {name:<9} {COMMANDS[name][1]}\n" in capsys.readouterr().out
 
 
 def test_module_invocation():
