@@ -44,9 +44,10 @@ from __future__ import annotations
 import asyncio
 import itertools
 import selectors
+import sys
 import time
 from collections import deque
-from typing import Any, Awaitable, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Callable, Deque, Dict, List, Optional, Tuple, TypeVar
 
 __all__ = [
     "AsyncioRuntime",
@@ -57,7 +58,10 @@ __all__ = [
     "SimStarvationError",
     "current_runtime",
     "use_runtime",
+    "within",
 ]
+
+T = TypeVar("T")
 
 
 # --------------------------------------------------------------------------
@@ -116,6 +120,52 @@ class Runtime:
     def run(self, coro: Awaitable[Any], *, timeout: Optional[float] = None) -> Any:
         """Run ``coro`` to completion on this runtime and return its result."""
         raise NotImplementedError
+
+
+#: ``Task.uncancel`` exists from 3.11 on; 3.10 keeps no cancel count.
+_UNCANCEL = sys.version_info >= (3, 11)
+
+
+async def within(awaitable: Awaitable[T], timeout: Optional[float]) -> T:
+    """Await ``awaitable`` in the current task for at most ``timeout`` seconds.
+
+    The per-request deadline of the live stack.  Unlike
+    ``asyncio.wait_for`` before 3.12 it makes no task and no waiter
+    future, so it costs no extra loop turn: it arms one timer on the
+    running loop (not :meth:`Runtime.call_later`, whose calls are
+    counted as the stack's own timers), and on expiry cancels the
+    current task and raises ``asyncio.TimeoutError``.  An awaited future
+    is cancelled with it.  A cancel from outside still raises
+    ``CancelledError``, and a timer that fires after the awaited call
+    finished, but before this task resumed, counts as a timeout — both
+    as under ``asyncio.timeout``.  ``timeout=None`` is a plain await.
+    """
+    if timeout is None:
+        return await awaitable
+    task = asyncio.current_task()
+    assert task is not None, "within() needs a running task"
+    prior = task.cancelling() if _UNCANCEL else 0
+    expired = False
+
+    def expire() -> None:
+        nonlocal expired
+        expired = True
+        task.cancel()
+
+    handle = task.get_loop().call_later(timeout, expire)
+    try:
+        result = await awaitable
+    except asyncio.CancelledError:
+        # Our own cancel becomes the timeout; one also requested from
+        # outside (visible on 3.11+ as a higher cancel count) wins.
+        if expired and not (_UNCANCEL and task.uncancel() > prior):
+            raise asyncio.TimeoutError from None
+        raise
+    finally:
+        handle.cancel()
+    if expired and _UNCANCEL:
+        task.uncancel()  # the awaited call swallowed our cancel
+    return result
 
 
 class AsyncioRuntime(Runtime):

@@ -23,7 +23,7 @@ import itertools
 import uuid
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core.runtime import Runtime, current_runtime
+from repro.core.runtime import Runtime, current_runtime, within
 from repro.live.config import ClusterConfig
 from repro.live.sharding import ShardRouter
 from repro.live.wire import enable_nodelay, frame_bytes, read_frame
@@ -46,12 +46,12 @@ class AsyncKVClient:
         retry_delay: pause between failed attempts (elections need a beat).
         shards: the cluster's shard count; ``None`` (the default)
             discovers it with a ``status`` request on first use.
-        op_id_prefix: deterministic ``op_id`` generation — ids become
-            ``"<prefix>-<counter>"`` instead of carrying a ``uuid4``
-            fragment.  The DST harness sets a distinct prefix per
-            simulated client so replays are byte-identical; leave
-            ``None`` in production, where two client *processes* must
-            never collide.
+        op_id_prefix: the client's half of every ``op_id``; ids are
+            ``"<prefix>-<counter>"``.  ``None`` (production) draws 12
+            random hex digits once per client, so two client
+            *processes* never collide and one prefix means one client.
+            The DST harness sets a distinct prefix per simulated client
+            so replays are byte-identical.
         runtime: the runtime seam (:mod:`repro.core.runtime`); defaults
             to the ambient runtime.
     """
@@ -69,7 +69,9 @@ class AsyncKVClient:
     ):
         self.cluster = cluster
         self.rt = runtime if runtime is not None else current_runtime()
-        self.op_id_prefix = op_id_prefix
+        self.op_id_prefix = (
+            uuid.uuid4().hex[:12] if op_id_prefix is None else op_id_prefix
+        )
         self.request_timeout = request_timeout
         self.max_attempts = max_attempts
         self.retry_delay = retry_delay
@@ -153,12 +155,9 @@ class AsyncKVClient:
         return await self._request(request, want="value", shard=shard)
 
     def _next_op_id(self) -> str:
-        """A fresh operation id: random in production, sequential under a
-        deterministic prefix (see ``op_id_prefix``)."""
+        """A fresh operation id: this client's prefix and its next count."""
         self._ops += 1
-        if self.op_id_prefix is not None:
-            return f"{self.op_id_prefix}-{self._ops}"
-        return f"{uuid.uuid4().hex[:12]}-{self._ops}"
+        return f"{self.op_id_prefix}-{self._ops}"
 
     async def _stale_get(self, key: Any, staleness: float) -> Dict[str, Any]:
         """Fan a bounded-stale read out across the owning shard's replicas.
@@ -190,9 +189,7 @@ class AsyncKVClient:
                     reader, writer = await self._connect(addr)
                     writer.write(frame_bytes(request))
                     await writer.drain()
-                    response = await asyncio.wait_for(
-                        read_frame(reader), timeout=self.request_timeout
-                    )
+                    response = await within(read_frame(reader), self.request_timeout)
                 except (ConnectionError, OSError, asyncio.TimeoutError,
                         asyncio.IncompleteReadError) as exc:
                     last_error = exc
@@ -215,17 +212,14 @@ class AsyncKVClient:
     async def status_of(self, pid: int) -> Dict[str, Any]:
         """Status of one specific node (dedicated short-lived connection)."""
         spec = self.cluster[pid]
-        reader, writer = await asyncio.wait_for(
-            self.rt.open_connection(*spec.client_addr),
-            timeout=self.request_timeout,
+        reader, writer = await within(
+            self.rt.open_connection(*spec.client_addr), self.request_timeout
         )
         enable_nodelay(writer)
         try:
             writer.write(frame_bytes({"type": "status"}))
             await writer.drain()
-            return await asyncio.wait_for(
-                read_frame(reader), timeout=self.request_timeout
-            )
+            return await within(read_frame(reader), self.request_timeout)
         finally:
             writer.close()
 
@@ -298,9 +292,7 @@ class AsyncKVClient:
                 reader, writer = await self._connect(addr)
                 writer.write(frame_bytes(request))
                 await writer.drain()
-                response = await asyncio.wait_for(
-                    read_frame(reader), timeout=self.request_timeout
-                )
+                response = await within(read_frame(reader), self.request_timeout)
             except (ConnectionError, OSError, asyncio.TimeoutError,
                     asyncio.IncompleteReadError) as exc:
                 last_error = exc
@@ -343,9 +335,8 @@ class AsyncKVClient:
         conn = self._conns.get(addr)
         if conn is not None:
             return conn
-        reader, writer = await asyncio.wait_for(
-            self.rt.open_connection(*addr),
-            timeout=self.request_timeout,
+        reader, writer = await within(
+            self.rt.open_connection(*addr), self.request_timeout
         )
         enable_nodelay(writer)
         self._conns[addr] = (reader, writer)

@@ -80,7 +80,7 @@ from repro.algorithms.raft.messages import ClientPropose
 from repro.algorithms.raft.node import LEADER
 from repro.algorithms.raft.state_machine import KeyValueStateMachine, Put
 from repro.algorithms.readpath import ReadBarrier, ReadConfig
-from repro.core.runtime import Runtime, current_runtime
+from repro.core.runtime import Runtime, current_runtime, within
 from repro.live.config import DEFAULT_MAX_INFLIGHT, ClusterConfig
 from repro.live.engine import DEFAULT_ENGINE, ConsensusEngine, parse_engine_spec
 from repro.live.runtime import LiveRuntime, derive_process_seed
@@ -447,9 +447,11 @@ class KVShard:
             self._flush_within(BATCH_WINDOW)
         return future
 
-    def forget(self, op_id: str) -> None:
-        """Drop a pending waiter (the frontend timed the request out)."""
-        self._pending.pop(op_id, None)
+    def forget(self, op_id: str, future: asyncio.Future) -> None:
+        """Drop ``future``, ``op_id``'s waiter (the frontend is done with
+        it) — unless a retry of the same op has replaced it since."""
+        if self._pending.get(op_id) is future:
+            del self._pending[op_id]
 
     # ------------------------------------------------------------------
     # Fast read path (ReadIndex barriers, lease bookkeeping)
@@ -1113,16 +1115,18 @@ class KVServer:
         """``(result, None)`` once ``future`` resolves within
         ``commit_timeout``, else ``(None, reply)``: a redirect when the
         shard lost leadership, an error on timeout.  With ``forget`` the
-        shard drops ``op_id``'s waiter either way."""
+        shard drops this waiter either way."""
         try:
-            return await asyncio.wait_for(future, timeout=self.commit_timeout), None
+            if not future.done():
+                await within(future, self.commit_timeout)
+            return future.result(), None
         except NotLeaderError:
             return None, self._redirect(shard)
         except asyncio.TimeoutError:
             return None, {"type": "error", "reason": reason, "id": op_id}
         finally:
             if forget:
-                shard.forget(op_id)
+                shard.forget(op_id, future)
 
     async def _serve_lin_get(
         self, request: Dict[str, Any], shard: KVShard
@@ -1212,14 +1216,16 @@ class KVServer:
         """
         if not shard.lease_serveable():
             return await self._serve_readindex_get(request, shard)
-        _, refusal = await self._await(
-            shard, shard.wait_applied(shard.node.commit_index), request["id"]
-        )
-        if refusal is not None:
-            return refusal
-        if not shard.lease_serveable():
-            # The lease lapsed while we waited for the applied index.
-            return await self._serve_readindex_get(request, shard)
+        commit_index = shard.node.commit_index
+        if shard.node.last_applied < commit_index:
+            _, refusal = await self._await(
+                shard, shard.wait_applied(commit_index), request["id"]
+            )
+            if refusal is not None:
+                return refusal
+            if not shard.lease_serveable():
+                # The lease lapsed while we waited for the applied index.
+                return await self._serve_readindex_get(request, shard)
         return _value_reply(
             shard, request.get("key"), lin=True, read="lease",
             lease_remaining=shard.lease_remaining(),

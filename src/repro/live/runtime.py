@@ -40,7 +40,7 @@ import logging
 import random
 from typing import Any, Callable, Dict, Optional, Sequence
 
-from repro.core.runtime import Runtime, current_runtime
+from repro.core.runtime import Runtime, current_runtime, within
 from repro.live import codec  # noqa: F401  (registers the wire types)
 from repro.live.config import ClusterConfig
 from repro.live.transport import PeerTransport
@@ -249,7 +249,7 @@ class LiveRuntime:
         """Block until this node decides; returns the decided value."""
         if self.decided is None:
             raise LiveRuntimeError("runtime not started")
-        return await asyncio.wait_for(asyncio.shield(self.decided), timeout)
+        return await within(asyncio.shield(self.decided), timeout)
 
     def decisions(self) -> Dict[Pid, Any]:
         """This node's decision as a map (mirrors the simulator API)."""
@@ -329,8 +329,7 @@ class LiveRuntime:
             while True:
                 if not self._running:
                     # stop() raced with a completing await and the cancel
-                    # was swallowed (wait_for's completion/cancel race);
-                    # exit without recording a HALT.
+                    # was swallowed; exit without recording a HALT.
                     return
                 self.api.now = self.now
                 try:

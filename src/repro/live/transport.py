@@ -52,7 +52,7 @@ import random
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.core.runtime import Runtime, current_runtime
+from repro.core.runtime import Runtime, current_runtime, within
 from repro.live.config import ClusterConfig
 from repro.live.wire import (
     FrameError,
@@ -379,9 +379,9 @@ class PeerTransport:
         while not self._closed:
             writer = None
             try:
-                reader, writer = await asyncio.wait_for(
+                reader, writer = await within(
                     self.runtime.open_connection(spec.host, spec.port),
-                    timeout=self.connect_timeout,
+                    self.connect_timeout,
                 )
                 enable_nodelay(writer)
                 hello = encode_peer_frame("hello", pid=self.pid)
@@ -426,17 +426,15 @@ class PeerTransport:
         the loop.
         """
         # Checked every iteration rather than relying on cancellation:
-        # ``wait_for`` can swallow a cancel that races with the awaited
-        # future completing, leaving this task alive after ``stop()``.
+        # before 3.11 a cancel racing the heartbeat deadline surfaces as
+        # a timeout, leaving this task alive after ``stop()``.
         stats = self.stats
         budget = self.max_coalesce_bytes
         while not self._closed:
             if not queue:
                 event.clear()
                 try:
-                    await asyncio.wait_for(
-                        event.wait(), timeout=self.heartbeat_interval
-                    )
+                    await within(event.wait(), self.heartbeat_interval)
                 except asyncio.TimeoutError:
                     fault = self._send_faults.get(peer)
                     if fault is not None and fault.discards(self._fault_rng):
@@ -485,20 +483,13 @@ class PeerTransport:
         enable_nodelay(writer)
         src: Optional[int] = None
         try:
-            body = await asyncio.wait_for(
-                read_frame_bytes(reader), timeout=self.connect_timeout * 4
-            )
+            body = await within(read_frame_bytes(reader), self.connect_timeout * 4)
             self.stats.bytes_received += len(body) + 4
             kind, src, _, _ = parse_peer_frame(decode_body(body))
             if kind != "hello" or not isinstance(src, int):
                 return
             while not self._closed:
-                if self.idle_timeout:
-                    body = await asyncio.wait_for(
-                        read_frame_bytes(reader), timeout=self.idle_timeout
-                    )
-                else:
-                    body = await read_frame_bytes(reader)
+                body = await within(read_frame_bytes(reader), self.idle_timeout or None)
                 self.stats.bytes_received += len(body) + 4
                 kind, payload, ts, shard = parse_peer_frame(decode_body(body))
                 if kind == "msg":

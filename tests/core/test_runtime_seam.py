@@ -10,6 +10,7 @@ raises instead of hanging forever.
 """
 
 import asyncio
+import sys
 import time
 
 import pytest
@@ -20,6 +21,7 @@ from repro.core.runtime import (
     SimStarvationError,
     current_runtime,
     use_runtime,
+    within,
 )
 
 
@@ -96,6 +98,87 @@ class TestVirtualTime:
 
         with pytest.raises(asyncio.TimeoutError):
             rt.run(main(), timeout=1.0)
+
+
+@pytest.fixture(params=["sim", "asyncio"])
+def any_rt(request):
+    runtime = SimRuntime() if request.param == "sim" else AsyncioRuntime()
+    yield runtime
+    if isinstance(runtime, SimRuntime):
+        runtime.close()
+
+
+class TestWithin:
+    """The per-request deadline, on the virtual and on the real loop."""
+
+    def test_expiry_raises_timeout_and_cancels_the_future(self, any_rt):
+        async def main():
+            future = asyncio.get_running_loop().create_future()
+            with pytest.raises(asyncio.TimeoutError):
+                await within(future, 0.01)
+            return future.cancelled()
+
+        assert any_rt.run(main())
+
+    def test_outside_cancel_stays_a_cancel(self, any_rt):
+        async def main():
+            task = asyncio.ensure_future(within(asyncio.sleep(60.0), 30.0))
+            await asyncio.sleep(0.01)
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+
+        any_rt.run(main())
+
+    def test_result_in_time_leaves_no_live_timer(self, any_rt):
+        async def main():
+            loop = asyncio.get_running_loop()
+            armed = []
+            call_later = loop.call_later
+
+            def recording(*args):
+                armed.append(call_later(*args))
+                return armed[-1]
+
+            loop.call_later = recording
+            future = loop.create_future()
+            call_later(0.001, future.set_result, "v")
+            result = await within(future, 30.0)
+            return result, [handle.cancelled() for handle in armed]
+
+        assert any_rt.run(main()) == ("v", [True])
+
+    def test_none_is_a_plain_await(self, any_rt):
+        async def main():
+            return await within(asyncio.sleep(0.01, "v"), None)
+
+        assert any_rt.run(main()) == "v"
+
+    def test_result_landing_in_the_timers_turn_is_a_timeout(self, any_rt):
+        """The future completes, but the deadline fires before the task
+        resumes: a timeout, as under ``asyncio.timeout``."""
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            future = loop.create_future()
+            loop.call_soon(future.set_result, "late")
+            with pytest.raises(asyncio.TimeoutError):
+                await within(future, 0)
+            return future.result()
+
+        assert any_rt.run(main()) == "late"
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="Task.cancelling")
+    def test_timeout_undoes_its_own_cancel_request(self, any_rt):
+        async def main():
+            task = asyncio.current_task()
+            before = task.cancelling()
+            with pytest.raises(asyncio.TimeoutError):
+                await within(asyncio.sleep(60.0), 0.01)
+            return before, task.cancelling()
+
+        before, after = any_rt.run(main())
+        assert after == before
 
 
 class TestMemoryNetwork:

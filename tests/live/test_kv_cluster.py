@@ -21,6 +21,7 @@ import pytest
 from repro.core.runtime import SimRuntime
 from repro.live import (
     AsyncKVClient,
+    ClusterConfig,
     ClusterUnavailableError,
     LiveKVCluster,
     run_closed_loop,
@@ -61,6 +62,17 @@ async def _get_via(cluster, pid, key):
         return await probe.get(key)
     finally:
         await probe.close()
+
+
+class TestOpIds:
+    def test_one_client_counts_up_under_one_prefix(self):
+        cluster = ClusterConfig.localhost(3)
+        one, two = AsyncKVClient(cluster), AsyncKVClient(cluster)
+        ids = [one._next_op_id() for _ in range(3)]
+        prefixes = {op_id.rsplit("-", 1)[0] for op_id in ids}
+        assert [op_id.rsplit("-", 1)[1] for op_id in ids] == ["1", "2", "3"]
+        assert len(prefixes) == 1 and len(prefixes.pop()) == 12
+        assert two._next_op_id().rsplit("-", 1)[0] != ids[0].rsplit("-", 1)[0]
 
 
 class TestBasicService:

@@ -165,6 +165,35 @@ def test_a_retried_put_is_applied_once():
     assert machine.data == {"k": "v2"}
 
 
+def test_a_retry_keeps_its_waiter_when_the_first_request_gives_up():
+    """A retried put reaches the leader while the first request with the
+    same ``op_id`` still waits.  The first handler times out and drops
+    its waiter; the retry's waiter must survive that and get the reply."""
+
+    async def scenario():
+        cluster = LiveKVCluster(3, seed=23, **FAST)
+        await cluster.start()
+        try:
+            server = cluster.servers[await cluster.wait_for_leader(timeout=15.0)]
+            put = {"type": "put", "key": "k", "value": 1, "id": "c1-1"}
+            server.commit_timeout = 1e-6  # the first request gives up at once
+            first = asyncio.ensure_future(server._serve(put))
+            await asyncio.sleep(0)
+            server.commit_timeout = 5.0
+            retry = asyncio.ensure_future(server._serve(put))
+            assert (await first)["reason"] == "commit timeout"
+            return await retry
+        finally:
+            await cluster.stop()
+
+    rt = SimRuntime()
+    try:
+        reply = rt.run(scenario(), timeout=60.0)
+    finally:
+        rt.close()
+    assert reply["type"] == "ok", reply
+
+
 class TestDeposedLeader:
     def test_every_waiter_kind_redirects(self):
         """A put, a safe read and a readindex read wait on an isolated
