@@ -17,9 +17,7 @@ from repro.storage.engine import (
 )
 from repro.storage.wal import (
     DEFAULT_SEGMENT_BYTES,
-    DEFAULT_SNAPSHOT_CHAIN,
     Recovery,
-    SnapshotDelta,
     Wal,
     WalCheckpoint,
     WalCorruptionError,
@@ -27,33 +25,25 @@ from repro.storage.wal import (
     WalError,
     WalStats,
     WalTerm,
-    apply_snapshot_delta,
-    delta_files,
     encode_frame,
     flip_bit,
-    load_snapshot,
     read_snapshot,
-    read_snapshot_delta,
     recover_wal,
     scan_frames,
-    snapshot_chain_indexes,
     snapshot_files,
     tear_tail,
     wal_segments,
     write_snapshot,
-    write_snapshot_delta,
 )
 
 __all__ = [
     "DEFAULT_SEGMENT_BYTES",
-    "DEFAULT_SNAPSHOT_CHAIN",
     "SYNC_MODES",
     "DurableNode",
     "DurableRaftLog",
     "DurableState",
     "RaftStorage",
     "Recovery",
-    "SnapshotDelta",
     "StorageQuarantineError",
     "Wal",
     "WalCheckpoint",
@@ -62,20 +52,14 @@ __all__ = [
     "WalError",
     "WalStats",
     "WalTerm",
-    "apply_snapshot_delta",
-    "delta_files",
     "encode_frame",
     "flip_bit",
-    "load_snapshot",
     "read_snapshot",
-    "read_snapshot_delta",
     "recover_wal",
     "replay_records",
     "scan_frames",
-    "snapshot_chain_indexes",
     "snapshot_files",
     "tear_tail",
     "wal_segments",
     "write_snapshot",
-    "write_snapshot_delta",
 ]

@@ -51,7 +51,6 @@ from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
 from repro.algorithms.raft.log import Entry, RaftLog
 from repro.storage.wal import (
     DEFAULT_SEGMENT_BYTES,
-    DEFAULT_SNAPSHOT_CHAIN,
     Recovery,
     Wal,
     WalCheckpoint,
@@ -59,15 +58,11 @@ from repro.storage.wal import (
     WalEntry,
     WalStats,
     WalTerm,
-    delta_files,
-    delta_path,
-    load_snapshot,
+    read_snapshot,
     recover_wal,
-    snapshot_chain_indexes,
     snapshot_files,
     snapshot_path,
     write_snapshot,
-    write_snapshot_delta,
 )
 
 #: Sync barrier execution modes (``--sync-mode``): ``inline`` fsyncs on
@@ -169,7 +164,6 @@ class RaftStorage:
         sync_policy: str = "fsync",
         sync_mode: str = "inline",
         fsync_delay: float = 0.0,
-        snapshot_chain_limit: int = DEFAULT_SNAPSHOT_CHAIN,
         no_rejoin: bool = False,
     ):
         if sync_mode not in SYNC_MODES:
@@ -179,7 +173,6 @@ class RaftStorage:
         self.segment_bytes = segment_bytes
         self.sync_mode = sync_mode
         self.fsync_delay = fsync_delay
-        self.snapshot_chain_limit = snapshot_chain_limit
         self.no_rejoin = no_rejoin
         self.quarantined = False
         self.quarantine_reason: Optional[str] = None
@@ -199,21 +192,16 @@ class RaftStorage:
         self._fsync_queue: Optional["queue.Queue"] = None
         self._fsync_thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        # Compaction telemetry (the incremental-snapshot stall story).
+        # Compaction telemetry (the snapshot-write stall story).
         self.compactions = 0
-        self.delta_compactions = 0
         self.last_compact_seconds = 0.0
         self.max_compact_seconds = 0.0
         try:
             recovery = recover_wal(directory)
             state = replay_records(recovery.records)
             machine_snapshot = None
-            chain_length = 0
             if state.snapshot_index > 0:
-                machine_snapshot = load_snapshot(directory, state.snapshot_index)
-                chain_length = len(
-                    snapshot_chain_indexes(directory, state.snapshot_index)
-                )
+                machine_snapshot = read_snapshot(directory, state.snapshot_index)
         except WalCorruptionError as exc:
             if no_rejoin:
                 raise StorageQuarantineError(
@@ -226,7 +214,6 @@ class RaftStorage:
             recovery = Recovery(next_segment=1)
             state = DurableState()
             machine_snapshot = None
-            chain_length = 0
         self.term = state.term
         self.voted_for = state.voted_for
         self.snapshot_index = state.snapshot_index
@@ -235,7 +222,6 @@ class RaftStorage:
         self.machine_snapshot = machine_snapshot
         self.torn_tail = recovery.torn_tail
         self.torn_detail = recovery.torn_detail
-        self._chain_length = chain_length
         self._wal = Wal(
             directory,
             start_segment=recovery.next_segment,
@@ -253,9 +239,7 @@ class RaftStorage:
         os.makedirs(quarantine_dir)
         for name in os.listdir(self.directory):
             path = os.path.join(self.directory, name)
-            if os.path.isfile(path) and name.startswith(
-                ("wal-", "snap-", "snapd-")
-            ):
+            if os.path.isfile(path) and name.startswith(("wal-", "snap-")):
                 os.replace(path, os.path.join(quarantine_dir, name))
         self.quarantined = True
         self.quarantine_reason = str(exc)
@@ -279,26 +263,17 @@ class RaftStorage:
         self._gc_snapshots()
 
     def _gc_snapshots(self) -> None:
-        """Delete snapshot files no longer referenced by the live chain.
+        """Delete every snapshot file but the one at ``snapshot_index``.
 
-        Chain-aware: an incremental snapshot keeps its whole ancestry
-        (every delta link back to the full base) alive, so GC walks the
-        chain from the current ``snapshot_index`` and only unlinks files
-        outside it.  Runs strictly *after* the checkpoint referencing
-        the new chain is durable, so a crash at any point leaves some
-        checkpoint on disk whose full chain still exists.
+        Runs strictly *after* the checkpoint naming that snapshot is
+        durable, so a crash at any point leaves some checkpoint on disk
+        whose snapshot still exists.  The opening checkpoint's pass also
+        clears what an interrupted compaction left behind: an orphan
+        image no checkpoint names, or a ``.tmp`` that never got renamed.
         """
-        keep = set()
-        if self.snapshot_index > 0:
-            try:
-                chain = snapshot_chain_indexes(self.directory, self.snapshot_index)
-            except WalCorruptionError:  # pragma: no cover - defensive
-                return  # never GC around a chain we cannot prove dead
-            for at in chain:
-                keep.add(snapshot_path(self.directory, at))
-                keep.add(delta_path(self.directory, at))
-        for stale in snapshot_files(self.directory) + delta_files(self.directory):
-            if stale not in keep:
+        keep = snapshot_path(self.directory, self.snapshot_index)
+        for stale in snapshot_files(self.directory):
+            if stale != keep:
                 os.unlink(stale)
 
     # -- journalling API (called by the durable node bindings) ----------
@@ -338,39 +313,12 @@ class RaftStorage:
         The ordering is the durability protocol: the snapshot file is
         fsynced and renamed into place *before* the checkpoint frame
         that references it is written, so a checkpoint on disk always
-        points at a snapshot that exists (GC of the old chain runs only
-        after the new checkpoint is durable).
-
-        Writes an **incremental** snapshot — a ``snapd-`` delta against
-        the previous snapshot holding only the changed/removed keys —
-        whenever both states are dicts and the chain is shorter than
-        ``snapshot_chain_limit``; otherwise a full base image resets the
-        chain.  A large, slowly-mutating machine therefore pays O(delta)
-        per compaction instead of rewriting the whole image on the apply
-        loop.
+        points at a snapshot that exists (GC of the old snapshot runs
+        only after the new checkpoint is durable).  Every compaction
+        writes the full machine image.
         """
         started = time.perf_counter()
-        prev_state = self.machine_snapshot
-        prev_index = self.snapshot_index
-        if (
-            self.snapshot_chain_limit > 1
-            and 0 < prev_index < index
-            and self._chain_length < self.snapshot_chain_limit
-            and isinstance(machine_state, dict)
-            and isinstance(prev_state, dict)
-        ):
-            changed = {
-                key: value
-                for key, value in machine_state.items()
-                if key not in prev_state or prev_state[key] != value
-            }
-            removed = tuple(key for key in prev_state if key not in machine_state)
-            write_snapshot_delta(self.directory, index, prev_index, changed, removed)
-            self._chain_length += 1
-            self.delta_compactions += 1
-        else:
-            write_snapshot(self.directory, index, machine_state)
-            self._chain_length = 1
+        write_snapshot(self.directory, index, machine_state)
         self.machine_snapshot = machine_state
         self.snapshot_index = index
         self.snapshot_term = term

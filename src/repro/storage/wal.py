@@ -88,14 +88,8 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: straddle segments).
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 
-#: Longest base→delta chain a snapshot may form before compaction must
-#: rewrite a full base image.  Bounds both recovery replay work and the
-#: disk amplification of keeping every chained file alive.
-DEFAULT_SNAPSHOT_CHAIN = 8
-
 _SEGMENT_RE = re.compile(r"^wal-(\d{8})\.log$")
-_SNAPSHOT_RE = re.compile(r"^snap-(\d{16})\.bin$")
-_DELTA_RE = re.compile(r"^snapd-(\d{16})\.bin$")
+_SNAPSHOT_RE = re.compile(r"^snap-\d{16}\.bin(\.tmp)?$")
 
 
 class WalError(Exception):
@@ -139,24 +133,11 @@ class WalEntry:
     command: Any
 
 
-@dataclass(frozen=True, slots=True)
-class SnapshotDelta:
-    """An incremental snapshot: the machine state at this file's index
-    equals the state at ``prev_index`` with ``changed`` keys overwritten
-    and ``removed`` keys deleted.  Stored in ``snapd-*.bin`` files that
-    chain back (via ``prev_index``) to a full ``snap-*.bin`` base."""
-
-    prev_index: int
-    changed: Any
-    removed: Tuple[Any, ...] = ()
-
-
 # Short pinned wire names: embedded in every frame, and must stay
 # stable across refactors for old segments to remain readable.
 register_wire_type(WalCheckpoint, "wal:C")
 register_wire_type(WalTerm, "wal:T")
 register_wire_type(WalEntry, "wal:E")
-register_wire_type(SnapshotDelta, "wal:D")
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +232,9 @@ def wal_segments(directory: str) -> List[str]:
 
 
 def snapshot_files(directory: str) -> List[str]:
-    """All snapshot file paths in ``directory``, oldest first."""
+    """All snapshot file paths in ``directory``, oldest first — with the
+    ``.tmp`` leftover of any :func:`write_snapshot` that died before its
+    rename."""
     if not os.path.isdir(directory):
         return []
     names = sorted(n for n in os.listdir(directory) if _SNAPSHOT_RE.match(n))
@@ -260,18 +243,6 @@ def snapshot_files(directory: str) -> List[str]:
 
 def snapshot_path(directory: str, index: int) -> str:
     return os.path.join(directory, f"snap-{index:016d}.bin")
-
-
-def delta_files(directory: str) -> List[str]:
-    """All incremental-snapshot file paths in ``directory``, oldest first."""
-    if not os.path.isdir(directory):
-        return []
-    names = sorted(n for n in os.listdir(directory) if _DELTA_RE.match(n))
-    return [os.path.join(directory, n) for n in names]
-
-
-def delta_path(directory: str, index: int) -> str:
-    return os.path.join(directory, f"snapd-{index:016d}.bin")
 
 
 def _fsync_dir(directory: str) -> None:
@@ -330,108 +301,6 @@ def read_snapshot(directory: str, index: int) -> Any:
             f"damaged snapshot file {path!r}: {reason or 'extra frames'}"
         )
     return records[0]
-
-
-def write_snapshot_delta(
-    directory: str,
-    index: int,
-    prev_index: int,
-    changed: Any,
-    removed: Tuple[Any, ...],
-) -> str:
-    """Durably write an incremental snapshot at ``index``.
-
-    Same single-frame tmp/fsync/rename discipline as
-    :func:`write_snapshot`, but the payload is a :class:`SnapshotDelta`
-    against the snapshot at ``prev_index`` instead of a full state
-    image — O(changed keys), not O(state), which is the whole point:
-    compaction of a large machine no longer stalls the apply loop
-    rewriting an image that barely changed.
-    """
-    path = delta_path(directory, index)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(encode_frame(SnapshotDelta(prev_index, changed, tuple(removed))))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    _fsync_dir(directory)
-    return path
-
-
-def read_snapshot_delta(directory: str, index: int) -> SnapshotDelta:
-    """Load and verify the incremental snapshot at ``index``."""
-    path = delta_path(directory, index)
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except FileNotFoundError:
-        raise WalCorruptionError(f"missing snapshot delta file {path!r}")
-    records, damage, reason = scan_frames(data)
-    if damage is not None or len(records) != 1:
-        raise WalCorruptionError(
-            f"damaged snapshot delta file {path!r}: {reason or 'extra frames'}"
-        )
-    record = records[0]
-    if not isinstance(record, SnapshotDelta):
-        raise WalCorruptionError(
-            f"snapshot delta file {path!r} holds a {type(record).__name__}"
-        )
-    return record
-
-
-def apply_snapshot_delta(state: Any, delta: SnapshotDelta) -> Any:
-    """One step of delta-chain replay: overlay ``delta`` onto ``state``."""
-    if not isinstance(state, dict) or not isinstance(delta.changed, dict):
-        raise WalCorruptionError("snapshot delta applied over non-dict state")
-    merged = dict(state)
-    for key in delta.removed:
-        merged.pop(key, None)
-    merged.update(delta.changed)
-    return merged
-
-
-def snapshot_chain_indexes(directory: str, index: int) -> List[int]:
-    """The indexes of every file in the live chain ending at ``index``,
-    newest first; the last element is the full base image.
-
-    Raises :class:`WalCorruptionError` when the chain is broken: a
-    missing or damaged link, a ``prev_index`` that fails to strictly
-    decrease (a cycle cannot arise from torn writes — only from a lying
-    disk), or a chain deeper than any writer would produce.
-    """
-    chain: List[int] = []
-    at = index
-    while True:
-        chain.append(at)
-        if os.path.exists(snapshot_path(directory, at)):
-            return chain
-        delta = read_snapshot_delta(directory, at)
-        if not 0 < delta.prev_index < at:
-            raise WalCorruptionError(
-                f"snapshot delta at index {at} links to "
-                f"non-decreasing prev_index {delta.prev_index}"
-            )
-        if len(chain) > 4 * DEFAULT_SNAPSHOT_CHAIN:
-            raise WalCorruptionError(
-                f"snapshot chain at index {index} exceeds "
-                f"{4 * DEFAULT_SNAPSHOT_CHAIN} links"
-            )
-        at = delta.prev_index
-
-
-def load_snapshot(directory: str, index: int) -> Any:
-    """Reconstruct the machine state at ``index``, following the delta
-    chain back to its full base and replaying forward.
-
-    A plain whole-file snapshot is the one-link case, so callers never
-    need to know which form compaction chose.
-    """
-    chain = snapshot_chain_indexes(directory, index)
-    state = read_snapshot(directory, chain[-1])
-    for at in reversed(chain[:-1]):
-        state = apply_snapshot_delta(state, read_snapshot_delta(directory, at))
-    return state
 
 
 # ----------------------------------------------------------------------

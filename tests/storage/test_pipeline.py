@@ -16,8 +16,9 @@ Every claim is proven the honest way: write, pull the power at the
 interesting moment, cold-restart, compare.  Tier-1: in-process power
 failures are cheap, so this runs everywhere.
 
-Two cluster-level claims close the file: group commit amortises one
-fsync over many client ops (tier-1, virtual time), and the pipelined mode
+Three cluster-level claims close the file: group commit amortises one
+fsync over many client ops and compaction keeps one snapshot file per
+group (both tier-1, virtual time), and the pipelined mode
 outruns inline under a slow write barrier (``storage``-marked, wall
 clock: the fsync worker is a real thread, so virtual time cannot show it).
 """
@@ -250,6 +251,63 @@ class TestGroupCommit:
         assert report.throughput == pytest.approx(1951.2, abs=0.1)
         assert syncs == 153
         assert report.ops / (syncs / 3) > 1.0
+
+
+class TestCompactionOnTheLiveStack:
+    def test_each_shard_keeps_one_full_snapshot(self, tmp_path):
+        """Compaction on the real stack leaves exactly one ``snap-`` image
+        per group, and a restarted follower rebuilt from it (plus its
+        WAL and catch-up) holds the leader's data."""
+
+        async def scenario():
+            cluster = LiveKVCluster(
+                3, seed=16, data_dir=str(tmp_path), snapshot_threshold=16, **FAST
+            )
+            await cluster.start()
+            try:
+                leader = await cluster.wait_for_leader(timeout=20.0)
+                report = await run_closed_loop(
+                    cluster.cluster, ops=400, concurrency=1, key_space=7, seed=16
+                )
+                compactions = [
+                    server.shards[0].storage.compactions for server in cluster.servers
+                ]
+                listings = {
+                    f"{node}/{shard}": sorted(
+                        name for name in os.listdir(tmp_path / node / shard)
+                        if name.startswith("snap")
+                    )
+                    for node in os.listdir(tmp_path)
+                    for shard in os.listdir(tmp_path / node)
+                }
+                follower = (leader + 1) % 3
+                await cluster.kill(follower)
+                revived = await cluster.restart(follower)
+                recovered = revived.shards[0].storage.snapshot_index
+                want = cluster.servers[leader].node.machine.data
+                deadline = cluster.rt.now() + 5.0
+                while revived.node.machine.data != want:
+                    assert cluster.rt.now() < deadline, "follower never caught up"
+                    await cluster.rt.sleep(0.05)
+                return report, compactions, listings, recovered
+            finally:
+                await cluster.stop()
+
+        rt = SimRuntime()
+        try:
+            report, compactions, listings, recovered = rt.run(
+                scenario(), timeout=120.0
+            )
+        finally:
+            rt.close()
+        assert (report.ops, report.errors) == (400, 0), report.summary()
+        # One put per entry: every node compacts about 400 / 16 times.
+        assert min(compactions) > 20, compactions
+        assert sorted(listings) == [f"node-{pid}/shard-0" for pid in range(3)]
+        for path, names in listings.items():
+            assert len(names) == 1, (path, names)
+            assert names[0].startswith("snap-") and names[0].endswith(".bin")
+        assert recovered > 0, "the restarted follower recovered no snapshot"
 
 
 @pytest.mark.storage

@@ -28,10 +28,22 @@ from repro.storage import (
     recover_wal,
     replay_records,
     scan_frames,
+    snapshot_files,
     tear_tail,
     wal_segments,
     write_snapshot,
 )
+
+
+def compact_to(storage, index, machine):
+    """Append up to ``index`` and compact with ``machine`` as the image."""
+    for at in range(storage.snapshot_index + len(storage.entries) + 1, index + 1):
+        storage.record_append(at, Entry(1, f"cmd-{at}"))
+    storage.record_compact(index, 1, machine, [])
+
+
+def snapshot_names(directory):
+    return [os.path.basename(path) for path in snapshot_files(str(directory))]
 
 
 class TestFrameCodec:
@@ -224,6 +236,47 @@ class TestSnapshotFiles:
         with pytest.raises(WalCorruptionError):
             read_snapshot(str(tmp_path), 7)
 
+    def test_truncated_raises(self, tmp_path):
+        path = write_snapshot(str(tmp_path), 7, ({"k": "v"}, 7))
+        blob = open(path, "rb").read()
+        with open(path, "wb") as fh:
+            fh.write(blob[:-3])
+        with pytest.raises(WalCorruptionError):
+            read_snapshot(str(tmp_path), 7)
+
+    def test_empty_file_raises(self, tmp_path):
+        open(tmp_path / f"snap-{7:016d}.bin", "wb").close()
+        with pytest.raises(WalCorruptionError):
+            read_snapshot(str(tmp_path), 7)
+
+    def test_extra_frames_raise(self, tmp_path):
+        # One image per file: a second intact frame is not a snapshot.
+        path = write_snapshot(str(tmp_path), 7, ({"k": "v"}, 7))
+        with open(path, "ab") as fh:
+            fh.write(encode_frame(({"k": "w"}, 8)))
+        with pytest.raises(WalCorruptionError):
+            read_snapshot(str(tmp_path), 7)
+
+    def test_rewrite_replaces_image_and_leaves_no_temp(self, tmp_path):
+        write_snapshot(str(tmp_path), 7, ({"k": "v"}, 7))
+        write_snapshot(str(tmp_path), 7, ({"k": "w"}, 7))
+        assert read_snapshot(str(tmp_path), 7) == ({"k": "w"}, 7)
+        assert snapshot_names(tmp_path) == [f"snap-{7:016d}.bin"]
+
+    def test_snapshot_files_lists_images_and_temp_leftovers(self, tmp_path):
+        for name in (
+            f"snap-{20:016d}.bin.tmp",
+            f"snap-{10:016d}.bin",
+            f"snap-{10:016d}.bin.bak",
+            "snap-10.bin",
+            f"wal-{1:08d}.log",
+        ):
+            (tmp_path / name).write_bytes(b"")
+        assert snapshot_names(tmp_path) == [
+            f"snap-{10:016d}.bin",
+            f"snap-{20:016d}.bin.tmp",
+        ]
+
 
 class TestRaftStorage:
     def test_cold_start_is_empty(self, tmp_path):
@@ -350,6 +403,142 @@ class TestRaftStorage:
         os.unlink(tmp_path / f"snap-{2:016d}.bin")
         with pytest.raises(StorageQuarantineError):
             RaftStorage(str(tmp_path), no_rejoin=True)
+
+    def test_every_compaction_writes_one_full_image(self, tmp_path):
+        storage = RaftStorage(str(tmp_path))
+        data = {}
+        for step in range(1, 6):
+            data = dict(data, **{f"k{step}": step})
+            compact_to(storage, step * 10, (data, step * 10))
+            assert snapshot_names(tmp_path) == [f"snap-{step * 10:016d}.bin"]
+            assert read_snapshot(str(tmp_path), step * 10) == (data, step * 10)
+        assert storage.compactions == 5
+        storage.crash()
+        recovered = RaftStorage(str(tmp_path))
+        assert recovered.snapshot_index == 50
+        assert recovered.machine_snapshot == (data, 50)
+        recovered.close()
+
+    def test_recovered_storage_compacts_again(self, tmp_path):
+        storage = RaftStorage(str(tmp_path))
+        compact_to(storage, 10, ({"a": 1}, 10))
+        storage.crash()
+        recovered = RaftStorage(str(tmp_path))
+        compact_to(recovered, 20, ({"a": 2}, 20))
+        assert snapshot_names(tmp_path) == [f"snap-{20:016d}.bin"]
+        recovered.crash()
+        again = RaftStorage(str(tmp_path))
+        assert again.snapshot_index == 20
+        assert again.machine_snapshot == ({"a": 2}, 20)
+        again.close()
+
+    def test_stale_older_snapshot_is_unlinked_at_open(self, tmp_path):
+        storage = RaftStorage(str(tmp_path))
+        compact_to(storage, 10, ({"a": 1}, 10))
+        storage.crash()
+        write_snapshot(str(tmp_path), 5, ({"a": 0}, 5))
+        recovered = RaftStorage(str(tmp_path))
+        assert recovered.snapshot_index == 10
+        assert recovered.machine_snapshot == ({"a": 1}, 10)
+        assert snapshot_names(tmp_path) == [f"snap-{10:016d}.bin"]
+        recovered.close()
+
+    def test_missing_snapshot_quarantines_and_rejoins_empty(self, tmp_path):
+        storage = RaftStorage(str(tmp_path))
+        compact_to(storage, 10, ({"a": 1}, 10))
+        storage.close()
+        os.unlink(tmp_path / f"snap-{10:016d}.bin")
+        recovered = RaftStorage(str(tmp_path))
+        assert recovered.quarantined
+        assert "missing snapshot" in recovered.quarantine_reason
+        assert recovered.snapshot_index == 0 and recovered.entries == []
+        assert recovered.machine_snapshot is None
+        recovered.close()
+
+    def test_second_compaction_leaves_one_snapshot_file(self, tmp_path):
+        storage = RaftStorage(str(tmp_path))
+        compact_to(storage, 10, ({"keep": 1, "drop": 2}, 10))
+        compact_to(storage, 20, ({"keep": 1, "new": 3}, 20))
+        assert snapshot_names(tmp_path) == [f"snap-{20:016d}.bin"]
+        storage.crash()
+        recovered = RaftStorage(str(tmp_path))
+        assert recovered.snapshot_index == 20
+        assert recovered.machine_snapshot == ({"keep": 1, "new": 3}, 20)
+        recovered.close()
+
+    def test_crash_between_snapshot_and_checkpoint(self, tmp_path):
+        """Compaction dies after writing its image but before the
+        checkpoint that names it: the older snapshot is still the durable
+        truth, and the opening checkpoint's GC drops only the orphan."""
+        storage = RaftStorage(str(tmp_path))
+        compact_to(storage, 10, ({"a": 1}, 10))
+        compact_to(storage, 20, ({"a": 1, "b": 2}, 20))
+        write_snapshot(str(tmp_path), 30, ({"a": 1, "b": 2, "c": 3}, 30))
+        storage.crash()
+        recovered = RaftStorage(str(tmp_path))
+        assert recovered.snapshot_index == 20
+        assert recovered.machine_snapshot == ({"a": 1, "b": 2}, 20)
+        assert snapshot_names(tmp_path) == [f"snap-{20:016d}.bin"]
+        recovered.close()
+
+    def test_unrenamed_snapshot_temp_file_is_cleared(self, tmp_path):
+        """A crash inside ``write_snapshot`` (before its rename) leaves a
+        ``.tmp``; reopening unlinks it and recovers the named snapshot."""
+        storage = RaftStorage(str(tmp_path))
+        compact_to(storage, 10, ({"a": 1}, 10))
+        storage.crash()
+        leftover = tmp_path / f"snap-{20:016d}.bin.tmp"
+        leftover.write_bytes(encode_frame(({"a": 1, "b": 2}, 20))[:-3])
+        recovered = RaftStorage(str(tmp_path))
+        assert not leftover.exists()
+        assert not recovered.quarantined
+        assert recovered.snapshot_index == 10
+        assert recovered.machine_snapshot == ({"a": 1}, 10)
+        assert snapshot_names(tmp_path) == [f"snap-{10:016d}.bin"]
+        recovered.close()
+
+    def _damage_snapshot(self, directory):
+        storage = RaftStorage(str(directory))
+        compact_to(storage, 10, ({"a": 1}, 10))
+        compact_to(storage, 20, ({"a": 1, "b": 2}, 20))
+        storage.crash()
+        path = directory / f"snap-{20:016d}.bin"
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0xFF
+        path.write_bytes(bytes(blob))
+
+    def test_damaged_snapshot_quarantines_and_rejoins_empty(self, tmp_path):
+        self._damage_snapshot(tmp_path)
+        recovered = RaftStorage(str(tmp_path))
+        assert recovered.quarantined
+        assert recovered.snapshot_index == 0 and recovered.entries == []
+        assert recovered.machine_snapshot is None
+        assert snapshot_names(tmp_path) == []
+        recovered.close()
+
+    def test_damaged_snapshot_respects_no_rejoin(self, tmp_path):
+        self._damage_snapshot(tmp_path)
+        with pytest.raises(StorageQuarantineError):
+            RaftStorage(str(tmp_path), no_rejoin=True)
+
+    def test_quarantine_keeps_damaged_snapshot_as_evidence(self, tmp_path):
+        self._damage_snapshot(tmp_path)
+        recovered = RaftStorage(str(tmp_path))
+        kept = sorted(os.listdir(tmp_path / "corrupt-0000"))
+        assert f"snap-{20:016d}.bin" in kept
+        assert any(name.startswith("wal-") for name in kept)
+        recovered.close()
+
+    def test_unrenamed_temp_file_is_no_corruption_under_no_rejoin(self, tmp_path):
+        storage = RaftStorage(str(tmp_path))
+        compact_to(storage, 10, ({"a": 1}, 10))
+        storage.crash()
+        leftover = tmp_path / f"snap-{20:016d}.bin.tmp"
+        leftover.write_bytes(b"half an image")
+        recovered = RaftStorage(str(tmp_path), no_rejoin=True)
+        assert not leftover.exists()
+        assert recovered.machine_snapshot == ({"a": 1}, 10)
+        recovered.close()
 
     def test_term_journalling_deduplicates(self, tmp_path):
         storage = RaftStorage(str(tmp_path))
