@@ -96,11 +96,11 @@ class RaftLog:
     def contains_command(self, command: Any) -> bool:
         """Whether any retained entry carries ``command`` (no copy made).
 
-        Used by the leader's duplicate-proposal check, which guards
-        nothing on the live KV path: every flush proposes a
-        :class:`~repro.live.kv.KvBatch` under a fresh ``batch_id``, so a
-        client's retried op arrives in a new, unequal command and can be
-        applied twice.  Compacted entries are not consulted.  O(1)
+        Used by the leader's duplicate-proposal check, which catches a
+        proposal rebroadcast unchanged.  On the live KV path every flush
+        proposes a fresh :class:`~repro.live.kv.KvBatch`, so a retried
+        client op is caught by the KV machine instead.  Compacted
+        entries are not consulted.  O(1)
         through the command index; an unhashable command (a client may
         put a list value) is answered by scanning the retained log.
         """

@@ -212,10 +212,6 @@ class ReplicatedLogNode(Process):
         #: Last known leader of the current epoch (``None`` during
         #: elections) — the redirect hint live KV frontends serve clients.
         self.leader_hint: Optional[Pid] = None
-        #: Proposal ids already accepted this incarnation (fast-path
-        #: duplicate check; the log scan remains the backstop for
-        #: proposals first logged under an earlier leader or incarnation).
-        self._proposed_ids: Set[Any] = set()
         # Follower-side ack coalescing: the last success-ack state sent,
         # and how many redundant heartbeat acks were skipped since.
         self._last_ack: Optional[Tuple[int, Pid, int, int, int]] = None
@@ -317,7 +313,6 @@ class ReplicatedLogNode(Process):
         self._probing = set()
         self._decided = False
         self.leader_hint = None
-        self._proposed_ids = set()
         self._last_ack = None
         self._ack_skips = 0
         self._ae_sent = {}
@@ -649,12 +644,8 @@ class ReplicatedLogNode(Process):
     ) -> ProtocolGenerator:
         if self.state is not LEADER:
             return
-        if msg.proposal_id in self._proposed_ids:
-            return  # retried proposal, fast path
         if self.log.contains_command(msg.command):
-            self._proposed_ids.add(msg.proposal_id)
             return  # already logged (e.g. under a previous leader)
-        self._proposed_ids.add(msg.proposal_id)
         self.log.append_new(Entry(self.current_term, msg.command))
         yield from self._broadcast_append_entries(api)
         yield from self._advance_commit(api)  # n == 1 clusters commit at once

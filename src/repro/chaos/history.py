@@ -199,7 +199,7 @@ class History:
 class HistoryClient:
     """An :class:`AsyncKVClient` wrapper that records everything it does.
 
-    Puts use at-least-once retries inside the wrapped client; from the
+    Puts are retried inside the wrapped client and applied once; from the
     history's point of view one ``put`` call is one operation spanning all
     its retries, which is exactly the window in which it may take effect.
     Reads are linearizable (:class:`~repro.live.kv.KvRead` markers) so the

@@ -34,6 +34,7 @@ CLI: ``python -m repro explore <algorithm> ...``,
 
 from repro.dst.corpus import (
     CorpusCase,
+    assert_stays_clean,
     assert_still_fails,
     case_name,
     load_case,
@@ -97,6 +98,7 @@ __all__ = [
     "ShrinkResult",
     "ViolationRecord",
     "algorithm_names",
+    "assert_stays_clean",
     "assert_still_fails",
     "case_name",
     "explore",

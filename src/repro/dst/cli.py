@@ -31,7 +31,8 @@ should be clean violates (a non-``expect_broken`` algorithm, a live
 cluster without ``--inject-bug``); otherwise 2 when any schedule ended
 in a harness ``error`` — it verified nothing, canary sweeps included —
 or on a usage error; ``replay`` returns 1 when a case no longer
-reproduces its recorded violation.
+reproduces its recorded violation, or when an ``expect: "ok"`` case
+(a fixed bug) does not replay clean.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from repro.dst.corpus import CorpusCase, case_name, replay as replay_case, save_
 from repro.dst.explorer import explore, generate_scenarios
 from repro.dst.livestack import LIVE_EXPLORE_KINDS, LiveScenario, generate_live_scenarios
 from repro.dst.registry import algorithm_names, get_algorithm
-from repro.dst.scenario import VIOLATION, scenario_from_dict
+from repro.dst.scenario import OK, VIOLATION, scenario_from_dict
 from repro.dst.shrinker import shrink
 from repro.options import add_options, opt
 
@@ -227,6 +228,14 @@ def _replay(args: argparse.Namespace) -> int:
             f"replayed {case.name}: status={outcome.status} "
             f"({outcome.events} events)"
         )
+        if case.expect == OK:
+            if outcome.status == OK:
+                print("  fixed case replays clean")
+                return 0
+            if outcome.violation is not None:
+                print(f"  [{outcome.violation.kind}] {outcome.violation.message}")
+            print("  fixed case did NOT replay clean")
+            return 1
         if outcome.status == VIOLATION and outcome.violation is not None:
             print(f"  [{outcome.violation.kind}] {outcome.violation.message}")
             if outcome.violation.kind == case.violation.kind:

@@ -7,7 +7,9 @@ ordinary pytest cases (``tests/regressions/test_corpus.py``): each replay
 re-runs the scenario deterministically and asserts the recorded violation
 kind fires again.  A corpus case is thus a *pinned* adversarial schedule —
 the bug's witness survives refactors, and a fix that silences it must
-update the corpus entry deliberately.
+update the corpus entry deliberately.  A case whose ``expect`` is
+``"ok"`` pins such a fix instead: its recorded violation is what the
+schedule showed before the fix, and its replay must now run clean.
 
 Case files are produced by ``python -m repro explore ... --save-corpus``
 or :func:`save_case` directly.
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List
 
 from repro.dst.scenario import (
+    OK,
     VIOLATION,
     DstScenario,
     ScenarioOutcome,
@@ -44,15 +47,19 @@ class CorpusCase:
         scenario: the minimized scenario — simulator or live-stack.
         violation: the violation it reproduces.
         notes: free-form provenance (how it was found, what it witnesses).
+        expect: ``"violation"`` (the replay must still fail) or ``"ok"``
+            (the bug is fixed, and the replay must run clean).
     """
 
     name: str
     scenario: DstScenario
     violation: ViolationRecord
     notes: str = ""
+    expect: str = VIOLATION
 
     def to_dict(self) -> Dict[str, Any]:
         return {
+            "expect": self.expect,
             "format": _FORMAT_VERSION,
             "name": self.name,
             "notes": self.notes,
@@ -67,6 +74,9 @@ class CorpusCase:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CorpusCase":
         violation = data["violation"]
+        expect = data.get("expect", VIOLATION)
+        if expect not in (VIOLATION, OK):
+            raise ValueError(f"expect must be {VIOLATION!r} or {OK!r}, not {expect!r}")
         return cls(
             name=data["name"],
             scenario=scenario_from_dict(data["scenario"]),
@@ -76,6 +86,7 @@ class CorpusCase:
                 event_index=violation.get("event_index", -1),
             ),
             notes=data.get("notes", ""),
+            expect=expect,
         )
 
 
@@ -136,5 +147,17 @@ def assert_still_fails(case: CorpusCase) -> ScenarioOutcome:
             f"corpus case {case.name!r} changed violation kind: recorded "
             f"{case.violation.kind!r}, replay produced "
             f"{outcome.violation.kind!r} ({outcome.violation.message})"
+        )
+    return outcome
+
+
+def assert_stays_clean(case: CorpusCase) -> ScenarioOutcome:
+    """Replay an ``expect: "ok"`` case and assert it runs clean."""
+    outcome = replay(case)
+    if outcome.status != OK:
+        found = outcome.violation.message if outcome.violation else ""
+        raise AssertionError(
+            f"corpus case {case.name!r} must replay clean but ended "
+            f"{outcome.status!r} {found}".rstrip()
         )
     return outcome

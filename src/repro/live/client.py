@@ -4,11 +4,9 @@
 every ``put`` locally (:func:`repro.live.sharding.shard_of` — the same
 hash the servers use), keeps a per-shard leader hint learned from
 redirects, and pools one connection per node so requests for different
-shards reuse sockets.  Writes are at-least-once: a timed-out or
-redirected ``put`` is retried with the same ``op_id``, which the servers
-do not deduplicate, so a retry can be applied twice — possibly after
-another client's write to the key, undoing it.  That is an open bug (see
-"Delivery semantics" in :mod:`repro.live.kv`), not a harmless repeat.
+shards reuse sockets.  A timed-out or redirected ``put`` is retried
+with the same ``op_id``, and the servers apply it once (see "Delivery"
+in :mod:`repro.live.kv`).
 
 The shard count is discovered from the cluster on first use (the
 ``status`` response carries it), so clients need no configuration.
@@ -95,10 +93,10 @@ class AsyncKVClient:
         """Replicate ``key -> value``; returns the commit log index.
 
         The index is local to the shard owning ``key`` — indices from
-        different shards are not comparable.
+        different shards are not comparable.  A caller-supplied ``op_id``
+        must be ``<client>-<n>`` with ``n`` rising per client: a put whose
+        ``n`` is not above its client's last applied one is skipped.
         """
-        if op_id is None:
-            op_id = self._next_op_id()
         router = await self._ensure_router()
         # One group: rotate over nodes and follow redirects on the shared
         # target, so plain gets follow the leader too.
@@ -143,8 +141,6 @@ class AsyncKVClient:
             linearizable = True
         if not linearizable:
             return await self._request({"type": "get", "key": key}, want="value")
-        if op_id is None:
-            op_id = self._next_op_id()
         router = await self._ensure_router()
         shard = router.shard_of(key) if router.shards > 1 else None
         request: Dict[str, Any] = {
@@ -250,6 +246,9 @@ class AsyncKVClient:
         if self._lock is None:
             self._lock = asyncio.Lock()
         async with self._lock:
+            if request.get("id", "") is None:
+                # Drawn under the lock, so ids leave in counter order.
+                request["id"] = self._next_op_id()
             return await self._request_locked(request, want=want, shard=shard)
 
     def _addr_for(self, shard: Optional[int]) -> Addr:

@@ -221,7 +221,7 @@ class TestScenarioFilesAreChecked:
                 # Each step is a fresh LiveScenario: building it checks it.
                 for step in scenario.shrink_passes():
                     list(step(scenario))
-        assert live == 3
+        assert live == 5
 
 
 class TestInjectedBugCanary:

@@ -4,9 +4,11 @@ that carries them out when leadership is lost.
 :class:`~repro.live.kv.FlushPolicy` (when a leader proposes what it
 holds) and :class:`~repro.live.kv.ReadQueue` (ReadIndex batching, one
 barrier in flight) are plain objects: every case below feeds them
-numbers and reads back their answer.  The last class runs the glue on
-:class:`~repro.core.runtime.SimRuntime`: a deposed leader must turn
-every kind of waiter it holds into a redirect.
+numbers and reads back their answer.  :class:`TestSessions` does the
+same for :class:`~repro.live.kv.KVCommandMachine`'s session table, then
+checks on :class:`~repro.core.runtime.SimRuntime` that a cluster applies
+a client's put once.  The last class runs the glue there too: a deposed
+leader must turn every kind of waiter it holds into a redirect.
 """
 
 import asyncio
@@ -16,6 +18,7 @@ import pytest
 from repro.chaos import heal_cluster, partition_cluster
 from repro.core.runtime import SimRuntime
 from repro.live import LiveKVCluster, kv
+from repro.live.client import AsyncKVClient
 from repro.live.config import ClusterConfig
 from repro.live.kv import (
     BATCH_WINDOW,
@@ -26,6 +29,7 @@ from repro.live.kv import (
     KVServer,
     ReadQueue,
 )
+from repro.sim.serialize import binary_dumps, binary_loads
 
 FAST = dict(election_timeout=(0.15, 0.3), heartbeat_interval=0.05)
 
@@ -152,7 +156,6 @@ def test_max_batch_below_one_is_refused(max_batch):
         KVServer(ClusterConfig.simulated(3), 0, max_batch=max_batch)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 0")
 def test_a_retried_put_is_applied_once():
     """A client retries ``c1-1`` after a redirect; the deposed leader's
     entry had survived, so the retry commits again in a new batch, after
@@ -163,6 +166,174 @@ def test_a_retried_put_is_applied_once():
     for index, (op_id, value) in enumerate(puts, start=1):
         machine.apply(index, batch(index, (kv.TaggedPut("k", value, op_id),)))
     assert machine.data == {"k": "v2"}
+
+
+def put_batch(index, *puts):
+    """A one-entry batch of ``(op_id, key, value)`` puts."""
+    return batch(index, [kv.TaggedPut(key, value, op_id) for op_id, key, value in puts])
+
+
+def run_sim(scenario, timeout=60.0):
+    rt = SimRuntime()
+    try:
+        return rt.run(scenario(), timeout=timeout)
+    finally:
+        rt.close()
+
+
+class TestSessions:
+    """The KV machine's session table: a client's put applies once."""
+
+    def test_only_a_higher_counter_applies_and_reads_are_not_tracked(self):
+        machine = kv.KVCommandMachine()
+        machine.apply(1, put_batch(1, ("c1-2", "k", "a")))
+        machine.apply(2, put_batch(2, ("c1-1", "k", "old"), ("c1-2", "k", "b")))
+        assert machine.data == {"k": "a"} and machine.applied_count == 1
+        machine.apply(3, batch(3, (kv.KvRead("k", "c9-1"),)))
+        assert machine.sessions == {"c1": (2, 1)}
+        assert machine.effect_index("c1-2", 2) == 1
+
+    @pytest.mark.parametrize(
+        "op_id", ["", "7", "c1-", "c1-x", "-3", "c1-+3", "c1-\u0663"]
+    )
+    def test_an_id_without_a_counter_is_applied_untracked(self, op_id):
+        machine = kv.KVCommandMachine()
+        for index in (1, 2):
+            machine.apply(index, put_batch(index, (op_id, "k", index)))
+        assert machine.data == {"k": 2} and machine.sessions == {}
+        assert kv.parse_op_id(op_id) is None
+
+    def test_the_table_survives_the_binary_codec_in_eviction_order(self):
+        machine = kv.KVCommandMachine()
+        for index, client in enumerate(["a", "b", "c", "a"], start=1):
+            machine.apply(index, put_batch(index, (f"{client}-{index}", "k", index)))
+        assert list(machine.sessions) == ["b", "c", "a"]
+        image = binary_loads(binary_dumps(machine.snapshot()))
+        copy = kv.KVCommandMachine()
+        copy.restore(image)
+        assert list(copy.sessions.items()) == list(machine.sessions.items())
+        assert copy.data == machine.data
+        copy.apply(5, put_batch(5, ("a-4", "k", "again")))
+        assert copy.data == {"k": 4}
+        copy.reset()
+        assert copy.sessions == {} and copy.data == {}
+
+    def test_an_image_from_before_the_table_restores_with_none(self):
+        machine = kv.KVCommandMachine()
+        machine.restore(({"k": 1}, 1))
+        assert machine.data == {"k": 1} and machine.sessions == {}
+
+    def test_replicas_fed_the_same_clients_evict_the_same_one(self):
+        machines = [kv.KVCommandMachine(), kv.KVCommandMachine()]
+        for machine in machines:
+            machine.apply(1, put_batch(1, ("first-1", "k", 0)))
+            for index in range(2, kv.SESSION_CAP + 1):
+                machine.apply(index, put_batch(index, (f"c{index}-1", "k", index)))
+            # Touching the oldest client makes the next one the oldest.
+            machine.apply(kv.SESSION_CAP + 1, put_batch(0, ("first-2", "k", 1)))
+            assert len(machine.sessions) == kv.SESSION_CAP
+            machine.apply(kv.SESSION_CAP + 2, put_batch(0, ("new-1", "k", 2)))
+            assert len(machine.sessions) == kv.SESSION_CAP
+        evicted = [
+            {"first", "new", *(f"c{i}" for i in range(2, kv.SESSION_CAP + 1))}
+            - set(machine.sessions)
+            for machine in machines
+        ]
+        assert evicted == [{"c2"}, {"c2"}]
+        assert machines[0].sessions == machines[1].sessions
+
+    def test_a_skipped_retry_is_answered_with_the_first_index(self):
+        """``c1-1`` commits, another client overwrites the key, and the
+        retry of ``c1-1`` commits again: the store keeps the other
+        client's value and the retry's waiter gets the first index."""
+
+        async def scenario():
+            cluster = LiveKVCluster(3, seed=23, **FAST)
+            await cluster.start()
+            try:
+                server = cluster.servers[await cluster.wait_for_leader(timeout=15.0)]
+                put = {"type": "put", "key": "k", "value": 1, "id": "c1-1"}
+                first = await server._serve(put)
+                other = await server._serve(
+                    {"type": "put", "key": "k", "value": 2, "id": "c2-1"}
+                )
+                retry = await server._serve(put)
+                return first, other, retry, server.shards[0].node
+            finally:
+                await cluster.stop()
+
+        first, other, retry, node = run_sim(scenario)
+        assert [r["type"] for r in (first, other, retry)] == ["ok"] * 3
+        assert retry["index"] == first["index"] < other["index"]
+        assert node.last_applied > other["index"]  # the retry did commit
+        assert node.machine.data["k"] == 2
+
+    @pytest.mark.parametrize("op_id", [None, 7, "", "warm", "c1-x", "c1-" + "9" * 19])
+    def test_the_frontend_refuses_a_put_id_without_a_counter(self, op_id):
+        server = KVServer(ClusterConfig.simulated(3), 0)
+        reply = asyncio.run(
+            server._serve({"type": "put", "key": "k", "value": 1, "id": op_id})
+        )
+        assert reply["type"] == "error" and "<client>-<n>" in reply["reason"]
+
+    def test_a_durable_restart_still_skips_a_retry(self, tmp_path):
+        """Kill every node of a compacting durable cluster and restart
+        it: the table comes back from the snapshot and the log, so
+        retries of a put from before the last compaction and of one from
+        after it are both skipped."""
+
+        async def scenario():
+            cluster = LiveKVCluster(
+                3, seed=29, data_dir=str(tmp_path), snapshot_threshold=4, **FAST
+            )
+            await cluster.start()
+            try:
+                server = cluster.servers[await cluster.wait_for_leader(timeout=15.0)]
+                early = {"type": "put", "key": "e", "value": 1, "id": "c1-1"}
+                late = {"type": "put", "key": "l", "value": 1, "id": "c4-1"}
+                acks = [await server._serve(early)]
+                for i in range(8):
+                    acks.append(await server._serve(
+                        {"type": "put", "key": "e", "value": 2, "id": f"c2-{i}"}
+                    ))
+                acks.append(await server._serve(late))
+                acks.append(await server._serve(
+                    {"type": "put", "key": "l", "value": 2, "id": "c3-1"}
+                ))
+                assert server.shards[0].node.log.snapshot_index > acks[0]["index"]
+                for pid in range(3):
+                    await cluster.kill(pid)
+                for pid in range(3):
+                    await cluster.restart(pid)
+                server = cluster.servers[await cluster.wait_for_leader(timeout=15.0)]
+                retries = [await server._serve(early), await server._serve(late)]
+                return acks, retries, server.shards[0].node.machine.data
+            finally:
+                await cluster.stop()
+
+        acks, retries, data = run_sim(scenario)
+        assert [r["index"] for r in retries] == [acks[0]["index"], acks[-2]["index"]]
+        assert data["e"] == 2 and data["l"] == 2
+
+    def test_two_tasks_sharing_a_client_both_apply_in_counter_order(self):
+        async def scenario():
+            cluster = LiveKVCluster(3, seed=23, **FAST)
+            await cluster.start()
+            try:
+                leader = await cluster.wait_for_leader(timeout=15.0)
+                client = AsyncKVClient(cluster.cluster, op_id_prefix="s")
+                tasks = [
+                    asyncio.ensure_future(client.put(f"k{i}", i)) for i in range(6)
+                ]
+                await asyncio.gather(*tasks)
+                await client.close()
+                return cluster.servers[leader].shards[0].node
+            finally:
+                await cluster.stop()
+
+        node = run_sim(scenario)
+        assert node.machine.data == {f"k{i}": i for i in range(6)}
+        assert node.machine.sessions["s"][0] == 6
 
 
 def test_a_retry_keeps_its_waiter_when_the_first_request_gives_up():
@@ -207,12 +378,12 @@ class TestDeposedLeader:
                 old = await cluster.wait_for_leader(timeout=15.0)
                 server = cluster.servers[old]
                 shard = server.shards[0]
-                put = {"type": "put", "key": "k", "value": 0, "id": "warm"}
+                put = {"type": "put", "key": "k", "value": 0, "id": "warm-1"}
                 assert (await server._serve(put))["type"] == "ok"
                 others = [pid for pid in range(3) if pid != old]
                 partition_cluster(cluster, [old], others)
                 requests = [
-                    {"type": "put", "key": "k", "value": 1, "id": "p1"},
+                    {"type": "put", "key": "k", "value": 1, "id": "p-1"},
                     {"type": "get", "key": "k", "lin": True, "id": "s1",
                      "tier": "safe"},
                     {"type": "get", "key": "k", "lin": True, "id": "r1",

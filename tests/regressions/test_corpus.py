@@ -12,18 +12,29 @@ case generates two pytest cases:
   long as the bug the case witnesses exists.  ``strict=True`` turns an
   unexpected pass into a test failure — so fixing the underlying bug
   forces whoever fixed it to delete or re-record the corpus entry.
+
+A case whose ``expect`` is ``"ok"`` pins a fixed bug instead:
+``test_fixed_case_stays_clean`` asserts its replay runs clean.
 """
 
 import os
 
 import pytest
 
-from repro.dst import LiveScenario, assert_still_fails, load_corpus, replay
+from repro.dst import (
+    LiveScenario,
+    assert_stays_clean,
+    assert_still_fails,
+    load_corpus,
+    replay,
+)
 from repro.dst.scenario import VIOLATION
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 
-CASES = load_corpus(CORPUS_DIR)
+ALL_CASES = load_corpus(CORPUS_DIR)
+CASES = [case for case in ALL_CASES if case.expect == VIOLATION]
+FIXED = [case for case in ALL_CASES if case.expect != VIOLATION]
 
 
 def test_corpus_is_not_empty():
@@ -55,3 +66,8 @@ def test_recorded_violation_reproduces(case):
 def test_scenario_is_still_a_counterexample(case):
     outcome = replay(case)
     assert outcome.status != VIOLATION
+
+
+@pytest.mark.parametrize("case", FIXED, ids=[c.name for c in FIXED])
+def test_fixed_case_stays_clean(case):
+    assert_stays_clean(case)
