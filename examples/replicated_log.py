@@ -31,8 +31,8 @@ def client(api):
     yield SetTimer(5.0, "tick")
     while True:
         yield Receive(count=1, predicate=lambda e: isinstance(e.payload, TimerFired))
-        for i, command in enumerate(COMMANDS):
-            yield Broadcast(ClientPropose(("client", i), command), include_self=False)
+        for command in COMMANDS:
+            yield Broadcast(ClientPropose(command), include_self=False)
         yield SetTimer(8.0, "tick")
 
 

@@ -103,9 +103,8 @@ class InstallSnapshotReply:
 class ClientPropose:
     """A client asks the cluster to append ``command`` to the log.
 
-    Only the leader acts on it; ``proposal_id`` lets the leader deduplicate
-    retried proposals.
+    Only the leader acts on it, and not when its log already holds
+    ``command`` (a retried proposal).
     """
 
-    proposal_id: Any
     command: Any

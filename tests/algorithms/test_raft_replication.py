@@ -44,8 +44,8 @@ def make_client(commands, period=8.0, start=5.0, staggered=False):
             )
             tick += 1
             visible = commands[:tick] if staggered else commands
-            for i, command in enumerate(visible):
-                yield Broadcast(ClientPropose(("client", i), command), include_self=False)
+            for command in visible:
+                yield Broadcast(ClientPropose(command), include_self=False)
             yield SetTimer(period, "tick")
 
     return FunctionProcess(client)

@@ -132,10 +132,8 @@ def make_client(commands):
             yield Receive(
                 count=1, predicate=lambda e: isinstance(e.payload, TimerFired)
             )
-            for i, command in enumerate(commands):
-                yield Broadcast(
-                    ClientPropose(("client", i), command), include_self=False
-                )
+            for command in commands:
+                yield Broadcast(ClientPropose(command), include_self=False)
             yield SetTimer(8.0, "tick")
 
     return FunctionProcess(client)

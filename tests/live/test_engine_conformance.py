@@ -137,7 +137,7 @@ class TestEngineConformance:
                 leader = await cluster.wait_for_leader(timeout=20.0)
                 shard = cluster.servers[leader].shards[0]
                 batch = KvBatch((), batch_id=("dup-test", 0))
-                proposal = ClientPropose(batch.batch_id, batch)
+                proposal = ClientPropose(batch)
                 shard.runtime.inject(proposal)
                 shard.runtime.inject(proposal)  # client retry, same id
                 client = AsyncKVClient(cluster.cluster)

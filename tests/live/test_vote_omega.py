@@ -45,7 +45,7 @@ def _leaders(runtimes):
 
 
 async def _commit_everywhere(rt, runtimes, leader, key):
-    runtimes[leader].inject(ClientPropose(key, Put(key, leader)))
+    runtimes[leader].inject(ClientPropose(Put(key, leader)))
     live = [r for r in runtimes if r is not None]
     await _until(rt, lambda: all(
         r.process.machine.data.get(key) == leader for r in live

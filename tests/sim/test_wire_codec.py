@@ -84,8 +84,8 @@ SAMPLE_MESSAGES = [
     AppendEntriesReply(7, True, 2, 13),
     InstallSnapshot(8, 1, 20, 7, {"x": 1, "y": [True, None]}),
     InstallSnapshotReply(8, 2, 20),
-    ClientPropose("req-1", Put("k", "v")),
-    ClientPropose(("client", 3, 1), DecideAndStop(0)),
+    ClientPropose(Put("k", "v")),
+    ClientPropose(DecideAndStop(0)),
     Entry(3, Put("键", b"\x00\xffbytes")),
     DecideAndStop(1),
     Put("unicode-κλειδί", "🎯"),
