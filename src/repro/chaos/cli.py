@@ -79,13 +79,6 @@ OPTIONS = (
         "directory when omitted)",
     ),
     opt(
-        "--sync-mode",
-        help="WAL durability pipeline: inline fsyncs on the event loop "
-        "(default); pipelined off-loads fsync to a thread behind the "
-        "durability watermark — power-failure campaigns must stay "
-        "linearizable in both modes",
-    ),
-    opt(
         "--read-tier",
         help="how the workload's linearizable reads are served "
         "(default safe; lease exercises the clock-based fast path the "
@@ -169,7 +162,6 @@ async def run_campaign(args: argparse.Namespace) -> int:
         data_dir=args.data_dir,
         needs_disk=needs_disk,
         engine=args.engine,
-        sync_mode=args.sync_mode,
         lease_duration=args.lease_duration,
         **options,
     )

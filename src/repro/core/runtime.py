@@ -23,12 +23,13 @@ interchangeable implementations answer.
   in-memory message fabric with fixed per-write latency.
 
 Because ``SimLoop`` *is* an asyncio event loop, the seam only has to
-abstract the four things a virtual loop cannot fake by itself:
+abstract the five things a virtual loop cannot fake by itself:
 
 1. the wall clock (``Runtime.now``),
 2. stream creation (``open_connection`` / ``start_server``),
 3. TCP socket options (``get_extra_info("socket")`` returns ``None``),
-4. port allocation (no OS sockets are ever bound).
+4. port allocation (no OS sockets are ever bound),
+5. where a blocking fsync runs (``Runtime.disk_threads``).
 
 Everything else — including the KV shard's batching timers and the
 transport's reconnect backoff — flows through unchanged.
@@ -78,6 +79,12 @@ class Runtime:
     """
 
     name = "abstract"
+
+    #: Whether a blocking disk wait (the WAL barrier's fsync) runs on a
+    #: worker thread.  On a real clock that overlaps the fsync with the
+    #: loop's work; virtual time has no disk latency to overlap, so a
+    #: simulation runs it inline and the schedule stays deterministic.
+    disk_threads = True
 
     # -- time ---------------------------------------------------------
     def now(self) -> float:
@@ -486,6 +493,7 @@ class SimRuntime(Runtime):
     """
 
     name = "sim"
+    disk_threads = False
 
     def __init__(self, *, latency: float = 0.0005,
                  connect_latency: float = 0.001) -> None:

@@ -36,7 +36,7 @@ See ``docs/live.md`` for the architecture and wire protocol.
 """
 
 from repro.live import codec as _codec  # registers wire types on import
-from repro.live.client import AsyncKVClient, ClusterUnavailableError
+from repro.live.client import AsyncKVClient, ClusterUnavailableError, RequestRefusedError
 from repro.live.config import ClusterConfig, NodeSpec
 from repro.live.detector import FdEvent, FdHeartbeat, OmegaDetector
 from repro.live.engine import (
@@ -105,6 +105,7 @@ __all__ = [
     "NotLeaderError",
     "PeerTransport",
     "READ_TIERS",
+    "RequestRefusedError",
     "ShardRouter",
     "TaggedPut",
     "TransportStats",

@@ -47,7 +47,7 @@ SERVE_OPTIONS = (
         f"the cluster (default {DEFAULT_ENGINE})",
     ),
     "--election-timeout", "--heartbeat", "--snapshot-threshold", "--data-dir",
-    "--sync-mode", "--status-interval", "--no-rejoin", "--read-tier",
+    "--status-interval", "--no-rejoin", "--read-tier",
     "--lease-duration", "--drift-bound", "--staleness-bound", "--max-inflight",
 )
 CLIENT_OPTIONS = ("--peers", "--shards", "--engine")
@@ -134,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _format_pipeline(pipeline: dict) -> str:
     """One human line of commit-pipeline health (serve + client status)."""
     return (
-        f"sync={pipeline['sync_mode']} "
         f"fsync_queue={pipeline['fsync_queue_depth']} "
         f"watermark_lag={pipeline['watermark_lag']} "
         f"fsyncs/commit={pipeline['fsyncs_per_commit']} "
@@ -180,7 +179,6 @@ async def _serve(args: argparse.Namespace) -> int:
             snapshot_threshold=args.snapshot_threshold,
             max_inflight=args.max_inflight,
             data_dir=args.data_dir,
-            sync_mode=args.sync_mode,
             no_rejoin=args.no_rejoin,
             read_tier=args.read_tier,
             lease_duration=args.lease_duration,

@@ -33,6 +33,11 @@ class ClusterUnavailableError(ConnectionError):
     """No node answered within the attempt budget."""
 
 
+class RequestRefusedError(ValueError):
+    """A server refused the request itself (a malformed op id, key or
+    staleness bound); no retry can fix it, so none is made."""
+
+
 class AsyncKVClient:
     """A redirect-following client for :class:`repro.live.kv.KVServer`.
 
@@ -162,7 +167,8 @@ class AsyncKVClient:
         spreads over them), the hinted leader last — the point of the
         tier is to take reads *off* the leader.  Replica answers of
         ``"stale"`` (freshness proof older than the bound) and connection
-        failures both move on to the next replica.
+        failures both move on to the next replica; a refusal ends the
+        fan-out.
         """
         router = await self._ensure_router()
         shard = router.shard_of(key) if router.shards > 1 else 0
@@ -191,11 +197,11 @@ class AsyncKVClient:
                     last_error = exc
                     self._drop_connection(addr)
                     continue
-                if (
-                    isinstance(response, dict)
-                    and response.get("type") == "value"
-                ):
+                kind = response.get("type") if isinstance(response, dict) else None
+                if kind == "value":
                     return response
+                if kind == "refused":
+                    raise RequestRefusedError(response.get("reason"))
                 last_error = RuntimeError(f"server said {response!r}")
         raise ClusterUnavailableError(
             f"no replica within staleness bound {staleness}: {last_error!r}"
@@ -301,6 +307,8 @@ class AsyncKVClient:
             kind = response.get("type") if isinstance(response, dict) else None
             if kind == want:
                 return response
+            if kind == "refused":
+                raise RequestRefusedError(response.get("reason"))
             if kind == "redirect":
                 # The server names the shard it computed for the key;
                 # trust it over our own (it is authoritative) so hints
@@ -320,7 +328,7 @@ class AsyncKVClient:
                         self._target = None
                     await asyncio.sleep(self.retry_delay)
                 continue
-            # "error" (commit timeout mid-election, bad request, ...):
+            # "error" (commit timeout mid-election, a stale replica):
             # retry the same idempotent request.
             last_error = RuntimeError(f"server said {response!r}")
             await asyncio.sleep(self.retry_delay)

@@ -87,7 +87,7 @@ from repro.live.wire import decode_body, enable_nodelay, frame_bytes, read_frame
 from repro.options import check_count, check_shards
 from repro.sim import trace as tr
 from repro.sim.serialize import WireError, register_wire_type
-from repro.storage.engine import SYNC_MODES, RaftStorage
+from repro.storage.engine import RaftStorage
 
 #: Seed offset between co-hosted shards, so each group draws distinct
 #: election/jitter randomness while shard 0 keeps the pre-sharding
@@ -618,11 +618,11 @@ class KVShard:
             # the batch is durable.  Ack ⇒ durable, unconditionally: the
             # replication barrier already covers any cluster with peers,
             # but a single-node group commits without ever sending, so
-            # the barrier must also run here.  Under the inline sync mode
-            # this resolves synchronously; under the pipelined mode
-            # resolution queues on the durability watermark while the
-            # fsync overlaps the next batch.  A put the machine skipped
-            # as a repeat answers with the index its first copy took.
+            # the barrier must also run here.  Resolution queues on the
+            # durability watermark while the fsync overlaps the next batch
+            # (under virtual time it resolves synchronously).  A put the
+            # machine skipped as a repeat answers with the index its
+            # first copy took.
             machine = self.node.machine
             data = machine.data
             results = tuple(
@@ -816,18 +816,6 @@ class KVServer:
             the constructor instead of moving the files aside and
             rejoining as an empty follower.  See docs/storage.md for the
             single-disk vs majority-disk-loss trade-off.
-        sync_mode: durability barrier execution — ``"inline"`` (default)
-            fsyncs on the event loop before anything externally visible
-            escapes; ``"pipelined"`` runs fsync on a per-shard worker
-            thread and holds outbound messages/acks on the durability
-            watermark instead, overlapping fsync with replication and
-            serialization (same persist-before-respond guarantee, see
-            docs/performance.md "Commit pipeline").
-        fsync_delay: extra seconds slept per real fsync, emulating a
-            device write barrier that costs something — localhost CI
-            disks absorb fsync in microseconds, so the E19 pipeline test
-            injects a realistic latency here to compare sync modes
-            honestly.  0 (default) outside tests.
     """
 
     def __init__(
@@ -854,8 +842,6 @@ class KVServer:
         data_dir: Optional[str] = None,
         lost_ack_bug: bool = False,
         no_rejoin: bool = False,
-        sync_mode: str = "inline",
-        fsync_delay: float = 0.0,
         runtime: Optional[Runtime] = None,
     ):
         self.cluster = cluster
@@ -888,11 +874,6 @@ class KVServer:
             lease_duration=lease_duration, drift_bound=drift_bound
         )
         self.unsafe_lin_reads = unsafe_lin_reads
-        if sync_mode not in SYNC_MODES:
-            raise ValueError(
-                f"unknown sync mode {sync_mode!r} (choose from {SYNC_MODES})"
-            )
-        self.sync_mode = sync_mode
         self.transport = PeerTransport(
             cluster, pid, on_event=self._on_transport_event, runtime=self.rt,
             jitter_seed=derive_process_seed(seed, pid, cluster.n) ^ 1,
@@ -904,9 +885,8 @@ class KVServer:
                 storage = RaftStorage(
                     os.path.join(data_dir, f"shard-{shard_id}"),
                     sync_policy="none" if lost_ack_bug else "fsync",
-                    sync_mode=sync_mode,
-                    fsync_delay=fsync_delay,
                     no_rejoin=no_rejoin,
+                    runtime=self.rt,
                 )
             self.shards.append(
                 KVShard(
@@ -1047,7 +1027,6 @@ class KVServer:
             ops += shard.flushed_ops
         tstats = self.transport.stats
         return {
-            "sync_mode": self.sync_mode,
             "fsync_queue_depth": queue_depth,
             "watermark_lag": lag,
             "sync_waiters": waiters,
@@ -1114,7 +1093,7 @@ class KVServer:
                 if isinstance(request, dict):
                     response = await self._serve(request)
                 else:
-                    response = {"type": "error", "reason": "bad request"}
+                    response = _refused("a request must be a dict")
                 writer.write(frame_bytes(response))
                 await writer.drain()
         except asyncio.CancelledError:
@@ -1129,6 +1108,13 @@ class KVServer:
 
     async def _serve(self, request: Dict[str, Any]) -> Dict[str, Any]:
         kind = request.get("type")
+        if kind in ("put", "get"):
+            # The wire carries lists: a put of one would commit and then
+            # fail to apply on every replica, wedging its shard for good.
+            try:
+                hash(request.get("key"))
+            except TypeError:
+                return _refused("a key must be hashable")
         if kind == "put":
             return await self._serve_put(request)
         if kind == "get":
@@ -1151,12 +1137,12 @@ class KVServer:
                     "leader", "lease_remaining",
                 )},
             }
-        return {"type": "error", "reason": f"unknown request type {kind!r}"}
+        return _refused(f"unknown request type {kind!r}")
 
     async def _serve_put(self, request: Dict[str, Any]) -> Dict[str, Any]:
         op_id = request.get("id")
         if parse_op_id(op_id) is None:
-            return {"type": "error", "reason": "put needs an id <client>-<n>"}
+            return _refused("put needs an id <client>-<n>")
         key = request.get("key")
         shard = self.shards[self.shard_for_key(key)]
         if not shard.is_leader:
@@ -1202,7 +1188,7 @@ class KVServer:
         key = request.get("key")
         op_id = request.get("id")
         if not isinstance(op_id, str) or not op_id:
-            return {"type": "error", "reason": "lin get needs a string id"}
+            return _refused("lin get needs a string id")
         if not shard.is_leader:
             return self._redirect(shard)
         if self.unsafe_lin_reads:
@@ -1312,10 +1298,7 @@ class KVServer:
         except (TypeError, ValueError):
             bound = math.nan
         if not 0.0 <= bound < math.inf:
-            return {
-                "type": "error",
-                "reason": "staleness must be a finite number >= 0",
-            }
+            return _refused("staleness must be a finite number >= 0")
         bound = min(bound, self.staleness_bound)
         if shard.lease_serveable():
             staleness = 0.0
@@ -1341,6 +1324,13 @@ class KVServer:
             "type": "redirect", "leader": leader, "host": host, "port": port,
             "shard": shard.shard_id,
         }
+
+
+def _refused(reason: str) -> Dict[str, Any]:
+    """The answer to a request no retry can fix: the request is wrong.
+    Transient failures (a commit timeout, a stale replica) stay ``error``
+    replies, which clients retry."""
+    return {"type": "refused", "reason": reason}
 
 
 def _value_reply(shard: KVShard, key: Any, **extra: Any) -> Dict[str, Any]:

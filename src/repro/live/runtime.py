@@ -435,12 +435,12 @@ class LiveRuntime:
             self._mail_event.set()
         else:
             # Durability barrier: nothing reaches a peer before the
-            # durable state backing it is on disk.  Under the inline
-            # sync mode the barrier fsyncs here and the send happens
-            # immediately; under the pipelined mode the fsync runs on
+            # durable state backing it is on disk.  The fsync runs on
             # the storage's worker thread and the send is queued on the
             # durability watermark, released in order once the fsync
-            # covering this message's storage generation completes.
+            # covering this message's storage generation completes
+            # (under virtual time the barrier fsyncs here and the send
+            # happens immediately).
             storage = self._storage
             if storage is None:
                 self.transport.send(dst, payload, now, shard=self.shard)

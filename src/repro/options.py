@@ -213,7 +213,6 @@ def rows() -> Dict[str, Option]:
     from repro.live.config import DEFAULT_MAX_INFLIGHT
     from repro.live.kv import DEFAULT_DRIFT_BOUND, DEFAULT_STALENESS_BOUND, READ_TIERS
     from repro.live.loadgen import KEY_DISTRIBUTIONS
-    from repro.storage.engine import SYNC_MODES
 
     table = (
         # Shared by several commands.
@@ -271,13 +270,6 @@ def rows() -> Dict[str, Option]:
             help="clock-drift allowance subtracted from every lease "
             f"(default {DEFAULT_DRIFT_BOUND}); 0 is UNSAFE under skewed "
             "clocks and exists for the chaos canary",
-        ),
-        Option(
-            "--sync-mode", choices=SYNC_MODES, default="inline",
-            help="WAL durability pipeline under --data-dir: inline blocks the "
-            "event loop on every group fsync (default); pipelined hands the "
-            "fsync to a dedicated thread and releases acks when the "
-            "durability watermark catches up (see docs/performance.md)",
         ),
         Option(
             "--data-dir", metavar="DIR",

@@ -7,7 +7,6 @@ format, the fsync-batching barrier, and the recovery protocol.
 """
 
 from repro.storage.engine import (
-    SYNC_MODES,
     DurableNode,
     DurableRaftLog,
     DurableState,
@@ -38,7 +37,6 @@ from repro.storage.wal import (
 
 __all__ = [
     "DEFAULT_SEGMENT_BYTES",
-    "SYNC_MODES",
     "DurableNode",
     "DurableRaftLog",
     "DurableState",

@@ -23,7 +23,9 @@ runtime provides the barrier: before any externally-visible message
 leaves the node (a vote, an append ack, a replication broadcast), dirty
 storage is synced — Raft's "persist before responding" rule — and the
 group-fsync makes every record since the previous barrier durable with
-one ``fsync``.
+one ``fsync``.  Where that fsync runs is the runtime's call
+(:attr:`repro.core.runtime.Runtime.disk_threads`): a worker thread on a
+real clock, inline under virtual time.
 
 Corruption beyond torn-tail recovery **quarantines** the directory: the
 damaged files are moved aside (``corrupt-NNNN/``) and the node rejoins
@@ -49,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
 
 from repro.algorithms.raft.log import Entry, RaftLog
+from repro.core.runtime import Runtime, current_runtime
 from repro.storage.wal import (
     DEFAULT_SEGMENT_BYTES,
     Recovery,
@@ -64,14 +67,6 @@ from repro.storage.wal import (
     snapshot_path,
     write_snapshot,
 )
-
-#: Sync barrier execution modes (``--sync-mode``): ``inline`` fsyncs on
-#: the event loop before anything externally visible escapes (the PR-6
-#: behavior); ``pipelined`` hands the fsync to a dedicated thread and
-#: holds outbound effects on the durability watermark instead, so fsync
-#: overlaps replication and serialization.
-SYNC_MODES = ("inline", "pipelined")
-
 
 @dataclass
 class DurableState:
@@ -146,7 +141,8 @@ class RaftStorage:
     durable state found on disk (empty for a fresh directory), starts a
     fresh checkpointed segment restating it (so this incarnation never
     appends to files it did not write), and is immediately ready for
-    journalling.
+    journalling.  ``runtime`` (default: the ambient one) decides where
+    :meth:`begin_sync`'s fsync runs.
 
     Attributes after construction (what recovery found):
         term, voted_for, snapshot_index, snapshot_term, entries,
@@ -162,17 +158,13 @@ class RaftStorage:
         *,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         sync_policy: str = "fsync",
-        sync_mode: str = "inline",
-        fsync_delay: float = 0.0,
         no_rejoin: bool = False,
+        runtime: Optional[Runtime] = None,
     ):
-        if sync_mode not in SYNC_MODES:
-            raise ValueError(f"unknown sync mode {sync_mode!r}")
         os.makedirs(directory, exist_ok=True)
         self.directory = directory
         self.segment_bytes = segment_bytes
-        self.sync_mode = sync_mode
-        self.fsync_delay = fsync_delay
+        self.rt = runtime if runtime is not None else current_runtime()
         self.no_rejoin = no_rejoin
         self.quarantined = False
         self.quarantine_reason: Optional[str] = None
@@ -185,7 +177,7 @@ class RaftStorage:
         self._waiters: Deque[Tuple[int, Callable[[], None]]] = deque()
         self._releasing = False
         self._inflight = 0
-        # After a failed pipelined fsync (EIO may drop dirty pages, so no
+        # After a failed threaded fsync (EIO may drop dirty pages, so no
         # later barrier vouches for them) the watermark never advances.
         self._sync_failed = False
         self._completions: Deque[Tuple[int, int, List[Tuple[int, int]]]] = deque()
@@ -226,7 +218,6 @@ class RaftStorage:
             directory,
             start_segment=recovery.next_segment,
             sync_policy=sync_policy,
-            sync_delay=fsync_delay,
         )
         self._checkpoint()
 
@@ -361,8 +352,7 @@ class RaftStorage:
         return len(self._waiters)
 
     def sync(self) -> None:
-        """The inline sync barrier: make every journalled record durable
-        before returning.
+        """Make every journalled record durable before returning.
 
         Also rotates to a fresh checkpointed segment once the current
         one outgrows ``segment_bytes`` — rotation happens *at* a
@@ -377,15 +367,16 @@ class RaftStorage:
         """Start a durability barrier covering every record journalled
         so far, without waiting for it.
 
-        In ``inline`` mode this *is* :meth:`sync` (fsync on the calling
-        thread, watermark advanced before returning).  In ``pipelined``
-        mode the buffered frames are handed to the OS here — the cheap
-        half — and the fsync stall moves to a dedicated thread; the
-        watermark advances when the loop observes the completion, which
-        releases :meth:`notify_durable` callbacks in submission order.
+        On a real clock the buffered frames are handed to the OS here —
+        the cheap half — and the fsync stall moves to a dedicated thread;
+        the watermark advances when the loop observes the completion,
+        which releases :meth:`notify_durable` callbacks in submission
+        order.  Under virtual time there is no disk latency to overlap:
+        this *is* :meth:`sync`, and the watermark has advanced before it
+        returns.
         """
         self._drain_completions()
-        if self.sync_mode == "inline":
+        if not self.rt.disk_threads:
             self.sync()
             return
         gen = self.generation
@@ -524,10 +515,6 @@ class RaftStorage:
             for segment, (gen, fd, written) in latest.items():
                 try:
                     os.fsync(fd)
-                    if self.fsync_delay:
-                        # Emulated device latency (benchmarks): the sleep
-                        # lands here, off the event loop — the whole point.
-                        time.sleep(self.fsync_delay)
                 except OSError:
                     failed = True
             for gen, segment, fd, written in jobs:
@@ -561,7 +548,7 @@ class RaftStorage:
     def crash(self, *, torn: bool = False) -> None:
         """Simulated power failure (see :meth:`repro.storage.wal.Wal.crash`).
 
-        In-flight pipelined fsyncs are abandoned, not awaited — and
+        In-flight threaded fsyncs are abandoned, not awaited — and
         completions the loop never observed are dropped too: whatever
         the watermark did not confirm before the power died is exactly
         what recovery is allowed to lose.

@@ -63,7 +63,6 @@ from __future__ import annotations
 import os
 import re
 import struct
-import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, BinaryIO, List, Optional, Tuple
@@ -402,11 +401,6 @@ class Wal:
             skips ``fsync`` entirely — the deliberately broken mode
             behind the chaos ``lost-ack`` bug injection, where
             acknowledged state evaporates on power failure.
-        sync_delay: extra seconds slept after every real ``fsync``,
-            emulating a device whose write barrier costs something —
-            localhost CI disks absorb ``fsync`` in microseconds, so
-            tests comparing sync modes (E19) inject a realistic
-            device latency here.  0 (default) for production use.
 
     Appends buffer in-process until :meth:`sync`, so one ``fsync``
     covers every record journalled since the last barrier (group
@@ -421,14 +415,12 @@ class Wal:
         *,
         start_segment: int = 1,
         sync_policy: str = "fsync",
-        sync_delay: float = 0.0,
     ):
         if sync_policy not in ("fsync", "none"):
             raise WalError(f"unknown sync policy {sync_policy!r}")
         os.makedirs(directory, exist_ok=True)
         self.directory = directory
         self.sync_policy = sync_policy
-        self.sync_delay = sync_delay
         self.stats = WalStats()
         self._next_segment = start_segment
         self._segment = 0  # number of the open segment (0 = none yet)
@@ -474,7 +466,7 @@ class Wal:
     def flush_os(self) -> int:
         """Hand buffered frames to the OS **without** fsync.
 
-        The first half of a pipelined sync: the event loop pays only the
+        The first half of a threaded sync: the event loop pays only the
         (cheap) buffered write, an fsync thread pays the stall, and
         :meth:`mark_synced` later records how far durability reached.
         Returns the total bytes written to the open segment so far — the
@@ -516,8 +508,6 @@ class Wal:
         self.flush_os()
         if self.sync_policy == "fsync":
             os.fsync(self._file.fileno())
-            if self.sync_delay:
-                time.sleep(self.sync_delay)
             self._synced = self._written
         self.stats.syncs += 1
 
@@ -563,10 +553,9 @@ class Wal:
 
         Buffered records vanish and the segment is truncated back to
         the last byte a *confirmed* fsync covered — written-but-unsynced
-        data dies with the page cache.  Under the inline fsync policy
-        the truncation is a no-op at any stable point (every ``sync``
-        advances the watermark before returning); under the pipelined
-        mode it faithfully models an fsync still in flight; under
+        data dies with the page cache.  After an inline ``sync`` the
+        truncation is a no-op; behind a threaded barrier it faithfully
+        models an fsync still in flight; under
         ``sync_policy="none"`` nothing was ever synced and the whole
         segment evaporates (the lost-ack bug).  With ``torn=True`` a
         strict prefix of the buffered tail lands on disk instead,

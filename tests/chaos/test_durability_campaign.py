@@ -24,7 +24,6 @@ def _campaign(
     duration=12.0,
     kinds=("power-fail", "power-fail-all", "torn-tail", "bit-flip"),
     lost_ack_bug=False,
-    sync_mode="inline",
 ):
     """Run the shared campaign on a real data dir; returns the report."""
     rt = AsyncioRuntime()
@@ -41,7 +40,6 @@ def _campaign(
             grace=2.0,  # post-heal reads: recovered state reads consistently
             data_dir=data_dir,
             lost_ack_bug=lost_ack_bug,
-            sync_mode=sync_mode,
         ),
         timeout=300.0,
     )
@@ -50,22 +48,17 @@ def _campaign(
 
 
 class TestDurabilityCampaigns:
-    @pytest.mark.parametrize("sync_mode", ["inline", "pipelined"])
-    def test_power_failure_campaign_is_linearizable(self, tmp_path, sync_mode):
+    def test_power_failure_campaign_is_linearizable(self, tmp_path):
         """Correct WAL + fsync barriers survive every power-failure kind,
-        including full-cluster outages that restart from disk alone —
-        with the fsync inline on the event loop or off-loaded to the
-        pipelined durability-watermark thread."""
-        report = _campaign(
-            seed=5, data_dir=str(tmp_path), sync_mode=sync_mode
-        )
+        including full-cluster outages that restart from disk alone,
+        with the fsync on the durability-watermark thread."""
+        report = _campaign(seed=5, data_dir=str(tmp_path))
         assert report.ok is True, report.summary()
 
-    @pytest.mark.parametrize("sync_mode", ["inline", "pipelined"])
-    def test_lost_ack_bug_is_caught_with_witness(self, tmp_path, sync_mode):
+    def test_lost_ack_bug_is_caught_with_witness(self, tmp_path):
         """Acking before fsync must fail the check after a full power
         loss: the cluster forgets writes it confirmed, and the checker
-        produces a witness proving it.  The pipelined barrier must not
+        produces a witness proving it.  The threaded barrier must not
         mask the bug: with fsync skipped the watermark still advances,
         so acks escape and the canary still fires."""
         report = _campaign(
@@ -73,7 +66,6 @@ class TestDurabilityCampaigns:
             data_dir=str(tmp_path),
             kinds=("power-fail-all",),
             lost_ack_bug=True,
-            sync_mode=sync_mode,
         )
         assert report.ok is False, report.summary()
         violation = report.violations[0]

@@ -593,7 +593,7 @@ class TestStalenessBound:
                     refused = await follower._serve(
                         {"type": "get", "key": "b-key", "staleness": bound}
                     )
-                    assert refused["type"] == "error", (bound, refused)
+                    assert refused["type"] == "refused", (bound, refused)
                     assert refused["reason"] != "stale", (bound, refused)
             finally:
                 await cluster.stop()

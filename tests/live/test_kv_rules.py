@@ -274,7 +274,7 @@ class TestSessions:
         reply = asyncio.run(
             server._serve({"type": "put", "key": "k", "value": 1, "id": op_id})
         )
-        assert reply["type"] == "error" and "<client>-<n>" in reply["reason"]
+        assert reply["type"] == "refused" and "<client>-<n>" in reply["reason"]
 
     def test_a_durable_restart_still_skips_a_retry(self, tmp_path):
         """Kill every node of a compacting durable cluster and restart

@@ -94,7 +94,7 @@ class TestLinearizableReads:
                 response = await server._serve(
                     {"type": "get", "key": "k", "lin": True}
                 )
-                assert response["type"] == "error"
+                assert response["type"] == "refused"
             finally:
                 await cluster.stop()
 

@@ -50,9 +50,6 @@ def serve_command(cluster, pid, data_dir):
         "0.05",
         "--data-dir",
         os.path.join(data_dir, f"node-{pid}"),
-        # CI exercises both commit-pipeline modes (inline | pipelined).
-        "--sync-mode",
-        os.environ.get("REPRO_SYNC_MODE", "inline"),
     ]
 
 

@@ -17,13 +17,7 @@ from repro.storage import RaftStorage
 
 pytestmark = pytest.mark.storage
 
-# CI runs this suite once per commit-pipeline mode: inline fsync on the
-# event loop, and the pipelined fsync thread (REPRO_SYNC_MODE=pipelined).
-FAST = dict(
-    election_timeout=(0.15, 0.3),
-    heartbeat_interval=0.05,
-    sync_mode=os.environ.get("REPRO_SYNC_MODE", "inline"),
-)
+FAST = dict(election_timeout=(0.15, 0.3), heartbeat_interval=0.05)
 
 
 def run(coro, timeout=180.0):

@@ -1,8 +1,10 @@
 """The asynchronous commit pipeline: off-loop fsync behind a watermark.
 
-``sync_mode="pipelined"`` hands group fsync to a dedicated thread and
-releases acknowledgements only when the *durability watermark* covers the
-storage generation they depend on.  The contract under test:
+On a real clock :meth:`RaftStorage.begin_sync` hands group fsync to a
+dedicated thread and releases acknowledgements only when the
+*durability watermark* covers the storage generation they depend on.
+Under :class:`SimRuntime` the same call fsyncs inline.  The contract
+under test:
 
 * a callback registered via ``notify_durable`` fires only after the WAL
   bytes its generation depends on are really on the platter — so a power
@@ -10,30 +12,31 @@ storage generation they depend on.  The contract under test:
 * callbacks release strictly in registration order (wire order survives
   the asynchronous barrier);
 * the deliberate ``sync_policy="none"`` lost-ack bug still loses acked
-  writes under the pipelined barrier (the chaos canary's precondition).
+  writes behind the barrier (the chaos canary's precondition).
 
 Every claim is proven the honest way: write, pull the power at the
 interesting moment, cold-restart, compare.  Tier-1: in-process power
 failures are cheap, so this runs everywhere.
 
 Three cluster-level claims close the file: group commit amortises one
-fsync over many client ops and compaction keeps one snapshot file per
-group (both tier-1, virtual time), and the pipelined mode
-outruns inline under a slow write barrier (``storage``-marked, wall
-clock: the fsync worker is a real thread, so virtual time cannot show it).
+fsync over many client ops, compaction keeps one snapshot file per
+group (both tier-1, virtual time), and durable nodes elect and ack in
+virtual time; a wall-clock cluster with the fsync thread compacting
+under load is ``storage``-marked.
 """
 
 import asyncio
 import errno
 import os
 import random
+import threading
 import time
 
 import pytest
 
 from repro.algorithms.raft.log import Entry
 from repro.core.runtime import SimRuntime
-from repro.live import LiveKVCluster, run_closed_loop
+from repro.live import AsyncKVClient, LiveKVCluster, run_closed_loop
 from repro.storage import RaftStorage
 
 FAST = dict(election_timeout=(0.15, 0.3), heartbeat_interval=0.05)
@@ -49,7 +52,7 @@ def recovered_commands(directory):
 
 class TestPipelinedBarrier:
     def test_acked_generation_survives_power_failure(self, tmp_path):
-        storage = RaftStorage(str(tmp_path), sync_mode="pipelined")
+        storage = RaftStorage(str(tmp_path))
         for index in range(1, 6):
             storage.record_append(index, Entry(1, f"cmd-{index}"))
         storage.begin_sync()
@@ -61,7 +64,7 @@ class TestPipelinedBarrier:
     def test_unacked_generation_may_vanish(self, tmp_path):
         """Before the watermark advances nothing was promised: a crash
         right after ``begin_sync`` legally loses the in-flight batch."""
-        storage = RaftStorage(str(tmp_path), sync_mode="pipelined")
+        storage = RaftStorage(str(tmp_path))
         storage.record_append(1, Entry(1, "never-acked"))
         released = []
         storage.notify_durable(storage.generation, lambda: released.append(1))
@@ -69,11 +72,11 @@ class TestPipelinedBarrier:
         # have fired, so no ack escaped and the loss is invisible.
         storage.crash()
         assert recovered_commands(tmp_path) in ([], ["never-acked"])
-        storage2 = RaftStorage(str(tmp_path), sync_mode="pipelined")
+        storage2 = RaftStorage(str(tmp_path))
         storage2.close()
 
     def test_callbacks_release_in_registration_order(self, tmp_path):
-        storage = RaftStorage(str(tmp_path), sync_mode="pipelined")
+        storage = RaftStorage(str(tmp_path))
         order = []
         for index in range(1, 8):
             storage.record_append(index, Entry(1, f"cmd-{index}"))
@@ -88,7 +91,7 @@ class TestPipelinedBarrier:
         storage.close()
 
     def test_callback_at_durable_generation_fires_inline(self, tmp_path):
-        storage = RaftStorage(str(tmp_path), sync_mode="pipelined")
+        storage = RaftStorage(str(tmp_path))
         storage.record_append(1, Entry(1, "cmd"))
         storage.begin_sync()
         assert storage.wait_durable(timeout=5.0)
@@ -97,16 +100,65 @@ class TestPipelinedBarrier:
         assert fired == [1], "already-durable generation must not queue"
         storage.close()
 
-    def test_inline_mode_is_synchronous(self, tmp_path):
-        storage = RaftStorage(str(tmp_path), sync_mode="inline")
-        storage.record_append(1, Entry(1, "cmd"))
+    def test_sim_runtime_barrier_completes_before_begin_sync_returns(
+        self, tmp_path
+    ):
+        rt = SimRuntime()
+        try:
+            storage = RaftStorage(str(tmp_path), runtime=rt)
+            storage.record_append(1, Entry(1, "cmd"))
+            fired = []
+            storage.begin_sync()
+            assert storage.watermark_lag == 0
+            storage.notify_durable(storage.generation, lambda: fired.append(1))
+            assert fired == [1]
+            assert storage.fsync_queue_depth == 0
+            storage.close()
+        finally:
+            rt.close()
+
+    def test_fsyncs_run_off_the_caller_and_overlap_across_shards(
+        self, tmp_path, monkeypatch
+    ):
+        """With every fsync parked on an event: ``begin_sync`` still
+        returns, two shards' fsyncs are in flight at once, and no
+        ``notify_durable`` callback fires before the event is set."""
+        release = threading.Event()
+        lock = threading.Lock()
+        inflight = [0, 0]  # now, peak
+
+        def fsync(fd):
+            with lock:
+                inflight[0] += 1
+                inflight[1] = max(inflight)
+            release.wait(5.0)
+            with lock:
+                inflight[0] -= 1
+
+        # Construction checkpoints with an inline fsync: open them first.
+        shards = [RaftStorage(str(tmp_path / f"shard-{s}")) for s in range(2)]
+        monkeypatch.setattr(os, "fsync", fsync)
         fired = []
-        storage.begin_sync()
-        storage.notify_durable(storage.generation, lambda: fired.append(1))
-        assert fired == [1]
-        assert storage.fsync_queue_depth == 0
-        assert storage.watermark_lag == 0
-        storage.close()
+        for shard_id, storage in enumerate(shards):
+            storage.record_append(1, Entry(1, f"cmd-{shard_id}"))
+            storage.notify_durable(
+                storage.generation, lambda s=shard_id: fired.append(s)
+            )
+            storage.begin_sync()
+        deadline = time.monotonic() + 5.0
+        while inflight[1] < 2:
+            assert time.monotonic() < deadline, f"peak in flight {inflight[1]}"
+            time.sleep(0.001)
+        for storage in shards:
+            storage.wait_durable(timeout=0.02)
+        assert fired == [], "a callback fired before its fsync returned"
+        assert [s.fsync_queue_depth for s in shards] == [1, 1]
+        release.set()
+        for storage in shards:
+            assert storage.wait_durable(timeout=5.0), "fsync thread stalled"
+        assert sorted(fired) == [0, 1]
+        for storage in shards:
+            storage.close()
 
     def test_failed_fsync_fails_closed(self, tmp_path, monkeypatch):
         """EIO on one barrier: after it the kernel may have dropped the
@@ -122,7 +174,7 @@ class TestPipelinedBarrier:
                 raise OSError(errno.EIO, "injected EIO")
             real_fsync(fd)
 
-        storage = RaftStorage(str(tmp_path), sync_mode="pipelined")
+        storage = RaftStorage(str(tmp_path))
         monkeypatch.setattr(os, "fsync", fsync)
         released = []
         storage.record_append(1, Entry(1, "a"))
@@ -143,10 +195,6 @@ class TestPipelinedBarrier:
         storage.close()
         assert released == [] and storage.durable_generation == 0
 
-    def test_rejects_unknown_sync_mode(self, tmp_path):
-        with pytest.raises(ValueError):
-            RaftStorage(str(tmp_path), sync_mode="turbo")
-
 
 class TestNeverAckUnsynced:
     """Seeded property: no interleaving of appends, barriers and a power
@@ -156,7 +204,7 @@ class TestNeverAckUnsynced:
     @pytest.mark.parametrize("seed", range(25))
     def test_crash_never_loses_an_acked_write(self, tmp_path, seed):
         rng = random.Random(seed)
-        storage = RaftStorage(str(tmp_path), sync_mode="pipelined")
+        storage = RaftStorage(str(tmp_path))
         acked = []
 
         def ack(upto):
@@ -194,11 +242,9 @@ class TestNeverAckUnsynced:
 class TestLostAckPrecondition:
     def test_skipped_fsync_still_acks_and_loses(self, tmp_path):
         """The chaos canary's precondition: under ``sync_policy="none"``
-        the pipelined watermark advances WITHOUT an fsync, the ack
+        the watermark advances WITHOUT an fsync, the ack
         escapes, and the power failure forgets the write."""
-        storage = RaftStorage(
-            str(tmp_path), sync_policy="none", sync_mode="pipelined"
-        )
+        storage = RaftStorage(str(tmp_path), sync_policy="none")
         storage.record_append(1, Entry(1, "doomed"))
         fired = []
         storage.begin_sync()
@@ -310,18 +356,51 @@ class TestCompactionOnTheLiveStack:
         assert recovered > 0, "the restarted follower recovered no snapshot"
 
 
-@pytest.mark.storage
-class TestPipelinedSpeedup:
-    """3 nodes x 4 shards, 8 closed-loop clients, a 2 ms emulated write
-    barrier per fsync: taking the fsync off the event loop lets co-hosted
-    shards sync in parallel with replication and apply."""
+class TestVirtualTimeDurableCluster:
+    def test_durable_nodes_elect_and_ack_without_fsync_threads(self, tmp_path):
+        """Durable nodes on :class:`SimRuntime` elect a leader and ack
+        puts, and the barrier never leaves the loop thread: no fsync
+        worker is started, so the schedule stays deterministic."""
 
-    def _closed_loop(self, data_dir, sync_mode, snapshot_threshold=None):
+        async def scenario():
+            cluster = LiveKVCluster(3, seed=7, data_dir=str(tmp_path), **FAST)
+            await cluster.start()
+            client = AsyncKVClient(cluster.cluster)
+            try:
+                await cluster.wait_for_leader(timeout=20.0)
+                indices = [await client.put(f"k{i}", i) for i in range(10)]
+                workers = [
+                    thread.name for thread in threading.enumerate()
+                    if thread.name.startswith("wal-fsync")
+                ]
+                depths = [
+                    server.pipeline_status()["fsync_queue_depth"]
+                    for server in cluster.servers
+                ]
+                return indices, workers, depths
+            finally:
+                await client.close()
+                await cluster.stop()
+
+        rt = SimRuntime()
+        try:
+            indices, workers, depths = rt.run(scenario(), timeout=120.0)
+        finally:
+            rt.close()
+        assert indices == sorted(set(indices)) and len(indices) == 10
+        assert workers == [] and depths == [0, 0, 0]
+
+
+@pytest.mark.storage
+class TestWallClockCluster:
+    """3 nodes x 4 shards, 8 closed-loop clients, on a real clock: the
+    fsync worker threads carry a compacting cluster under load."""
+
+    def test_snapshot_run_compacts(self, tmp_path):
         async def scenario():
             cluster = LiveKVCluster(
-                3, seed=19, shards=4, data_dir=str(data_dir),
-                sync_mode=sync_mode, fsync_delay=0.002,
-                snapshot_threshold=snapshot_threshold, **FAST,
+                3, seed=19, shards=4, data_dir=str(tmp_path),
+                snapshot_threshold=32, **FAST,
             )
             await cluster.start()
             try:
@@ -338,20 +417,6 @@ class TestPipelinedSpeedup:
             finally:
                 await cluster.stop()
 
-        return asyncio.run(asyncio.wait_for(scenario(), 300.0))
-
-    def test_pipelined_outruns_inline(self, tmp_path):
-        inline, _ = self._closed_loop(tmp_path / "inline", "inline")
-        piped, _ = self._closed_loop(tmp_path / "pipelined", "pipelined")
-        assert inline.errors == 0, inline.summary()
-        assert piped.errors == 0, piped.summary()
-        assert piped.throughput >= 1.5 * inline.throughput, (
-            inline.summary(), piped.summary()
-        )
-
-    def test_snapshot_run_compacts(self, tmp_path):
-        report, compactions = self._closed_loop(
-            tmp_path, "pipelined", snapshot_threshold=32
-        )
+        report, compactions = asyncio.run(asyncio.wait_for(scenario(), 300.0))
         assert report.errors == 0, report.summary()
         assert compactions > 0
