@@ -114,15 +114,17 @@ BATCH_WINDOW = 0.005
 #: plus up to one more round of think time.
 IDLE_WAIT_ROUNDS = 2
 
-#: Least time (seconds) between a shard's previous batch and a partial
-#: one.  Every entry costs the same fixed work whatever it carries (an
-#: append and an ack per follower, a commit notice, a WAL record and, on
-#: a durable node, an fsync), so this caps partial entries at 250 a
-#: second per shard.  It also stops a few closed-loop clients from
-#: driving every core of a small host flat out, where each put's latency
-#: tracks the host's momentary CPU speed: with rounds under 1 ms on 2
-#: cores, run-to-run throughput then varies by 10-20 %.  Full batches
-#: are not held by it.
+#: Least time (seconds) between when a shard's previous batch was due
+#: and a partial one.  Every entry costs the same fixed work whatever it
+#: carries (an append and an ack per follower, a commit notice, a WAL
+#: record and, on a durable node, an fsync), so this caps partial
+#: entries at 250 a second per shard, and closed-loop clients get that
+#: many: the interval runs from when a flush timer was due, not from
+#: when the late timer ran (see :meth:`FlushPolicy.proposed`).  It also
+#: stops a few closed-loop clients from driving every core of a small
+#: host flat out, where each put's latency tracks the host's momentary
+#: CPU speed: with rounds under 1 ms on 2 cores, run-to-run throughput
+#: then varies by 10-20 %.  Full batches are not held by it.
 FLUSH_INTERVAL = 0.004
 
 #: Most clients a shard's :class:`KVCommandMachine` remembers.  Past it
@@ -280,8 +282,10 @@ class FlushPolicy:
     rounds are fast the interval, not the round, clocks the flush: a
     lone put into a shard that proposed nothing for that long still
     commits in one round, while back-to-back partial batches are spaced
-    by it.  The shard's backstop timer (:data:`BATCH_WINDOW`) proposes
-    whatever is held, whatever the pipeline's state.
+    by it, 250 a second.  The interval runs from when the previous
+    batch was due, so a flush timer's lateness does not add to it.  The
+    shard's backstop timer (:data:`BATCH_WINDOW`) proposes whatever is
+    held, whatever the pipeline's state.
 
     The shard reports every applied entry (:meth:`applied`) and its own
     proposals (:meth:`proposed`), and asks :meth:`wait` what to do.
@@ -294,14 +298,21 @@ class FlushPolicy:
         self.target = 0
         #: The unit of the idle wait: this leader's last propose-to-apply time.
         self.round = BATCH_WINDOW
-        self.flushed_at = float("-inf")  # when the last batch was proposed
+        self.flushed_at = float("-inf")  # when the last batch was due
         self._proposal: Optional[Tuple[Any, float]] = None
 
-    def proposed(self, batch: KvBatch, now: float) -> None:
-        """``batch`` (client ops, or an empty barrier) entered the log."""
+    def proposed(self, batch: KvBatch, now: float, due: Optional[float] = None) -> None:
+        """``batch`` (client ops, or an empty barrier) entered the log at
+        ``now``.  A timer that proposed it passes when it was ``due``:
+        the next interval starts there, so a timer's lateness does not
+        add to the spacing, unless it ran a whole interval late or more,
+        when the next interval starts ``now``.  ``due`` is capped at
+        ``now``: a virtual clock may run a timer a hair before it is due.
+        """
         self._proposal = (batch.batch_id, now)
         if batch.ops:
-            self.flushed_at = now
+            due = now if due is None else min(due, now)
+            self.flushed_at = due if now - due < FLUSH_INTERVAL else now
 
     def applied(self, batch_id: Any, now: float, expected: Optional[int] = None) -> None:
         """The entry proposed as ``batch_id`` applied at ``now``; when it
@@ -611,7 +622,7 @@ class KVShard:
             released + len(self._batch) if ops else None,
         )
         storage = self.storage
-        if ops:
+        if ops and pending:
             # Capture each op's result *now* — the machine just applied
             # this very batch, so its state is the read's linearization
             # point — but release the futures only once the WAL covering
@@ -622,7 +633,8 @@ class KVShard:
             # durability watermark while the fsync overlaps the next batch
             # (under virtual time it resolves synchronously).  A put the
             # machine skipped as a repeat answers with the index its
-            # first copy took.
+            # first copy took.  A node holding no waiters (a follower)
+            # builds no results: nobody would read them.
             machine = self.node.machine
             data = machine.data
             results = tuple(
@@ -643,8 +655,8 @@ class KVShard:
                     storage.generation, lambda: self._resolve_ops(results)
                 )
         elif storage is not None and storage.dirty:
-            # Barrier no-ops and the like: nothing to ack, but keep every
-            # applied entry flowing toward the disk.
+            # Barrier no-ops, or ops nobody here waits for: nothing to
+            # ack, but keep every applied entry flowing toward the disk.
             storage.begin_sync()
         if self._applied_waiters:
             applied = self.node.last_applied
@@ -673,8 +685,8 @@ class KVShard:
             return
         self._propose(KvBatch((), batch_id=("barrier", self.pid, term)))
 
-    def _propose(self, batch: KvBatch) -> None:
-        self.policy.proposed(batch, self.rt.now())
+    def _propose(self, batch: KvBatch, due: Optional[float] = None) -> None:
+        self.policy.proposed(batch, self.rt.now(), due)
         self.runtime.inject(ClientPropose(batch))
 
     def _uncommitted(self) -> int:
@@ -696,11 +708,11 @@ class KVShard:
                 return
             self._flush_handle.cancel()
         self._flush_at = at
-        self._flush_handle = self.rt.call_later(delay, self._flush_batch)
+        self._flush_handle = self.rt.call_later(delay, self._flush_batch, at)
 
-    def _flush_batch(self) -> None:
+    def _flush_batch(self, due: Optional[float] = None) -> None:
         """Propose what is held (at most ``max_batch`` ops) if the pipeline
-        has room; also the timers' callback."""
+        has room; ``due`` is when the timer calling it was due."""
         if self._flush_handle is not None:
             self._flush_handle.cancel()
             self._flush_handle = None
@@ -721,7 +733,7 @@ class KVShard:
         self._batch_counter += 1
         self.flushed_batches += 1
         self.flushed_ops += len(ops)
-        self._propose(KvBatch(ops, batch_id=(self.pid, self._batch_counter)))
+        self._propose(KvBatch(ops, batch_id=(self.pid, self._batch_counter)), due)
         if self._batch:
             self._flush_within(BATCH_WINDOW)
 

@@ -7,8 +7,9 @@ barrier in flight) are plain objects: every case below feeds them
 numbers and reads back their answer.  :class:`TestSessions` does the
 same for :class:`~repro.live.kv.KVCommandMachine`'s session table, then
 checks on :class:`~repro.core.runtime.SimRuntime` that a cluster applies
-a client's put once.  The last class runs the glue there too: a deposed
-leader must turn every kind of waiter it holds into a redirect.
+a client's put once, and that only the leader works out its reply.
+The last class runs the glue there too: a deposed leader must turn
+every kind of waiter it holds into a redirect.
 """
 
 import asyncio
@@ -63,6 +64,35 @@ class TestFlushPolicy:
         delay = policy.wait(now=10.001, held=1, uncommitted=0)
         assert delay == pytest.approx(FLUSH_INTERVAL - 0.001)
         assert policy.wait(now=10.0 + FLUSH_INTERVAL, held=1, uncommitted=0) == 0.0
+
+    def test_a_late_timer_starts_the_interval_when_it_was_due(self):
+        policy = self.policy()
+        policy.proposed(batch(1), now=10.0009, due=10.0)
+        assert policy.flushed_at == 10.0
+        delay = policy.wait(now=10.0009, held=1, uncommitted=0)
+        assert delay == pytest.approx(FLUSH_INTERVAL - 0.0009)
+
+    def test_a_flush_an_interval_late_lets_one_partial_batch_through(self):
+        policy = self.policy()
+        late = 10.0 + 1.5 * FLUSH_INTERVAL
+        policy.proposed(batch(1), now=late, due=10.0)
+        policy.applied(1, now=late)
+        # The late batch went alone; the next waits a whole interval, so
+        # the two average more than one interval apart.
+        assert policy.wait(now=late, held=1, uncommitted=0) == pytest.approx(
+            FLUSH_INTERVAL
+        )
+
+    def test_a_timer_run_early_counts_as_due_now(self):
+        policy = self.policy()
+        policy.proposed(batch(1), now=10.0, due=10.0 + 1e-9)
+        assert policy.flushed_at == 10.0
+
+    def test_round_is_timed_from_the_proposal_not_the_due_time(self):
+        policy = self.policy()
+        policy.proposed(batch(1), now=10.0009, due=10.0)
+        policy.applied(1, now=10.0029)
+        assert policy.round == pytest.approx(0.002)
 
     def test_round_is_timed_on_this_leaders_own_proposal(self):
         policy = self.policy()
@@ -267,6 +297,41 @@ class TestSessions:
         assert retry["index"] == first["index"] < other["index"]
         assert node.last_applied > other["index"]  # the retry did commit
         assert node.machine.data["k"] == 2
+
+    def test_only_the_node_holding_waiters_works_out_replies(self, monkeypatch):
+        """Every replica applies each batch, but only the leader holds its
+        waiters, so only the leader looks up what each put answers."""
+        machines = []
+        effect_index = kv.KVCommandMachine.effect_index
+
+        def recorded(machine, op_id, index):
+            machines.append(machine)
+            return effect_index(machine, op_id, index)
+
+        monkeypatch.setattr(kv.KVCommandMachine, "effect_index", recorded)
+
+        async def scenario():
+            cluster = LiveKVCluster(3, seed=23, **FAST)
+            await cluster.start()
+            try:
+                leader = await cluster.wait_for_leader(timeout=15.0)
+                server = cluster.servers[leader]
+                for n in (1, 2, 3):
+                    reply = await server._serve(
+                        {"type": "put", "key": "k", "value": n, "id": f"c1-{n}"}
+                    )
+                    assert reply["type"] == "ok"
+                last = server.shards[0].node.last_applied
+                shards = [s.shards[0] for s in cluster.servers]
+                await asyncio.gather(*(shard.wait_applied(last) for shard in shards))
+                return [shard.node.machine for shard in shards], leader
+            finally:
+                await cluster.stop()
+
+        replicas, leader = run_sim(scenario)
+        assert all(m.data == {"k": 3} for m in replicas)
+        assert len(machines) == 3
+        assert all(m is replicas[leader] for m in machines)
 
     @pytest.mark.parametrize("op_id", [None, 7, "", "warm", "c1-x", "c1-" + "9" * 19])
     def test_the_frontend_refuses_a_put_id_without_a_counter(self, op_id):
