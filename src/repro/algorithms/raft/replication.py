@@ -250,10 +250,13 @@ class ReplicatedLogNode(Process):
         message calls this first.  Unconfirmed barriers and lease
         evidence belong to the old epoch and are dropped; a hint that
         still names this node would tell clients (and an Ω-driven
-        election rule) that it leads, so it is cleared.
+        election rule) that it leads, so it is cleared.  A leader that
+        steps down says so: ``("stepped_down", (term it led, epoch
+        seen))``, the edge its waiters are failed on.
         """
         if epoch <= self.current_term:
             return
+        led = self.current_term if self.state is LEADER else None
         self.current_term = epoch
         self.voted_for = None
         self.reads.drop_acks()
@@ -263,6 +266,8 @@ class ReplicatedLogNode(Process):
             self.leader_hint = None
         if self.state is not FOLLOWER:
             self.state = FOLLOWER
+            if led is not None:
+                yield Annotate("stepped_down", (led, epoch))
             yield from self.trigger.on_demoted(api)
 
     def _follow(self, api: ProcessAPI, epoch: int, leader: Pid) -> ProtocolGenerator:

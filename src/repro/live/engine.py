@@ -21,9 +21,11 @@ Node contract (duck-typed, pinned by tests/live/test_engine_conformance.py):
 * consumes :class:`~repro.algorithms.raft.messages.ClientPropose`
   (injected locally, never crossing the wire) with duplicate-proposal
   detection;
-* emits ``("leader", (epoch, pid))`` and
-  ``("applied", (index, epoch, command))`` trace annotations — the
-  commit stream the KV layer resolves client futures from;
+* emits ``("leader", (epoch, pid))``, ``("stepped_down", (term,
+  epoch))`` when a leader of ``term`` adopts the higher ``epoch`` — the
+  edge the KV layer fails that node's waiters on — and ``("applied",
+  (index, epoch, command))`` trace annotations — the commit stream the
+  KV layer resolves client futures from;
 * installs snapshots from peers and supports crash-restart from a
   :class:`~repro.storage.engine.RaftStorage` directory;
 * carries a :class:`~repro.algorithms.readpath.ReadLedger` as ``reads``

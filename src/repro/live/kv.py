@@ -104,6 +104,10 @@ DEFAULT_DRIFT_BOUND = 0.03
 #: Default bound accepted for follower (bounded-stale) reads (seconds).
 DEFAULT_STALENESS_BOUND = 0.5
 
+#: How long a client's put or linearizable read may wait (seconds)
+#: before the server answers with an error, which the client retries.
+COMMIT_TIMEOUT = 5.0
+
 #: Backstop of the self-clocked flush policy (seconds): a held batch is
 #: proposed at most this long after its first op arrived.
 BATCH_WINDOW = 0.005
@@ -465,7 +469,8 @@ class KVShard:
         self._flush_handle: Optional[asyncio.TimerHandle] = None
         self._flush_at = 0.0  # when _flush_handle fires
         self._batch_counter = 0
-        self._barrier_terms: set = set()
+        #: The last term a barrier was proposed for: terms only rise.
+        self._barrier_term = 0
         self._applied_waiters: List[Tuple[int, asyncio.Future]] = []
         # Pipeline telemetry: proposed batches and the ops they carried
         # (occupancy = ops/batch), surfaced by the server's status RPC.
@@ -493,12 +498,6 @@ class KVShard:
             "fsync_queue_depth": 0 if storage is None else storage.fsync_queue_depth,
             "watermark_lag": 0 if storage is None else storage.watermark_lag,
         }
-
-    def has_pending(self) -> bool:
-        reads = self.reads
-        return bool(
-            self._pending or reads.waiting or reads.queued or self._applied_waiters
-        )
 
     # ------------------------------------------------------------------
     # Write path
@@ -603,11 +602,15 @@ class KVShard:
                 self.rt.call_soon(self._start_read_round)
         elif key == "leader" and value[1] == self.pid:
             term = value[0]
-            if term not in self._barrier_terms:
-                self._barrier_terms.add(term)
+            if term > self._barrier_term:
+                self._barrier_term = term
                 # Listener context: schedule the injection, don't recurse
                 # into the runtime from inside its own driver.
                 self.rt.call_soon(self._propose_barrier, term)
+        elif key == "stepped_down":
+            # Nothing this node holds can commit or confirm under the
+            # term it led: its clients redirect now.
+            self.fail_pending()
 
     def _on_applied(self, index: int, command: Any) -> None:
         ops = command.ops if isinstance(command, KvBatch) else ()
@@ -725,7 +728,7 @@ class KVShard:
         if self._uncommitted() >= self.policy.max_inflight:
             # Pipeline full: hold the batch until commits catch up so the
             # uncommitted log (and commit latency) stays bounded.  Waiters
-            # are still bounded by commit_timeout.
+            # are still bounded by COMMIT_TIMEOUT.
             self._flush_within(BATCH_WINDOW)
             return
         ops = tuple(self._batch[: self.policy.max_batch])
@@ -778,8 +781,6 @@ class KVServer:
             in-flight entry cost linear wire bytes, so the default is a
             deep pipeline; the cap bounds commit latency and uncommitted
             log memory, not replication traffic.
-        commit_timeout: how long a client ``put`` may wait for commit
-            before the server answers with an error (client retries).
         read_tier: default path for linearizable reads — one of
             :data:`READ_TIERS`.  ``safe`` (default) commits a log marker
             per read; ``readindex`` confirms leadership with one
@@ -842,7 +843,6 @@ class KVServer:
         heartbeat_interval: float = 0.06,
         max_batch: int = 64,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        commit_timeout: float = 5.0,
         read_tier: str = "safe",
         lease_duration: Optional[float] = None,
         drift_bound: float = DEFAULT_DRIFT_BOUND,
@@ -866,7 +866,7 @@ class KVServer:
         self.engines = parse_engine_spec(engine, self.shard_count)
         max_batch = check_count("max_batch", max_batch)
         self.max_inflight = check_count("max_inflight", max_inflight)
-        self.commit_timeout = commit_timeout
+        self.commit_timeout = COMMIT_TIMEOUT
         if read_tier not in READ_TIERS:
             raise ValueError(
                 f"unknown read tier {read_tier!r} (choose from {READ_TIERS})"
@@ -924,7 +924,6 @@ class KVServer:
         self._client_server: Optional[Any] = None
         #: Running client-connection handlers and their writers.
         self._clients: Dict[asyncio.Task, asyncio.StreamWriter] = {}
-        self._watchdog: Optional[asyncio.Task] = None
         self._lease_renewer: Optional[asyncio.Task] = None
 
     # ------------------------------------------------------------------
@@ -953,7 +952,6 @@ class KVServer:
         await self.transport.start()
         for shard in self.shards:
             await shard.runtime.start(restart=restart)
-        self._watchdog = asyncio.ensure_future(self._watch_leadership())
         if self.read_config.lease_duration > 0:
             self._lease_renewer = asyncio.ensure_future(self._renew_leases())
 
@@ -964,14 +962,13 @@ class KVServer:
         state is lost (with ``torn=True`` a torn final frame is left on
         disk); a graceful stop flushes and closes it instead.
         """
-        for task in (self._watchdog, self._lease_renewer):
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except (asyncio.CancelledError, Exception):
-                    pass
-        self._watchdog = self._lease_renewer = None
+        task, self._lease_renewer = self._lease_renewer, None
+        if task is not None:
+            task.cancel()
+            try:
+                await task
+            except (asyncio.CancelledError, Exception):
+                pass
         if self._client_server is not None:
             self._client_server.close()
         # Cancel the client handlers, parked mid-request or not; they are
@@ -1055,14 +1052,6 @@ class KVServer:
                 round(tstats.sent / tstats.writes, 2) if tstats.writes else 0.0
             ),
         }
-
-    async def _watch_leadership(self) -> None:
-        """Fail pending writes promptly when a shard loses leadership."""
-        while True:
-            await self.rt.sleep(0.1)
-            for shard in self.shards:
-                if shard.has_pending() and not shard.is_leader:
-                    shard.fail_pending()
 
     async def _renew_leases(self) -> None:
         """Lease renewal for idle shards and the follower tier.
@@ -1172,9 +1161,10 @@ class KVServer:
         reason: str = "read timeout", *, forget: bool = False,
     ) -> Tuple[Any, Optional[Dict[str, Any]]]:
         """``(result, None)`` once ``future`` resolves within
-        ``commit_timeout``, else ``(None, reply)``: a redirect when the
-        shard lost leadership, an error on timeout.  With ``forget`` the
-        shard drops this waiter either way."""
+        ``commit_timeout`` (:data:`COMMIT_TIMEOUT`), else ``(None,
+        reply)``: a redirect when the shard lost leadership, an error on
+        timeout.  With ``forget`` the shard drops this waiter either
+        way."""
         try:
             if not future.done():
                 await within(future, self.commit_timeout)

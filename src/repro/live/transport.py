@@ -79,6 +79,19 @@ _RECOVERABLE = (
 #: Valid ``direction`` values for :meth:`PeerTransport.set_link_fault`.
 FAULT_DIRECTIONS = ("both", "in", "out")
 
+#: The receiving side drops a connection silent for this many heartbeat
+#: intervals (the peer's writer will re-dial).
+IDLE_TIMEOUT_BEATS = 8
+
+#: Exponential-backoff bounds of a re-dial (seconds), before jitter.
+RECONNECT_BASE = 0.05
+RECONNECT_MAX = 2.0
+
+#: Outbound frames queued behind one another are packed into a single
+#: socket write up to this many bytes (one syscall and one drain for a
+#: whole replication burst).
+MAX_COALESCE_BYTES = 256 * 1024
+
 
 class LinkFault:
     """One direction of one peer link's injected misbehaviour.
@@ -170,16 +183,10 @@ class PeerTransport:
         on_event: optional connect/disconnect notifications (the live
             runtime records them into the trace).
         heartbeat_interval: idle time after which a ``ping`` frame is sent
-            on an outbound link.
-        idle_timeout: receiving side drops a connection silent for this
-            long (the peer's writer will re-dial).  Defaults to eight
-            heartbeat intervals; ``0`` disables the check.
+            on an outbound link; :data:`IDLE_TIMEOUT_BEATS` of them without
+            a frame drop an inbound one.
         connect_timeout: per-dial timeout.
-        reconnect_base / reconnect_max: exponential-backoff bounds.
         max_queue: per-peer buffer of undelivered payloads.
-        max_coalesce_bytes: outbound frames queued behind one another are
-            packed into a single socket write up to this many bytes (one
-            syscall and one drain for a whole replication burst).
     """
 
     def __init__(
@@ -190,13 +197,9 @@ class PeerTransport:
         *,
         on_event: Optional[EventHandler] = None,
         heartbeat_interval: float = 0.5,
-        idle_timeout: Optional[float] = None,
         connect_timeout: float = 1.0,
-        reconnect_base: float = 0.05,
-        reconnect_max: float = 2.0,
         max_queue: int = 10_000,
         jitter_seed: Optional[int] = None,
-        max_coalesce_bytes: int = 256 * 1024,
         runtime: Optional[Runtime] = None,
     ):
         self.cluster = cluster
@@ -210,14 +213,9 @@ class PeerTransport:
         if on_message is not None:
             self._handlers[0] = on_message
         self.on_event = on_event
-        self.max_coalesce_bytes = max_coalesce_bytes
         self.heartbeat_interval = heartbeat_interval
-        self.idle_timeout = (
-            8 * heartbeat_interval if idle_timeout is None else idle_timeout
-        )
+        self.idle_timeout = IDLE_TIMEOUT_BEATS * heartbeat_interval
         self.connect_timeout = connect_timeout
-        self.reconnect_base = reconnect_base
-        self.reconnect_max = reconnect_max
         self.max_queue = max_queue
         self.stats = TransportStats()
         self._rng = random.Random(jitter_seed)
@@ -403,7 +401,7 @@ class PeerTransport:
                 return
             self.stats.reconnects += 1
             # Exponential backoff with jitter in [0.5x, 1.5x].
-            delay = min(self.reconnect_max, self.reconnect_base * 2**attempt)
+            delay = min(RECONNECT_MAX, RECONNECT_BASE * 2**attempt)
             await self.runtime.sleep(delay * (0.5 + self._rng.random()))
             attempt += 1
 
@@ -417,7 +415,7 @@ class PeerTransport:
         """The per-connection write scheduler; pings when idle.
 
         Writes are *vectored*: every frame queued at this moment (up to
-        the ``max_coalesce_bytes`` flush budget) is serialized straight
+        the :data:`MAX_COALESCE_BYTES` flush budget) is serialized straight
         into one shared buffer — length prefixes patched in place, no
         per-frame ``bytes`` join — then written with a single ``write()``
         and drained once, so a replication burst costs one syscall
@@ -429,7 +427,7 @@ class PeerTransport:
         # before 3.11 a cancel racing the heartbeat deadline surfaces as
         # a timeout, leaving this task alive after ``stop()``.
         stats = self.stats
-        budget = self.max_coalesce_bytes
+        budget = MAX_COALESCE_BYTES
         while not self._closed:
             if not queue:
                 event.clear()
@@ -489,7 +487,7 @@ class PeerTransport:
             if kind != "hello" or not isinstance(src, int):
                 return
             while not self._closed:
-                body = await within(read_frame_bytes(reader), self.idle_timeout or None)
+                body = await within(read_frame_bytes(reader), self.idle_timeout)
                 self.stats.bytes_received += len(body) + 4
                 kind, payload, ts, shard = parse_peer_frame(decode_body(body))
                 if kind == "msg":

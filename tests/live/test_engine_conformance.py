@@ -16,6 +16,7 @@ import pytest
 
 from repro.algorithms.raft.messages import ClientPropose
 from repro.algorithms.readpath import ReadBarrier
+from repro.chaos import heal_cluster, partition_cluster
 from repro.core.runtime import SimRuntime
 from repro.live import (
     ENGINES,
@@ -236,6 +237,61 @@ class TestEngineConformance:
                 await cluster.stop()
 
         run(scenario())
+
+    def test_a_deposed_leader_says_so_and_redirects_its_waiters(self, engine):
+        """An isolated leader holds a put, a safe read and a readindex
+        read.  Once the partition heals it sees the new epoch, emits one
+        ``stepped_down`` carrying the term it led, and every waiter is
+        answered with a redirect at that virtual instant."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            stepped = []
+
+            def watch(event):
+                if event.kind == tr.ANNOTATE and event.detail[0] == "stepped_down":
+                    stepped.append((event.pid, loop.time(), event.detail[1]))
+
+            cluster = LiveKVCluster(
+                3, seed=36, engine=engine, observers=(watch,), **FAST
+            )
+            await cluster.start()
+            try:
+                old = await cluster.wait_for_leader(timeout=20.0)
+                server = cluster.servers[old]
+                put = {"type": "put", "key": "k", "value": 0, "id": "warm-1"}
+                assert (await server._serve(put))["type"] == "ok"
+                led = server.shards[0].node.current_term
+                others = [pid for pid in range(3) if pid != old]
+                partition_cluster(cluster, [old], others)
+
+                async def timed(request):
+                    reply = await server._serve(request)
+                    return reply["type"], loop.time()
+
+                tasks = [
+                    asyncio.ensure_future(timed(request))
+                    for request in (
+                        {"type": "put", "key": "k", "value": 1, "id": "p-1"},
+                        {"type": "get", "key": "k", "lin": True, "id": "s1",
+                         "tier": "safe"},
+                        {"type": "get", "key": "k", "lin": True, "id": "r1",
+                         "tier": "readindex"},
+                    )
+                ]
+                await cluster.wait_for_leader(timeout=20.0, exclude=(old,))
+                assert not any(task.done() for task in tasks)
+                assert old not in [s[0] for s in stepped]
+                heal_cluster(cluster)
+                replies = await asyncio.gather(*tasks)
+            finally:
+                heal_cluster(cluster)
+                await cluster.stop()
+            [(pid, at, (term, seen))] = [s for s in stepped if s[0] == old]
+            assert term == led and seen > led
+            assert replies == [("redirect", at)] * 3, (replies, at)
+
+        sim_run(scenario())
 
 
 @pytest.mark.parametrize("engine", ENGINE_NAMES)

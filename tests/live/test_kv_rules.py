@@ -470,7 +470,9 @@ class TestDeposedLeader:
                 heal_cluster(cluster)
                 responses = await asyncio.gather(*tasks)
                 assert [r["type"] for r in responses] == ["redirect"] * 3, responses
-                assert not shard.is_leader and not shard.has_pending()
+                assert not shard.is_leader
+                assert not (shard._pending or shard._applied_waiters)
+                assert not (shard.reads.waiting or shard.reads.queued)
             finally:
                 await cluster.stop()
 

@@ -157,8 +157,8 @@ class TestReadTierLadder:
     #: tier -> (staleness bound, virtual ops/s, get p50 in seconds)
     LADDER = {
         "safe": (None, 987.7, 0.004),
-        "readindex": (None, 1754.4, 0.002),
-        "lease": (None, 2919.7, 0.001),
+        "readindex": (None, 1769.9, 0.002),
+        "lease": (None, 2857.1, 0.001),
         "follower": (0.5, 2836.9, 0.001),
     }
 
