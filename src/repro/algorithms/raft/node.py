@@ -189,7 +189,3 @@ class RaftNode(ReplicatedLogNode):
         self._votes.add(msg.voter_id)
         if len(self._votes) >= self._majority(api):
             yield from self._become_leader(api)
-
-    def _become_leader(self, api: ProcessAPI) -> ProtocolGenerator:
-        self.trigger.freeze()  # "freeze timer T" (Algorithm 10)
-        yield from super()._become_leader(api)

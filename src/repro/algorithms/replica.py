@@ -339,9 +339,6 @@ class BallotReplicaNode(ReplicatedLogNode):
     # ------------------------------------------------------------------
 
     def _become_leader(self, api: ProcessAPI) -> ProtocolGenerator:
-        # Unlike Raft this rule does not freeze the trigger on winning: a
-        # timer that fires under LEADER is ignored either way, and only
-        # the traced timer names would change.
         self._merge_promises()
         yield from super()._become_leader(api)
 

@@ -112,9 +112,6 @@ class Trigger:
         return
         yield  # pragma: no cover
 
-    def freeze(self) -> None:
-        """Raft's "freeze timer T" on winning an election (Algorithm 10)."""
-
 
 class TimerTrigger(Trigger):
     """Campaign when a random draw from ``election_timeout`` passes with
@@ -126,8 +123,14 @@ class TimerTrigger(Trigger):
             the network's broadcast time.  Read on every re-arm, so a
             change (the nemesis's timeout skew) applies from the next one.
 
-    The epoch in the timer's name invalidates a timer that fired before a
-    re-arm but was not yet consumed.
+    The paper's timer T (Algorithm 11) is one timer named ``election``:
+    the runtime replaces a pending timer of the same name, so a re-arm
+    cancels the one it supersedes.  A leader ignores T (Algorithm 10's
+    "freeze timer T").  Under :class:`~repro.live.runtime.LiveRuntime` a
+    firing can reach the mailbox in the loop turn a leader contact re-arms
+    T, and it still campaigns: it came a whole timeout after the previous
+    contact, so that is Raft's own rule, and safety rests on epochs and
+    majorities.
     """
 
     def __init__(self, election_timeout: Tuple[float, float] = (10.0, 20.0)):
@@ -135,7 +138,6 @@ class TimerTrigger(Trigger):
         if not 0 < low <= high:
             raise ValueError("election_timeout must satisfy 0 < low <= high")
         self.election_timeout = election_timeout
-        self._epoch = 0
 
     @classmethod
     def for_shard(
@@ -155,15 +157,13 @@ class TimerTrigger(Trigger):
         return cls(election_timeout)
 
     def _arm(self, api: ProcessAPI) -> SetTimer:
-        self._epoch += 1
-        timeout = api.rng.uniform(*self.election_timeout)
-        return SetTimer(timeout, f"election:{self._epoch}")
+        return SetTimer(api.rng.uniform(*self.election_timeout), "election")
 
     def boot(self, api: ProcessAPI) -> ProtocolGenerator:
         yield self._arm(api)
 
     def on_timer(self, api: ProcessAPI, fired: TimerFired) -> ProtocolGenerator:
-        if fired.name == f"election:{self._epoch}" and self.node.state is not LEADER:
+        if fired.name == "election" and self.node.state is not LEADER:
             yield self._arm(api)
             yield from self.node.campaign(api)
 
@@ -175,6 +175,3 @@ class TimerTrigger(Trigger):
 
     def on_campaign_observed(self, api: ProcessAPI) -> ProtocolGenerator:
         yield self._arm(api)
-
-    def freeze(self) -> None:
-        self._epoch += 1

@@ -188,20 +188,14 @@ class AsyncKVClient:
         async with self._lock:
             for addr in order:
                 try:
-                    reader, writer = await self._connect(addr)
-                    writer.write(frame_bytes(request))
-                    await writer.drain()
-                    response = await within(read_frame(reader), self.request_timeout)
+                    response = await self._exchange(*await self._connect(addr), request)
                 except (ConnectionError, OSError, asyncio.TimeoutError,
                         asyncio.IncompleteReadError) as exc:
                     last_error = exc
                     self._drop_connection(addr)
                     continue
-                kind = response.get("type") if isinstance(response, dict) else None
-                if kind == "value":
+                if self._kind(response) == "value":
                     return response
-                if kind == "refused":
-                    raise RequestRefusedError(response.get("reason"))
                 last_error = RuntimeError(f"server said {response!r}")
         raise ClusterUnavailableError(
             f"no replica within staleness bound {staleness}: {last_error!r}"
@@ -219,9 +213,7 @@ class AsyncKVClient:
         )
         enable_nodelay(writer)
         try:
-            writer.write(frame_bytes({"type": "status"}))
-            await writer.drain()
-            return await within(read_frame(reader), self.request_timeout)
+            return await self._exchange(reader, writer, {"type": "status"})
         finally:
             writer.close()
 
@@ -294,21 +286,16 @@ class AsyncKVClient:
         for _attempt in range(self.max_attempts):
             addr = self._addr_for(shard)
             try:
-                reader, writer = await self._connect(addr)
-                writer.write(frame_bytes(request))
-                await writer.drain()
-                response = await within(read_frame(reader), self.request_timeout)
+                response = await self._exchange(*await self._connect(addr), request)
             except (ConnectionError, OSError, asyncio.TimeoutError,
                     asyncio.IncompleteReadError) as exc:
                 last_error = exc
                 self._note_failure(shard, addr)
                 await asyncio.sleep(self.retry_delay)
                 continue
-            kind = response.get("type") if isinstance(response, dict) else None
+            kind = self._kind(response)
             if kind == want:
                 return response
-            if kind == "refused":
-                raise RequestRefusedError(response.get("reason"))
             if kind == "redirect":
                 # The server names the shard it computed for the key;
                 # trust it over our own (it is authoritative) so hints
@@ -335,6 +322,20 @@ class AsyncKVClient:
         raise ClusterUnavailableError(
             f"no answer after {self.max_attempts} attempts: {last_error!r}"
         )
+
+    async def _exchange(self, reader: Any, writer: Any, request: Any) -> Any:
+        """Write ``request`` on one connection and read its one reply."""
+        writer.write(frame_bytes(request))
+        await writer.drain()
+        return await within(read_frame(reader), self.request_timeout)
+
+    @staticmethod
+    def _kind(response: Any) -> Optional[str]:
+        """A reply's ``type``; a refusal raises :class:`RequestRefusedError`."""
+        kind = response.get("type") if isinstance(response, dict) else None
+        if kind == "refused":
+            raise RequestRefusedError(response.get("reason"))
+        return kind
 
     async def _connect(
         self, addr: Addr

@@ -332,7 +332,10 @@ class AsyncRuntime:
             return
         state.alive = True
         state.halted = False
-        state.timer_gen.clear()
+        # Cancel the last incarnation's timers without reusing a
+        # generation: a pre-crash timer must not match a fresh re-arm.
+        for name in state.timer_gen:
+            state.timer_gen[name] += 1
         state.crash_after_sends = None
         self._stop_dirty = True
         state.process.on_restart(state.api)

@@ -146,9 +146,9 @@ class TestEngineRotation:
 #: Sweep digest of each read tier's 30 schedules.  A change that moves
 #: live-path timing moves them; re-pin on purpose and say why.
 TIER_DIGESTS = {
-    "readindex": "8b3f0f7c026959d1e1962de112f6e9c3fa29c151ae8362ddfa741649198b0f56",
-    "lease": "599409d7a2753805a84aa61b19ec2ccab1670b470b4c58eb7cb6af30baa456b6",
-    "follower": "9c01af276fde179e6100211194fb6b779178edf5bc9c596cd48d2f3997bd960b",
+    "readindex": "a27ad29e0b0738116a2b4b95043667db7a575aaa760d7e133b32784684fe8050",
+    "lease": "550f8dc32bdc4189c764de6b4e1e5353e8bff0611729391e2de9f1340264ce4f",
+    "follower": "a058b4f0bc2e3df69d56801831f7f69125d8078f9995a390b2d00fd5714bf026",
 }
 
 

@@ -188,6 +188,17 @@ class TestRestart:
         )
         assert calls == [0]
 
+    def test_a_timer_from_before_the_crash_never_fires_after_restart(self):
+        # Both incarnations arm "t" once; the first one's timer (due at
+        # 10) must not pass for the second's (due at 12).
+        def proto(api):
+            yield SetTimer(10.0, "t")
+            yield Receive(count=1, predicate=lambda e: isinstance(e.payload, TimerFired))
+            yield Decide(api.now)
+
+        result = run([proto], crash_plans=[CrashPlan(0, at_time=1.0, restart_at=2.0)])
+        assert result.decisions == {0: 12.0}
+
     def test_mailbox_cleared_on_crash(self):
         def sender(api):
             yield Send(1, "before-crash")
