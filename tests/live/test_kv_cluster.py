@@ -18,6 +18,7 @@ import asyncio
 
 import pytest
 
+from repro.algorithms.raft.replication import LEADER
 from repro.core.runtime import SimRuntime
 from repro.live import (
     AsyncKVClient,
@@ -198,6 +199,21 @@ class TestFailover:
             await client.close()
 
         sim_run(scenario())
+
+
+class TestLeaderPid:
+    def test_names_the_believer_with_the_highest_term(self):
+        # A leader cut off by a partition still believes it leads after
+        # the majority elects a successor: pid 2 led term 3, pid 0 leads 5.
+        rt = SimRuntime()
+        try:
+            cluster = LiveKVCluster(3, runtime=rt, **FAST)
+            for pid, term in ((0, 5), (2, 3)):
+                node = cluster.servers[pid].node
+                node.state, node.current_term = LEADER, term
+            assert cluster.leader_pid() == 0
+        finally:
+            rt.close()
 
 
 class TestLoadgen:
