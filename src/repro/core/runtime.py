@@ -29,7 +29,9 @@ abstract the five things a virtual loop cannot fake by itself:
 2. stream creation (``open_connection`` / ``start_server``),
 3. TCP socket options (``get_extra_info("socket")`` returns ``None``),
 4. port allocation (no OS sockets are ever bound),
-5. where a blocking fsync runs (``Runtime.disk_threads``).
+5. the disk's sync point (``Runtime.fsync``): a real ``os.fsync`` the
+   WAL barrier runs on a worker thread, or — under simulation — none at
+   all, the barrier being a bookkeeping step.
 
 Everything else — including the KV shard's batching timers and the
 transport's reconnect backoff — flows through unchanged.
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import os
 import selectors
 import sys
 import time
@@ -59,6 +62,7 @@ __all__ = [
     "SimStarvationError",
     "current_runtime",
     "use_runtime",
+    "wall_fsync",
     "within",
 ]
 
@@ -68,6 +72,16 @@ T = TypeVar("T")
 # --------------------------------------------------------------------------
 # The interface
 # --------------------------------------------------------------------------
+
+
+def wall_fsync(fd: int) -> None:
+    """Make the bytes written to ``fd`` durable: the real ``os.fsync``.
+
+    The one place ``src/repro`` calls it.  ``os.fsync`` is looked up on
+    each call, so a test that patches it after a storage was built still
+    sees every sync.
+    """
+    os.fsync(fd)
 
 
 class Runtime:
@@ -80,11 +94,17 @@ class Runtime:
 
     name = "abstract"
 
-    #: Whether a blocking disk wait (the WAL barrier's fsync) runs on a
-    #: worker thread.  On a real clock that overlaps the fsync with the
-    #: loop's work; virtual time has no disk latency to overlap, so a
-    #: simulation runs it inline and the schedule stays deterministic.
-    disk_threads = True
+    #: The disk's sync point: where a durability barrier's fsync runs,
+    #: and whether one runs at all.  On a real clock it is
+    #: :func:`wall_fsync`, and the WAL barrier calls it on a worker
+    #: thread so the stall overlaps the loop's work.  ``None`` under
+    #: virtual time, which has no disk latency to overlap: a barrier is
+    #: a sync point by bookkeeping alone, inline — the WAL's synced
+    #: offset and the durability watermark advance, no syscall is made.
+    #: Nothing in a simulation reads what the kernel flushed: power
+    #: failure is :meth:`repro.storage.wal.Wal.crash` truncating to that
+    #: offset.
+    fsync: Optional[Callable[[int], None]] = staticmethod(wall_fsync)
 
     # -- time ---------------------------------------------------------
     def now(self) -> float:
@@ -493,7 +513,7 @@ class SimRuntime(Runtime):
     """
 
     name = "sim"
-    disk_threads = False
+    fsync = None
 
     def __init__(self, *, latency: float = 0.0005,
                  connect_latency: float = 0.001) -> None:

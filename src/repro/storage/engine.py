@@ -23,9 +23,14 @@ runtime provides the barrier: before any externally-visible message
 leaves the node (a vote, an append ack, a replication broadcast), dirty
 storage is synced — Raft's "persist before responding" rule — and the
 group-fsync makes every record since the previous barrier durable with
-one ``fsync``.  Where that fsync runs is the runtime's call
-(:attr:`repro.core.runtime.Runtime.disk_threads`): a worker thread on a
-real clock, inline under virtual time.
+one ``fsync``.  The sync point is the runtime's
+(:attr:`repro.core.runtime.Runtime.fsync`), and it answers both where
+the fsync runs and whether one runs: on a real clock a worker thread
+calls ``os.fsync`` behind the durability watermark (rotation, close and
+compaction sync inline); under virtual time the barrier is bookkeeping
+alone — inline, the WAL's synced offset and the watermark advance, and
+no syscall is made, since the power-failure model reads only that
+offset.
 
 Corruption beyond torn-tail recovery **quarantines** the directory: the
 damaged files are moved aside (``corrupt-NNNN/``) and the node rejoins
@@ -141,8 +146,10 @@ class RaftStorage:
     durable state found on disk (empty for a fresh directory), starts a
     fresh checkpointed segment restating it (so this incarnation never
     appends to files it did not write), and is immediately ready for
-    journalling.  ``runtime`` (default: the ambient one) decides where
-    :meth:`begin_sync`'s fsync runs.
+    journalling.  ``runtime`` (default: the ambient one) supplies the
+    sync point (:attr:`~repro.core.runtime.Runtime.fsync`): where
+    :meth:`begin_sync`'s fsync runs, and whether any sync here makes a
+    syscall.
 
     Attributes after construction (what recovery found):
         term, voted_for, snapshot_index, snapshot_term, entries,
@@ -218,6 +225,7 @@ class RaftStorage:
             directory,
             start_segment=recovery.next_segment,
             sync_policy=sync_policy,
+            fsync=self.rt.fsync,
         )
         self._checkpoint()
 
@@ -309,7 +317,9 @@ class RaftStorage:
         writes the full machine image.
         """
         started = time.perf_counter()
-        write_snapshot(self.directory, index, machine_state)
+        write_snapshot(
+            self.directory, index, machine_state, fsync=self.rt.fsync
+        )
         self.machine_snapshot = machine_state
         self.snapshot_index = index
         self.snapshot_term = term
@@ -371,12 +381,13 @@ class RaftStorage:
         the cheap half — and the fsync stall moves to a dedicated thread;
         the watermark advances when the loop observes the completion,
         which releases :meth:`notify_durable` callbacks in submission
-        order.  Under virtual time there is no disk latency to overlap:
-        this *is* :meth:`sync`, and the watermark has advanced before it
-        returns.
+        order.  Under virtual time (``Runtime.fsync`` is ``None``) there
+        is no disk latency to overlap and no disk to ask: this *is*
+        :meth:`sync`, a sync point by bookkeeping, and the watermark has
+        advanced before it returns.
         """
         self._drain_completions()
-        if not self.rt.disk_threads:
+        if self.rt.fsync is None:
             self.sync()
             return
         gen = self.generation
@@ -491,6 +502,7 @@ class RaftStorage:
         """Dedicated fsync thread: drain all queued barriers, fsync once
         per distinct segment (group commit across barriers), and post
         the completion back to the loop."""
+        fsync = self.rt.fsync
         while True:
             job = jobs_queue.get()
             if job is None:
@@ -514,7 +526,7 @@ class RaftStorage:
             failed = False
             for segment, (gen, fd, written) in latest.items():
                 try:
-                    os.fsync(fd)
+                    fsync(fd)
                 except OSError:
                     failed = True
             for gen, segment, fd, written in jobs:

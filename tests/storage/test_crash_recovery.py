@@ -14,15 +14,21 @@ a compaction checkpoint):
   durable shadow extended by some prefix of the pending operations —
   and nothing else.
 
+Both sync points run the property: the wall clock's real ``fsync`` and
+:class:`SimRuntime`'s bookkeeping alone (with ``os.fsync`` made to
+raise), so a simulated disk's durability is the same model.
+
 Tier-1: in-process power failures are cheap, so this runs everywhere.
 """
 
 import copy
+import os
 import random
 
 import pytest
 
 from repro.algorithms.raft.log import Entry
+from repro.core.runtime import AsyncioRuntime, SimRuntime
 from repro.storage import RaftStorage
 
 
@@ -109,9 +115,9 @@ def generate_op(rng, shadow):
     return ("sync",)
 
 
-def run_scenario(seed, directory, *, torn):
+def run_scenario(seed, directory, *, torn, runtime):
     rng = random.Random(seed)
-    storage = RaftStorage(str(directory))
+    storage = RaftStorage(str(directory), runtime=runtime)
     durable = fresh_shadow()  # opening checkpoint is itself synced
     latest = fresh_shadow()
     pending = []
@@ -133,7 +139,7 @@ def run_scenario(seed, directory, *, torn):
             pending.append(op)
 
     storage.crash(torn=torn)
-    recovered = RaftStorage(str(directory))
+    recovered = RaftStorage(str(directory), runtime=runtime)
     observed = state_of(recovered)
     recovered.close()
 
@@ -158,19 +164,25 @@ def run_scenario(seed, directory, *, torn):
 
 
 class TestCrashRecoveryProperty:
-    @pytest.mark.parametrize("seed", range(30))
-    def test_clean_power_failure(self, tmp_path, seed):
-        run_scenario(seed, tmp_path, torn=False)
+    """On the wall clock: every sync point is a real ``fsync``."""
+
+    @pytest.fixture
+    def runtime(self):
+        return AsyncioRuntime()
 
     @pytest.mark.parametrize("seed", range(30))
-    def test_torn_power_failure(self, tmp_path, seed):
-        run_scenario(seed + 1000, tmp_path, torn=True)
+    def test_clean_power_failure(self, tmp_path, seed, runtime):
+        run_scenario(seed, tmp_path, torn=False, runtime=runtime)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_torn_power_failure(self, tmp_path, seed, runtime):
+        run_scenario(seed + 1000, tmp_path, torn=True, runtime=runtime)
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_double_crash(self, tmp_path, seed):
+    def test_double_crash(self, tmp_path, seed, runtime):
         """Crash during recovery's own checkpoint must also be safe."""
         rng = random.Random(seed)
-        storage = RaftStorage(str(tmp_path))
+        storage = RaftStorage(str(tmp_path), runtime=runtime)
         for index in range(1, rng.randint(2, 10)):
             storage.record_append(index, Entry(1, f"c{index}"))
         storage.sync()
@@ -178,8 +190,23 @@ class TestCrashRecoveryProperty:
         storage.crash()
         # First recovery immediately loses power again, before syncing
         # anything new; its opening checkpoint is the only write.
-        first = RaftStorage(str(tmp_path))
+        first = RaftStorage(str(tmp_path), runtime=runtime)
         first.crash(torn=bool(seed % 2))
-        second = RaftStorage(str(tmp_path))
+        second = RaftStorage(str(tmp_path), runtime=runtime)
         assert state_of(second) == expected
         second.close()
+
+
+class TestCrashRecoveryPropertySimulated(TestCrashRecoveryProperty):
+    """On :class:`SimRuntime`: every sync point is bookkeeping, and a
+    clean crash still lands exactly on the last one."""
+
+    @pytest.fixture
+    def runtime(self, monkeypatch):
+        def no_fsync(fd):
+            raise AssertionError("a simulated disk made an fsync syscall")
+
+        monkeypatch.setattr(os, "fsync", no_fsync)
+        rt = SimRuntime()
+        yield rt
+        rt.close()

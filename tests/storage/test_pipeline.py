@@ -3,8 +3,9 @@
 On a real clock :meth:`RaftStorage.begin_sync` hands group fsync to a
 dedicated thread and releases acknowledgements only when the
 *durability watermark* covers the storage generation they depend on.
-Under :class:`SimRuntime` the same call fsyncs inline.  The contract
-under test:
+Under :class:`SimRuntime` the same call is a sync point kept inline by
+bookkeeping: the watermark advances and no fsync syscall is made.  The
+contract under test:
 
 * a callback registered via ``notify_durable`` fires only after the WAL
   bytes its generation depends on are really on the platter — so a power
@@ -35,7 +36,7 @@ import time
 import pytest
 
 from repro.algorithms.raft.log import Entry
-from repro.core.runtime import SimRuntime
+from repro.core.runtime import AsyncioRuntime, SimRuntime
 from repro.live import AsyncKVClient, LiveKVCluster, run_closed_loop
 from repro.storage import RaftStorage
 
@@ -265,6 +266,90 @@ def _wal_syncs(cluster):
         if server is not None
         for shard in server.shards
     )
+
+
+class TestSyncPoint:
+    """Every sync goes through the runtime's sync point
+    (``Runtime.fsync``): real, counted ``os.fsync`` calls on the wall
+    clock; none at all on :class:`SimRuntime`, where durability is
+    bookkeeping and the power-failure model still holds."""
+
+    def test_simulated_cluster_makes_no_fsync_and_keeps_acked_puts(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+
+        def no_fsync(fd):
+            calls.append(fd)
+            raise AssertionError("a simulated disk made an fsync syscall")
+
+        monkeypatch.setattr(os, "fsync", no_fsync)
+
+        async def scenario():
+            cluster = LiveKVCluster(3, seed=7, data_dir=str(tmp_path), **FAST)
+            await cluster.start()
+            client = AsyncKVClient(cluster.cluster)
+            try:
+                await cluster.wait_for_leader(timeout=20.0)
+                acked = {}
+                for i in range(10):
+                    await client.put(f"k{i}", i)
+                    acked[f"k{i}"] = i
+                syncs = _wal_syncs(cluster)
+                for pid in cluster.alive():
+                    await cluster.kill(pid)
+                for pid in range(3):
+                    await cluster.restart(pid)
+                await cluster.wait_for_leader(timeout=20.0)
+                read = {
+                    key: (await client.get(key, linearizable=True))["value"]
+                    for key in acked
+                }
+                return acked, syncs, read
+            finally:
+                await client.close()
+                await cluster.stop()
+
+        rt = SimRuntime()
+        try:
+            acked, syncs, read = rt.run(scenario(), timeout=120.0)
+        finally:
+            rt.close()
+        assert calls == []
+        assert syncs > 0
+        assert read == acked
+
+    def test_wall_clock_storage_makes_real_fsyncs(self, tmp_path, monkeypatch):
+        """Counted per step: the opening checkpoint (segment + two
+        directory syncs), a threaded barrier, a compaction (snapshot file
+        and directory, then a checkpoint) and a rotation."""
+        real_fsync = os.fsync
+        calls = []
+
+        def counting(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        storage = RaftStorage(
+            str(tmp_path), segment_bytes=512, runtime=AsyncioRuntime()
+        )
+        steps = [len(calls)]
+        storage.record_append(1, Entry(1, "a"))
+        storage.begin_sync()
+        assert storage.wait_durable(timeout=5.0), "fsync thread stalled"
+        steps.append(len(calls))
+        storage.record_compact(1, 1, ({"a": 1}, 1), [])
+        steps.append(len(calls))
+        rotations = storage.stats.rotations
+        for index in range(2, 40):
+            storage.record_append(index, Entry(1, "x" * 32))
+        storage.begin_sync()
+        assert storage.stats.rotations == rotations + 1
+        steps.append(len(calls))
+        storage.close()
+        assert [b - a for a, b in zip([0] + steps, steps)] == [3, 1, 5, 3]
+        assert storage.stats.syncs >= 4
 
 
 class TestGroupCommit:
