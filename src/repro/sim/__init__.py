@@ -40,7 +40,6 @@ from repro.sim.ops import (
     TimerFired,
 )
 from repro.sim.process import Process, ProcessAPI
-from repro.sim.serialize import dump_jsonl, load_jsonl, trace_records
 from repro.sim.sync_runtime import SyncResult, SyncRuntime
 from repro.sim.trace import Trace, TraceEvent
 
@@ -69,7 +68,4 @@ __all__ = [
     "TimerFired",
     "Trace",
     "TraceEvent",
-    "dump_jsonl",
-    "load_jsonl",
-    "trace_records",
 ]

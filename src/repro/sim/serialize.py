@@ -1,110 +1,32 @@
-"""Trace serialization for offline analysis, plus the lossless wire codec.
+"""The lossless binary wire codec.
 
-Two formats live here:
-
-* **Analysis records** (:func:`event_to_record`, :func:`dump_jsonl`):
-  traces hold arbitrary Python payloads; serialization flattens each event
-  to a JSON-friendly record — structured fields where the kind defines them
-  (decide values, annotations, message routes) and ``repr`` strings for
-  payload bodies.  The format is append-only JSON Lines, convenient for
-  jq/pandas-style post-processing of big seed batteries.  It is *lossy* by
-  design.
-
-* **The binary wire codec** (:func:`binary_dumps`, :func:`binary_loads`):
-  a *lossless* struct-packed encoding of algorithm message payloads, used
-  by :mod:`repro.live` to ship the exact dataclasses the simulators pass
-  by reference over real TCP connections.  Dataclass and enum types must
-  be registered (:func:`register_wire_type`, :func:`register_wire_enum`);
-  the built-in algorithm message types are registered by importing
-  :mod:`repro.live.codec`.  Scalars, lists, tuples, dicts (with arbitrary
-  hashable encodable keys) and bytes round-trip exactly, so a payload
-  decoded on the receiving node is ``==`` to the one that was sent and
-  ``isinstance`` predicates keep working.  Every value is a one-byte type
-  tag followed by packed payload bytes; registered dataclass/enum *names*
-  are interned per frame (sent once, referenced by a one-byte slot
-  afterwards) and dataclass fields travel positionally in declaration
-  order, so an ``AppendEntries`` full of log entries pays for the class
-  name exactly once.  Binary tags are all ``< 0x20``, so a frame body
-  that starts with printable ASCII (a JSON body) is refused on its first
-  byte.
+:func:`binary_dumps` and :func:`binary_loads` are a struct-packed
+encoding of algorithm message payloads, used by :mod:`repro.live` to
+ship the exact dataclasses the simulators pass by reference over real
+TCP connections (and by :mod:`repro.storage.wal` for its frames).
+Dataclass and enum types must be registered (:func:`register_wire_type`,
+:func:`register_wire_enum`); the built-in algorithm message types are
+registered by importing :mod:`repro.live.codec`.  Scalars, lists,
+tuples, dicts (with arbitrary hashable encodable keys) and bytes
+round-trip exactly, so a payload decoded on the receiving node is ``==``
+to the one that was sent and ``isinstance`` predicates keep working.
+Every value is a one-byte type tag followed by packed payload bytes;
+registered dataclass/enum *names* are interned per frame (sent once,
+referenced by a one-byte slot afterwards) and dataclass fields travel
+positionally in declaration order, so an ``AppendEntries`` full of log
+entries pays for the class name exactly once.  Binary tags are all
+``< 0x20``, so a frame body that starts with printable ASCII (a JSON
+body) is refused on its first byte.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import operator
 import struct
 import types
 from dataclasses import fields, is_dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Type
-
-from repro.sim import trace as tr
-from repro.sim.messages import Envelope
-from repro.sim.trace import Trace, TraceEvent
-
-
-def _jsonable(value: Any) -> Any:
-    """Coerce a detail value into something JSON can carry."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return repr(value)
-
-
-def event_to_record(event: TraceEvent) -> Dict[str, Any]:
-    """Flatten one trace event into a JSON-ready dict."""
-    record: Dict[str, Any] = {
-        "time": event.time,
-        "kind": event.kind,
-        "pid": event.pid,
-    }
-    detail = event.detail
-    if event.kind in (tr.SEND, tr.DELIVER, tr.DROP) and isinstance(detail, Envelope):
-        record.update(
-            src=detail.src,
-            dst=detail.dst,
-            seq=detail.seq,
-            send_time=detail.send_time,
-            deliver_time=detail.deliver_time,
-            payload=_jsonable(detail.payload),
-        )
-    elif event.kind == tr.ANNOTATE:
-        key, value = detail
-        record.update(key=key, value=_jsonable(value))
-    elif detail is not None:
-        record["detail"] = _jsonable(detail)
-    return record
-
-
-def trace_records(trace: Trace) -> Iterator[Dict[str, Any]]:
-    """Yield one JSON-ready record per trace event, in execution order."""
-    return (event_to_record(event) for event in trace.events)
-
-
-def dump_jsonl(trace: Trace, path: str) -> int:
-    """Write the trace as JSON Lines; returns the number of records."""
-    count = 0
-    with open(path, "w") as handle:
-        for record in trace_records(trace):
-            handle.write(json.dumps(record))
-            handle.write("\n")
-            count += 1
-    return count
-
-
-def load_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Read a JSON Lines trace dump back as a list of record dicts.
-
-    Payload bodies come back as the strings/structures they were flattened
-    to — this is an analysis format, not a resumable checkpoint.
-    """
-    with open(path) as handle:
-        return [json.loads(line) for line in handle if line.strip()]
-
+from typing import Any, Dict, List, Optional, Tuple, Type
 
 # ----------------------------------------------------------------------
 # The wire type registry (used by repro.live)

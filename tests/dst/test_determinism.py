@@ -4,10 +4,9 @@ The entire DST layer rests on runs being pure functions of
 ``(processes, config, seed)`` — the shrinker re-runs candidates, the corpus
 replays stored cases, multiprocessing workers re-execute serialized
 scenarios.  These tests pin that contract down hard: two runs with the same
-arguments must serialize to *byte-identical* JSON, event for event.
+arguments must render *byte-identical* traces, event for event (each
+event's ``repr``, payload and all).
 """
-
-import json
 
 import pytest
 
@@ -18,13 +17,10 @@ from repro.dst import Scenario, explore, random_scenario, run_scenario
 from repro.sim.async_runtime import AsyncRuntime
 from repro.sim.failures import CrashPlan
 from repro.sim.network import NetworkConfig, UniformDelay
-from repro.sim.serialize import trace_records
 
 
 def _serialized(trace) -> bytes:
-    return "\n".join(
-        json.dumps(record, sort_keys=True) for record in trace_records(trace)
-    ).encode()
+    return "\n".join(repr(event) for event in trace.events).encode()
 
 
 def _run_async(factory, *, n=5, seed=1234, crash_plans=()):
