@@ -35,9 +35,12 @@ What the core owns
   probes with empty appends until a success ack, then ships one suffix —
   so a follower K entries behind costs O(K) entries, however many stale
   rejections (replayed deltas, duplicate probes) arrive meanwhile;
-* follower accept with *ack coalescing*: success replies to empty
-  heartbeats that repeat an already-acknowledged state are suppressed,
-  with a bounded backstop so a lost ack cannot stall commit advancement;
+* follower accept with *ack coalescing*: a success reply to an empty
+  append that repeats an already-acknowledged state (term, leader, match,
+  read echo) is suppressed, with a bounded backstop so a lost ack cannot
+  stall commit advancement.  That covers the leader's commit broadcast:
+  the reply carries no commit index, so the follower applies the new
+  commit index and answers nothing;
 * ack handling, including the *lease* — a success ack proves the
   follower deferred elections since the oldest unacked send, so
   ordinary replication traffic renews the read lease with no extra frame;
@@ -212,9 +215,10 @@ class ReplicatedLogNode(Process):
         #: Last known leader of the current epoch (``None`` during
         #: elections) — the redirect hint live KV frontends serve clients.
         self.leader_hint: Optional[Pid] = None
-        # Follower-side ack coalescing: the last success-ack state sent,
-        # and how many redundant heartbeat acks were skipped since.
-        self._last_ack: Optional[Tuple[int, Pid, int, int, int]] = None
+        # Follower-side ack coalescing: the last success-ack state sent
+        # (term, leader, match, read echo), and how many redundant acks
+        # were skipped since.
+        self._last_ack: Optional[Tuple[int, Pid, int, int]] = None
         self._ack_skips = 0
         # Lease evidence (leader-side): the *oldest unacked* append send
         # time per follower.  A success ack proves the follower deferred
@@ -469,13 +473,15 @@ class ReplicatedLogNode(Process):
             yield from self._apply_committed(api)
         if msg.read_confirmed:
             self.reads.note_confirmed(msg.read_confirmed, self.last_applied)
-        # Ack coalescing: an empty heartbeat that confirms the exact state
-        # the leader already heard carries no information — skip the reply,
-        # but re-ack every few suppressions so a lost ack is always
+        # Ack coalescing: an empty append that confirms the exact state the
+        # leader already heard carries no information — skip the reply, but
+        # re-ack every few suppressions so a lost ack is always
         # retransmitted eventually (commit liveness under message loss).
-        # A new read sequence is new information, so a barrier is always
-        # answered.
-        ack = (self.current_term, msg.leader_id, match, self.commit_index, echo)
+        # The reply has no field for the commit index, so an append that
+        # only moves it (the leader's commit broadcast) is applied and not
+        # answered.  A new read sequence is new information, so a barrier
+        # is always answered.
+        ack = (self.current_term, msg.leader_id, match, echo)
         if (
             not msg.entries
             and ack == self._last_ack

@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.algorithms.readpath import ReadLedger
 from repro.core.runtime import Runtime, current_runtime
 from repro.live.config import ClusterConfig
 from repro.live.kv import KVServer
@@ -266,14 +267,18 @@ class LiveKVCluster:
         """The pids of currently running nodes."""
         return [pid for pid, s in enumerate(self.servers) if s is not None]
 
-    def leader_pid(self, shard: int = 0) -> Optional[int]:
+    def leader_pid(
+        self, shard: int = 0, *, exclude: Sequence[int] = ()
+    ) -> Optional[int]:
         """The shard's current leader among live nodes (in-process): of
         the nodes that believe they lead, the one in the highest term (a
         deposed leader cut off by a partition still believes)."""
         believers = [
             (server.shards[shard].node.current_term, server.pid)
             for server in self.servers
-            if server is not None and server.shards[shard].is_leader
+            if server is not None
+            and server.pid not in exclude
+            and server.shards[shard].is_leader
         ]
         return max(believers)[1] if believers else None
 
@@ -284,19 +289,25 @@ class LiveKVCluster:
         exclude: Sequence[int] = (),
         shard: int = 0,
     ) -> int:
-        """Poll until some live node (not in ``exclude``) is in the
-        ``LEADER`` state for ``shard``; its pid.
+        """Poll until the leader :meth:`leader_pid` names (ignoring the
+        nodes in ``exclude``) is serviceable for ``shard``; its pid.
 
-        Nothing checks that it has committed in its term yet, so its
-        first requests may wait for its barrier entry to commit.
+        Serviceable means it has committed an entry of its own term
+        (:meth:`ReadLedger.epoch_ready`), so its commit index no longer
+        lags a predecessor's and its first requests do not wait for its
+        barrier entry.  Of two believers (a deposed leader cut off
+        beside its successor) the one in the lower term is never
+        returned.
         """
         deadline = self.rt.now() + timeout
         while self.rt.now() < deadline:
-            for server in self.servers:
-                if server is None or server.pid in exclude:
-                    continue
-                if server.shards[shard].is_leader:
-                    return server.pid
+            pid = self.leader_pid(shard, exclude=exclude)
+            if pid is not None:
+                node = self.servers[pid].shards[shard].node
+                if ReadLedger.epoch_ready(
+                    node.log, node.commit_index, node.current_term
+                ):
+                    return pid
             await self.rt.sleep(0.02)
         raise TimeoutError(f"no leader for shard {shard} within {timeout}s")
 

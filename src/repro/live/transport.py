@@ -21,6 +21,19 @@ The transport never inspects payloads; loss, duplication (none today) and
 reordering semantics are exactly those of the underlying TCP streams plus
 the drop-oldest overflow rule.
 
+Idle deadlines
+--------------
+A frame arms no timer.  Each outbound link stamps the time of its last
+write and each inbound connection the time of its last frame; one sweep
+task per transport wakes once per heartbeat interval, pings the links
+idle for at least that long and closes the inbound connections idle for
+more than ``idle_timeout``.  That is the timer-wheel trade (Varghese and
+Lauck, SOSP 1987): expiry is coarse by up to one interval — an idle link
+pings within two intervals of its last write, a dead inbound connection
+closes within ``idle_timeout`` plus one interval of its last frame — and
+the work per frame is a clock read.  Only the dial and the ``hello`` keep
+a deadline of their own (:func:`~repro.core.runtime.within`).
+
 Fault injection
 ---------------
 Chaos tests (:mod:`repro.chaos`) inject link faults *at this layer*, so a
@@ -182,9 +195,10 @@ class PeerTransport:
             does this).
         on_event: optional connect/disconnect notifications (the live
             runtime records them into the trace).
-        heartbeat_interval: idle time after which a ``ping`` frame is sent
-            on an outbound link; :data:`IDLE_TIMEOUT_BEATS` of them without
-            a frame drop an inbound one.
+        heartbeat_interval: the sweep period: an outbound link idle this
+            long is sent a ``ping`` frame, and an inbound connection
+            silent for :data:`IDLE_TIMEOUT_BEATS` of them is closed (see
+            "Idle deadlines" above).
         connect_timeout: per-dial timeout.
         max_queue: per-peer buffer of undelivered payloads.
     """
@@ -228,10 +242,13 @@ class PeerTransport:
         self._recv_faults: Dict[int, LinkFault] = {}
         self._queues: Dict[int, Deque[Tuple[Any, Optional[float], int]]] = {}
         self._queue_events: Dict[int, asyncio.Event] = {}
+        #: Connected outbound links: peer -> time of the last write.
+        self._last_write: Dict[int, float] = {}
         self._tasks: List[asyncio.Task] = []
         self._server: Optional[Any] = None
         self._inbound_tasks: List[asyncio.Task] = []
-        self._inbound_writers: List[asyncio.StreamWriter] = []
+        #: Open inbound connections: writer -> time of the last frame.
+        self._last_read: Dict[asyncio.StreamWriter, float] = {}
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -249,6 +266,7 @@ class PeerTransport:
             self._queues[peer] = deque()
             self._queue_events[peer] = asyncio.Event()
             self._tasks.append(asyncio.ensure_future(self._outbound_loop(peer)))
+        self._tasks.append(asyncio.ensure_future(self._sweep()))
 
     async def stop(self) -> None:
         """Graceful shutdown: stop dialing, close every socket."""
@@ -265,7 +283,7 @@ class PeerTransport:
             self._server.close()
         # End inbound handlers before wait_closed(): newer Pythons block
         # there until every connection handler has finished.
-        for writer in list(self._inbound_writers):
+        for writer in list(self._last_read):
             writer.close()
         for task in list(self._inbound_tasks):
             task.cancel()
@@ -275,7 +293,7 @@ class PeerTransport:
             except (asyncio.CancelledError, Exception):
                 pass
         self._inbound_tasks.clear()
-        self._inbound_writers.clear()
+        self._last_read.clear()
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None
@@ -387,6 +405,7 @@ class PeerTransport:
                 self.stats.bytes_sent += len(hello)
                 await writer.drain()
                 attempt = 0
+                self._last_write[peer] = self.runtime.now()
                 self._notify("connect", peer)
                 await self._pump(peer, queue, event, writer)
             except asyncio.CancelledError:
@@ -394,6 +413,7 @@ class PeerTransport:
             except _RECOVERABLE:
                 pass
             finally:
+                self._last_write.pop(peer, None)
                 if writer is not None:
                     self._notify("disconnect", peer)
                     writer.close()
@@ -412,7 +432,7 @@ class PeerTransport:
         event: asyncio.Event,
         writer: asyncio.StreamWriter,
     ) -> None:
-        """The per-connection write scheduler; pings when idle.
+        """The per-connection write scheduler.
 
         Writes are *vectored*: every frame queued at this moment (up to
         the :data:`MAX_COALESCE_BYTES` flush budget) is serialized straight
@@ -421,33 +441,36 @@ class PeerTransport:
         and drained once, so a replication burst costs one syscall
         instead of one per message.  Frames beyond the budget stay
         queued for the next tick, keeping any one peer from monopolizing
-        the loop.
+        the loop.  Waiting for a frame arms no timer: woken with nothing
+        queued, the link has been idle a heartbeat interval (only
+        :meth:`_sweep` sets the event without queueing), so it pings,
+        and the drain finds a connection the peer has closed.
         """
-        # Checked every iteration rather than relying on cancellation:
-        # before 3.11 a cancel racing the heartbeat deadline surfaces as
-        # a timeout, leaving this task alive after ``stop()``.
         stats = self.stats
         budget = MAX_COALESCE_BYTES
+        clock = self.runtime.now
+        last_write = self._last_write
         while not self._closed:
             if not queue:
                 event.clear()
-                try:
-                    await within(event.wait(), self.heartbeat_interval)
-                except asyncio.TimeoutError:
-                    fault = self._send_faults.get(peer)
-                    if fault is not None and fault.discards(self._fault_rng):
-                        # A black-holed link loses its heartbeats too, so
-                        # the peer's idle timeout really fires — the link
-                        # looks dead, exactly like a partition.
-                        self.stats.faulted += 1
-                        continue
-                    ping = encode_peer_frame("ping")
-                    writer.write(ping)
-                    stats.pings += 1
-                    stats.bytes_sent += len(ping)
-                    stats.writes += 1
-                    await writer.drain()
+                await event.wait()
+                if queue:
                     continue
+                fault = self._send_faults.get(peer)
+                if fault is not None and fault.discards(self._fault_rng):
+                    # A black-holed link loses its heartbeats too, so the
+                    # peer's idle timeout really fires — the link looks
+                    # dead, exactly like a partition.
+                    stats.faulted += 1
+                    continue
+                ping = encode_peer_frame("ping")
+                last_write[peer] = clock()
+                writer.write(ping)
+                stats.pings += 1
+                stats.bytes_sent += len(ping)
+                stats.writes += 1
+                await writer.drain()
+                continue
             buffer = bytearray()
             frames = 0
             while queue and len(buffer) < budget:
@@ -464,8 +487,25 @@ class PeerTransport:
             # Hand the buffer over without a copy; a fresh one is built
             # next tick, so the transport may keep this one as long as it
             # likes.
+            last_write[peer] = clock()
             writer.write(buffer)
             await writer.drain()
+
+    async def _sweep(self) -> None:
+        """Every heartbeat interval: wake the pump of each outbound link
+        idle at least that long (it pings), close each inbound connection
+        silent for more than ``idle_timeout`` (its peer's writer will
+        re-dial)."""
+        interval = self.heartbeat_interval
+        while not self._closed:
+            await self.runtime.sleep(interval)
+            now = self.runtime.now()
+            for peer, written in self._last_write.items():
+                if now - written >= interval:
+                    self._queue_events[peer].set()
+            for writer, read in list(self._last_read.items()):
+                if now - read > self.idle_timeout:
+                    writer.close()
 
     # ------------------------------------------------------------------
     # Receiving
@@ -477,7 +517,9 @@ class PeerTransport:
         task = asyncio.current_task()
         if task is not None:
             self._inbound_tasks.append(task)
-        self._inbound_writers.append(writer)
+        clock = self.runtime.now
+        last_read = self._last_read
+        last_read[writer] = clock()
         enable_nodelay(writer)
         src: Optional[int] = None
         try:
@@ -487,7 +529,10 @@ class PeerTransport:
             if kind != "hello" or not isinstance(src, int):
                 return
             while not self._closed:
-                body = await within(read_frame_bytes(reader), self.idle_timeout)
+                # No deadline here: the sweep closes a silent connection,
+                # and the read then ends at EOF.
+                body = await read_frame_bytes(reader)
+                last_read[writer] = clock()
                 self.stats.bytes_received += len(body) + 4
                 kind, payload, ts, shard = parse_peer_frame(decode_body(body))
                 if kind == "msg":
@@ -515,8 +560,7 @@ class PeerTransport:
             pass
         finally:
             writer.close()
-            if writer in self._inbound_writers:
-                self._inbound_writers.remove(writer)
+            last_read.pop(writer, None)
             if task is not None and task in self._inbound_tasks:
                 self._inbound_tasks.remove(task)
 

@@ -315,19 +315,64 @@ class TestAckCoalescing:
         )
         (ack,) = self.acks(node, with_entry)
         assert ack.match_index == 1
-        # An empty heartbeat that moves the commit index changes the ack
-        # state too, so it is answered.
-        beat = node.family.append(
+        # The leader's commit broadcast: an empty append that only moves
+        # the commit index.  The reply has no field for it, so the
+        # follower applies the commit and answers nothing.
+        assert self.acks(node, self.commit_only(node, 1)) == []
+        assert node.commit_index == 1 and node.last_applied == 1
+        # Entries are answered...
+        second = node.family.append(
             term=TERM,
             leader_id=0,
             prev_log_index=1,
             prev_log_term=TERM,
-            entries=(),
+            entries=(Entry(TERM, Put("k", 2)),),
             leader_commit=1,
         )
-        (ack,) = self.acks(node, beat)
-        assert ack.success and node.commit_index == 1
-        assert self.acks(node, beat) == []
+        (ack,) = self.acks(node, second)
+        assert ack.success and ack.match_index == 2
+        # ...and so is a new read sequence, even on an empty append that
+        # repeats the acknowledged state.
+        barrier = node.family.append(
+            term=TERM,
+            leader_id=0,
+            prev_log_index=2,
+            prev_log_term=TERM,
+            entries=(),
+            leader_commit=1,
+            read_seq=1,
+        )
+        (ack,) = self.acks(node, barrier)
+        assert ack.success and ack.match_index == 2 and ack.read_seq == 1
+
+    def test_commit_only_duplicates_hit_the_backstop(self, build):
+        node = build()
+        with_entry = node.family.append(
+            term=TERM,
+            leader_id=0,
+            prev_log_index=0,
+            prev_log_term=0,
+            entries=(Entry(TERM, Put("k", 1)),),
+            leader_commit=0,
+        )
+        (first,) = self.acks(node, with_entry)
+        commit = self.commit_only(node, 1)
+        for _ in range(node.ACK_REACK_EVERY):
+            assert self.acks(node, commit) == []
+        # The (ACK_REACK_EVERY + 1)-th duplicate is answered, so a lost
+        # ack of the entry is retransmitted.
+        (again,) = self.acks(node, commit)
+        assert again == first and node.commit_index == 1
+
+    def commit_only(self, node, commit):
+        return node.family.append(
+            term=TERM,
+            leader_id=0,
+            prev_log_index=commit,
+            prev_log_term=TERM,
+            entries=(),
+            leader_commit=commit,
+        )
 
     def test_idle_leader_confirms_a_barrier_in_one_round_trip(self, build):
         # Followers that already acknowledged the leader's state coalesce

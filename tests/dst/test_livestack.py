@@ -146,9 +146,9 @@ class TestEngineRotation:
 #: Sweep digest of each read tier's 30 schedules.  A change that moves
 #: live-path timing moves them; re-pin on purpose and say why.
 TIER_DIGESTS = {
-    "readindex": "a27ad29e0b0738116a2b4b95043667db7a575aaa760d7e133b32784684fe8050",
-    "lease": "550f8dc32bdc4189c764de6b4e1e5353e8bff0611729391e2de9f1340264ce4f",
-    "follower": "a058b4f0bc2e3df69d56801831f7f69125d8078f9995a390b2d00fd5714bf026",
+    "readindex": "c8a624214a9c5d6775345ed9ffe5f77f4cca07ea82c93d143cf2cbd30734d4f7",
+    "lease": "fc674706fcd7eb71aa5943c112b5aefa9ec100190a6421b69cedc735f0c2f98b",
+    "follower": "0f24a0392a000fbd99f71f33e76920a24d317386d5d263219f2b5887170a3f7e",
 }
 
 

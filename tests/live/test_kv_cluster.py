@@ -18,6 +18,7 @@ import asyncio
 
 import pytest
 
+from repro.algorithms.raft.log import Entry
 from repro.algorithms.raft.replication import LEADER
 from repro.core.runtime import SimRuntime
 from repro.live import (
@@ -214,6 +215,42 @@ class TestLeaderPid:
             assert cluster.leader_pid() == 0
         finally:
             rt.close()
+
+
+class TestWaitForLeader:
+    """``wait_for_leader`` names the believer :meth:`leader_pid` names,
+    once it has committed an entry of its own term.  Unstarted clusters,
+    so nothing but the test moves a node's state."""
+
+    @staticmethod
+    def believe(cluster, pid, term, committed):
+        node = cluster.servers[pid].node
+        node.state, node.current_term = LEADER, term
+        node.log.append_new(Entry(term, None))
+        node.commit_index = node.log.last_index if committed else 0
+
+    def test_names_the_believer_with_the_highest_term(self):
+        # Pid 0 led term 3 and was cut off; pid 2 leads term 5.
+        async def scenario():
+            cluster = LiveKVCluster(3, **FAST)
+            self.believe(cluster, 0, 3, committed=True)
+            self.believe(cluster, 2, 5, committed=True)
+            return await cluster.wait_for_leader(1.0)
+
+        assert sim_run(scenario()) == 2
+
+    def test_waits_until_the_leader_committed_in_its_term(self):
+        async def scenario():
+            cluster = LiveKVCluster(3, **FAST)
+            self.believe(cluster, 0, 3, committed=True)
+            self.believe(cluster, 2, 5, committed=False)
+            with pytest.raises(TimeoutError):
+                await cluster.wait_for_leader(0.1)
+            assert await cluster.wait_for_leader(0.1, exclude=(2,)) == 0
+            cluster.servers[2].node.commit_index = 1
+            return await cluster.wait_for_leader(0.1)
+
+        assert sim_run(scenario()) == 2
 
 
 class TestLoadgen:

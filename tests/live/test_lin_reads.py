@@ -160,8 +160,8 @@ class TestReadTierLadder:
     LADDER = {
         "safe": (None, 987.7, 0.004),
         "readindex": (None, 1762.1, 0.002),
-        "lease": (None, 2919.7, 0.001),
-        "follower": (0.5, 2836.9, 0.001),
+        "lease": (None, 2857.1, 0.001),
+        "follower": (0.5, 2919.7, 0.001),
     }
 
     def _mix(self, tier, staleness):
