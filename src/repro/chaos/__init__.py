@@ -7,8 +7,9 @@ Three pieces compose into a campaign:
 * :mod:`repro.chaos.nemesis` — seeded, declarative fault schedules
   (leader kills, partitions, drops, delays, timeout skew) executed
   against a running :class:`~repro.live.harness.LiveKVCluster`;
-* :mod:`repro.chaos.history` — clients that record every invocation and
-  response (including ambiguous timeouts) into one wall-clock history;
+* :mod:`repro.chaos.history` — the history every invocation and
+  response (including ambiguous timeouts) of the campaign's load
+  generator (:func:`repro.live.loadgen.drive`) is recorded into;
 * :mod:`repro.chaos.checker` — a Wing & Gill linearizability checker
   that accepts or rejects the history against the KV register model,
   with a minimal witness on rejection.
@@ -20,7 +21,7 @@ live`` in virtual time.  ``docs/chaos.md`` is the guide.
 """
 
 from repro.chaos.checker import CheckReport, KeyResult, check_history
-from repro.chaos.history import GET, PUT, History, HistoryClient, OpRecord
+from repro.chaos.history import GET, PUT, History, OpRecord
 from repro.chaos.nemesis import (
     DURABILITY_KINDS,
     FAULT_KINDS,
@@ -31,7 +32,6 @@ from repro.chaos.nemesis import (
     partition_cluster,
 )
 from repro.chaos.timeline import render_html, render_text
-from repro.chaos.workload import close_clients, make_clients, run_workload
 
 __all__ = [
     "GET",
@@ -42,16 +42,12 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "History",
-    "HistoryClient",
     "KeyResult",
     "Nemesis",
     "OpRecord",
     "check_history",
-    "close_clients",
     "heal_cluster",
-    "make_clients",
     "partition_cluster",
     "render_html",
     "render_text",
-    "run_workload",
 ]

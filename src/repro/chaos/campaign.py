@@ -26,9 +26,9 @@ from repro.chaos.nemesis import (
     NemesisAction,
     check_kind,
 )
-from repro.chaos.workload import close_clients, make_clients, run_workload
 from repro.core.runtime import Runtime
 from repro.live.harness import LiveKVCluster
+from repro.live.loadgen import Mix, drive, make_clients, make_key_sampler
 
 #: Fast-failover timings for campaigns: elections resolve in about a
 #: second, so even a short campaign sees several leadership changes.
@@ -73,6 +73,11 @@ def cluster_options(
         kind in DURABILITY_KINDS for kind in kinds
     )
     return options, needs_disk
+
+
+def put_value(cid: int, puts: int, _i: int) -> str:
+    """``c<client>-<n>``: unique per put, so a read names the write it saw."""
+    return f"c{cid}-{puts}"
 
 
 @dataclass
@@ -135,27 +140,32 @@ async def run(
         **CAMPAIGN_TIMINGS,
     )
     history = History(runtime=rt)
-    recorders = make_clients(
+    # One set of clients for both phases, built before the boot: their
+    # connections and leader hints carry over from the faults to the
+    # grace reads.
+    workers = make_clients(
         cluster.cluster,
-        history,
         clients,
         shards=shards,
+        fail_fast=True,
         deterministic_ids=deterministic_ids,
     )
+    # A small key space makes ops on one key overlap often: contention is
+    # what gives the checker something to reject.
+    mix = Mix(make_key_sampler("uniform", key_space), read_fraction)
     nemesis = Nemesis(cluster, plan)
     post_heal_stats = {"ok": 0, "ambiguous": 0, "failed": 0}
     try:
         await cluster.start()
         await cluster.wait_for_all_leaders(LEADER_WAIT)
+        # Read-only clients matter for bug-finding: a writer that hits an
+        # isolated stale leader fails over and never looks back; only a
+        # reader whose leader hint is still answered keeps going back to
+        # a deposed leader long enough to see overwritten values.
         workload = rt.spawn(
-            run_workload(
-                recorders,
-                duration=duration,
-                seed=seed,
-                key_space=key_space,
-                read_fraction=read_fraction,
-                readonly_clients=readonly_clients,
-                pause=op_pause,
+            drive(
+                workers, history, mix, value=put_value, seed=seed,
+                duration=duration, readonly=readonly_clients, pause=op_pause,
             )
         )
         await nemesis.run()
@@ -166,21 +176,13 @@ async def run(
         await nemesis.apply(FaultEvent(0.0, "restart"))
         await cluster.wait_for_all_leaders(LEADER_WAIT)
         if grace > 0:
-            # Client counters are cumulative across both phases.
-            totals = await run_workload(
-                recorders,
-                duration=grace,
-                seed=seed + 1,
-                key_space=key_space,
-                read_fraction=1.0,
-                readonly_clients=len(recorders),
-                pause=op_pause,
+            post_heal_stats = await drive(
+                workers, history, mix, value=put_value, seed=seed + 1,
+                duration=grace, readonly=len(workers), pause=op_pause,
             )
-            post_heal_stats = {
-                key: totals[key] - fault_stats[key] for key in totals
-            }
     finally:
-        await close_clients(recorders)
+        for client in workers:
+            await client.close()
         await cluster.stop()
         if tmp_dir is not None:
             tmp_dir.cleanup()

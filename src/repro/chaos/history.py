@@ -12,25 +12,24 @@ operation a set of clients *invoked* against the cluster and what each one
 * a ``get`` that failed constrains nothing (it observed no value) and is
   recorded as failed so it can be discarded before checking.
 
-:class:`HistoryClient` wraps :class:`~repro.live.client.AsyncKVClient`
-with exactly this bookkeeping.  All clients of one campaign share one
-``History`` and one ``time.monotonic`` clock (they run in one process),
-so invocation/return timestamps are mutually comparable — which is what
-lets the checker use real-time order, the defining constraint of
-linearizability.
+A ``History`` is a recorder of :mod:`repro.live.loadgen`: the campaign's
+workload (:func:`repro.live.loadgen.drive`) calls :meth:`History.begin`
+and :meth:`History.end` around every op.  A put's retries happen inside
+the client, so one recorded put spans them all — exactly the window in
+which it may take effect.  All clients of one campaign share one
+``History`` and one clock (they run in one process), so invocation/return
+timestamps are mutually comparable — which is what lets the checker use
+real-time order, the defining constraint of linearizability.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.core.runtime import Runtime, current_runtime
-from repro.live.client import AsyncKVClient, ClusterUnavailableError
-
-#: Operation kinds recorded in a history.
-PUT, GET = "put", "get"
+from repro.live.loadgen import AMBIGUOUS, GET, OK, PUT
 
 
 @dataclass
@@ -85,7 +84,7 @@ class History:
     """An append-only, shared record of client operations.
 
     Single-threaded by construction (one asyncio event loop), so no
-    locking: ``begin`` appends, the completion methods mutate in place.
+    locking: ``begin`` appends, ``end`` completes the record in place.
     """
 
     def __init__(
@@ -120,29 +119,24 @@ class History:
         self.ops.append(op)
         return op
 
-    def complete_put(self, op: OpRecord, index: int) -> None:
-        op.ret = self.now()
-        op.ok = True
-        op.index = index
+    def end(self, op: OpRecord, outcome: str, reply: Any) -> None:
+        """Complete ``op`` with a :mod:`repro.live.loadgen` outcome.
 
-    def complete_get(
-        self, op: OpRecord, found: bool, value: Any, index: Optional[int] = None
-    ) -> None:
+        ``OK`` closes it with the reply (a put's commit index, a get's
+        response); ``FAILED`` (a failed read) closes it not ok — it
+        constrains nothing; ``AMBIGUOUS`` (a failed put) leaves it
+        open-ended (``ret=None``), since some retry may have committed.
+        """
+        if outcome == AMBIGUOUS:
+            return
         op.ret = self.now()
-        op.ok = True
-        op.found = found
-        op.value = value
-        op.index = index
-
-    def fail(self, op: OpRecord) -> None:
-        """A definite failure (failed read): constrains nothing."""
-        op.ret = self.now()
-        op.ok = False
-
-    def ambiguous(self, op: OpRecord) -> None:
-        """An ambiguous timeout: the op stays open-ended (``ret=None``)."""
-        op.ok = None
-        op.ret = None
+        op.ok = outcome == OK
+        if op.ok and op.kind == PUT:
+            op.index = reply
+        elif op.ok:
+            op.found = bool(reply.get("found"))
+            op.value = reply.get("value")
+            op.index = reply.get("applied")
 
     # ------------------------------------------------------------------
     # Views
@@ -193,54 +187,3 @@ class History:
         history.ops = list(ops)
         history._counter = len(history.ops)
         return history
-
-
-@dataclass
-class HistoryClient:
-    """An :class:`AsyncKVClient` wrapper that records everything it does.
-
-    Puts are retried inside the wrapped client and applied once; from the
-    history's point of view one ``put`` call is one operation spanning all
-    its retries, which is exactly the window in which it may take effect.
-    Reads are linearizable (:class:`~repro.live.kv.KvRead` markers) so the
-    recorded history is checkable against the register model.
-    """
-
-    client: AsyncKVClient
-    history: History
-    client_id: int
-    stats: Dict[str, int] = field(
-        default_factory=lambda: {"ok": 0, "ambiguous": 0, "failed": 0}
-    )
-
-    async def put(self, key: Any, value: Any) -> Optional[int]:
-        op = self.history.begin(self.client_id, PUT, key, value)
-        try:
-            index = await self.client.put(key, value)
-        except (ClusterUnavailableError, ConnectionError, OSError, TimeoutError):
-            # Ambiguous: some retry may have committed server-side.
-            self.history.ambiguous(op)
-            self.stats["ambiguous"] += 1
-            return None
-        self.history.complete_put(op, index)
-        self.stats["ok"] += 1
-        return index
-
-    async def get(self, key: Any) -> Optional[Dict[str, Any]]:
-        op = self.history.begin(self.client_id, GET, key)
-        try:
-            response = await self.client.get(key, linearizable=True)
-        except (ClusterUnavailableError, ConnectionError, OSError, TimeoutError):
-            # A read that observed nothing constrains nothing.
-            self.history.fail(op)
-            self.stats["failed"] += 1
-            return None
-        self.history.complete_get(
-            op, bool(response.get("found")), response.get("value"),
-            response.get("applied"),
-        )
-        self.stats["ok"] += 1
-        return response
-
-    async def close(self) -> None:
-        await self.client.close()

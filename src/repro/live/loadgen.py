@@ -1,19 +1,29 @@
-"""Closed- and open-loop load generators for the live KV service.
+"""The load generator for the live KV service: closed loop, open loop, campaigns.
 
-* **Closed loop** (:func:`run_closed_loop`): ``concurrency`` workers, each
-  with its own connection, issue the next ``put`` as soon as the previous
-  one is acknowledged.  Measures the service's saturation throughput at a
-  fixed multiprogramming level.
-* **Open loop** (:func:`run_open_loop`): writes are *scheduled* at a fixed
-  arrival rate regardless of completions (each arrival is its own task),
+* **Closed loop** (:func:`drive`, :func:`run_closed_loop`): every worker
+  client issues its next op as soon as the previous one returns, until an
+  op count is claimed or a deadline passes.  At a fixed op count it
+  measures the service's saturation throughput at a fixed
+  multiprogramming level; at a deadline, with read-only clients and a
+  pause between ops, it is the chaos campaign's recorded workload
+  (:func:`repro.chaos.campaign.run`).
+* **Open loop** (:func:`run_open_loop`): arrivals are *scheduled* at a
+  fixed rate regardless of completions (each arrival is its own task),
   which is the methodology that exposes queueing delay — a closed loop
   hides latency spikes by slowing its own arrival rate (coordinated
   omission).
 
-Both are *shard-aware*: each worker's :class:`AsyncKVClient` routes every
-put to the shard owning its key, so against a sharded cluster the load
-spreads across all shard leaders.  The shard count is discovered once
-(one ``status`` round trip) and handed to every worker client.
+Both share one op draw (:meth:`Mix.draw`: the key, then the read coin)
+and one issue-and-classify step (:meth:`Mix.issue`: ``ok``, a definite
+failure, or an ambiguous put).  A *recorder* sees each op's start, end
+and outcome: :class:`LoadReport` turns them into throughput and
+commit-latency percentiles (:func:`repro.analysis.metrics.latency_summary`),
+:class:`repro.chaos.history.History` into a checkable history.
+
+Clients are *shard-aware*: each routes every op to the shard owning its
+key, so against a sharded cluster the load spreads across all shard
+leaders.  The shard count is discovered once (one ``status`` round trip)
+and handed to every worker client.
 
 Mixed workloads: ``read_ratio`` turns that fraction of operations into
 linearizable gets (drawn from the same key distribution, so a Zipf mix
@@ -27,9 +37,6 @@ the keyspace; ``zipf`` draws rank ``k`` with probability proportional to
 skew — with sharding it concentrates load on the hot keys' shards, which
 is exactly the behaviour worth measuring.
 
-Both return a :class:`LoadReport` with throughput and commit-latency
-percentiles computed by :func:`repro.analysis.metrics.latency_summary`,
-so live numbers live in the same shape the simulation benchmarks use.
 Times come from ``current_runtime()`` (``now()``, ``sleep()``): wall-clock
 seconds under ``AsyncioRuntime``, exact virtual seconds under ``SimRuntime``.
 """
@@ -38,9 +45,11 @@ from __future__ import annotations
 
 import asyncio
 import bisect
+import itertools
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.analysis.metrics import latency_summary
 from repro.core.runtime import current_runtime
@@ -49,6 +58,33 @@ from repro.live.config import ClusterConfig
 from repro.options import check_fraction, check_positive
 
 KEY_DISTRIBUTIONS = ("uniform", "zipf")
+
+#: Operation kinds.
+PUT, GET = "put", "get"
+
+#: Op outcomes: acknowledged; a failed get (it observed nothing, so it
+#: constrains nothing); a failed put (some retry may still have committed).
+OK, FAILED, AMBIGUOUS = "ok", "failed", "ambiguous"
+
+#: Client errors that end one op; anything else (a refusal) propagates.
+CLIENT_ERRORS = (ClusterUnavailableError, OSError, TimeoutError)
+
+#: Per-request deadline of a load-generator client and of the shard probe.
+REQUEST_TIMEOUT = 5.0
+
+#: Campaign clients fail over fast: under a nemesis the interesting
+#: outcome of an unreachable node is a quick failover (or an *ambiguous*
+#: op in the history), not a client that blocks half the campaign on a
+#: black hole — a writer stuck on an isolated leader commits nothing, and
+#: commits are what give the checker contradictions to find.
+FAIL_FAST = dict(request_timeout=1.0, max_attempts=8, retry_delay=0.1)
+
+#: Open loop: arrivals beyond this many in flight are shed (counted as
+#: errors) instead of queueing without bound inside the generator.
+MAX_OUTSTANDING = 512
+
+#: Open loop: connections opened at most.
+MAX_CONNECTIONS = 64
 
 
 class ZipfSampler:
@@ -97,22 +133,125 @@ def make_key_sampler(
     )
 
 
+def make_clients(
+    cluster: ClusterConfig,
+    count: int,
+    *,
+    shards: Optional[int] = None,
+    fail_fast: bool = False,
+    deterministic_ids: bool = False,
+) -> List[AsyncKVClient]:
+    """``count`` worker clients; ``shards=None`` discovers the count.
+
+    ``fail_fast`` gives them the campaign's :data:`FAIL_FAST` timings
+    instead of :data:`REQUEST_TIMEOUT`.  ``deterministic_ids=True`` gives
+    client ``i`` the ``op_id_prefix`` ``"c<i>"`` instead of a random one
+    — required for byte-identical replays, safe when every client lives
+    in one process.
+    """
+    options = FAIL_FAST if fail_fast else dict(request_timeout=REQUEST_TIMEOUT)
+    return [
+        AsyncKVClient(
+            cluster,
+            shards=shards,
+            op_id_prefix=f"c{cid}" if deterministic_ids else None,
+            **options,
+        )
+        for cid in range(count)
+    ]
+
+
+@dataclass(frozen=True)
+class Mix:
+    """What the workers send: the key draw, the read share, the read tier."""
+
+    sample_key: Callable[[random.Random], str]
+    read_ratio: float = 0.0
+    read_tier: Optional[str] = None
+    read_staleness: Optional[float] = None
+
+    def draw(self, rng: random.Random, readonly: bool = False) -> Tuple[str, str]:
+        """One op's kind and key: the key first, then the read coin,
+        which a read-only client does not toss."""
+        key = self.sample_key(rng)
+        if readonly or rng.random() < self.read_ratio:
+            return GET, key
+        return PUT, key
+
+    async def issue(
+        self, client: AsyncKVClient, kind: str, key: str, value: Optional[str]
+    ) -> Tuple[str, Any]:
+        """Send one op; returns its outcome and the reply (``None`` unless ok).
+
+        A put's reply is its commit index; a get's is the response dict.
+        Gets are linearizable unless ``read_staleness`` is set.
+        """
+        try:
+            if kind == GET:
+                return OK, await client.get(
+                    key, linearizable=True, tier=self.read_tier,
+                    staleness=self.read_staleness,
+                )
+            return OK, await client.put(key, value)
+        except CLIENT_ERRORS:
+            return (FAILED if kind == GET else AMBIGUOUS), None
+
+
+class Recorder(Protocol):
+    """What sees each op: :class:`LoadReport` or the checker's ``History``."""
+
+    def begin(self, client: int, kind: str, key: Any, value: Any = None) -> Any:
+        """The op starts now; returns the token :meth:`end` gets back."""
+
+    def end(self, op: Any, outcome: str, reply: Any) -> None:
+        """The op ended now with ``outcome`` (``OK``, ``FAILED``, ``AMBIGUOUS``)."""
+
+
 @dataclass
 class LoadReport:
-    """Outcome of one load-generation run (times in seconds)."""
+    """Outcome of one load-generation run (times in seconds).
+
+    It is the run's :class:`Recorder`: every acknowledged op adds its
+    latency and counts as a read or a write (a put's value lands in
+    ``acked``); every other op is an error.
+    """
 
     mode: str
-    ops: int
-    errors: int
-    duration: float
-    concurrency: int
+    concurrency: int = 0
     target_rate: Optional[float] = None
-    latency: Dict[str, float] = field(default_factory=dict)
-    acked: Dict[Any, Any] = field(default_factory=dict)
     key_dist: str = "uniform"
     shards: int = 1
+    duration: float = 0.0
+    errors: int = 0
     reads: int = 0
     writes: int = 0
+    acked: Dict[Any, Any] = field(default_factory=dict)
+    latencies: List[float] = field(default_factory=list, repr=False)
+
+    def begin(self, client: int, kind: str, key: Any, value: Any = None) -> Any:
+        return current_runtime().now(), kind, key, value
+
+    def end(self, op: Any, outcome: str, reply: Any) -> None:
+        begin, kind, key, value = op
+        if outcome != OK:
+            self.errors += 1
+            return
+        self.latencies.append(current_runtime().now() - begin)
+        if kind == GET:
+            self.reads += 1
+        else:
+            self.writes += 1
+            self.acked[key] = value
+
+    @property
+    def ops(self) -> int:
+        """Acknowledged operations."""
+        return self.reads + self.writes
+
+    @property
+    def latency(self) -> Dict[str, float]:
+        """Latency percentiles of the acknowledged operations."""
+        return latency_summary(self.latencies)
 
     @property
     def throughput(self) -> float:
@@ -147,17 +286,65 @@ class LoadReport:
         )
 
 
+async def drive(
+    clients: Sequence[AsyncKVClient],
+    recorder: Recorder,
+    mix: Mix,
+    *,
+    value: Callable[[int, int, int], str],
+    seed: int,
+    ops: Optional[int] = None,
+    duration: Optional[float] = None,
+    readonly: int = 0,
+    pause: float = 0.0,
+) -> Dict[str, int]:
+    """Run every client back-to-back until ``ops`` ops are claimed or,
+    per client, ``duration`` seconds pass; returns the outcome counts.
+
+    Client ``cid`` draws from its own ``Random((seed << 8) | cid)``, so
+    each client's op stream is reproducible per seed whatever the
+    interleaving; the first ``readonly`` clients never write.  A put's
+    value is ``value(cid, puts, i)``: the client, its put count (this one
+    included) and the op's number in the run.  ``pause`` seconds pass
+    between a client's ops.
+    """
+    rt = current_runtime()
+    counter = itertools.count() if ops is None else iter(range(ops))
+    outcomes = dict.fromkeys((OK, AMBIGUOUS, FAILED), 0)
+
+    async def run(cid: int, client: AsyncKVClient) -> None:
+        rng = random.Random((seed << 8) | cid)
+        deadline = math.inf if duration is None else rt.now() + duration
+        puts = 0
+        while rt.now() < deadline:
+            i = next(counter, None)
+            if i is None:
+                return
+            kind, key = mix.draw(rng, readonly=cid < readonly)
+            put_value = None
+            if kind == PUT:
+                puts += 1
+                put_value = value(cid, puts, i)
+            op = recorder.begin(cid, kind, key, put_value)
+            outcome, reply = await mix.issue(client, kind, key, put_value)
+            recorder.end(op, outcome, reply)
+            outcomes[outcome] += 1
+            if pause > 0:
+                await rt.sleep(pause)
+
+    await asyncio.gather(*(run(cid, c) for cid, c in enumerate(clients)))
+    return outcomes
+
+
 def _value(i: int, value_size: int) -> str:
     return f"{i}-" + "x" * max(0, value_size - len(str(i)) - 1)
 
 
-async def _discover_shards(
-    cluster: ClusterConfig, shards: Optional[int], *, request_timeout: float
-) -> int:
+async def _discover_shards(cluster: ClusterConfig, shards: Optional[int]) -> int:
     """Resolve the shard count once so every worker client skips discovery."""
     if shards is not None:
         return shards
-    probe = AsyncKVClient(cluster, request_timeout=request_timeout)
+    (probe,) = make_clients(cluster, 1)
     try:
         return await probe.shard_count()
     finally:
@@ -172,7 +359,6 @@ async def run_closed_loop(
     key_space: int = 128,
     value_size: int = 16,
     seed: int = 0,
-    request_timeout: float = 5.0,
     key_dist: str = "uniform",
     zipf_s: float = 1.1,
     shards: Optional[int] = None,
@@ -187,71 +373,29 @@ async def run_closed_loop(
     set) and a put otherwise.
     """
     check_fraction("read_ratio", read_ratio)
-    sample_key = make_key_sampler(key_dist, key_space, zipf_s)
-    shard_count = await _discover_shards(
-        cluster, shards, request_timeout=request_timeout
+    mix = Mix(
+        make_key_sampler(key_dist, key_space, zipf_s),
+        read_ratio, read_tier, read_staleness,
     )
-    latencies: List[float] = []
-    acked: Dict[Any, Any] = {}
-    errors = 0
-    reads = writes = 0
-    counter = iter(range(ops))
-    lock = asyncio.Lock()
-    rt = current_runtime()
-
-    async def worker(worker_id: int) -> None:
-        nonlocal errors, reads, writes
-        rng = random.Random((seed << 8) | worker_id)
-        client = AsyncKVClient(
-            cluster, request_timeout=request_timeout, shards=shard_count
-        )
-        try:
-            while True:
-                async with lock:
-                    try:
-                        i = next(counter)
-                    except StopIteration:
-                        return
-                key = sample_key(rng)
-                is_read = rng.random() < read_ratio
-                begin = rt.now()
-                try:
-                    if is_read:
-                        await client.get(
-                            key, linearizable=True, tier=read_tier,
-                            staleness=read_staleness,
-                        )
-                    else:
-                        value = _value(i, value_size)
-                        await client.put(key, value)
-                except ClusterUnavailableError:
-                    errors += 1
-                    continue
-                latencies.append(rt.now() - begin)
-                if is_read:
-                    reads += 1
-                else:
-                    writes += 1
-                    acked[key] = value
-        finally:
-            await client.close()
-
-    start = rt.now()
-    await asyncio.gather(*(worker(w) for w in range(concurrency)))
-    duration = rt.now() - start
-    return LoadReport(
-        mode="closed-loop",
-        ops=len(latencies),
-        errors=errors,
-        duration=duration,
-        concurrency=concurrency,
-        latency=latency_summary(latencies),
-        acked=acked,
-        key_dist=key_dist,
+    shard_count = await _discover_shards(cluster, shards)
+    clients = make_clients(cluster, concurrency, shards=shard_count)
+    report = LoadReport(
+        "closed-loop", concurrency=concurrency, key_dist=key_dist,
         shards=shard_count,
-        reads=reads,
-        writes=writes,
     )
+    rt = current_runtime()
+    start = rt.now()
+    try:
+        await drive(
+            clients, report, mix,
+            value=lambda _cid, _puts, i: _value(i, value_size),
+            seed=seed, ops=ops,
+        )
+    finally:
+        for client in clients:
+            await client.close()
+    report.duration = rt.now() - start
+    return report
 
 
 async def run_open_loop(
@@ -262,9 +406,6 @@ async def run_open_loop(
     key_space: int = 128,
     value_size: int = 16,
     seed: int = 0,
-    max_outstanding: int = 512,
-    max_connections: int = 64,
-    request_timeout: float = 5.0,
     key_dist: str = "uniform",
     zipf_s: float = 1.1,
     shards: Optional[int] = None,
@@ -274,26 +415,25 @@ async def run_open_loop(
 ) -> LoadReport:
     """Schedule arrivals at ``rate``/s for ``duration`` seconds.
 
-    Arrivals beyond ``max_outstanding`` in-flight requests are counted as
-    errors (load shedding) instead of queueing without bound inside the
-    generator itself.  ``read_ratio``/``read_tier``/``read_staleness``
-    mix in reads exactly as in :func:`run_closed_loop`.
+    Arrivals beyond :data:`MAX_OUTSTANDING` in-flight requests are
+    counted as errors (load shedding).  ``read_ratio``/``read_tier``/
+    ``read_staleness`` mix in reads exactly as in :func:`run_closed_loop`.
     """
     check_positive("rate", rate)
     check_positive("duration", duration)
     check_fraction("read_ratio", read_ratio)
-    sample_key = make_key_sampler(key_dist, key_space, zipf_s)
-    shard_count = await _discover_shards(
-        cluster, shards, request_timeout=request_timeout
+    mix = Mix(
+        make_key_sampler(key_dist, key_space, zipf_s),
+        read_ratio, read_tier, read_staleness,
     )
-    latencies: List[float] = []
-    acked: Dict[Any, Any] = {}
-    errors = 0
-    reads = writes = 0
+    shard_count = await _discover_shards(cluster, shards)
+    report = LoadReport(
+        "open-loop", target_rate=rate, key_dist=key_dist, shards=shard_count
+    )
     rng = random.Random(seed)
     rt = current_runtime()
     # Each connection carries one request at a time, so arrivals take an
-    # idle connection (or open a new one, up to ``max_connections``) rather
+    # idle connection (or open a new one, up to MAX_CONNECTIONS) rather
     # than being pinned to a fixed slot: a pinned arrival queues behind one
     # slow request while other connections sit idle, which silently turns
     # the generator closed-loop at exactly the loads it is meant to expose.
@@ -305,40 +445,23 @@ async def run_open_loop(
     async def acquire() -> AsyncKVClient:
         if not free.empty():
             return free.get_nowait()
-        if len(pool) < max_connections:
-            client = AsyncKVClient(
-                cluster, request_timeout=request_timeout, shards=shard_count
-            )
-            pool.append(client)
-            return client
+        if len(pool) < MAX_CONNECTIONS:
+            pool.extend(make_clients(cluster, 1, shards=shard_count))
+            return pool[-1]
         return await free.get()
 
     async def one(i: int) -> None:
-        nonlocal errors, outstanding, reads, writes
-        key, value = sample_key(rng), _value(i, value_size)
-        is_read = rng.random() < read_ratio
-        begin = rt.now()
+        nonlocal outstanding
+        kind, key = mix.draw(rng)
+        value = _value(i, value_size) if kind == PUT else None
+        op = report.begin(0, kind, key, value)
         client = await acquire()
         try:
-            if is_read:
-                await client.get(
-                    key, linearizable=True, tier=read_tier,
-                    staleness=read_staleness,
-                )
-            else:
-                await client.put(key, value)
-        except ClusterUnavailableError:
-            errors += 1
-            return
+            outcome, reply = await mix.issue(client, kind, key, value)
         finally:
             outstanding -= 1
             free.put_nowait(client)
-        latencies.append(rt.now() - begin)
-        if is_read:
-            reads += 1
-        else:
-            writes += 1
-            acked[key] = value
+        report.end(op, outcome, reply)
 
     interval = 1.0 / rate
     total = int(rate * duration)
@@ -351,27 +474,15 @@ async def run_open_loop(
         else:
             # Behind schedule: stay cooperative while catching up.
             await rt.sleep(0)
-        if outstanding >= max_outstanding:
-            errors += 1
+        if outstanding >= MAX_OUTSTANDING:
+            report.errors += 1
             continue
         outstanding += 1
         tasks.append(asyncio.ensure_future(one(i)))
     if tasks:
         await asyncio.gather(*tasks)
-    elapsed = rt.now() - start
+    report.duration = rt.now() - start
     for client in pool:
         await client.close()
-    return LoadReport(
-        mode="open-loop",
-        ops=len(latencies),
-        errors=errors,
-        duration=elapsed,
-        concurrency=len(pool),
-        target_rate=rate,
-        latency=latency_summary(latencies),
-        acked=acked,
-        key_dist=key_dist,
-        shards=shard_count,
-        reads=reads,
-        writes=writes,
-    )
+    report.concurrency = len(pool)
+    return report

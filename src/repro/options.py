@@ -342,7 +342,7 @@ def rows() -> Dict[str, Option]:
         ),
         # loadgen
         Option("--ops", int, check_count, default=200,
-               help="closed-loop: total writes"),
+               help="closed-loop: total operations (puts and gets)"),
         Option("--concurrency", int, check_count, default=4,
                help="closed-loop: workers"),
         Option(

@@ -4,18 +4,19 @@ import json
 
 from repro.chaos import History, OpRecord, render_html, render_text
 from repro.chaos.history import GET, PUT
+from repro.live.loadgen import AMBIGUOUS, FAILED, OK
 
 
 def sample_history():
     history = History(epoch=0.0)
     w = history.begin(0, PUT, "x", "a")
-    history.complete_put(w, 3)
+    history.end(w, OK, 3)
     r = history.begin(1, GET, "x")
-    history.complete_get(r, True, "a", 3)
+    history.end(r, OK, {"found": True, "value": "a", "applied": 3})
     lost = history.begin(0, PUT, "x", "b")
-    history.ambiguous(lost)
+    history.end(lost, AMBIGUOUS, None)
     failed = history.begin(2, GET, "y")
-    history.fail(failed)
+    history.end(failed, FAILED, None)
     return history
 
 
@@ -28,10 +29,10 @@ class TestRecording:
         assert second.inv >= first.inv >= 0.0
         assert first.open and second.open
 
-    def test_complete_put_closes_op(self):
+    def test_ok_put_closes_op(self):
         history = History(epoch=0.0)
         op = history.begin(0, PUT, "k", 1)
-        history.complete_put(op, 7)
+        history.end(op, OK, 7)
         assert not op.open and op.ok and op.index == 7
         assert op.ret >= op.inv
 
